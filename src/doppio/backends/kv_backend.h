@@ -8,9 +8,12 @@
 /// A complete file system backend built over any AsyncKvStore, covering the
 /// paper's localStorage-, IndexedDB-, and Dropbox-backed file systems with
 /// one implementation of the nine backend methods (§5.1). File contents
-/// live under "f:<path>" keys; the FileIndex utility caches the directory
-/// tree in memory and persists it under the reserved "index" key after
-/// every mutation, so a page reload can reconstruct the file system.
+/// live under "f:<path>" keys. The FileIndex utility caches the directory
+/// tree in memory; each directory's direct children (name, type, size,
+/// mtime) persist as one record under "d:<dir>", so a mutation re-persists
+/// only the records of the directories it changed. An empty directory
+/// needs no record. A page reload walks the records from "d:/" one tree
+/// level at a time, fetching sibling directories' records concurrently.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,7 +36,9 @@ public:
                   std::unique_ptr<AsyncKvStore> Store)
       : Env(Env), Store(std::move(Store)) {}
 
-  /// Loads the persisted index (if any). Must complete before use.
+  /// Loads the persisted directory records. Must complete before use. A
+  /// store without records leaves the index as it is; a malformed record
+  /// fails with EIO and leaves it empty.
   void initialize(CompletionCb Done);
 
   std::string backendName() const override {
@@ -62,7 +67,11 @@ public:
 
 private:
   static std::string fileKey(const std::string &Path) { return "f:" + Path; }
-  void persistIndex(CompletionCb Done);
+  /// Writes the record of directory \p Dir, or deletes it once \p Dir is
+  /// gone.
+  void persistDir(const std::string &Dir, CompletionCb Done);
+  /// persistDir over \p Dirs, one after another.
+  void persistDirs(std::vector<std::string> Dirs, CompletionCb Done);
 
   browser::BrowserEnv &Env;
   std::unique_ptr<AsyncKvStore> Store;

@@ -2,10 +2,8 @@
 
 #include "doppio/fs_backend.h"
 
-#include "doppio/path.h"
-
+#include <algorithm>
 #include <cassert>
-#include <sstream>
 
 using namespace doppio;
 using namespace doppio::rt;
@@ -76,140 +74,138 @@ void FileSystemBackend::readlink(const std::string &Path,
 // FileIndex
 //===----------------------------------------------------------------------===//
 
-FileIndex::FileIndex() {
-  Entries["/"] = {FileType::Directory, 0, 0};
-  Children["/"] = {};
+namespace {
+/// Splits a normalized absolute path into its parent and final name; false
+/// for "/" and for anything relative or ending in '/'.
+bool splitPath(std::string_view Path, std::string_view &Parent,
+               std::string_view &Name) {
+  size_t Slash = Path.rfind('/');
+  if (Path.empty() || Path.front() != '/' || Slash + 1 == Path.size())
+    return false;
+  Parent = Slash == 0 ? Path.substr(0, 1) : Path.substr(0, Slash);
+  Name = Path.substr(Slash + 1);
+  return true;
+}
+} // namespace
+
+FileIndex::FileIndex() : RootMeta{FileType::Directory, 0, 0} {
+  Dirs.emplace("/", DirNode());
+}
+
+FileIndex::Meta *FileIndex::find(std::string_view Path) {
+  if (Path == "/")
+    return &RootMeta;
+  std::string_view Parent, Name;
+  if (!splitPath(Path, Parent, Name))
+    return nullptr;
+  auto D = Dirs.find(Parent);
+  if (D == Dirs.end())
+    return nullptr;
+  auto K = D->second.Kids.find(Name);
+  return K == D->second.Kids.end() ? nullptr : &K->second;
+}
+
+bool FileIndex::add(const std::string &Path, const Meta &M) {
+  std::string_view Parent, Name;
+  if (!splitPath(Path, Parent, Name) || Name == "." || Name == "..")
+    return false;
+  auto D = Dirs.find(Parent);
+  if (D == Dirs.end()) {
+    if (!addDir(std::string(Parent)))
+      return false;
+    D = Dirs.find(Parent);
+  }
+  auto [K, Inserted] = D->second.Kids.emplace(std::string(Name), M);
+  if (!Inserted) {
+    if (K->second.Type != M.Type)
+      return false;
+    K->second = M;
+    return true;
+  }
+  D->second.Names.emplace(Name);
+  if (M.Type == FileType::Directory)
+    Dirs.emplace(Path, DirNode());
+  return true;
 }
 
 bool FileIndex::addDir(const std::string &Path) {
-  if (Path == "/")
-    return true;
-  auto It = Entries.find(Path);
-  if (It != Entries.end())
-    return It->second.Type == FileType::Directory;
-  std::string Parent = path::dirname(Path);
-  if (!addDir(Parent))
-    return false;
-  Entries[Path] = {FileType::Directory, 0, 0};
-  Children[Path] = {};
-  Children[Parent].insert(path::basename(Path));
-  return true;
+  return Path == "/" || add(Path, {FileType::Directory, 0, 0});
 }
 
 bool FileIndex::addFile(const std::string &Path, uint64_t SizeBytes,
                         uint64_t MtimeNs) {
-  auto It = Entries.find(Path);
-  if (It != Entries.end()) {
-    if (It->second.Type != FileType::File)
-      return false;
-    It->second.SizeBytes = SizeBytes;
-    It->second.MtimeNs = MtimeNs;
-    return true;
-  }
-  std::string Parent = path::dirname(Path);
-  if (!addDir(Parent))
-    return false;
-  Entries[Path] = {FileType::File, SizeBytes, MtimeNs};
-  Children[Parent].insert(path::basename(Path));
-  return true;
+  return add(Path, {FileType::File, SizeBytes, MtimeNs});
 }
 
 bool FileIndex::remove(const std::string &Path) {
-  if (Path == "/")
+  std::string_view Parent, Name;
+  if (!splitPath(Path, Parent, Name))
     return false;
-  auto It = Entries.find(Path);
-  if (It == Entries.end())
+  auto D = Dirs.find(Parent);
+  if (D == Dirs.end())
     return false;
-  if (It->second.Type == FileType::Directory && !isEmptyDir(Path))
+  auto K = D->second.Kids.find(Name);
+  if (K == D->second.Kids.end())
     return false;
-  Entries.erase(It);
-  Children.erase(Path);
-  Children[path::dirname(Path)].erase(path::basename(Path));
+  if (K->second.Type == FileType::Directory) {
+    auto Sub = Dirs.find(Path);
+    if (!Sub->second.Kids.empty())
+      return false;
+    Dirs.erase(Sub);
+  }
+  D->second.Kids.erase(K);
+  D->second.Names.erase(std::string(Name));
   return true;
 }
 
 bool FileIndex::exists(const std::string &Path) const {
-  return Entries.count(Path) != 0;
+  return lookup(Path) != nullptr;
 }
 
 const FileIndex::Meta *FileIndex::lookup(const std::string &Path) const {
-  auto It = Entries.find(Path);
-  return It == Entries.end() ? nullptr : &It->second;
+  return const_cast<FileIndex *>(this)->find(Path);
 }
 
 void FileIndex::setSize(const std::string &Path, uint64_t SizeBytes,
                         uint64_t MtimeNs) {
-  auto It = Entries.find(Path);
-  assert(It != Entries.end() && "setSize on unknown path");
-  It->second.SizeBytes = SizeBytes;
-  It->second.MtimeNs = MtimeNs;
+  Meta *M = find(Path);
+  assert(M && "setSize on unknown path");
+  M->SizeBytes = SizeBytes;
+  M->MtimeNs = MtimeNs;
 }
 
 const std::set<std::string> *FileIndex::list(const std::string &Path) const {
-  auto It = Children.find(Path);
-  return It == Children.end() ? nullptr : &It->second;
+  auto It = Dirs.find(Path);
+  return It == Dirs.end() ? nullptr : &It->second.Names;
+}
+
+const FileIndex::ChildMap *
+FileIndex::children(const std::string &Path) const {
+  auto It = Dirs.find(Path);
+  return It == Dirs.end() ? nullptr : &It->second.Kids;
 }
 
 bool FileIndex::isEmptyDir(const std::string &Path) const {
-  const std::set<std::string> *Kids = list(Path);
+  const ChildMap *Kids = children(Path);
   return Kids && Kids->empty();
 }
 
 std::vector<std::string> FileIndex::allFiles() const {
   std::vector<std::string> Out;
-  for (const auto &[Path, Meta] : Entries)
-    if (Meta.Type == FileType::File)
-      Out.push_back(Path);
+  for (const auto &[Dir, Node] : Dirs)
+    for (const auto &[Name, M] : Node.Kids)
+      if (M.Type == FileType::File)
+        Out.push_back(Dir == "/" ? "/" + Name : Dir + "/" + Name);
+  std::sort(Out.begin(), Out.end());
   return Out;
 }
 
 std::vector<std::string> FileIndex::allDirs() const {
   std::vector<std::string> Out;
-  for (const auto &[Path, Meta] : Entries)
-    if (Meta.Type == FileType::Directory && Path != "/")
-      Out.push_back(Path);
+  for (const auto &[Dir, Node] : Dirs)
+    if (Dir != "/")
+      Out.push_back(Dir);
   return Out;
-}
-
-std::string FileIndex::serialize() const {
-  std::ostringstream Out;
-  for (const auto &[Path, Meta] : Entries) {
-    if (Path == "/")
-      continue;
-    if (Meta.Type == FileType::Directory)
-      Out << "D " << Path << "\n";
-    else
-      Out << "F " << Meta.SizeBytes << " " << Meta.MtimeNs << " " << Path
-          << "\n";
-  }
-  return Out.str();
-}
-
-FileIndex FileIndex::deserialize(const std::string &Text) {
-  FileIndex Index;
-  std::istringstream In(Text);
-  std::string Line;
-  while (std::getline(In, Line)) {
-    if (Line.size() < 3)
-      continue;
-    if (Line[0] == 'D') {
-      Index.addDir(Line.substr(2));
-      continue;
-    }
-    if (Line[0] != 'F')
-      continue;
-    std::istringstream Fields(Line.substr(2));
-    uint64_t Size = 0, Mtime = 0;
-    Fields >> Size >> Mtime;
-    std::string Path;
-    std::getline(Fields, Path);
-    // Strip the single separating space.
-    if (!Path.empty() && Path.front() == ' ')
-      Path.erase(Path.begin());
-    if (!Path.empty())
-      Index.addFile(Path, Size, Mtime);
-  }
-  return Index;
 }
 
 //===----------------------------------------------------------------------===//

@@ -27,6 +27,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace doppio {
@@ -71,6 +72,8 @@ public:
 
 /// An in-memory tree of paths caching directory structure and file
 /// metadata — the index utility of §5.1. The root "/" always exists.
+/// Paths are normalized and absolute; each directory keeps its direct
+/// children, so one directory's listing is read without a lookup per child.
 class FileIndex {
 public:
   struct Meta {
@@ -78,6 +81,8 @@ public:
     uint64_t SizeBytes = 0;
     uint64_t MtimeNs = 0;
   };
+  /// A directory's direct children: name -> metadata, sorted by name.
+  using ChildMap = std::map<std::string, Meta, std::less<>>;
 
   FileIndex();
 
@@ -99,6 +104,8 @@ public:
 
   /// Child names of a directory, sorted. Null if \p Path is not a dir.
   const std::set<std::string> *list(const std::string &Path) const;
+  /// Children of a directory with their metadata. Null if not a dir.
+  const ChildMap *children(const std::string &Path) const;
 
   /// True if \p Path is a directory with no entries.
   bool isEmptyDir(const std::string &Path) const;
@@ -108,15 +115,18 @@ public:
   /// All directory paths (excluding "/"), sorted.
   std::vector<std::string> allDirs() const;
 
-  /// Serializes to a line-based listing ("D <path>" / "F <size> <mtime>
-  /// <path>"), the format persisted by key/value-store backends.
-  std::string serialize() const;
-  /// Reconstructs an index from serialize() output.
-  static FileIndex deserialize(const std::string &Text);
-
 private:
-  std::map<std::string, Meta> Entries;          // Path -> metadata.
-  std::map<std::string, std::set<std::string>> Children; // Dir -> names.
+  struct DirNode {
+    ChildMap Kids;
+    /// The same names, as list() hands them out.
+    std::set<std::string> Names;
+  };
+
+  Meta *find(std::string_view Path);
+  bool add(const std::string &Path, const Meta &M);
+
+  Meta RootMeta;
+  std::map<std::string, DirNode, std::less<>> Dirs; // Dir path -> children.
 };
 
 /// The standard descriptor: the whole file is loaded into memory before it

@@ -301,6 +301,22 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, BackendSemantics,
                                            "indexeddb", "cloud"),
                          [](const auto &Info) { return Info.param; });
 
+TEST(FileIndexTest, ChildrenCarryMetadataAndPathsMustBeAbsolute) {
+  FileIndex I;
+  ASSERT_TRUE(I.addFile("/a/b/f", 7, 9));
+  const FileIndex::ChildMap *Kids = I.children("/a/b");
+  ASSERT_NE(Kids, nullptr);
+  ASSERT_EQ(Kids->size(), 1u);
+  EXPECT_EQ(Kids->at("f").SizeBytes, 7u);
+  EXPECT_EQ(I.children("/a")->at("b").Type, FileType::Directory);
+  EXPECT_EQ(I.children("/a/b/f"), nullptr);
+  // A relative path has no parent to create; it is refused, not recursed.
+  EXPECT_FALSE(I.addFile("relative", 1));
+  EXPECT_FALSE(I.addDir("a/b"));
+  EXPECT_FALSE(I.addFile("/a/b/f/g", 1)); // Parent is a file.
+  EXPECT_EQ(I.allFiles(), std::vector<std::string>{"/a/b/f"});
+}
+
 //===--------------------------------------------------------------------===//
 // Backend-specific behaviour
 //===--------------------------------------------------------------------===//

@@ -19,8 +19,11 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -652,6 +655,331 @@ TEST(CachedStore, FileSystemSemanticsAndReload) {
   drain(Env);
   ASSERT_TRUE(Data.has_value());
   EXPECT_EQ(textOf(*Data), "cached bits");
+}
+
+//===----------------------------------------------------------------------===//
+// Key/value backend directory records
+//===----------------------------------------------------------------------===//
+
+/// Forwards to an owned store, counting the metadata it is asked to put:
+/// every put that is not a file payload ("f:" key).
+class CountingKv : public fs::AsyncKvStore {
+public:
+  explicit CountingKv(std::unique_ptr<fs::AsyncKvStore> Inner)
+      : Inner(std::move(Inner)) {}
+
+  std::string storeName() const override { return Inner->storeName(); }
+  void get(const std::string &Key, GetCb Done) override {
+    Inner->get(Key, std::move(Done));
+  }
+  void put(const std::string &Key, const Bytes &Value,
+           DoneCb Done) override {
+    if (Key.compare(0, 2, "f:") != 0)
+      MetaPutBytes += Value.size();
+    Inner->put(Key, Value, std::move(Done));
+  }
+  void del(const std::string &Key, DoneCb Done) override {
+    Inner->del(Key, std::move(Done));
+  }
+
+  uint64_t MetaPutBytes = 0;
+
+private:
+  std::unique_ptr<fs::AsyncKvStore> Inner;
+};
+
+/// A KeyValueBackend over the tab's IndexedDB, initialized (as a page load
+/// or reload would) and mounted in a FileSystem.
+struct KvFs {
+  explicit KvFs(BrowserEnv &Env) : Env(Env) {
+    auto Counting =
+        std::make_unique<CountingKv>(std::make_unique<fs::IndexedDbKv>(Env));
+    Counter = Counting.get();
+    auto B = std::make_unique<fs::KeyValueBackend>(Env, std::move(Counting));
+    Backend = B.get();
+    InitError = ApiError(Errno::Io, "initialize never completed");
+    B->initialize([this](std::optional<ApiError> E) { InitError = E; });
+    drain(Env);
+    Fs = std::make_unique<fs::FileSystem>(Env, Proc, std::move(B));
+  }
+
+  /// Runs one file system call to completion; returns its error.
+  std::optional<ApiError> run(const std::function<void(fs::CompletionCb)> &Op) {
+    std::optional<ApiError> Out = ApiError(Errno::Io, "never completed");
+    Op([&Out](std::optional<ApiError> E) { Out = E; });
+    drain(Env);
+    return Out;
+  }
+  std::optional<ApiError> mkdir(const std::string &P) {
+    return run([&](fs::CompletionCb Cb) { Fs->mkdir(P, Cb); });
+  }
+  std::optional<ApiError> write(const std::string &P, const std::string &S) {
+    return run([&](fs::CompletionCb Cb) { Fs->writeFile(P, bytesOf(S), Cb); });
+  }
+  std::optional<ApiError> sync() {
+    return run([&](fs::CompletionCb Cb) { Backend->sync(Cb); });
+  }
+
+  BrowserEnv &Env;
+  Process Proc;
+  CountingKv *Counter = nullptr;
+  fs::KeyValueBackend *Backend = nullptr;
+  std::optional<ApiError> InitError;
+  std::unique_ptr<fs::FileSystem> Fs;
+};
+
+/// Every path of an index with its type, size and mtime.
+std::map<std::string, std::vector<uint64_t>> treeOf(const fs::FileIndex &I) {
+  std::map<std::string, std::vector<uint64_t>> Out;
+  for (const std::string &D : I.allDirs())
+    Out[D] = {1};
+  for (const std::string &F : I.allFiles())
+    Out[F] = {0, I.lookup(F)->SizeBytes, I.lookup(F)->MtimeNs};
+  return Out;
+}
+
+/// The keys of the tab's IndexedDB.
+std::vector<std::string> idbKeys(BrowserEnv &Env) {
+  std::vector<std::string> Keys;
+  Env.indexedDB()->listKeys(
+      [&Keys](std::vector<std::string> K) { Keys = std::move(K); });
+  drain(Env);
+  return Keys;
+}
+
+/// A reload sees exactly \p Live's tree, and the store holds a "d:" record
+/// only for a live directory and an "f:" payload only for a live file.
+void expectStoreExact(BrowserEnv &Env, const KvFs &Live) {
+  KvFs Reload(Env);
+  ASSERT_FALSE(Reload.InitError.has_value())
+      << Reload.InitError->message();
+  EXPECT_EQ(treeOf(Reload.Backend->index()), treeOf(Live.Backend->index()));
+  const fs::FileIndex &Index = Live.Backend->index();
+  for (const std::string &Key : idbKeys(Env)) {
+    std::string Path = Key.substr(2);
+    const fs::FileIndex::Meta *M = Index.lookup(Path);
+    if (Key.compare(0, 2, "d:") == 0)
+      EXPECT_TRUE(M && M->Type == fs::FileType::Directory)
+          << "orphaned record " << Key;
+    else
+      EXPECT_TRUE(M && M->Type == fs::FileType::File)
+          << "orphaned payload " << Key;
+  }
+}
+
+TEST(KvDirRecords, OddNamesRoundTrip) {
+  BrowserEnv Env(chromeProfile());
+  KvFs Live(Env);
+  ASSERT_FALSE(Live.InitError.has_value());
+  // Under a line-based format the first name forges an extra entry.
+  const std::string Odd = "/tmp/a\nF 999 0 ";
+  ASSERT_FALSE(Live.mkdir("/tmp"));
+  ASSERT_FALSE(Live.mkdir(Odd));
+  ASSERT_FALSE(Live.mkdir(Odd + "/etc"));
+  ASSERT_FALSE(Live.write(Odd + "/etc/injected", "payload"));
+  ASSERT_FALSE(Live.write("/tmp/ name  with spaces ", "spaces"));
+  ASSERT_FALSE(Live.sync());
+
+  KvFs Reload(Env);
+  ASSERT_FALSE(Reload.InitError.has_value())
+      << Reload.InitError->message();
+  const fs::FileIndex &Got = Reload.Backend->index();
+  EXPECT_EQ(treeOf(Got), treeOf(Live.Backend->index()));
+  EXPECT_EQ(Got.allFiles(),
+            (std::vector<std::string>{"/tmp/ name  with spaces ",
+                                      Odd + "/etc/injected"}));
+  EXPECT_EQ(Got.lookup("/etc/injected"), nullptr);
+  std::optional<Bytes> Data;
+  Reload.Fs->readFile(Odd + "/etc/injected", [&](ErrorOr<Bytes> R) {
+    ASSERT_TRUE(R.ok()) << R.error().message();
+    Data = *R;
+  });
+  drain(Env);
+  ASSERT_TRUE(Data.has_value());
+  EXPECT_EQ(textOf(*Data), "payload");
+}
+
+/// Metadata bytes put to write one file next to one other file, after
+/// \p Others files went into a sibling directory.
+uint64_t metadataBytesForOneWrite(size_t Others) {
+  BrowserEnv Env(chromeProfile());
+  KvFs Live(Env);
+  EXPECT_FALSE(Live.mkdir("/big"));
+  EXPECT_FALSE(Live.mkdir("/small"));
+  for (size_t I = 0; I != Others; ++I)
+    EXPECT_FALSE(Live.write("/big/file" + std::to_string(100000 + I), "x"));
+  EXPECT_FALSE(Live.write("/small/a", "one"));
+  uint64_t Before = Live.Counter->MetaPutBytes;
+  EXPECT_FALSE(Live.write("/small/b", "two"));
+  return Live.Counter->MetaPutBytes - Before;
+}
+
+TEST(KvDirRecords, PersistCostIsPerDirectory) {
+  uint64_t Small = metadataBytesForOneWrite(10);
+  uint64_t Large = metadataBytesForOneWrite(2000);
+  EXPECT_GT(Small, 0u);
+  EXPECT_EQ(Small, Large);
+}
+
+TEST(KvDirRecords, RenameAndRmdirKeepTheStoreExact) {
+  BrowserEnv Env(chromeProfile());
+  KvFs Live(Env);
+  ASSERT_FALSE(Live.InitError.has_value());
+  for (const char *D : {"/src", "/src/a", "/src/a/b", "/src/a/b/c",
+                        "/src/a/empty", "/dst"})
+    ASSERT_FALSE(Live.mkdir(D));
+  ASSERT_FALSE(Live.write("/src/f1", "1"));
+  ASSERT_FALSE(Live.write("/src/a/f2", "22"));
+  ASSERT_FALSE(Live.write("/src/a/b/f3", "333"));
+  ASSERT_FALSE(Live.write("/src/a/b/c/f4", "4444"));
+  ASSERT_FALSE(Live.sync());
+  expectStoreExact(Env, Live);
+
+  // Move the subtree with its nested directories to another parent.
+  ASSERT_FALSE(Live.run(
+      [&](fs::CompletionCb Cb) { Live.Fs->rename("/src/a", "/dst/a2", Cb); }));
+  ASSERT_FALSE(Live.sync());
+  EXPECT_EQ(Live.Backend->index().lookup("/src/a"), nullptr);
+  ASSERT_NE(Live.Backend->index().lookup("/dst/a2/b/c/f4"), nullptr);
+  expectStoreExact(Env, Live);
+
+  // Empty a nested directory, then remove it and the one that was empty.
+  ASSERT_FALSE(Live.run(
+      [&](fs::CompletionCb Cb) { Live.Fs->unlink("/dst/a2/b/c/f4", Cb); }));
+  ASSERT_FALSE(Live.run(
+      [&](fs::CompletionCb Cb) { Live.Fs->rmdir("/dst/a2/b/c", Cb); }));
+  ASSERT_FALSE(Live.run(
+      [&](fs::CompletionCb Cb) { Live.Fs->rmdir("/dst/a2/empty", Cb); }));
+  ASSERT_FALSE(Live.sync());
+  EXPECT_EQ(Live.Backend->index().lookup("/dst/a2/b/c"), nullptr);
+  expectStoreExact(Env, Live);
+
+  // A plain file rename across directories.
+  ASSERT_FALSE(Live.run(
+      [&](fs::CompletionCb Cb) { Live.Fs->rename("/src/f1", "/dst/f1", Cb); }));
+  ASSERT_FALSE(Live.sync());
+  expectStoreExact(Env, Live);
+
+  // A file renamed onto itself stays; a directory cannot replace a file.
+  ASSERT_FALSE(Live.run(
+      [&](fs::CompletionCb Cb) { Live.Fs->rename("/dst/f1", "/dst/f1", Cb); }));
+  std::optional<ApiError> E = Live.run(
+      [&](fs::CompletionCb Cb) { Live.Fs->rename("/dst/a2", "/dst/f1", Cb); });
+  ASSERT_TRUE(E.has_value());
+  EXPECT_EQ(E->Code, Errno::NotDir);
+  ASSERT_FALSE(Live.sync());
+  ASSERT_NE(Live.Backend->index().lookup("/dst/f1"), nullptr);
+  ASSERT_NE(Live.Backend->index().lookup("/dst/a2/f2"), nullptr);
+  expectStoreExact(Env, Live);
+}
+
+TEST(KvDirRecords, LoadingAnEmptyStoreKeepsEarlierMutations) {
+  // Over a store with no records the walk finds no tree, so mutations
+  // issued before it completes survive it.
+  BrowserEnv Env(chromeProfile());
+  fs::KeyValueBackend Backend(Env, std::make_unique<fs::CloudKv>(Env));
+  std::optional<ApiError> InitError = ApiError(Errno::Io, "pending");
+  Backend.initialize([&](std::optional<ApiError> E) { InitError = E; });
+  Backend.mkdir("/early", [](std::optional<ApiError> E) {
+    ASSERT_FALSE(E.has_value());
+  });
+  drain(Env);
+  ASSERT_FALSE(InitError.has_value());
+  EXPECT_EQ(Backend.index().allDirs(), std::vector<std::string>{"/early"});
+}
+
+/// Replaces the first occurrence of \p From in \p B with \p To.
+Bytes patched(Bytes B, const Bytes &From, const Bytes &To) {
+  auto It = std::search(B.begin(), B.end(), From.begin(), From.end());
+  EXPECT_NE(It, B.end());
+  if (It == B.end())
+    return B;
+  It = B.erase(It, It + static_cast<ptrdiff_t>(From.size()));
+  B.insert(It, To.begin(), To.end());
+  return B;
+}
+
+/// A length-prefixed name, as records frame them.
+Bytes framed(const std::string &Name) {
+  Bytes B(4 + Name.size());
+  B[3] = static_cast<uint8_t>(Name.size());
+  std::copy(Name.begin(), Name.end(), B.begin() + 4);
+  return B;
+}
+
+/// The outcome of reloading the tab's IndexedDB with \p Record stored
+/// under \p Key: a failure must be EIO and leave the index empty.
+bool reloadWith(BrowserEnv &Env, const std::string &Key, const Bytes &Record) {
+  Env.indexedDB()->put(Key, Record, [](bool Ok) { ASSERT_TRUE(Ok); });
+  drain(Env);
+  KvFs Reload(Env);
+  if (!Reload.InitError)
+    return true;
+  EXPECT_EQ(Reload.InitError->Code, Errno::Io)
+      << Reload.InitError->message();
+  EXPECT_TRUE(Reload.Backend->index().allFiles().empty());
+  EXPECT_TRUE(Reload.Backend->index().allDirs().empty());
+  return false;
+}
+
+TEST(KvDirRecords, CorruptRecordsFailWithEio) {
+  BrowserEnv Env(chromeProfile());
+  std::map<std::string, std::vector<uint64_t>> Want;
+  {
+    KvFs Live(Env);
+    ASSERT_FALSE(Live.mkdir("/d"));
+    ASSERT_FALSE(Live.mkdir("/d/sub"));
+    for (const char *F : {"/d/ab", "/d/ac", "/d/q", "/d/xx", "/d/abc",
+                          "/d/sub/leaf"})
+      ASSERT_FALSE(Live.write(F, F));
+    ASSERT_FALSE(Live.sync());
+    Want = treeOf(Live.Backend->index());
+  }
+  std::map<std::string, Bytes> Records;
+  for (const char *Key : {"d:/", "d:/d"})
+    Env.indexedDB()->get(Key, [&Records, Key](std::optional<Bytes> V) {
+      ASSERT_TRUE(V.has_value());
+      Records[Key] = *V;
+    });
+  drain(Env);
+  ASSERT_EQ(Records.size(), 2u);
+
+  // Every truncation of either record fails the reload.
+  for (const auto &[Key, Record] : Records) {
+    for (size_t Cut = 0; Cut != Record.size(); ++Cut)
+      EXPECT_FALSE(reloadWith(
+          Env, Key,
+          Bytes(Record.begin(), Record.begin() + static_cast<ptrdiff_t>(Cut))))
+          << Key << " cut=" << Cut;
+    ASSERT_TRUE(reloadWith(Env, Key, Record)) << Key;
+  }
+
+  // Structurally bad records: bad names, a duplicate, trailing bytes.
+  const Bytes &Dir = Records["d:/d"];
+  Bytes Trailing = Dir;
+  Trailing.push_back(0);
+  for (const Bytes &Bad :
+       {patched(Dir, framed("q"), framed("")),
+        patched(Dir, framed("q"), framed(".")),
+        patched(Dir, framed("xx"), framed("..")),
+        patched(Dir, framed("abc"), framed("a/c")),
+        patched(Dir, framed("ac"), framed("ab")), Trailing})
+    EXPECT_FALSE(reloadWith(Env, "d:/d", Bad));
+
+  // Seeded bit flips: the reload either fails cleanly or loads some tree.
+  std::mt19937 Rng(20140609);
+  for (int Trial = 0; Trial != 400; ++Trial) {
+    Bytes Flipped = Dir;
+    for (int Flips = 1 + Trial % 3; Flips != 0; --Flips) {
+      size_t Bit = Rng() % (Flipped.size() * 8);
+      Flipped[Bit / 8] ^= static_cast<uint8_t>(1u << (Bit % 8));
+    }
+    reloadWith(Env, "d:/d", Flipped);
+  }
+
+  ASSERT_TRUE(reloadWith(Env, "d:/d", Dir));
+  KvFs Reload(Env);
+  EXPECT_EQ(treeOf(Reload.Backend->index()), Want);
 }
 
 //===----------------------------------------------------------------------===//

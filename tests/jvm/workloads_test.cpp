@@ -36,6 +36,10 @@ struct NamedWorkload {
   Workload (*Make)();
 };
 
+/// Prints the parameter by name. Without this gtest dumps the raw bytes of
+/// the two pointers, so the discovered test names change with every run.
+void PrintTo(const NamedWorkload &W, std::ostream *OS) { *OS << W.Name; }
+
 Workload smallRecursive() { return makeRecursive(14, 5); }
 Workload smallBinaryTrees() { return makeBinaryTrees(6); }
 Workload smallNQueens() { return makeNQueens(6); }
