@@ -67,8 +67,9 @@ private:
   Fabric &Fab;
 };
 
-/// One host thread per tab; conservative frontier synchronization. Bench
-/// mode only — tests use LockstepDriver.
+/// One host thread per tab; conservative frontier synchronization. For
+/// bench rows and the threaded cluster tests that the TSan job runs;
+/// tests that need determinism use LockstepDriver.
 class ThreadedDriver {
 public:
   explicit ThreadedDriver(Fabric &Fab);

@@ -649,7 +649,7 @@ void finishRestore(const std::shared_ptr<RestoreState> &St) {
       F.M = M;
       F.ClinitOf = ClinitName.empty() ? nullptr : Vm.loader().lookup(ClinitName);
       // Trust is a property of this VM's verifier run, not of the image.
-      F.Trusted = M->Verified && Vm.trustVerifier();
+      F.Trusted = M->Verified && Vm.profile().TrustVerifier;
       // Same for suspend-check placement: re-derive from this VM's mode
       // and the restored method's analysis verdict (DESIGN.md §17).
       CheckpointAccess::configureSuspendChecks(*Raw, F);

@@ -14,150 +14,6 @@ using namespace doppio;
 using namespace doppio::jvm;
 
 //===----------------------------------------------------------------------===//
-// Stack effect of zero-operand instructions
-//===----------------------------------------------------------------------===//
-
-/// Stack-depth delta of a zero-operand instruction.
-static int opStackDelta(Op O) {
-  switch (O) {
-  case Op::Nop:
-  case Op::Swap:
-  case Op::Ineg:
-  case Op::Lneg:
-  case Op::Fneg:
-  case Op::Dneg:
-  case Op::I2f:
-  case Op::F2i:
-  case Op::L2d:
-  case Op::D2l:
-  case Op::I2b:
-  case Op::I2c:
-  case Op::I2s:
-  case Op::Arraylength:
-  case Op::Return:
-    return 0;
-  case Op::AconstNull:
-  case Op::IconstM1:
-  case Op::Iconst0:
-  case Op::Iconst1:
-  case Op::Iconst2:
-  case Op::Iconst3:
-  case Op::Iconst4:
-  case Op::Iconst5:
-  case Op::Fconst0:
-  case Op::Fconst1:
-  case Op::Fconst2:
-  case Op::Dup:
-  case Op::DupX1:
-  case Op::DupX2:
-  case Op::I2l:
-  case Op::I2d:
-  case Op::F2l:
-  case Op::F2d:
-    return 1;
-  case Op::Lconst0:
-  case Op::Lconst1:
-  case Op::Dconst0:
-  case Op::Dconst1:
-  case Op::Dup2:
-  case Op::Dup2X1:
-  case Op::Dup2X2:
-    return 2;
-  case Op::Iaload:
-  case Op::Faload:
-  case Op::Aaload:
-  case Op::Baload:
-  case Op::Caload:
-  case Op::Saload:
-  case Op::Pop:
-  case Op::Iadd:
-  case Op::Fadd:
-  case Op::Isub:
-  case Op::Fsub:
-  case Op::Imul:
-  case Op::Fmul:
-  case Op::Idiv:
-  case Op::Fdiv:
-  case Op::Irem:
-  case Op::Frem:
-  case Op::Ishl:
-  case Op::Ishr:
-  case Op::Iushr:
-  case Op::Iand:
-  case Op::Ior:
-  case Op::Ixor:
-  case Op::Lshl:
-  case Op::Lshr:
-  case Op::Lushr:
-  case Op::L2i:
-  case Op::L2f:
-  case Op::D2i:
-  case Op::D2f:
-  case Op::Fcmpl:
-  case Op::Fcmpg:
-  case Op::Ireturn:
-  case Op::Freturn:
-  case Op::Areturn:
-  case Op::Athrow:
-  case Op::Monitorenter:
-  case Op::Monitorexit:
-    return -1;
-  case Op::Laload:
-  case Op::Daload:
-    return 0; // Pops ref+index, pushes a category-2 value.
-  case Op::Pop2:
-  case Op::Ladd:
-  case Op::Dadd:
-  case Op::Lsub:
-  case Op::Dsub:
-  case Op::Lmul:
-  case Op::Dmul:
-  case Op::Ldiv:
-  case Op::Ddiv:
-  case Op::Lrem:
-  case Op::Drem:
-  case Op::Land:
-  case Op::Lor:
-  case Op::Lxor:
-  case Op::Lreturn:
-  case Op::Dreturn:
-    return -2;
-  case Op::Iastore:
-  case Op::Fastore:
-  case Op::Aastore:
-  case Op::Bastore:
-  case Op::Castore:
-  case Op::Sastore:
-  case Op::Lcmp:
-  case Op::Dcmpl:
-  case Op::Dcmpg:
-    return -3;
-  case Op::Lastore:
-  case Op::Dastore:
-    return -4;
-  default:
-    assert(false && "not a zero-operand instruction");
-    return 0;
-  }
-}
-
-/// Instructions after which execution never falls through.
-static bool endsFlow(Op O) {
-  switch (O) {
-  case Op::Ireturn:
-  case Op::Lreturn:
-  case Op::Freturn:
-  case Op::Dreturn:
-  case Op::Areturn:
-  case Op::Return:
-  case Op::Athrow:
-    return true;
-  default:
-    return false;
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // MethodBuilder
 //===----------------------------------------------------------------------===//
 
@@ -210,6 +66,8 @@ void MethodBuilder::flowTo(Label L) {
 void MethodBuilder::endFlow() { Reachable = false; }
 
 void MethodBuilder::emit(Op Opcode) {
+  if (std::optional<int> Delta = fixedStackDelta(Opcode))
+    adjustStack(*Delta);
   Code.push_back(static_cast<uint8_t>(Opcode));
 }
 
@@ -224,7 +82,6 @@ void MethodBuilder::emitU4(uint32_t V) {
 }
 
 MethodBuilder &MethodBuilder::iconst(int32_t V) {
-  adjustStack(1);
   if (V >= -1 && V <= 5) {
     emit(static_cast<Op>(static_cast<int>(Op::Iconst0) + V));
     return *this;
@@ -251,7 +108,6 @@ MethodBuilder &MethodBuilder::iconst(int32_t V) {
 }
 
 MethodBuilder &MethodBuilder::lconst(int64_t V) {
-  adjustStack(2);
   if (V == 0 || V == 1) {
     emit(V == 0 ? Op::Lconst0 : Op::Lconst1);
     return *this;
@@ -262,7 +118,6 @@ MethodBuilder &MethodBuilder::lconst(int64_t V) {
 }
 
 MethodBuilder &MethodBuilder::fconst(float V) {
-  adjustStack(1);
   if (V == 0.0f && !std::signbit(V)) {
     emit(Op::Fconst0);
     return *this;
@@ -287,7 +142,6 @@ MethodBuilder &MethodBuilder::fconst(float V) {
 }
 
 MethodBuilder &MethodBuilder::dconst(double V) {
-  adjustStack(2);
   if (V == 0.0 && !std::signbit(V)) {
     emit(Op::Dconst0);
     return *this;
@@ -302,7 +156,6 @@ MethodBuilder &MethodBuilder::dconst(double V) {
 }
 
 MethodBuilder &MethodBuilder::ldcString(const std::string &Text) {
-  adjustStack(1);
   uint16_t Idx = Cb.pool().addString(Text);
   if (Idx <= 255) {
     emit(Op::Ldc);
@@ -315,7 +168,6 @@ MethodBuilder &MethodBuilder::ldcString(const std::string &Text) {
 }
 
 MethodBuilder &MethodBuilder::aconstNull() {
-  adjustStack(1);
   emit(Op::AconstNull);
   return *this;
 }
@@ -326,7 +178,6 @@ void MethodBuilder::noteLocal(int Slot, int Slots) {
 
 void MethodBuilder::load(Op Base1, Op BaseN, int Slot, int Slots) {
   noteLocal(Slot, Slots);
-  adjustStack(Slots);
   if (Slot <= 3) {
     emit(static_cast<Op>(static_cast<int>(Base1) + Slot));
     return;
@@ -343,7 +194,6 @@ void MethodBuilder::load(Op Base1, Op BaseN, int Slot, int Slots) {
 
 void MethodBuilder::store(Op Base1, Op BaseN, int Slot, int Slots) {
   noteLocal(Slot, Slots);
-  adjustStack(-Slots);
   if (Slot <= 3) {
     emit(static_cast<Op>(static_cast<int>(Base1) + Slot));
     return;
@@ -415,64 +265,27 @@ MethodBuilder &MethodBuilder::iinc(int Slot, int32_t Delta) {
 }
 
 MethodBuilder &MethodBuilder::op(Op Opcode) {
-  adjustStack(opStackDelta(Opcode));
+  assert(opcodeOperandBytes(static_cast<uint8_t>(Opcode)) == 0 &&
+         "not a zero-operand instruction");
   emit(Opcode);
-  if (endsFlow(Opcode))
+  OpKind Kind = opcodeKind(static_cast<uint8_t>(Opcode));
+  if (Kind == OpKind::ReturnOp || Kind == OpKind::ThrowOp)
     endFlow();
   return *this;
 }
 
 MethodBuilder &MethodBuilder::branch(Op Opcode, Label Target) {
-  int Delta = 0;
-  bool Wide = false;
-  bool Unconditional = false;
-  switch (Opcode) {
-  case Op::Ifeq:
-  case Op::Ifne:
-  case Op::Iflt:
-  case Op::Ifge:
-  case Op::Ifgt:
-  case Op::Ifle:
-  case Op::Ifnull:
-  case Op::Ifnonnull:
-    Delta = -1;
-    break;
-  case Op::IfIcmpeq:
-  case Op::IfIcmpne:
-  case Op::IfIcmplt:
-  case Op::IfIcmpge:
-  case Op::IfIcmpgt:
-  case Op::IfIcmple:
-  case Op::IfAcmpeq:
-  case Op::IfAcmpne:
-    Delta = -2;
-    break;
-  case Op::Goto:
-    Unconditional = true;
-    break;
-  case Op::GotoW:
-    Unconditional = true;
-    Wide = true;
-    break;
-  case Op::Jsr:
-    break;
-  case Op::JsrW:
-    Wide = true;
-    break;
-  default:
-    assert(false && "not a branch instruction");
-  }
-  adjustStack(Delta);
+  OpKind Kind = opcodeKind(static_cast<uint8_t>(Opcode));
+  bool Jsr = Kind == OpKind::JsrOp || Kind == OpKind::JsrWOp;
+  bool Unconditional = Kind == OpKind::GotoOp || Kind == OpKind::GotoWOp;
+  bool Wide = Kind == OpKind::GotoWOp || Kind == OpKind::JsrWOp;
+  assert((Kind == OpKind::If || Unconditional || Jsr) &&
+         "not a branch instruction");
   size_t InsnPos = Code.size();
-  emit(Opcode);
-  if (Opcode == Op::Jsr || Opcode == Op::JsrW) {
-    // The subroutine sees the return address on the stack.
-    adjustStack(1);
-    flowTo(Target);
+  emit(Opcode); // jsr pushes the return address the subroutine sees.
+  flowTo(Target);
+  if (Jsr)
     adjustStack(-1); // Fall-through depth is unchanged.
-  } else {
-    flowTo(Target);
-  }
   Fixups.push_back({Code.size(), InsnPos, Target, Wide});
   if (Wide)
     emitU4(0);
@@ -485,7 +298,6 @@ MethodBuilder &MethodBuilder::branch(Op Opcode, Label Target) {
 
 MethodBuilder &MethodBuilder::tableswitch(Label Default, int32_t Low,
                                           const std::vector<Label> &Targets) {
-  adjustStack(-1);
   size_t InsnPos = Code.size();
   emit(Op::Tableswitch);
   while (Code.size() % 4 != 0)
@@ -507,7 +319,6 @@ MethodBuilder &MethodBuilder::tableswitch(Label Default, int32_t Low,
 
 MethodBuilder &MethodBuilder::lookupswitch(
     Label Default, const std::vector<std::pair<int32_t, Label>> &Cases) {
-  adjustStack(-1);
   size_t InsnPos = Code.size();
   emit(Op::Lookupswitch);
   while (Code.size() % 4 != 0)
@@ -634,7 +445,6 @@ MethodBuilder &MethodBuilder::invokeinterface(const std::string &Cls,
 }
 
 MethodBuilder &MethodBuilder::anew(const std::string &Cls) {
-  adjustStack(1);
   emit(Op::New);
   emitU2(Cb.pool().addClass(Cls));
   return *this;

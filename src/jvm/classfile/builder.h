@@ -13,8 +13,8 @@
 /// (DESIGN.md documents this substitution).
 ///
 /// Labels resolve forward and backward branches; max_stack is computed by
-/// simulating stack depth at assembly time, and max_locals is inferred
-/// from local-variable usage.
+/// simulating stack depth at assembly time from the opcodes.def stack
+/// effects, and max_locals is inferred from local-variable usage.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -80,6 +80,8 @@ public:
 
   /// Any zero-operand instruction (arithmetic, stack ops, array loads and
   /// stores, conversions, comparisons, returns, athrow, monitors...).
+  /// Local loads and stores go through iload() and friends, which also
+  /// track max_locals.
   MethodBuilder &op(Op Opcode);
 
   // Control flow.
@@ -146,6 +148,9 @@ private:
   MethodBuilder(ClassBuilder &Cb, uint16_t Flags, std::string Name,
                 std::string Desc);
 
+  /// Appends \p Opcode and moves the simulated stack depth by its fixed
+  /// opcodes.def effect; operand-dependent opcodes (field access,
+  /// invokes, multianewarray, wide) leave the depth to their emitter.
   void emit(Op Opcode);
   void emitU1(uint8_t V) { Code.push_back(V); }
   void emitU2(uint16_t V);

@@ -2,6 +2,11 @@
 
 #include "jvm/classfile/opcodes.h"
 
+#include "jvm/classfile/constant_pool.h"
+#include "jvm/classfile/descriptor.h"
+
+#include <algorithm>
+
 using namespace doppio;
 using namespace doppio::jvm;
 
@@ -14,7 +19,15 @@ struct OpInfo {
   uint8_t Quick; ///< quickened form, == opcode value when none
   uint8_t Base;  ///< base form for _quick opcodes, == opcode value else
   bool IsQuick;
+  int8_t Pops;   ///< Var when operand-dependent
+  int8_t Pushes; ///< Var when operand-dependent
+  int8_t Local;  ///< NoLocal, LocalIdx, or a fixed slot
 };
+
+// The POPS, PUSHES and LOCAL tokens of opcodes.def that are not numbers.
+constexpr int8_t Var = -1;
+constexpr int8_t NoLocal = -1;
+constexpr int8_t LocalIdx = -2;
 
 /// Indexed by opcode value; gaps are null/-2.
 struct OpTable {
@@ -23,16 +36,19 @@ struct OpTable {
   constexpr OpTable() : Info() {
     for (int I = 0; I != 256; ++I)
       Info[I] = {nullptr, -2, OpKind::Plain, static_cast<uint8_t>(I),
-                 static_cast<uint8_t>(I), false};
-#define JVM_OPCODE(NAME, VALUE, OPERANDS, KIND, QUICK)                         \
+                 static_cast<uint8_t>(I), false, 0, 0, NoLocal};
+#define JVM_OPCODE(NAME, VALUE, OPERANDS, KIND, QUICK, POPS, PUSHES, LOCAL)    \
   Info[VALUE] = {#NAME,          OPERANDS,                                     \
                  OpKind::KIND,   static_cast<uint8_t>(Op::QUICK),              \
-                 VALUE,          false};
+                 VALUE,          false,                                        \
+                 POPS,           PUSHES,                                       \
+                 LOCAL};
 #define JVM_QUICK_OPCODE(NAME, VALUE, OPERANDS, KIND, BASE)                    \
   Info[VALUE] = {#NAME,          OPERANDS,                                     \
                  OpKind::KIND,   VALUE,                                        \
                  static_cast<uint8_t>(Op::BASE),                               \
-                 true};
+                 true,           0,                                            \
+                 0,              NoLocal};
 #include "jvm/classfile/opcodes.def"
 #undef JVM_QUICK_OPCODE
 #undef JVM_OPCODE
@@ -41,8 +57,12 @@ struct OpTable {
 
 constexpr OpTable Table;
 
+uint16_t rdU2(const std::vector<uint8_t> &Code, uint32_t At) {
+  return static_cast<uint16_t>((Code[At] << 8) | Code[At + 1]);
+}
+
 int32_t rdS2(const std::vector<uint8_t> &Code, uint32_t At) {
-  return static_cast<int16_t>((Code[At] << 8) | Code[At + 1]);
+  return static_cast<int16_t>(rdU2(Code, At));
 }
 
 int32_t rdS4(const std::vector<uint8_t> &Code, uint32_t At) {
@@ -177,4 +197,72 @@ BranchDecode jvm::decodeBranch(const std::vector<uint8_t> &Code, uint32_t Pc) {
     break;
   }
   return D;
+}
+
+StackEffect jvm::decodeStackEffect(const std::vector<uint8_t> &Code,
+                                   uint32_t Pc, const ConstantPool &Pool) {
+  Op O = static_cast<Op>(baseOpcode(Code[Pc]));
+  StackEffect E;
+  auto Failed = [&E](const char *Why) {
+    E.Error = Why;
+    return E;
+  };
+  switch (O) {
+  case Op::Getstatic:
+  case Op::Putstatic:
+  case Op::Getfield:
+  case Op::Putfield: {
+    uint16_t Idx = rdU2(Code, Pc + 1);
+    if (!Pool.valid(Idx))
+      return Failed("bad field reference");
+    int Value = desc::slotSize(Pool.memberRef(Idx).Descriptor);
+    int Receiver = O == Op::Getfield || O == Op::Putfield ? 1 : 0;
+    bool Get = O == Op::Getstatic || O == Op::Getfield;
+    E.Pops = Receiver + (Get ? 0 : Value);
+    E.Pushes = Get ? Value : 0;
+    return E;
+  }
+  case Op::Invokevirtual:
+  case Op::Invokespecial:
+  case Op::Invokestatic:
+  case Op::Invokeinterface: {
+    uint16_t Idx = rdU2(Code, Pc + 1);
+    std::optional<desc::MethodDesc> D;
+    if (Pool.valid(Idx))
+      D = desc::parseMethod(Pool.memberRef(Idx).Descriptor);
+    if (!D)
+      return Failed("bad method reference");
+    E.Pops = desc::paramSlots(*D) + (O == Op::Invokestatic ? 0 : 1);
+    E.Pushes = desc::slotSize(D->Ret);
+    return E;
+  }
+  case Op::Multianewarray:
+    E.Pops = Code[Pc + 3];
+    E.Pushes = 1;
+    return E;
+  default:
+    break;
+  }
+  // Every other opcode reads its row; wide reads its inner instruction's
+  // row with a u2 local index.
+  bool Wide = O == Op::Wide;
+  const OpInfo &I = Table.Info[Wide ? Code[Pc + 1] : static_cast<uint8_t>(O)];
+  if (Wide && I.Local != LocalIdx)
+    return Failed("wide prefix on a non-widenable instruction");
+  E.Pops = I.Pops;
+  E.Pushes = I.Pushes;
+  if (I.Local != NoLocal) {
+    int Slot = I.Local != LocalIdx ? I.Local
+               : Wide              ? rdU2(Code, Pc + 2)
+                                   : Code[Pc + 1];
+    E.LocalTop = Slot + std::max(1, E.Pops + E.Pushes) - 1;
+  }
+  return E;
+}
+
+std::optional<int> jvm::fixedStackDelta(Op O) {
+  const OpInfo &I = Table.Info[baseOpcode(static_cast<uint8_t>(O))];
+  if (I.Pops == Var)
+    return std::nullopt;
+  return I.Pushes - I.Pops;
 }

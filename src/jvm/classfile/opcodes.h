@@ -8,8 +8,9 @@
 /// The complete JVM-spec-2 instruction set (201 opcodes) that DoppioJVM
 /// implements (§6), plus the interpreter-private _quick forms, with the
 /// metadata used by the assembler, disassembler, verifier, placement
-/// analysis, and interpreter. All of it is generated from opcodes.def —
-/// the single opcode-metadata surface.
+/// analysis, and interpreter: names, operand widths, control flow
+/// (decodeBranch) and stack effects (decodeStackEffect). All of it is
+/// generated from opcodes.def — the single opcode-metadata surface.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,14 +18,17 @@
 #define DOPPIO_JVM_CLASSFILE_OPCODES_H
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 namespace doppio {
 namespace jvm {
 
+class ConstantPool;
+
 enum class Op : uint8_t {
-#define JVM_OPCODE(NAME, VALUE, OPERANDS, KIND, QUICK) NAME = VALUE,
-#define JVM_QUICK_OPCODE(NAME, VALUE, OPERANDS, KIND, BASE) NAME = VALUE,
+#define JVM_OPCODE(NAME, VALUE, ...) NAME = VALUE,
+#define JVM_QUICK_OPCODE(NAME, VALUE, ...) NAME = VALUE,
 #include "jvm/classfile/opcodes.def"
 #undef JVM_QUICK_OPCODE
 #undef JVM_OPCODE
@@ -112,6 +116,30 @@ struct BranchDecode {
 /// Decodes the explicit control flow of the instruction at \p Pc. The
 /// instruction must have been length-checked first (instructionLength).
 BranchDecode decodeBranch(const std::vector<uint8_t> &Code, uint32_t Pc);
+
+/// Operand-stack and local-variable effect of one instruction, from the
+/// POPS, PUSHES and LOCAL columns of opcodes.def.
+struct StackEffect {
+  int Pops = 0;
+  int Pushes = 0;
+  /// Highest local slot the instruction touches; -1 when it touches none.
+  int LocalTop = -1;
+  /// Why the operands do not decode ("bad field reference", "bad method
+  /// reference", "wide prefix on a non-widenable instruction"); null when
+  /// they do.
+  const char *Error = nullptr;
+};
+
+/// Decodes the effect of the instruction at \p Pc. Only the
+/// operand-dependent opcodes (field access, invokes, multianewarray,
+/// wide) read their operands, and only field access and invokes read
+/// \p Pool. A _quick form decodes as its base form.
+StackEffect decodeStackEffect(const std::vector<uint8_t> &Code, uint32_t Pc,
+                              const ConstantPool &Pool);
+
+/// Pushes minus pops of \p O; nullopt when the effect depends on the
+/// operands (decodeStackEffect reads those).
+std::optional<int> fixedStackDelta(Op O);
 
 } // namespace jvm
 } // namespace doppio

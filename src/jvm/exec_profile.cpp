@@ -143,12 +143,6 @@ bool ExecProfile::parse(const std::string &Spec, ExecProfile &Out,
 void ExecProfile::applyEnv() {
   if (const char *Spec = std::getenv("DOPPIO_JVM_PROFILE"))
     parse(Spec, *this); // Unknown specs are ignored, not fatal.
-  // Legacy single-knob variables, honored after the profile so existing
-  // scripts keep working unchanged.
-  if (const char *Trust = std::getenv("DOPPIO_JVM_TRUST_VERIFIER"))
-    TrustVerifier = std::string(Trust) != "0";
-  if (const char *Placement = std::getenv("DOPPIO_JVM_SUSPEND_PLACEMENT"))
-    parseSuspend(Placement, SuspendChecks);
 }
 
 std::string ExecProfile::describe() const {

@@ -83,11 +83,9 @@ struct ExecProfile {
   static bool parse(const std::string &Spec, ExecProfile &Out,
                     std::string *Err = nullptr);
 
-  /// Applies environment overrides, strongest last: DOPPIO_JVM_PROFILE
-  /// (full parse() spec), then the legacy single-knob variables
-  /// DOPPIO_JVM_TRUST_VERIFIER ("0"/"1") and
-  /// DOPPIO_JVM_SUSPEND_PLACEMENT ("call"/"everywhere"/"placed"), kept
-  /// for back-compat. Called once at Jvm construction.
+  /// Applies the DOPPIO_JVM_PROFILE environment override (a full parse()
+  /// spec, e.g. "trust=0" or "suspend=placed"). Called once at Jvm
+  /// construction.
   void applyEnv();
 
   /// "verified(trust=1, suspend=call, quicken=0, ic=0)" — for tools

@@ -13,9 +13,12 @@
 #include "jvm/classfile/opcodes.h"
 #include "jvm/jsnumber.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <initializer_list>
 #include <sstream>
+#include <utility>
 
 using namespace doppio;
 using namespace doppio::jvm;
@@ -176,7 +179,7 @@ void JvmThread::pushEntryFrame(Method *M, std::vector<Value> Args) {
   }
   F.Locals.resize(M->Code.MaxLocals);
   F.Stack.reserve(M->Code.MaxStack);
-  F.Trusted = M->Verified && Vm.trustVerifier();
+  F.Trusted = M->Verified && Vm.profile().TrustVerifier;
   configureSuspendChecks(F);
   CallStack.push_back(std::move(F));
 }
@@ -284,7 +287,7 @@ bool JvmThread::wantsSuspend() {
 }
 
 void JvmThread::configureSuspendChecks(Frame &F) {
-  switch (Vm.suspendCheckMode()) {
+  switch (Vm.profile().SuspendChecks) {
   case SuspendCheckMode::CallBoundary:
     break; // Legacy §6.1 behavior: boundaries only, branches free.
   case SuspendCheckMode::Everywhere:
@@ -422,7 +425,7 @@ bool JvmThread::ensureInitialized(Klass *K, StepResult &Out) {
   F.Locals.resize(Clinit->Code.MaxLocals);
   F.Stack.reserve(Clinit->Code.MaxStack);
   F.ClinitOf = Top;
-  F.Trusted = Clinit->Verified && Vm.trustVerifier();
+  F.Trusted = Clinit->Verified && Vm.profile().TrustVerifier;
   configureSuspendChecks(F);
   CallStack.push_back(std::move(F));
   ++Vm.stats().MethodInvocations;
@@ -430,7 +433,7 @@ bool JvmThread::ensureInitialized(Klass *K, StepResult &Out) {
   // A <clinit> push is a method-entry boundary like any invoke; outside
   // the legacy CallBoundary mode it closes the caller's span so the
   // bound proof holds across static initialization (DESIGN.md §17).
-  if (Vm.suspendCheckMode() != SuspendCheckMode::CallBoundary &&
+  if (Vm.profile().SuspendChecks != SuspendCheckMode::CallBoundary &&
       wantsSuspend())
     Out = StepResult::Yield;
   return false; // After <clinit> returns.
@@ -549,7 +552,7 @@ JvmThread::StepResult JvmThread::invokeMethod(Method *M, bool HasReceiver,
   F.Locals = std::move(Slots);
   F.Locals.resize(M->Code.MaxLocals);
   F.Stack.reserve(M->Code.MaxStack);
-  F.Trusted = M->Verified && Vm.trustVerifier();
+  F.Trusted = M->Verified && Vm.profile().TrustVerifier;
   configureSuspendChecks(F);
   if (M->isSynchronized()) {
     Object *Lock = HasReceiver ? F.Locals[0].R : Vm.mirrorOf(M->Owner);
@@ -618,467 +621,37 @@ inline int32_t rdS4(const std::vector<uint8_t> &C, uint32_t At) {
 
 /// Bounds-checks the next instruction of an untrusted frame: enough
 /// operand-stack slots to pop, room below max_stack for the pushes, and
-/// every local access inside max_locals. Verified frames skip this — the
+/// every local access inside max_locals. The effect comes from the
+/// opcodes.def table (decodeStackEffect). Verified frames skip this — the
 /// dataflow analysis proved the same properties statically, which is the
 /// whole point of the elision (DESIGN.md §12). Types are not re-checked
 /// here: slot misuse in unverified code yields wrong values, not memory
 /// errors, exactly as the seed interpreter behaved for all code.
 bool JvmThread::guardedPrecheck(Frame &F, StepResult &Out) {
   const CodeAttr &Code = F.M->Code;
-  const std::vector<uint8_t> &C = Code.Bytecode;
-  const ConstantPool &Pool = F.M->Owner->Cf.Pool;
   // Quick forms never reach untrusted frames (quickening requires
-  // Frame::Trusted), but map them to their base form defensively: the
-  // operand layouts are identical by construction (opcodes.def).
-  Op O = static_cast<Op>(baseOpcode(C[F.Pc]));
-  int Pops = 0, Pushes = 0;
-  int64_t LocalTop = -1; // Highest local slot touched.
-
-  auto fieldSlots = [&](uint32_t At) -> int {
-    uint16_t Idx = rdU2(C, At);
-    if (!Pool.valid(Idx))
-      return -1;
-    return desc::slotSize(Pool.memberRef(Idx).Descriptor);
-  };
-  auto invokeEffect = [&](uint32_t At, bool HasReceiver) -> bool {
-    uint16_t Idx = rdU2(C, At);
-    if (!Pool.valid(Idx))
-      return false;
-    auto D = desc::parseMethod(Pool.memberRef(Idx).Descriptor);
-    if (!D)
-      return false;
-    Pops = desc::paramSlots(*D) + (HasReceiver ? 1 : 0);
-    Pushes = desc::slotSize(D->Ret);
+  // Frame::Trusted), but the decoder maps them to their base form
+  // defensively: the operand layouts are identical by construction.
+  StackEffect E =
+      decodeStackEffect(Code.Bytecode, F.Pc, F.M->Owner->Cf.Pool);
+  if (E.Error) {
+    Out = throwJvm("java/lang/VerifyError", E.Error);
+    return false;
+  }
+  const char *Fault = nullptr;
+  if (F.Stack.size() < static_cast<size_t>(E.Pops))
+    Fault = "stack underflow at ";
+  else if (F.Stack.size() - E.Pops + E.Pushes > Code.MaxStack)
+    Fault = "stack overflow at ";
+  else if (E.LocalTop >= Code.MaxLocals)
+    Fault = "local out of bounds at ";
+  else
     return true;
-  };
-
-  switch (O) {
-  case Op::Nop:
-  case Op::Goto:
-  case Op::GotoW:
-  case Op::Return:
-    break;
-  case Op::New:
-    Pushes = 1;
-    break;
-  case Op::Ret:
-    LocalTop = rdU1(C, F.Pc + 1);
-    break;
-  case Op::Iinc:
-    LocalTop = rdU1(C, F.Pc + 1);
-    break;
-  case Op::AconstNull:
-  case Op::IconstM1:
-  case Op::Iconst0:
-  case Op::Iconst1:
-  case Op::Iconst2:
-  case Op::Iconst3:
-  case Op::Iconst4:
-  case Op::Iconst5:
-  case Op::Fconst0:
-  case Op::Fconst1:
-  case Op::Fconst2:
-  case Op::Bipush:
-  case Op::Sipush:
-  case Op::Ldc:
-  case Op::LdcW:
-  case Op::Jsr:
-  case Op::JsrW:
-    Pushes = 1;
-    break;
-  case Op::Lconst0:
-  case Op::Lconst1:
-  case Op::Dconst0:
-  case Op::Dconst1:
-  case Op::Ldc2W:
-    Pushes = 2;
-    break;
-  case Op::Iload:
-  case Op::Fload:
-  case Op::Aload:
-    Pushes = 1;
-    LocalTop = rdU1(C, F.Pc + 1);
-    break;
-  case Op::Lload:
-  case Op::Dload:
-    Pushes = 2;
-    LocalTop = rdU1(C, F.Pc + 1) + 1;
-    break;
-  case Op::Iload0:
-  case Op::Iload1:
-  case Op::Iload2:
-  case Op::Iload3:
-    Pushes = 1;
-    LocalTop = static_cast<int64_t>(O) - static_cast<int64_t>(Op::Iload0);
-    break;
-  case Op::Fload0:
-  case Op::Fload1:
-  case Op::Fload2:
-  case Op::Fload3:
-    Pushes = 1;
-    LocalTop = static_cast<int64_t>(O) - static_cast<int64_t>(Op::Fload0);
-    break;
-  case Op::Aload0:
-  case Op::Aload1:
-  case Op::Aload2:
-  case Op::Aload3:
-    Pushes = 1;
-    LocalTop = static_cast<int64_t>(O) - static_cast<int64_t>(Op::Aload0);
-    break;
-  case Op::Lload0:
-  case Op::Lload1:
-  case Op::Lload2:
-  case Op::Lload3:
-    Pushes = 2;
-    LocalTop =
-        static_cast<int64_t>(O) - static_cast<int64_t>(Op::Lload0) + 1;
-    break;
-  case Op::Dload0:
-  case Op::Dload1:
-  case Op::Dload2:
-  case Op::Dload3:
-    Pushes = 2;
-    LocalTop =
-        static_cast<int64_t>(O) - static_cast<int64_t>(Op::Dload0) + 1;
-    break;
-  case Op::Iaload:
-  case Op::Faload:
-  case Op::Aaload:
-  case Op::Baload:
-  case Op::Caload:
-  case Op::Saload:
-    Pops = 2;
-    Pushes = 1;
-    break;
-  case Op::Laload:
-  case Op::Daload:
-    Pops = 2;
-    Pushes = 2;
-    break;
-  case Op::Istore:
-  case Op::Fstore:
-  case Op::Astore:
-    Pops = 1;
-    LocalTop = rdU1(C, F.Pc + 1);
-    break;
-  case Op::Lstore:
-  case Op::Dstore:
-    Pops = 2;
-    LocalTop = rdU1(C, F.Pc + 1) + 1;
-    break;
-  case Op::Istore0:
-  case Op::Istore1:
-  case Op::Istore2:
-  case Op::Istore3:
-    Pops = 1;
-    LocalTop = static_cast<int64_t>(O) - static_cast<int64_t>(Op::Istore0);
-    break;
-  case Op::Fstore0:
-  case Op::Fstore1:
-  case Op::Fstore2:
-  case Op::Fstore3:
-    Pops = 1;
-    LocalTop = static_cast<int64_t>(O) - static_cast<int64_t>(Op::Fstore0);
-    break;
-  case Op::Astore0:
-  case Op::Astore1:
-  case Op::Astore2:
-  case Op::Astore3:
-    Pops = 1;
-    LocalTop = static_cast<int64_t>(O) - static_cast<int64_t>(Op::Astore0);
-    break;
-  case Op::Lstore0:
-  case Op::Lstore1:
-  case Op::Lstore2:
-  case Op::Lstore3:
-    Pops = 2;
-    LocalTop =
-        static_cast<int64_t>(O) - static_cast<int64_t>(Op::Lstore0) + 1;
-    break;
-  case Op::Dstore0:
-  case Op::Dstore1:
-  case Op::Dstore2:
-  case Op::Dstore3:
-    Pops = 2;
-    LocalTop =
-        static_cast<int64_t>(O) - static_cast<int64_t>(Op::Dstore0) + 1;
-    break;
-  case Op::Iastore:
-  case Op::Fastore:
-  case Op::Aastore:
-  case Op::Bastore:
-  case Op::Castore:
-  case Op::Sastore:
-    Pops = 3;
-    break;
-  case Op::Lastore:
-  case Op::Dastore:
-    Pops = 4;
-    break;
-  case Op::Pop:
-    Pops = 1;
-    break;
-  case Op::Pop2:
-    Pops = 2;
-    break;
-  case Op::Dup:
-    Pops = 1;
-    Pushes = 2;
-    break;
-  case Op::DupX1:
-    Pops = 2;
-    Pushes = 3;
-    break;
-  case Op::DupX2:
-    Pops = 3;
-    Pushes = 4;
-    break;
-  case Op::Dup2:
-    Pops = 2;
-    Pushes = 4;
-    break;
-  case Op::Dup2X1:
-    Pops = 3;
-    Pushes = 5;
-    break;
-  case Op::Dup2X2:
-    Pops = 4;
-    Pushes = 6;
-    break;
-  case Op::Swap:
-    Pops = 2;
-    Pushes = 2;
-    break;
-  case Op::Iadd:
-  case Op::Isub:
-  case Op::Imul:
-  case Op::Idiv:
-  case Op::Irem:
-  case Op::Ishl:
-  case Op::Ishr:
-  case Op::Iushr:
-  case Op::Iand:
-  case Op::Ior:
-  case Op::Ixor:
-  case Op::Fadd:
-  case Op::Fsub:
-  case Op::Fmul:
-  case Op::Fdiv:
-  case Op::Frem:
-    Pops = 2;
-    Pushes = 1;
-    break;
-  case Op::Ladd:
-  case Op::Lsub:
-  case Op::Lmul:
-  case Op::Ldiv:
-  case Op::Lrem:
-  case Op::Land:
-  case Op::Lor:
-  case Op::Lxor:
-  case Op::Dadd:
-  case Op::Dsub:
-  case Op::Dmul:
-  case Op::Ddiv:
-  case Op::Drem:
-    Pops = 4;
-    Pushes = 2;
-    break;
-  case Op::Lshl:
-  case Op::Lshr:
-  case Op::Lushr:
-    Pops = 3;
-    Pushes = 2;
-    break;
-  case Op::Ineg:
-  case Op::Fneg:
-  case Op::I2f:
-  case Op::F2i:
-  case Op::I2b:
-  case Op::I2c:
-  case Op::I2s:
-  case Op::Newarray:
-  case Op::Anewarray:
-  case Op::Arraylength:
-  case Op::Checkcast:
-  case Op::Instanceof:
-    Pops = 1;
-    Pushes = 1;
-    break;
-  case Op::Lneg:
-  case Op::Dneg:
-  case Op::L2d:
-  case Op::D2l:
-    Pops = 2;
-    Pushes = 2;
-    break;
-  case Op::I2l:
-  case Op::I2d:
-  case Op::F2l:
-  case Op::F2d:
-    Pops = 1;
-    Pushes = 2;
-    break;
-  case Op::L2i:
-  case Op::L2f:
-  case Op::D2i:
-  case Op::D2f:
-  case Op::Fcmpl:
-  case Op::Fcmpg:
-    Pops = 2;
-    Pushes = 1;
-    break;
-  case Op::Lcmp:
-  case Op::Dcmpl:
-  case Op::Dcmpg:
-    Pops = 4;
-    Pushes = 1;
-    break;
-  case Op::Ifeq:
-  case Op::Ifne:
-  case Op::Iflt:
-  case Op::Ifge:
-  case Op::Ifgt:
-  case Op::Ifle:
-  case Op::Ifnull:
-  case Op::Ifnonnull:
-  case Op::Tableswitch:
-  case Op::Lookupswitch:
-  case Op::Ireturn:
-  case Op::Freturn:
-  case Op::Areturn:
-  case Op::Athrow:
-  case Op::Monitorenter:
-  case Op::Monitorexit:
-    Pops = 1;
-    break;
-  case Op::IfIcmpeq:
-  case Op::IfIcmpne:
-  case Op::IfIcmplt:
-  case Op::IfIcmpge:
-  case Op::IfIcmpgt:
-  case Op::IfIcmple:
-  case Op::IfAcmpeq:
-  case Op::IfAcmpne:
-  case Op::Lreturn:
-  case Op::Dreturn:
-    Pops = 2;
-    break;
-  case Op::Getstatic: {
-    int S = fieldSlots(F.Pc + 1);
-    if (S < 0) {
-      Out = throwJvm("java/lang/VerifyError", "bad field reference");
-      return false;
-    }
-    Pushes = S;
-    break;
-  }
-  case Op::Putstatic: {
-    int S = fieldSlots(F.Pc + 1);
-    if (S < 0) {
-      Out = throwJvm("java/lang/VerifyError", "bad field reference");
-      return false;
-    }
-    Pops = S;
-    break;
-  }
-  case Op::Getfield: {
-    int S = fieldSlots(F.Pc + 1);
-    if (S < 0) {
-      Out = throwJvm("java/lang/VerifyError", "bad field reference");
-      return false;
-    }
-    Pops = 1;
-    Pushes = S;
-    break;
-  }
-  case Op::Putfield: {
-    int S = fieldSlots(F.Pc + 1);
-    if (S < 0) {
-      Out = throwJvm("java/lang/VerifyError", "bad field reference");
-      return false;
-    }
-    Pops = 1 + S;
-    break;
-  }
-  case Op::Invokevirtual:
-  case Op::Invokespecial:
-  case Op::Invokeinterface:
-    if (!invokeEffect(F.Pc + 1, /*HasReceiver=*/true)) {
-      Out = throwJvm("java/lang/VerifyError", "bad method reference");
-      return false;
-    }
-    break;
-  case Op::Invokestatic:
-    if (!invokeEffect(F.Pc + 1, /*HasReceiver=*/false)) {
-      Out = throwJvm("java/lang/VerifyError", "bad method reference");
-      return false;
-    }
-    break;
-  case Op::Multianewarray:
-    Pops = rdU1(C, F.Pc + 3);
-    Pushes = 1;
-    break;
-  case Op::Wide: {
-    Op Inner = static_cast<Op>(C[F.Pc + 1]);
-    uint32_t Slot = rdU2(C, F.Pc + 2);
-    switch (Inner) {
-    case Op::Iload:
-    case Op::Fload:
-    case Op::Aload:
-      Pushes = 1;
-      LocalTop = Slot;
-      break;
-    case Op::Lload:
-    case Op::Dload:
-      Pushes = 2;
-      LocalTop = Slot + 1;
-      break;
-    case Op::Istore:
-    case Op::Fstore:
-    case Op::Astore:
-      Pops = 1;
-      LocalTop = Slot;
-      break;
-    case Op::Lstore:
-    case Op::Dstore:
-      Pops = 2;
-      LocalTop = Slot + 1;
-      break;
-    case Op::Iinc:
-    case Op::Ret:
-      LocalTop = Slot;
-      break;
-    default:
-      Out = throwJvm("java/lang/VerifyError",
-                     "wide prefix on a non-widenable instruction");
-      return false;
-    }
-    break;
-  }
-  default:
-    break; // Remaining opcodes touch neither stack slots nor locals.
-  }
-
-  if (F.Stack.size() < static_cast<size_t>(Pops)) {
-    Out = throwJvm("java/lang/VerifyError",
-                   std::string("stack underflow at ") + opcodeName(static_cast<uint8_t>(O)) +
-                       " (pc " + std::to_string(F.Pc) + ")");
-    return false;
-  }
-  if (F.Stack.size() - Pops + Pushes > Code.MaxStack) {
-    Out = throwJvm("java/lang/VerifyError",
-                   std::string("stack overflow at ") + opcodeName(static_cast<uint8_t>(O)) +
-                       " (pc " + std::to_string(F.Pc) + ")");
-    return false;
-  }
-  if (LocalTop >= static_cast<int64_t>(Code.MaxLocals)) {
-    Out = throwJvm("java/lang/VerifyError",
-                   std::string("local out of bounds at ") + opcodeName(static_cast<uint8_t>(O)) +
-                       " (pc " + std::to_string(F.Pc) + ")");
-    return false;
-  }
-  return true;
+  Out = throwJvm("java/lang/VerifyError",
+                 std::string(Fault) +
+                     opcodeName(baseOpcode(Code.Bytecode[F.Pc])) + " (pc " +
+                     std::to_string(F.Pc) + ")");
+  return false;
 }
 
 // Dispatch-label macro (DESIGN.md §18). Under DOPPIO_COMPUTED_GOTO
@@ -1089,6 +662,24 @@ bool JvmThread::guardedPrecheck(Frame &F, StepResult &Out) {
 #ifdef DOPPIO_COMPUTED_GOTO
 #define OPC(name) Lbl_##name:
 #define OPC_ILLEGAL Lbl_Illegal:
+
+namespace {
+
+/// Handler addresses indexed by opcode byte. Gaps point at the illegal
+/// handler, exactly like the switch default.
+struct DispatchTable {
+  const void *Handler[256];
+
+  DispatchTable(
+      const void *Illegal,
+      std::initializer_list<std::pair<uint8_t, const void *>> Handlers) {
+    std::fill(std::begin(Handler), std::end(Handler), Illegal);
+    for (const auto &[Opcode, Target] : Handlers)
+      Handler[Opcode] = Target;
+  }
+};
+
+} // namespace
 #else
 #define OPC(name) case Op::name:
 #define OPC_ILLEGAL default:
@@ -1134,24 +725,17 @@ JvmThread::StepResult JvmThread::step() {
   };
 
 #ifdef DOPPIO_COMPUTED_GOTO
-  // Threaded dispatch: the handler-address table, built once from
-  // opcodes.def (C++ lacks designated initializers for label addresses).
-  // Gaps point at the illegal handler, exactly like the switch default.
-  static const void *DispatchTable[256];
-  static bool TableReady = false;
-  if (!TableReady) {
-    for (int I = 0; I != 256; ++I)
-      DispatchTable[I] = &&Lbl_Illegal;
-#define JVM_OPCODE(NAME, VALUE, OPERANDS, KIND, QUICK)                       \
-  DispatchTable[VALUE] = &&Lbl_##NAME;
-#define JVM_QUICK_OPCODE(NAME, VALUE, OPERANDS, KIND, BASE)                  \
-  DispatchTable[VALUE] = &&Lbl_##NAME;
+  // Threaded dispatch: the handler-address table, built from opcodes.def
+  // on the first step(). A function-local static, so concurrent first
+  // entries from several host threads initialize it exactly once.
+  static const DispatchTable Dispatch(&&Lbl_Illegal, {
+#define JVM_OPCODE(NAME, VALUE, ...) {VALUE, &&Lbl_##NAME},
+#define JVM_QUICK_OPCODE(NAME, VALUE, ...) {VALUE, &&Lbl_##NAME},
 #include "jvm/classfile/opcodes.def"
 #undef JVM_QUICK_OPCODE
 #undef JVM_OPCODE
-    TableReady = true;
-  }
-  goto *DispatchTable[static_cast<uint8_t>(O)];
+  });
+  goto *Dispatch.Handler[static_cast<uint8_t>(O)];
 #else
   switch (O) {
 #endif

@@ -45,7 +45,7 @@ struct Frame {
   /// return.
   Klass *ClinitOf = nullptr;
   /// True when the dataflow verifier proved the method and the VM trusts
-  /// it (Jvm::trustVerifier): step() skips the guarded per-instruction
+  /// it (ExecProfile::TrustVerifier): step() skips the guarded per-instruction
   /// stack/locals precheck for this frame (DESIGN.md §12).
   bool Trusted = false;
   /// Suspend-check placement for this frame (DESIGN.md §17), set from

@@ -63,9 +63,8 @@ struct JvmOptions {
   uint64_t QuickOpCostNs = 24;
   /// How the interpreter executes: verifier trust, suspend-check
   /// placement, quickening, inline caches — one struct, one parser,
-  /// named presets (exec_profile.h). Environment overrides
-  /// (DOPPIO_JVM_PROFILE plus the legacy DOPPIO_JVM_TRUST_VERIFIER /
-  /// DOPPIO_JVM_SUSPEND_PLACEMENT) are applied at Jvm construction.
+  /// named presets (exec_profile.h). The DOPPIO_JVM_PROFILE environment
+  /// override is applied at Jvm construction.
   ExecProfile Exec = ExecProfile::verified();
 };
 
@@ -107,13 +106,6 @@ public:
   ExecutionMode mode() const { return Options.Mode; }
   /// The execution profile this VM runs under (exec_profile.h).
   const ExecProfile &profile() const { return Options.Exec; }
-  // Thin back-compat shims over profile() — pre-ExecProfile call sites.
-  /// True when verified methods may run check-elided (DESIGN.md §12).
-  bool trustVerifier() const { return Options.Exec.TrustVerifier; }
-  /// Suspend-check placement this VM runs under (DESIGN.md §17).
-  SuspendCheckMode suspendCheckMode() const {
-    return Options.Exec.SuspendChecks;
-  }
   JvmStats &stats() { return Stats; }
 
   // Suspend-check accounting (obs cells jvm.suspend_checks_executed /

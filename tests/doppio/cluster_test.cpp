@@ -4,21 +4,28 @@
 // (frame delivery edges, FIN ordering, cross-tab ECONNREFUSED), lockstep
 // determinism, and the balancer's shard lifecycle — routing, metrics
 // interception, graceful drain with zero lost requests, kill with
-// synthesized errors, and saturation refusal.
+// synthesized errors, and saturation refusal. On real host threads: the
+// ThreadedDriver serving a load and draining a shard, and two JVMs
+// running the interpreter at once.
 //
 //===----------------------------------------------------------------------===//
 
 #include "doppio/cluster/cluster.h"
 
 #include "browser/profile.h"
+#include "doppio/backends/in_memory.h"
+#include "doppio/backends/mountable.h"
+#include "doppio/backends/xhr_fs.h"
 #include "doppio/cluster/control.h"
 #include "doppio/server/client.h"
 #include "jvm/classfile/builder.h"
+#include "jvm/jvm.h"
 #include "jvm/proc_program.h"
 
 #include "gtest/gtest.h"
 
 #include <optional>
+#include <thread>
 
 using namespace doppio;
 using namespace doppio::browser;
@@ -901,6 +908,121 @@ TEST(Cluster, MigrationFailuresReportCleanly) {
       Cl.balancer().env().metrics().counter("balancer.migration_failures")
           .value(),
       1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Host threads: the ThreadedDriver, and JVMs on concurrent host threads
+//===----------------------------------------------------------------------===//
+
+TEST(ThreadedDriver, ServesEveryRequestAndDrainsClean) {
+  Cluster::Config Cfg;
+  Cfg.Shards = 2;
+  Cluster Cl(chromeProfile(), Cfg);
+  ThreadedDriver Drv(Cl.fabric());
+
+  // Clients, counters and the drain all live on the balancer tab's thread;
+  // join() orders them before the checks below.
+  constexpr uint64_t NumClients = 8, Requests = 4;
+  std::vector<std::unique_ptr<FrameClient>> Clients;
+  uint64_t Ok = 0, NotOk = 0;
+  bool DrainStarted = false, DrainDone = false;
+  std::optional<ShardSnapshot> Final;
+  auto NoteAnswered = [&](bool Good, uint64_t N) {
+    (Good ? Ok : NotOk) += N;
+    if (Ok + NotOk != NumClients * Requests)
+      return;
+    // The whole load is answered: drain shard 0, then stop the threads.
+    DrainStarted = Cl.drainShard(0, [&](const ShardSnapshot &S) {
+      DrainDone = true;
+      Final = S;
+      Drv.requestStop();
+    });
+    if (!DrainStarted)
+      Drv.requestStop();
+  };
+  for (uint64_t I = 0; I < NumClients; ++I) {
+    auto C = std::make_unique<FrameClient>(Cl.balancer().env().net());
+    FrameClient *P = C.get();
+    P->connect(Cl.balancer().port(), [P, &NoteAnswered](bool Connected) {
+      if (!Connected) {
+        NoteAnswered(false, Requests);
+        return;
+      }
+      for (uint64_t R = 0; R < Requests; ++R)
+        P->request("work", bytesOf("50 /srv/f1.bin"),
+                   [P, R, &NoteAnswered](rt::server::frame::Response Resp) {
+                     if (R == Requests - 1)
+                       P->close();
+                     NoteAnswered(Resp.S == rt::server::frame::Status::Ok,
+                                  1);
+                   });
+    });
+    Clients.push_back(std::move(C));
+  }
+
+  Drv.start();
+  Drv.join();
+  // Mail still in flight (closes, control traffic) finishes on a
+  // lockstep pass.
+  auto Rep = LockstepDriver(Cl.fabric()).run(1000000);
+  ASSERT_LT(Rep.Rounds, 1000000u);
+
+  EXPECT_EQ(Ok, NumClients * Requests);
+  EXPECT_EQ(NotOk, 0u);
+  EXPECT_TRUE(DrainStarted);
+  EXPECT_TRUE(DrainDone);
+  ASSERT_TRUE(Final.has_value());
+  EXPECT_EQ(Final->Active, 0u);
+  EXPECT_TRUE(Cl.shardDrained(0));
+  EXPECT_FALSE(Cl.shardPendingWorkNs(0).has_value());
+  EXPECT_EQ(Cl.balancer().liveShards(), 1u);
+  EXPECT_EQ(Cl.balancer().stats().ErrorsSynthesized, 0u);
+  EXPECT_TRUE(Cl.fabric().quiescent());
+}
+
+/// Boots a JVM in a tab of its own and runs a greet-and-sum program to
+/// completion; returns the exit code and what the program printed.
+std::string runHelloJvm() {
+  BrowserEnv Env(chromeProfile());
+  jvm::ClassBuilder Hello("demo/Hello");
+  jvm::MethodBuilder &M = Hello.method(jvm::AccPublic | jvm::AccStatic,
+                                       "main", "([Ljava/lang/String;)V");
+  jvm::MethodBuilder::Label Loop = M.newLabel(), Done = M.newLabel();
+  M.iconst(0).istore(1).iconst(1).istore(2);
+  M.bind(Loop).iload(2).iconst(10).branch(jvm::Op::IfIcmpgt, Done);
+  M.iload(1).iload(2).iload(2).op(jvm::Op::Imul).op(jvm::Op::Iadd)
+      .istore(1)
+      .iinc(2, 1)
+      .branch(jvm::Op::Goto, Loop);
+  M.bind(Done)
+      .getstatic("java/lang/System", "out", "Ljava/io/PrintStream;")
+      .iload(1)
+      .invokevirtual("java/io/PrintStream", "println", "(I)V")
+      .op(jvm::Op::Return);
+  Env.server().addFile("/classes/demo/Hello.class", Hello.bytes());
+
+  rt::Process Proc;
+  auto Mounted = std::make_unique<rt::fs::MountableFileSystem>(
+      std::make_unique<rt::fs::InMemoryBackend>(Env));
+  Mounted->mount("/classes",
+                 std::make_unique<rt::fs::XhrBackend>(Env, "/classes"));
+  rt::fs::FileSystem Fs(Env, Proc, std::move(Mounted));
+  jvm::Jvm Vm(Env, Fs, Proc);
+  int Exit = Vm.runMainToCompletion("demo/Hello", {});
+  return std::to_string(Exit) + ":" + Proc.capturedStdout();
+}
+
+TEST(ThreadedJvm, TwoHostThreadsRunTheInterpreterAtOnce) {
+  // Each thread owns its whole tab; only the interpreter's process-wide
+  // state is shared, and both threads enter it for the first time
+  // together.
+  std::string Out[2];
+  std::thread A([&] { Out[0] = runHelloJvm(); });
+  std::thread B([&] { Out[1] = runHelloJvm(); });
+  A.join();
+  B.join();
+  EXPECT_EQ(Out[0], "0:385\n");
+  EXPECT_EQ(Out[1], Out[0]);
 }
 
 } // namespace

@@ -90,14 +90,6 @@ TEST(ExecProfileApi, EnvOverrideSelectsQuickProfile) {
   ASSERT_EQ(unsetenv("DOPPIO_JVM_PROFILE"), 0);
 }
 
-TEST(ExecProfileApi, BackCompatShimsReflectTheProfile) {
-  JvmRig Rig(ExecutionMode::DoppioJS);
-  Rig.Options.Exec = ExecProfile::placed();
-  Rig.Options.Exec.TrustVerifier = false;
-  EXPECT_FALSE(Rig.vm().trustVerifier());
-  EXPECT_EQ(Rig.vm().suspendCheckMode(), SuspendCheckMode::Placed);
-}
-
 //===----------------------------------------------------------------------===//
 // Differential: builtin workloads, baseline vs quick
 //===----------------------------------------------------------------------===//
