@@ -19,6 +19,19 @@ using namespace doppio::workloads;
 
 namespace {
 
+/// The run with the least host time of three: one-shot host timings are
+/// noisy at this scale. The virtual figures are the same in every run.
+RunMetrics fastestOf3(const Workload &W, ExecutionMode Mode,
+                      const browser::Profile &P, const JvmOptions &Options) {
+  RunMetrics Best = runJvmWorkload(W, Mode, P, Options);
+  for (int Rep = 1; Rep != 3; ++Rep) {
+    RunMetrics R = runJvmWorkload(W, Mode, P, Options);
+    if (R.RealSeconds < Best.RealSeconds)
+      Best = std::move(R);
+  }
+  return Best;
+}
+
 bool printFigure4() {
   printf("==========================================================\n");
   printf("Figure 4: microbenchmark slowdown vs HotSpot interpreter\n");
@@ -45,10 +58,15 @@ bool printFigure4() {
     RunMetrics Native = runJvmWorkload(M.W, ExecutionMode::NativeHotspot,
                                        browser::chromeProfile());
     uint64_t BaselineNs = nativeNominalNs(Native);
+    // The host columns compare like with like: the native run they divide
+    // by uses the same `quick` ExecProfile as the DoppioJS rows. The
+    // virtual baseline above stays on the default profile, so the
+    // virtual columns do not move.
+    RunMetrics NativeQuick = fastestOf3(M.W, ExecutionMode::NativeHotspot,
+                                        browser::chromeProfile(), QuickMain);
     std::vector<double> Cpu, Wall;
     for (const browser::Profile &P : browser::allProfiles()) {
-      RunMetrics Js =
-          runJvmWorkload(M.W, ExecutionMode::DoppioJS, P, QuickMain);
+      RunMetrics Js = fastestOf3(M.W, ExecutionMode::DoppioJS, P, QuickMain);
       bool Identical = Js.Exit == 0 && Js.Output == Native.Output;
       if (!Identical) {
         MainOk = false;
@@ -65,9 +83,14 @@ bool printFigure4() {
       Json.row(std::string(M.Label) + "/" + P.Name)
           .metric("cpu_factor", Cpu.back())
           .metric("wall_factor", Wall.back())
-          .metric("host_factor", Native.RealSeconds > 0
-                                     ? Js.RealSeconds / Native.RealSeconds
-                                     : -1)
+          .metric("host_factor",
+                  NativeQuick.RealSeconds > 0
+                      ? Js.RealSeconds / NativeQuick.RealSeconds
+                      : -1)
+          .metric("ns_per_bytecode",
+                  Js.Ops > 0 ? Js.RealSeconds * 1e9 /
+                                   static_cast<double>(Js.Ops)
+                             : -1)
           .metric("output_identical", 1);
     }
     printRow((std::string(M.Label) + " cpu").c_str(), Cpu);
@@ -84,18 +107,10 @@ bool printFigure4() {
     JvmOptions Guarded, Elided;
     Guarded.Exec.TrustVerifier = false;
     Elided.Exec.TrustVerifier = true;
-    // Best of 3: one-shot host timings are noisy at this scale.
-    RunMetrics G, E;
-    for (int Rep = 0; Rep != 3; ++Rep) {
-      RunMetrics G1 = runJvmWorkload(M.W, ExecutionMode::DoppioJS,
-                                     browser::chromeProfile(), Guarded);
-      RunMetrics E1 = runJvmWorkload(M.W, ExecutionMode::DoppioJS,
-                                     browser::chromeProfile(), Elided);
-      if (Rep == 0 || G1.RealSeconds < G.RealSeconds)
-        G = G1;
-      if (Rep == 0 || E1.RealSeconds < E.RealSeconds)
-        E = E1;
-    }
+    RunMetrics G = fastestOf3(M.W, ExecutionMode::DoppioJS,
+                              browser::chromeProfile(), Guarded);
+    RunMetrics E = fastestOf3(M.W, ExecutionMode::DoppioJS,
+                              browser::chromeProfile(), Elided);
     if (G.Exit != E.Exit || G.Output != E.Output) {
       printf("%-14s  OUTPUT MISMATCH between guarded and elided runs\n",
              M.Label);

@@ -646,6 +646,16 @@ void finishRestore(const std::shared_ptr<RestoreState> &St) {
         St->fail(rt::Errno::Io, "frame method " + KName + "." + MName);
         return;
       }
+      // The interpreter indexes a frame by its method's verified bounds
+      // (DESIGN.md §12), so a frame that disagrees with its method is
+      // refused here rather than trusted there.
+      if (F.Pc >= M->Code.Bytecode.size() ||
+          F.Locals.size() != M->Code.MaxLocals ||
+          F.Stack.size() > M->Code.MaxStack) {
+        St->fail(rt::Errno::Io, "frame of " + KName + "." + MName +
+                                    " does not fit its method");
+        return;
+      }
       F.M = M;
       F.ClinitOf = ClinitName.empty() ? nullptr : Vm.loader().lookup(ClinitName);
       // Trust is a property of this VM's verifier run, not of the image.

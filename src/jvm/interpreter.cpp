@@ -70,10 +70,11 @@ int32_t JvmThread::modeMul(int32_t A, int32_t B) {
 Value JvmThread::modeLongBin(Op O, Value A, Value B) {
   if (Vm.mode() == ExecutionMode::DoppioJS) {
     // §8: software longs are "extremely slow when compared to normal
-    // numeric operations" — each op is tens of JS operations (16-bit
-    // chunking; division is a 64-step shift-subtract loop). Surcharges
-    // accumulate separately from dispatch counts: quickened dispatch does
-    // not make the intrinsic Long64 work cheaper (DESIGN.md §18).
+    // numeric operations" — each op is tens of JS operations in the
+    // paper's gLong. The surcharges model that JS cost (DESIGN.md §8),
+    // not the host cost of long64.cpp. They accumulate separately from
+    // dispatch counts: quickened dispatch does not make the intrinsic
+    // Long64 work cheaper (DESIGN.md §18).
     ExtraOpsSinceFlush += (O == Op::Ldiv || O == Op::Lrem) ? 24
                           : O == Op::Lmul               ? 10
                                                         : 3;
@@ -243,29 +244,28 @@ RunOutcome JvmThread::resume() {
     }
   }
 
-  while (true) {
-    StepResult R = step();
-    if (R == StepResult::Continue)
-      continue;
-    Vm.flushOpCharges(OpsSinceFlush, ExtraOpsSinceFlush);
-    OpsSinceFlush = ExtraOpsSinceFlush = 0;
-    switch (R) {
-    case StepResult::Yield:
-      return RunOutcome::Yielded;
-    case StepResult::Block:
-      // Blocking leaves the host stack — a stronger preemption point
-      // than any suspend check — so the between-checks span restarts
-      // (the blocked instruction also re-dispatches on wake and must not
-      // count twice against the static bound).
-      OpsSinceCheck = 0;
-      return RunOutcome::Blocked;
-    case StepResult::Done:
-      Vm.noteThreadFinished(*this);
-      return RunOutcome::Terminated;
-    case StepResult::Continue:
-      break;
-    }
+  // step() runs bytecodes until the thread yields, blocks or finishes.
+  StepResult R = step();
+  Vm.flushOpCharges(OpsSinceFlush, ExtraOpsSinceFlush);
+  OpsSinceFlush = ExtraOpsSinceFlush = 0;
+  switch (R) {
+  case StepResult::Yield:
+    return RunOutcome::Yielded;
+  case StepResult::Block:
+    // Blocking leaves the host stack — a stronger preemption point than
+    // any suspend check — so the between-checks span restarts (the
+    // blocked instruction also re-dispatches on wake and must not count
+    // twice against the static bound).
+    OpsSinceCheck = 0;
+    return RunOutcome::Blocked;
+  case StepResult::Done:
+    break;
+  case StepResult::Continue:
+    assert(false && "step() dispatches Continue in place");
+    break;
   }
+  Vm.noteThreadFinished(*this);
+  return RunOutcome::Terminated;
 }
 
 bool JvmThread::wantsSuspend() {
@@ -515,8 +515,8 @@ JvmThread::StepResult JvmThread::invokeNative(Method *M,
 }
 
 /// Unpacks slot-encoded arguments into distinct values (receiver first).
-static std::vector<Value> unpackArgs(const std::vector<Value> &Slots,
-                                     const Method &M, bool HasReceiver) {
+static std::vector<Value> unpackArgs(const Value *Slots, const Method &M,
+                                     bool HasReceiver) {
   std::vector<Value> Args;
   size_t I = 0;
   if (HasReceiver)
@@ -534,23 +534,31 @@ JvmThread::StepResult JvmThread::invokeMethod(Method *M, bool HasReceiver,
   // contention; the argument slots sit on its operand stack and pc still
   // points at the invoke instruction.
   Frame &Caller = CallStack.back();
-  int TotalSlots = M->ParamSlots + (HasReceiver ? 1 : 0);
-  std::vector<Value> Slots(Caller.Stack.end() - TotalSlots,
-                           Caller.Stack.end());
-  Caller.Stack.resize(Caller.Stack.size() - TotalSlots);
+  size_t TotalSlots = M->ParamSlots + (HasReceiver ? 1 : 0);
+  size_t ArgsAt = Caller.Stack.size() - TotalSlots;
+  const Value *Slots = Caller.Stack.data() + ArgsAt;
   ++Vm.stats().MethodInvocations;
 
-  if (M->isNative())
-    return invokeNative(M, unpackArgs(Slots, *M, HasReceiver), InsnLen);
+  if (M->isNative()) {
+    std::vector<Value> Args = unpackArgs(Slots, *M, HasReceiver);
+    Caller.Stack.resize(ArgsAt);
+    return invokeNative(M, std::move(Args), InsnLen);
+  }
 
-  if (!M->HasCode)
+  if (!M->HasCode) {
+    Caller.Stack.resize(ArgsAt);
     return throwJvm("java/lang/AbstractMethodError", M->qualifiedName());
+  }
 
   Caller.Pc += InsnLen; // Return lands after the invoke.
   Frame F;
   F.M = M;
-  F.Locals = std::move(Slots);
+  // The argument slots become the callee's first locals, copied straight
+  // off the caller's operand stack.
   F.Locals.resize(M->Code.MaxLocals);
+  std::copy_n(Slots, std::min<size_t>(TotalSlots, M->Code.MaxLocals),
+              F.Locals.begin());
+  Caller.Stack.resize(ArgsAt);
   F.Stack.reserve(M->Code.MaxStack);
   F.Trusted = M->Verified && Vm.profile().TrustVerifier;
   configureSuspendChecks(F);
@@ -685,7 +693,21 @@ struct DispatchTable {
 #define OPC_ILLEGAL default:
 #endif
 
+// Handler exits. A handler never returns Continue: NEXT() jumps back to
+// the top of step(), which runs the per-instruction suspend check and
+// counters and dispatches the next bytecode on the (possibly new) top
+// frame. NEXT_IF_CONTINUE() does the same with a helper's outcome, and
+// returns any other outcome (Yield, Block, Done) to resume().
+#define NEXT() goto Next
+#define NEXT_IF_CONTINUE(Outcome)                                          \
+  do {                                                                     \
+    if (StepResult Out_ = (Outcome); Out_ != StepResult::Continue)         \
+      return Out_;                                                         \
+    goto Next;                                                             \
+  } while (0)
+
 JvmThread::StepResult JvmThread::step() {
+Next:
   Frame &F = CallStack.back();
   // Everywhere mode — and Placed-mode frames the analysis could not
   // prove — checks before every dispatch. Pc is untouched, so a yield
@@ -704,7 +726,7 @@ JvmThread::StepResult JvmThread::step() {
   if (!F.Trusted) {
     StepResult Guarded;
     if (!guardedPrecheck(F, Guarded))
-      return Guarded;
+      NEXT_IF_CONTINUE(Guarded);
   }
 
   // In-place quickening (DESIGN.md §18): after a slow handler fully
@@ -741,13 +763,13 @@ JvmThread::StepResult JvmThread::step() {
 #endif
   OPC(Nop)
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
 
   // Constants -----------------------------------------------------------
   OPC(AconstNull)
     push(Value::null());
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   OPC(IconstM1)
   OPC(Iconst0)
   OPC(Iconst1)
@@ -758,34 +780,34 @@ JvmThread::StepResult JvmThread::step() {
     push(Value::intVal(static_cast<int32_t>(O) -
                        static_cast<int32_t>(Op::Iconst0)));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   OPC(Lconst0)
   OPC(Lconst1)
     push2(Value::longVal(static_cast<int64_t>(
         static_cast<int32_t>(O) - static_cast<int32_t>(Op::Lconst0))));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   OPC(Fconst0)
   OPC(Fconst1)
   OPC(Fconst2)
     push(Value::floatVal(static_cast<float>(
         static_cast<int32_t>(O) - static_cast<int32_t>(Op::Fconst0))));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   OPC(Dconst0)
   OPC(Dconst1)
     push2(Value::doubleVal(static_cast<double>(
         static_cast<int32_t>(O) - static_cast<int32_t>(Op::Dconst0))));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   OPC(Bipush)
     push(Value::intVal(rdS1(C, F.Pc + 1)));
     F.Pc += 2;
-    return StepResult::Continue;
+    NEXT();
   OPC(Sipush)
     push(Value::intVal(rdS2(C, F.Pc + 1)));
     F.Pc += 3;
-    return StepResult::Continue;
+    NEXT();
 
   OPC(Ldc)
   OPC(LdcW) {
@@ -812,7 +834,8 @@ JvmThread::StepResult JvmThread::step() {
       break;
     }
     default:
-      return throwJvm("java/lang/ClassFormatError", "bad ldc constant");
+      NEXT_IF_CONTINUE(throwJvm("java/lang/ClassFormatError",
+                                "bad ldc constant"));
     }
     // Interned strings and class mirrors are VM-cached, so replaying the
     // materialized value from the quick entry preserves identity.
@@ -820,7 +843,7 @@ JvmThread::StepResult JvmThread::step() {
       Q->Constant = V;
     push(V);
     F.Pc += Len;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Ldc2W) {
     uint16_t Idx = rdU2(C, F.Pc + 1);
@@ -830,9 +853,10 @@ JvmThread::StepResult JvmThread::step() {
     else if (E.Tag == CpTag::Double)
       push2(Value::doubleVal(std::bit_cast<double>(E.LongBits)));
     else
-      return throwJvm("java/lang/ClassFormatError", "bad ldc2_w constant");
+      NEXT_IF_CONTINUE(throwJvm("java/lang/ClassFormatError",
+                                "bad ldc2_w constant"));
     F.Pc += 3;
-    return StepResult::Continue;
+    NEXT();
   }
 
   // Loads ----------------------------------------------------------------
@@ -841,47 +865,47 @@ JvmThread::StepResult JvmThread::step() {
   OPC(Aload)
     push(F.Locals[rdU1(C, F.Pc + 1)]);
     F.Pc += 2;
-    return StepResult::Continue;
+    NEXT();
   OPC(Lload)
   OPC(Dload)
     push2(F.Locals[rdU1(C, F.Pc + 1)]);
     F.Pc += 2;
-    return StepResult::Continue;
+    NEXT();
   OPC(Iload0)
   OPC(Iload1)
   OPC(Iload2)
   OPC(Iload3)
     push(F.Locals[static_cast<int>(O) - static_cast<int>(Op::Iload0)]);
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   OPC(Lload0)
   OPC(Lload1)
   OPC(Lload2)
   OPC(Lload3)
     push2(F.Locals[static_cast<int>(O) - static_cast<int>(Op::Lload0)]);
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   OPC(Fload0)
   OPC(Fload1)
   OPC(Fload2)
   OPC(Fload3)
     push(F.Locals[static_cast<int>(O) - static_cast<int>(Op::Fload0)]);
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   OPC(Dload0)
   OPC(Dload1)
   OPC(Dload2)
   OPC(Dload3)
     push2(F.Locals[static_cast<int>(O) - static_cast<int>(Op::Dload0)]);
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   OPC(Aload0)
   OPC(Aload1)
   OPC(Aload2)
   OPC(Aload3)
     push(F.Locals[static_cast<int>(O) - static_cast<int>(Op::Aload0)]);
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
 
   // Array loads ----------------------------------------------------------
   OPC(Iaload)
@@ -895,18 +919,19 @@ JvmThread::StepResult JvmThread::step() {
     int32_t Index = pop().I;
     Object *Ref = pop().R;
     if (!Ref)
-      return throwJvm("java/lang/NullPointerException", "array load");
+      NEXT_IF_CONTINUE(throwJvm("java/lang/NullPointerException",
+                                "array load"));
     auto *A = static_cast<ArrayObject *>(Ref);
     if (Index < 0 || Index >= A->length())
-      return throwJvm("java/lang/ArrayIndexOutOfBoundsException",
-                      std::to_string(Index));
+      NEXT_IF_CONTINUE(throwJvm("java/lang/ArrayIndexOutOfBoundsException",
+                                std::to_string(Index)));
     Value V = A->get(Index);
     if (O == Op::Laload || O == Op::Daload)
       push2(V);
     else
       push(V);
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
 
   // Stores ---------------------------------------------------------------
@@ -915,47 +940,47 @@ JvmThread::StepResult JvmThread::step() {
   OPC(Astore)
     F.Locals[rdU1(C, F.Pc + 1)] = pop();
     F.Pc += 2;
-    return StepResult::Continue;
+    NEXT();
   OPC(Lstore)
   OPC(Dstore)
     F.Locals[rdU1(C, F.Pc + 1)] = pop2();
     F.Pc += 2;
-    return StepResult::Continue;
+    NEXT();
   OPC(Istore0)
   OPC(Istore1)
   OPC(Istore2)
   OPC(Istore3)
     F.Locals[static_cast<int>(O) - static_cast<int>(Op::Istore0)] = pop();
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   OPC(Lstore0)
   OPC(Lstore1)
   OPC(Lstore2)
   OPC(Lstore3)
     F.Locals[static_cast<int>(O) - static_cast<int>(Op::Lstore0)] = pop2();
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   OPC(Fstore0)
   OPC(Fstore1)
   OPC(Fstore2)
   OPC(Fstore3)
     F.Locals[static_cast<int>(O) - static_cast<int>(Op::Fstore0)] = pop();
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   OPC(Dstore0)
   OPC(Dstore1)
   OPC(Dstore2)
   OPC(Dstore3)
     F.Locals[static_cast<int>(O) - static_cast<int>(Op::Dstore0)] = pop2();
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   OPC(Astore0)
   OPC(Astore1)
   OPC(Astore2)
   OPC(Astore3)
     F.Locals[static_cast<int>(O) - static_cast<int>(Op::Astore0)] = pop();
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
 
   // Array stores ---------------------------------------------------------
   OPC(Iastore)
@@ -970,11 +995,12 @@ JvmThread::StepResult JvmThread::step() {
     int32_t Index = pop().I;
     Object *Ref = pop().R;
     if (!Ref)
-      return throwJvm("java/lang/NullPointerException", "array store");
+      NEXT_IF_CONTINUE(throwJvm("java/lang/NullPointerException",
+                                "array store"));
     auto *A = static_cast<ArrayObject *>(Ref);
     if (Index < 0 || Index >= A->length())
-      return throwJvm("java/lang/ArrayIndexOutOfBoundsException",
-                      std::to_string(Index));
+      NEXT_IF_CONTINUE(throwJvm("java/lang/ArrayIndexOutOfBoundsException",
+                                std::to_string(Index)));
     switch (O) {
     case Op::Bastore:
       V = Value::intVal(static_cast<int8_t>(V.I));
@@ -990,8 +1016,8 @@ JvmThread::StepResult JvmThread::step() {
           A->elemDesc() != "Ljava/lang/Object;") {
         Klass *ElemK = Vm.loader().lookup(desc::toClassName(A->elemDesc()));
         if (ElemK && !isInstanceOfKlass(Vm, V.R, ElemK))
-          return throwJvm("java/lang/ArrayStoreException",
-                          V.R->klass()->Name);
+          NEXT_IF_CONTINUE(throwJvm("java/lang/ArrayStoreException",
+                                    V.R->klass()->Name));
       }
       break;
     default:
@@ -999,24 +1025,24 @@ JvmThread::StepResult JvmThread::step() {
     }
     A->set(Index, V);
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
 
   // Stack manipulation ----------------------------------------------------
   OPC(Pop)
     pop();
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   OPC(Pop2)
     pop();
     pop();
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   OPC(Dup) {
     Value V = peek();
     push(V);
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(DupX1) {
     Value A = pop(), B = pop();
@@ -1024,7 +1050,7 @@ JvmThread::StepResult JvmThread::step() {
     push(B);
     push(A);
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(DupX2) {
     Value A = pop(), B = pop(), X = pop();
@@ -1033,7 +1059,7 @@ JvmThread::StepResult JvmThread::step() {
     push(B);
     push(A);
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Dup2) {
     Value A = pop(), B = pop();
@@ -1042,7 +1068,7 @@ JvmThread::StepResult JvmThread::step() {
     push(B);
     push(A);
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Dup2X1) {
     Value A = pop(), B = pop(), X = pop();
@@ -1052,7 +1078,7 @@ JvmThread::StepResult JvmThread::step() {
     push(B);
     push(A);
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Dup2X2) {
     Value A = pop(), B = pop(), X = pop(), Y = pop();
@@ -1063,14 +1089,14 @@ JvmThread::StepResult JvmThread::step() {
     push(B);
     push(A);
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Swap) {
     Value A = pop(), B = pop();
     push(A);
     push(B);
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
 
   // Integer arithmetic ----------------------------------------------------
@@ -1078,41 +1104,41 @@ JvmThread::StepResult JvmThread::step() {
     int32_t B = pop().I, A = pop().I;
     push(Value::intVal(modeAdd(A, B)));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Isub) {
     int32_t B = pop().I, A = pop().I;
     push(Value::intVal(modeSub(A, B)));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Imul) {
     int32_t B = pop().I, A = pop().I;
     push(Value::intVal(modeMul(A, B)));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Idiv) {
     int32_t B = pop().I, A = pop().I;
     if (B == 0)
-      return throwJvm("java/lang/ArithmeticException", "/ by zero");
+      NEXT_IF_CONTINUE(throwJvm("java/lang/ArithmeticException", "/ by zero"));
     if (Vm.mode() == ExecutionMode::DoppioJS)
       push(Value::intVal(jsnum::divInt32(A, B)));
     else
       push(Value::intVal(A == INT32_MIN && B == -1 ? A : A / B));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Irem) {
     int32_t B = pop().I, A = pop().I;
     if (B == 0)
-      return throwJvm("java/lang/ArithmeticException", "/ by zero");
+      NEXT_IF_CONTINUE(throwJvm("java/lang/ArithmeticException", "/ by zero"));
     if (Vm.mode() == ExecutionMode::DoppioJS)
       push(Value::intVal(jsnum::remInt32(A, B)));
     else
       push(Value::intVal(A == INT32_MIN && B == -1 ? 0 : A % B));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Ineg) {
     int32_t A = pop().I;
@@ -1120,50 +1146,50 @@ JvmThread::StepResult JvmThread::step() {
                            ? jsnum::negInt32(A)
                            : modeSub(0, A)));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Ishl) {
     int32_t B = pop().I, A = pop().I;
     push(Value::intVal(jsnum::shlInt32(A, B)));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Ishr) {
     int32_t B = pop().I, A = pop().I;
     push(Value::intVal(jsnum::shrInt32(A, B)));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Iushr) {
     int32_t B = pop().I, A = pop().I;
     push(Value::intVal(jsnum::ushrInt32(A, B)));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Iand) {
     int32_t B = pop().I, A = pop().I;
     push(Value::intVal(A & B));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Ior) {
     int32_t B = pop().I, A = pop().I;
     push(Value::intVal(A | B));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Ixor) {
     int32_t B = pop().I, A = pop().I;
     push(Value::intVal(A ^ B));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Iinc) {
     uint8_t Slot = rdU1(C, F.Pc + 1);
     int8_t Delta = rdS1(C, F.Pc + 2);
     F.Locals[Slot] = Value::intVal(modeAdd(F.Locals[Slot].I, Delta));
     F.Pc += 3;
-    return StepResult::Continue;
+    NEXT();
   }
 
   // Long arithmetic (§8's software longs in DoppioJS mode) ----------------
@@ -1176,16 +1202,16 @@ JvmThread::StepResult JvmThread::step() {
     Value B = pop2(), A = pop2();
     push2(modeLongBin(O, A, B));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Ldiv)
   OPC(Lrem) {
     Value B = pop2(), A = pop2();
     if (B.J == 0)
-      return throwJvm("java/lang/ArithmeticException", "/ by zero");
+      NEXT_IF_CONTINUE(throwJvm("java/lang/ArithmeticException", "/ by zero"));
     push2(modeLongBin(O, A, B));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Lneg) {
     Value A = pop2();
@@ -1195,7 +1221,7 @@ JvmThread::StepResult JvmThread::step() {
       push2(Value::longVal(
           static_cast<int64_t>(0 - static_cast<uint64_t>(A.J))));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Lshl)
   OPC(Lshr)
@@ -1222,7 +1248,7 @@ JvmThread::StepResult JvmThread::step() {
       push2(Value::longVal(R));
     }
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
 
   // Float/double arithmetic ------------------------------------------------
@@ -1230,71 +1256,71 @@ JvmThread::StepResult JvmThread::step() {
     float B = pop().F, A = pop().F;
     push(Value::floatVal(A + B));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Fsub) {
     float B = pop().F, A = pop().F;
     push(Value::floatVal(A - B));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Fmul) {
     float B = pop().F, A = pop().F;
     push(Value::floatVal(A * B));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Fdiv) {
     float B = pop().F, A = pop().F;
     push(Value::floatVal(A / B));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Frem) {
     float B = pop().F, A = pop().F;
     push(Value::floatVal(std::fmod(A, B)));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Fneg)
     push(Value::floatVal(-pop().F));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   OPC(Dadd) {
     Value B = pop2(), A = pop2();
     push2(Value::doubleVal(A.D + B.D));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Dsub) {
     Value B = pop2(), A = pop2();
     push2(Value::doubleVal(A.D - B.D));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Dmul) {
     Value B = pop2(), A = pop2();
     push2(Value::doubleVal(A.D * B.D));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Ddiv) {
     Value B = pop2(), A = pop2();
     push2(Value::doubleVal(A.D / B.D));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Drem) {
     Value B = pop2(), A = pop2();
     push2(Value::doubleVal(std::fmod(A.D, B.D)));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Dneg) {
     Value A = pop2();
     push2(Value::doubleVal(-A.D));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
 
   // Conversions ------------------------------------------------------------
@@ -1304,23 +1330,23 @@ JvmThread::StepResult JvmThread::step() {
                              ? Long64::fromInt32(A)
                              : Long64::fromBits(A)));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(I2f)
     push(Value::floatVal(static_cast<float>(pop().I)));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   OPC(I2d)
     push2(Value::doubleVal(static_cast<double>(pop().I)));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   OPC(L2i) {
     Value A = pop2();
     push(Value::intVal(Vm.mode() == ExecutionMode::DoppioJS
                            ? A.asLong64().toInt32()
                            : static_cast<int32_t>(A.J)));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(L2f) {
     Value A = pop2();
@@ -1328,7 +1354,7 @@ JvmThread::StepResult JvmThread::step() {
                              ? A.asLong64().toFloat()
                              : static_cast<float>(A.J)));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(L2d) {
     Value A = pop2();
@@ -1336,52 +1362,52 @@ JvmThread::StepResult JvmThread::step() {
                                ? A.asLong64().toDouble()
                                : static_cast<double>(A.J)));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(F2i)
     push(Value::intVal(jsnum::doubleToInt(pop().F)));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   OPC(F2l) {
     float A = pop().F;
     push2(Value::longVal(Long64::fromDouble(A)));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(F2d)
     push2(Value::doubleVal(static_cast<double>(pop().F)));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   OPC(D2i) {
     Value A = pop2();
     push(Value::intVal(jsnum::doubleToInt(A.D)));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(D2l) {
     Value A = pop2();
     push2(Value::longVal(Long64::fromDouble(A.D)));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(D2f) {
     Value A = pop2();
     push(Value::floatVal(static_cast<float>(A.D)));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(I2b)
     push(Value::intVal(static_cast<int8_t>(pop().I)));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   OPC(I2c)
     push(Value::intVal(pop().I & 0xFFFF));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   OPC(I2s)
     push(Value::intVal(static_cast<int16_t>(pop().I)));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
 
   // Comparisons ------------------------------------------------------------
   OPC(Lcmp) {
@@ -1395,7 +1421,7 @@ JvmThread::StepResult JvmThread::step() {
       R = A.J < B.J ? -1 : (A.J > B.J ? 1 : 0);
     push(Value::intVal(R));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Fcmpl)
   OPC(Fcmpg) {
@@ -1407,7 +1433,7 @@ JvmThread::StepResult JvmThread::step() {
       R = A < B ? -1 : (A > B ? 1 : 0);
     push(Value::intVal(R));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Dcmpl)
   OPC(Dcmpg) {
@@ -1420,7 +1446,7 @@ JvmThread::StepResult JvmThread::step() {
       R = A < B ? -1 : (A > B ? 1 : 0);
     push(Value::intVal(R));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
 
   // Branches ---------------------------------------------------------------
@@ -1454,7 +1480,7 @@ JvmThread::StepResult JvmThread::step() {
     }
     uint32_t Site = F.Pc;
     F.Pc = Taken ? F.Pc + rdS2(C, F.Pc + 1) : F.Pc + 3;
-    return branchDone(F, Site);
+    NEXT_IF_CONTINUE(branchDone(F, Site));
   }
   OPC(IfIcmpeq)
   OPC(IfIcmpne)
@@ -1486,7 +1512,7 @@ JvmThread::StepResult JvmThread::step() {
     }
     uint32_t Site = F.Pc;
     F.Pc = Taken ? F.Pc + rdS2(C, F.Pc + 1) : F.Pc + 3;
-    return branchDone(F, Site);
+    NEXT_IF_CONTINUE(branchDone(F, Site));
   }
   OPC(IfAcmpeq)
   OPC(IfAcmpne) {
@@ -1494,7 +1520,7 @@ JvmThread::StepResult JvmThread::step() {
     bool Taken = O == Op::IfAcmpeq ? A == B : A != B;
     uint32_t Site = F.Pc;
     F.Pc = Taken ? F.Pc + rdS2(C, F.Pc + 1) : F.Pc + 3;
-    return branchDone(F, Site);
+    NEXT_IF_CONTINUE(branchDone(F, Site));
   }
   OPC(Ifnull)
   OPC(Ifnonnull) {
@@ -1502,29 +1528,29 @@ JvmThread::StepResult JvmThread::step() {
     bool Taken = O == Op::Ifnull ? A == nullptr : A != nullptr;
     uint32_t Site = F.Pc;
     F.Pc = Taken ? F.Pc + rdS2(C, F.Pc + 1) : F.Pc + 3;
-    return branchDone(F, Site);
+    NEXT_IF_CONTINUE(branchDone(F, Site));
   }
   OPC(Goto) {
     uint32_t Site = F.Pc;
     F.Pc += rdS2(C, F.Pc + 1);
-    return branchDone(F, Site);
+    NEXT_IF_CONTINUE(branchDone(F, Site));
   }
   OPC(GotoW) {
     uint32_t Site = F.Pc;
     F.Pc += rdS4(C, F.Pc + 1);
-    return branchDone(F, Site);
+    NEXT_IF_CONTINUE(branchDone(F, Site));
   }
   OPC(Jsr)
     push(Value::retAddr(F.Pc + 3));
     F.Pc += rdS2(C, F.Pc + 1);
-    return StepResult::Continue;
+    NEXT();
   OPC(JsrW)
     push(Value::retAddr(F.Pc + 5));
     F.Pc += rdS4(C, F.Pc + 1);
-    return StepResult::Continue;
+    NEXT();
   OPC(Ret)
     F.Pc = F.Locals[rdU1(C, F.Pc + 1)].Ret;
-    return StepResult::Continue;
+    NEXT();
 
   OPC(Tableswitch) {
     uint32_t Base = F.Pc;
@@ -1539,7 +1565,7 @@ JvmThread::StepResult JvmThread::step() {
       int32_t Offset = rdS4(C, Operands + 12 + 4 * (Index - Low));
       F.Pc = Base + Offset;
     }
-    return branchDone(F, Base);
+    NEXT_IF_CONTINUE(branchDone(F, Base));
   }
   OPC(Lookupswitch) {
     uint32_t Base = F.Pc;
@@ -1556,19 +1582,19 @@ JvmThread::StepResult JvmThread::step() {
       }
     }
     F.Pc = Base + Offset;
-    return branchDone(F, Base);
+    NEXT_IF_CONTINUE(branchDone(F, Base));
   }
 
   // Returns ----------------------------------------------------------------
   OPC(Ireturn)
   OPC(Freturn)
   OPC(Areturn)
-    return returnFromFrame(pop());
+    NEXT_IF_CONTINUE(returnFromFrame(pop()));
   OPC(Lreturn)
   OPC(Dreturn)
-    return returnFromFrame(pop2());
+    NEXT_IF_CONTINUE(returnFromFrame(pop2()));
   OPC(Return)
-    return returnFromFrame(std::nullopt);
+    NEXT_IF_CONTINUE(returnFromFrame(std::nullopt));
 
   // Fields -----------------------------------------------------------------
   OPC(Getstatic)
@@ -1580,14 +1606,14 @@ JvmThread::StepResult JvmThread::step() {
     if (!K)
       return R;
     if (!ensureInitialized(K, R))
-      return R;
+      NEXT_IF_CONTINUE(R);
     // The field may be declared in a superclass.
     Klass *Holder = K;
     while (Holder && !Holder->Statics.count(Ref.Name))
       Holder = Holder->Super;
     if (!Holder)
-      return throwJvm("java/lang/NoSuchFieldError",
-                      Ref.ClassName + "." + Ref.Name);
+      NEXT_IF_CONTINUE(throwJvm("java/lang/NoSuchFieldError",
+                                Ref.ClassName + "." + Ref.Name));
     if (QuickEntry *Q = quicken(Idx)) {
       Q->Holder = Holder;
       Q->Name = Ref.Name;
@@ -1607,15 +1633,15 @@ JvmThread::StepResult JvmThread::step() {
           desc::slotSize(Ref.Descriptor) == 2 ? pop2() : pop();
     }
     F.Pc += 3;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Getfield) {
     uint16_t Idx = rdU2(C, F.Pc + 1);
     ConstantPool::MemberRef Ref = F.M->Owner->Cf.Pool.memberRef(Idx);
     Object *Obj = pop().R;
     if (!Obj)
-      return throwJvm("java/lang/NullPointerException",
-                      "getfield " + Ref.Name);
+      NEXT_IF_CONTINUE(throwJvm("java/lang/NullPointerException",
+                                "getfield " + Ref.Name));
     Value V;
     if (Vm.mode() == ExecutionMode::DoppioJS) {
       // §6.7: dictionary keyed on the field name.
@@ -1625,7 +1651,7 @@ JvmThread::StepResult JvmThread::step() {
     } else {
       FieldInfo *FI = Obj->klass()->findField(Ref.Name);
       if (!FI)
-        return throwJvm("java/lang/NoSuchFieldError", Ref.Name);
+        NEXT_IF_CONTINUE(throwJvm("java/lang/NoSuchFieldError", Ref.Name));
       V = Obj->getSlot(FI->SlotIndex);
       if (V.K == Value::Kind::Empty)
         V = ArrayObject::defaultElement(Ref.Descriptor);
@@ -1640,7 +1666,7 @@ JvmThread::StepResult JvmThread::step() {
     else
       push(V);
     F.Pc += 3;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Putfield) {
     uint16_t Idx = rdU2(C, F.Pc + 1);
@@ -1648,14 +1674,14 @@ JvmThread::StepResult JvmThread::step() {
     Value V = desc::slotSize(Ref.Descriptor) == 2 ? pop2() : pop();
     Object *Obj = pop().R;
     if (!Obj)
-      return throwJvm("java/lang/NullPointerException",
-                      "putfield " + Ref.Name);
+      NEXT_IF_CONTINUE(throwJvm("java/lang/NullPointerException",
+                                "putfield " + Ref.Name));
     if (Vm.mode() == ExecutionMode::DoppioJS) {
       Obj->setFieldByName(Ref.Name, V);
     } else {
       FieldInfo *FI = Obj->klass()->findField(Ref.Name);
       if (!FI)
-        return throwJvm("java/lang/NoSuchFieldError", Ref.Name);
+        NEXT_IF_CONTINUE(throwJvm("java/lang/NoSuchFieldError", Ref.Name));
       Obj->setSlot(FI->SlotIndex, V);
     }
     if (QuickEntry *Q = quicken(Idx)) {
@@ -1664,7 +1690,7 @@ JvmThread::StepResult JvmThread::step() {
       Q->Wide = desc::slotSize(Ref.Descriptor) == 2;
     }
     F.Pc += 3;
-    return StepResult::Continue;
+    NEXT();
   }
 
   // Invocations (§6.1 call-boundary suspend checks live in the helpers) ---
@@ -1676,11 +1702,12 @@ JvmThread::StepResult JvmThread::step() {
     if (!K)
       return R;
     if (!ensureInitialized(K, R))
-      return R;
+      NEXT_IF_CONTINUE(R);
     Method *M = K->findMethod(Ref.Name, Ref.Descriptor);
     if (!M)
-      return throwJvm("java/lang/NoSuchMethodError",
-                      Ref.ClassName + "." + Ref.Name + Ref.Descriptor);
+      NEXT_IF_CONTINUE(
+          throwJvm("java/lang/NoSuchMethodError",
+                   Ref.ClassName + "." + Ref.Name + Ref.Descriptor));
     if (QuickEntry *Q = quicken(Idx)) {
       Q->Holder = K;
       Q->Callee = M;
@@ -1692,11 +1719,9 @@ JvmThread::StepResult JvmThread::step() {
       Object *Lock = Vm.mirrorOf(M->Owner);
       Monitor &Mon = Lock->monitor();
       if (Mon.OwnerTid != -1 && Mon.OwnerTid != Tid)
-        return monitorEnter(Lock) == StepResult::Block
-                   ? StepResult::Block
-                   : StepResult::Continue;
+        NEXT_IF_CONTINUE(monitorEnter(Lock));
     }
-    return invokeMethod(M, /*HasReceiver=*/false, /*InsnLen=*/3);
+    NEXT_IF_CONTINUE(invokeMethod(M, /*HasReceiver=*/false, /*InsnLen=*/3));
   }
   OPC(Invokespecial)
   OPC(Invokevirtual)
@@ -1712,8 +1737,8 @@ JvmThread::StepResult JvmThread::step() {
     int ArgSlots = desc::paramSlots(*D);
     Value Receiver = peek(ArgSlots);
     if (!Receiver.R)
-      return throwJvm("java/lang/NullPointerException",
-                      "invoke " + Ref.Name);
+      NEXT_IF_CONTINUE(throwJvm("java/lang/NullPointerException",
+                                "invoke " + Ref.Name));
     Method *M = nullptr;
     if (O == Op::Invokespecial) {
       M = K->findMethod(Ref.Name, Ref.Descriptor);
@@ -1724,10 +1749,12 @@ JvmThread::StepResult JvmThread::step() {
         M = K->findMethod(Ref.Name, Ref.Descriptor);
     }
     if (!M)
-      return throwJvm("java/lang/NoSuchMethodError",
-                      Ref.ClassName + "." + Ref.Name + Ref.Descriptor);
+      NEXT_IF_CONTINUE(
+          throwJvm("java/lang/NoSuchMethodError",
+                   Ref.ClassName + "." + Ref.Name + Ref.Descriptor));
     if (M->isAbstract())
-      return throwJvm("java/lang/AbstractMethodError", M->qualifiedName());
+      NEXT_IF_CONTINUE(throwJvm("java/lang/AbstractMethodError",
+                                M->qualifiedName()));
     if (QuickEntry *Q = quicken(Idx)) {
       Q->Holder = K;
       Q->Name = Ref.Name;
@@ -1739,11 +1766,9 @@ JvmThread::StepResult JvmThread::step() {
     if (M->isSynchronized()) {
       Monitor &Mon = Receiver.R->monitor();
       if (Mon.OwnerTid != -1 && Mon.OwnerTid != Tid)
-        return monitorEnter(Receiver.R) == StepResult::Block
-                   ? StepResult::Block
-                   : StepResult::Continue;
+        NEXT_IF_CONTINUE(monitorEnter(Receiver.R));
     }
-    return invokeMethod(M, /*HasReceiver=*/true, InsnLen);
+    NEXT_IF_CONTINUE(invokeMethod(M, /*HasReceiver=*/true, InsnLen));
   }
 
   // Allocation -------------------------------------------------------------
@@ -1755,28 +1780,28 @@ JvmThread::StepResult JvmThread::step() {
     if (!K)
       return R;
     if (!ensureInitialized(K, R))
-      return R;
+      NEXT_IF_CONTINUE(R);
     if (K->isInterface() || (K->AccessFlags & AccAbstract))
-      return throwJvm("java/lang/InstantiationError", Name);
+      NEXT_IF_CONTINUE(throwJvm("java/lang/InstantiationError", Name));
     if (QuickEntry *Q = quicken(Idx)) {
       Q->Holder = K;
       Q->Name = Name;
     }
     push(Value::ref(Vm.allocObject(K)));
     F.Pc += 3;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Newarray) {
     int32_t Len = pop().I;
     if (Len < 0)
-      return throwJvm("java/lang/NegativeArraySizeException",
-                      std::to_string(Len));
+      NEXT_IF_CONTINUE(throwJvm("java/lang/NegativeArraySizeException",
+                                std::to_string(Len)));
     static const char *Descs[] = {"Z", "C", "F", "D", "B", "S", "I", "J"};
     uint8_t AType = rdU1(C, F.Pc + 1);
     assert(AType >= 4 && AType <= 11 && "bad newarray type");
     push(Value::ref(Vm.allocArrayOf(Descs[AType - 4], Len)));
     F.Pc += 2;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Anewarray) {
     uint16_t Idx = rdU2(C, F.Pc + 1);
@@ -1787,12 +1812,12 @@ JvmThread::StepResult JvmThread::step() {
       return R;
     int32_t Len = pop().I;
     if (Len < 0)
-      return throwJvm("java/lang/NegativeArraySizeException",
-                      std::to_string(Len));
+      NEXT_IF_CONTINUE(throwJvm("java/lang/NegativeArraySizeException",
+                                std::to_string(Len)));
     std::string ElemDesc = desc::toFieldDesc(ElemName);
     push(Value::ref(Vm.allocArrayOf(ElemDesc, Len)));
     F.Pc += 3;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Multianewarray) {
     uint16_t Idx = rdU2(C, F.Pc + 1);
@@ -1806,8 +1831,8 @@ JvmThread::StepResult JvmThread::step() {
       Counts[I] = pop().I;
     for (int32_t N : Counts)
       if (N < 0)
-        return throwJvm("java/lang/NegativeArraySizeException",
-                        std::to_string(N));
+        NEXT_IF_CONTINUE(throwJvm("java/lang/NegativeArraySizeException",
+                                  std::to_string(N)));
     // Recursive allocation of the nested arrays.
     std::function<Object *(const std::string &, size_t)> Build =
         [&](const std::string &Desc, size_t Dim) -> Object * {
@@ -1820,15 +1845,16 @@ JvmThread::StepResult JvmThread::step() {
     };
     push(Value::ref(Build(ArrayDesc, 0)));
     F.Pc += 4;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Arraylength) {
     Object *Ref = pop().R;
     if (!Ref)
-      return throwJvm("java/lang/NullPointerException", "arraylength");
+      NEXT_IF_CONTINUE(throwJvm("java/lang/NullPointerException",
+                                "arraylength"));
     push(Value::intVal(static_cast<ArrayObject *>(Ref)->length()));
     ++F.Pc;
-    return StepResult::Continue;
+    NEXT();
   }
 
   // Casts ------------------------------------------------------------------
@@ -1845,10 +1871,11 @@ JvmThread::StepResult JvmThread::step() {
     }
     Object *Obj = peek().R;
     if (Obj && !isInstanceOfKlass(Vm, Obj, K))
-      return throwJvm("java/lang/ClassCastException",
-                      Obj->klass()->Name + " cannot be cast to " + Name);
+      NEXT_IF_CONTINUE(
+          throwJvm("java/lang/ClassCastException",
+                   Obj->klass()->Name + " cannot be cast to " + Name));
     F.Pc += 3;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Instanceof) {
     uint16_t Idx = rdU2(C, F.Pc + 1);
@@ -1864,20 +1891,21 @@ JvmThread::StepResult JvmThread::step() {
     Object *Obj = pop().R;
     push(Value::intVal(isInstanceOfKlass(Vm, Obj, K) ? 1 : 0));
     F.Pc += 3;
-    return StepResult::Continue;
+    NEXT();
   }
 
   // Exceptions and monitors --------------------------------------------------
   OPC(Athrow) {
     Object *Ex = pop().R;
     if (!Ex)
-      return throwJvm("java/lang/NullPointerException", "athrow");
-    return dispatchException(Ex);
+      NEXT_IF_CONTINUE(throwJvm("java/lang/NullPointerException", "athrow"));
+    NEXT_IF_CONTINUE(dispatchException(Ex));
   }
   OPC(Monitorenter) {
     Object *Obj = peek().R;
     if (!Obj)
-      return throwJvm("java/lang/NullPointerException", "monitorenter");
+      NEXT_IF_CONTINUE(throwJvm("java/lang/NullPointerException",
+                                "monitorenter"));
     StepResult R = monitorEnter(Obj);
     if (R == StepResult::Block)
       return R; // pc unchanged; retried when the owner releases.
@@ -1887,17 +1915,18 @@ JvmThread::StepResult JvmThread::step() {
     ++Vm.stats().ContextSwitchPoints;
     if (wantsSuspend())
       return StepResult::Yield;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(Monitorexit) {
     Object *Obj = pop().R;
     if (!Obj)
-      return throwJvm("java/lang/NullPointerException", "monitorexit");
+      NEXT_IF_CONTINUE(throwJvm("java/lang/NullPointerException",
+                                "monitorexit"));
     // An unowned monitor throws. Return the dispatch outcome directly:
     // when a handler in this frame catches, dispatch already repointed
     // pc at it, and the ++F.Pc below would skip its first instruction.
     if (Obj->monitor().OwnerTid != Tid)
-      return monitorExit(Obj);
+      NEXT_IF_CONTINUE(monitorExit(Obj));
     StepResult R = monitorExit(Obj);
     if (R != StepResult::Continue)
       return R;
@@ -1905,11 +1934,11 @@ JvmThread::StepResult JvmThread::step() {
     ++Vm.stats().ContextSwitchPoints;
     if (wantsSuspend())
       return StepResult::Yield;
-    return StepResult::Continue;
+    NEXT();
   }
 
   OPC(Wide)
-    return stepWide(F);
+    NEXT_IF_CONTINUE(stepWide(F));
 
   // Quickened forms (DESIGN.md §18) --------------------------------------
   // Each handler replays its base instruction from the resolution the
@@ -1923,7 +1952,7 @@ JvmThread::StepResult JvmThread::step() {
         O == Op::LdcQuick ? rdU1(C, F.Pc + 1) : rdU2(C, F.Pc + 1);
     push(F.M->Owner->quickEntry(Idx).Constant);
     F.Pc += O == Op::LdcQuick ? 2 : 3;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(GetstaticQuick) {
     QuickEntry &Q = F.M->Owner->quickEntry(rdU2(C, F.Pc + 1));
@@ -1932,20 +1961,20 @@ JvmThread::StepResult JvmThread::step() {
     else
       push(*Q.StaticCell);
     F.Pc += 3;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(PutstaticQuick) {
     QuickEntry &Q = F.M->Owner->quickEntry(rdU2(C, F.Pc + 1));
     *Q.StaticCell = Q.Wide ? pop2() : pop();
     F.Pc += 3;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(GetfieldQuick) {
     QuickEntry &Q = F.M->Owner->quickEntry(rdU2(C, F.Pc + 1));
     Object *Obj = pop().R;
     if (!Obj)
-      return throwJvm("java/lang/NullPointerException",
-                      "getfield " + Q.Name);
+      NEXT_IF_CONTINUE(throwJvm("java/lang/NullPointerException",
+                                "getfield " + Q.Name));
     Value V;
     if (Vm.mode() == ExecutionMode::DoppioJS) {
       // Monomorphic inline cache over the §6.7 field dictionary: on a
@@ -1978,7 +2007,7 @@ JvmThread::StepResult JvmThread::step() {
       if (Obj->klass() != Q.IcKlass || !Q.Field) {
         Q.Field = Obj->klass()->findField(Q.Name);
         if (!Q.Field)
-          return throwJvm("java/lang/NoSuchFieldError", Q.Name);
+          NEXT_IF_CONTINUE(throwJvm("java/lang/NoSuchFieldError", Q.Name));
         Q.IcKlass = Obj->klass();
       }
       V = Obj->getSlot(Q.Field->SlotIndex);
@@ -1990,15 +2019,15 @@ JvmThread::StepResult JvmThread::step() {
     else
       push(V);
     F.Pc += 3;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(PutfieldQuick) {
     QuickEntry &Q = F.M->Owner->quickEntry(rdU2(C, F.Pc + 1));
     Value V = Q.Wide ? pop2() : pop();
     Object *Obj = pop().R;
     if (!Obj)
-      return throwJvm("java/lang/NullPointerException",
-                      "putfield " + Q.Name);
+      NEXT_IF_CONTINUE(throwJvm("java/lang/NullPointerException",
+                                "putfield " + Q.Name));
     if (Vm.mode() == ExecutionMode::DoppioJS) {
       Value *Cell = nullptr;
       if (Vm.profile().InlineCaches && Obj->klass() == Q.IcKlass)
@@ -2019,13 +2048,13 @@ JvmThread::StepResult JvmThread::step() {
       if (Obj->klass() != Q.IcKlass || !Q.Field) {
         Q.Field = Obj->klass()->findField(Q.Name);
         if (!Q.Field)
-          return throwJvm("java/lang/NoSuchFieldError", Q.Name);
+          NEXT_IF_CONTINUE(throwJvm("java/lang/NoSuchFieldError", Q.Name));
         Q.IcKlass = Obj->klass();
       }
       Obj->setSlot(Q.Field->SlotIndex, V);
     }
     F.Pc += 3;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(InvokestaticQuick) {
     Method *M = F.M->Owner->quickEntry(rdU2(C, F.Pc + 1)).Callee;
@@ -2033,27 +2062,23 @@ JvmThread::StepResult JvmThread::step() {
       Object *Lock = Vm.mirrorOf(M->Owner);
       Monitor &Mon = Lock->monitor();
       if (Mon.OwnerTid != -1 && Mon.OwnerTid != Tid)
-        return monitorEnter(Lock) == StepResult::Block
-                   ? StepResult::Block
-                   : StepResult::Continue;
+        NEXT_IF_CONTINUE(monitorEnter(Lock));
     }
-    return invokeMethod(M, /*HasReceiver=*/false, /*InsnLen=*/3);
+    NEXT_IF_CONTINUE(invokeMethod(M, /*HasReceiver=*/false, /*InsnLen=*/3));
   }
   OPC(InvokespecialQuick) {
     QuickEntry &Q = F.M->Owner->quickEntry(rdU2(C, F.Pc + 1));
     Method *M = Q.Callee;
     Value Receiver = peek(Q.ArgSlots);
     if (!Receiver.R)
-      return throwJvm("java/lang/NullPointerException",
-                      "invoke " + Q.Name);
+      NEXT_IF_CONTINUE(throwJvm("java/lang/NullPointerException",
+                                "invoke " + Q.Name));
     if (M->isSynchronized()) {
       Monitor &Mon = Receiver.R->monitor();
       if (Mon.OwnerTid != -1 && Mon.OwnerTid != Tid)
-        return monitorEnter(Receiver.R) == StepResult::Block
-                   ? StepResult::Block
-                   : StepResult::Continue;
+        NEXT_IF_CONTINUE(monitorEnter(Receiver.R));
     }
-    return invokeMethod(M, /*HasReceiver=*/true, /*InsnLen=*/3);
+    NEXT_IF_CONTINUE(invokeMethod(M, /*HasReceiver=*/true, /*InsnLen=*/3));
   }
   OPC(InvokevirtualQuick)
   OPC(InvokeinterfaceQuick) {
@@ -2061,8 +2086,8 @@ JvmThread::StepResult JvmThread::step() {
     uint32_t InsnLen = O == Op::InvokeinterfaceQuick ? 5 : 3;
     Value Receiver = peek(Q.ArgSlots);
     if (!Receiver.R)
-      return throwJvm("java/lang/NullPointerException",
-                      "invoke " + Q.Name);
+      NEXT_IF_CONTINUE(throwJvm("java/lang/NullPointerException",
+                                "invoke " + Q.Name));
     Klass *RK = Receiver.R->klass();
     Method *M;
     if (Vm.profile().InlineCaches && RK == Q.IcKlass) {
@@ -2075,11 +2100,12 @@ JvmThread::StepResult JvmThread::step() {
       if (!M)
         M = Q.Holder->findMethod(Q.Name, Q.Descriptor);
       if (!M)
-        return throwJvm("java/lang/NoSuchMethodError",
-                        Q.Holder->Name + "." + Q.Name + Q.Descriptor);
+        NEXT_IF_CONTINUE(
+            throwJvm("java/lang/NoSuchMethodError",
+                     Q.Holder->Name + "." + Q.Name + Q.Descriptor));
       if (M->isAbstract())
-        return throwJvm("java/lang/AbstractMethodError",
-                        M->qualifiedName());
+        NEXT_IF_CONTINUE(throwJvm("java/lang/AbstractMethodError",
+                                  M->qualifiedName()));
       if (Vm.profile().InlineCaches) {
         Vm.noteIcMiss();
         Q.IcKlass = RK;
@@ -2089,38 +2115,37 @@ JvmThread::StepResult JvmThread::step() {
     if (M->isSynchronized()) {
       Monitor &Mon = Receiver.R->monitor();
       if (Mon.OwnerTid != -1 && Mon.OwnerTid != Tid)
-        return monitorEnter(Receiver.R) == StepResult::Block
-                   ? StepResult::Block
-                   : StepResult::Continue;
+        NEXT_IF_CONTINUE(monitorEnter(Receiver.R));
     }
-    return invokeMethod(M, /*HasReceiver=*/true, InsnLen);
+    NEXT_IF_CONTINUE(invokeMethod(M, /*HasReceiver=*/true, InsnLen));
   }
   OPC(NewQuick) {
     QuickEntry &Q = F.M->Owner->quickEntry(rdU2(C, F.Pc + 1));
     push(Value::ref(Vm.allocObject(Q.Holder)));
     F.Pc += 3;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(CheckcastQuick) {
     QuickEntry &Q = F.M->Owner->quickEntry(rdU2(C, F.Pc + 1));
     Object *Obj = peek().R;
     if (Obj && !isInstanceOfKlass(Vm, Obj, Q.Holder))
-      return throwJvm("java/lang/ClassCastException",
-                      Obj->klass()->Name + " cannot be cast to " + Q.Name);
+      NEXT_IF_CONTINUE(
+          throwJvm("java/lang/ClassCastException",
+                   Obj->klass()->Name + " cannot be cast to " + Q.Name));
     F.Pc += 3;
-    return StepResult::Continue;
+    NEXT();
   }
   OPC(InstanceofQuick) {
     QuickEntry &Q = F.M->Owner->quickEntry(rdU2(C, F.Pc + 1));
     Object *Obj = pop().R;
     push(Value::intVal(isInstanceOfKlass(Vm, Obj, Q.Holder) ? 1 : 0));
     F.Pc += 3;
-    return StepResult::Continue;
+    NEXT();
   }
 
   OPC_ILLEGAL
-    return throwJvm("java/lang/ClassFormatError",
-                    "illegal opcode " + std::to_string(C[F.Pc]));
+    NEXT_IF_CONTINUE(throwJvm("java/lang/ClassFormatError",
+                              "illegal opcode " + std::to_string(C[F.Pc])));
 #ifndef DOPPIO_COMPUTED_GOTO
   }
 #endif
@@ -2128,6 +2153,8 @@ JvmThread::StepResult JvmThread::step() {
 
 #undef OPC
 #undef OPC_ILLEGAL
+#undef NEXT
+#undef NEXT_IF_CONTINUE
 
 JvmThread::StepResult JvmThread::stepWide(Frame &F) {
   const std::vector<uint8_t> &C = F.M->Code.Bytecode;

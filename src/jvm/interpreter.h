@@ -114,7 +114,11 @@ public:
 private:
   enum class StepResult { Continue, Yield, Block, Done };
 
+  /// Executes bytecodes on the top frame until the thread yields, blocks
+  /// or finishes; never returns Continue (handlers dispatch the next
+  /// bytecode in place, DESIGN.md §18).
   StepResult step();
+  /// The wide prefix; returns Continue to step() like any helper.
   StepResult stepWide(Frame &F);
   /// Guarded path for frames the verifier did not prove: bounds-checks
   /// the next instruction's stack pops/pushes and locals accesses before

@@ -3,8 +3,9 @@
 // Software 64-bit arithmetic from 32-bit pieces. The structure mirrors what
 // a JavaScript implementation (like DoppioJVM's gLong) performs: additions
 // carry through 16-bit chunks, multiplication is the schoolbook product of
-// 16-bit digits, and division is binary shift-subtract — all expressible
-// with JS doubles.
+// 16-bit digits, and division is schoolbook long division over 16-bit
+// digits (Knuth's Algorithm D) — all expressible with JS doubles, since no
+// intermediate reaches 2^32.
 //
 //===----------------------------------------------------------------------===//
 
@@ -82,33 +83,92 @@ Long64 jvm::mulLong(Long64 A, Long64 B) {
   return {Out[0] | (Out[1] << 16), Out[2] | (Out[3] << 16)};
 }
 
-/// Unsigned comparison of halves.
-static bool ugeLong(Long64 A, Long64 B) {
-  if (A.Hi != B.Hi)
-    return A.Hi > B.Hi;
-  return A.Lo >= B.Lo;
-}
-
-/// Unsigned shift-subtract division of magnitudes: 64 iterations, each one
-/// built from 32-bit operations — exactly why software long division is so
-/// slow in the browser (§8).
+/// Unsigned division of magnitudes: schoolbook long division over four
+/// base-2^16 digits (Knuth, TAOCP vol. 2, 4.3.1, Algorithm D). A one-digit
+/// divisor takes short division. Every intermediate — a two-digit
+/// numerator, q̂ times a digit, one step of the multiply-subtract — stays
+/// below 2^32, so a JS double computes each one exactly, as gLong's
+/// division must.
 static void udivmod(Long64 N, Long64 D, Long64 &Q, Long64 &R) {
-  Q = {0, 0};
-  R = {0, 0};
-  for (int Bit = 63; Bit >= 0; --Bit) {
-    // R <<= 1; R.lo0 = bit of N.
-    R = jvm::shlLong(R, 1);
-    uint32_t NBit = Bit >= 32 ? ((N.Hi >> (Bit - 32)) & 1)
-                              : ((N.Lo >> Bit) & 1);
-    R.Lo |= NBit;
-    if (ugeLong(R, D)) {
-      R = jvm::subLong(R, D);
-      if (Bit >= 32)
-        Q.Hi |= 1u << (Bit - 32);
-      else
-        Q.Lo |= 1u << Bit;
+  uint32_t U[5] = {N.Lo & 0xFFFF, N.Lo >> 16, N.Hi & 0xFFFF, N.Hi >> 16, 0};
+  uint32_t V[4] = {D.Lo & 0xFFFF, D.Lo >> 16, D.Hi & 0xFFFF, D.Hi >> 16};
+  int M = 4, Nd = 4; // Significant digits of the dividend and divisor.
+  while (M > 0 && U[M - 1] == 0)
+    --M;
+  while (Nd > 1 && V[Nd - 1] == 0)
+    --Nd;
+  uint32_t QD[4] = {0, 0, 0, 0};
+  if (M < Nd) { // Dividend below the divisor.
+    Q = {0, 0};
+    R = N;
+    return;
+  }
+  if (Nd == 1) {
+    uint32_t Rem = 0;
+    for (int I = M - 1; I >= 0; --I) {
+      uint32_t Cur = Rem * 0x10000 + U[I];
+      QD[I] = Cur / V[0];
+      Rem = Cur % V[0];
+    }
+    Q = {QD[0] | (QD[1] << 16), QD[2] | (QD[3] << 16)};
+    R = {Rem, 0};
+    return;
+  }
+  // D1: normalize so the divisor's top digit has its high bit set; the
+  // dividend gains a digit U[M].
+  int S = 0;
+  while (!((V[Nd - 1] << S) & 0x8000))
+    ++S;
+  for (int I = Nd - 1; I > 0; --I)
+    V[I] = ((V[I] << S) | (V[I - 1] >> (16 - S))) & 0xFFFF;
+  V[0] = (V[0] << S) & 0xFFFF;
+  U[M] = U[M - 1] >> (16 - S);
+  for (int I = M - 1; I > 0; --I)
+    U[I] = ((U[I] << S) | (U[I - 1] >> (16 - S))) & 0xFFFF;
+  U[0] = (U[0] << S) & 0xFFFF;
+  for (int J = M - Nd; J >= 0; --J) {
+    // D3: estimate q̂ from the top two digits, then correct it at most
+    // twice against the next divisor digit.
+    uint32_t Num = U[J + Nd] * 0x10000 + U[J + Nd - 1];
+    uint32_t QHat = Num / V[Nd - 1];
+    uint32_t RHat = Num % V[Nd - 1];
+    while (QHat >= 0x10000 ||
+           QHat * V[Nd - 2] > RHat * 0x10000 + U[J + Nd - 2]) {
+      --QHat;
+      RHat += V[Nd - 1];
+      if (RHat >= 0x10000)
+        break;
+    }
+    // D4: subtract q̂ times the divisor from the current window.
+    int32_t Borrow = 0;
+    for (int I = 0; I != Nd; ++I) {
+      uint32_t P = QHat * V[I];
+      int32_t T = static_cast<int32_t>(U[I + J]) - Borrow -
+                  static_cast<int32_t>(P & 0xFFFF);
+      U[I + J] = static_cast<uint32_t>(T) & 0xFFFF;
+      Borrow = static_cast<int32_t>(P >> 16) - (T >> 16);
+    }
+    int32_t T = static_cast<int32_t>(U[J + Nd]) - Borrow;
+    U[J + Nd] = static_cast<uint32_t>(T) & 0xFFFF;
+    QD[J] = QHat;
+    if (T < 0) {
+      // D6: q̂ was one too large (rare); add the divisor back.
+      --QD[J];
+      uint32_t Carry = 0;
+      for (int I = 0; I != Nd; ++I) {
+        uint32_t Sum = U[I + J] + V[I] + Carry;
+        U[I + J] = Sum & 0xFFFF;
+        Carry = Sum >> 16;
+      }
+      U[J + Nd] = (U[J + Nd] + Carry) & 0xFFFF;
     }
   }
+  // D8: the remainder is the low Nd digits, shifted back.
+  uint32_t RD[4] = {0, 0, 0, 0};
+  for (int I = 0; I != Nd; ++I)
+    RD[I] = ((U[I] >> S) | (U[I + 1] << (16 - S))) & 0xFFFF;
+  Q = {QD[0] | (QD[1] << 16), QD[2] | (QD[3] << 16)};
+  R = {RD[0] | (RD[1] << 16), RD[2] | (RD[3] << 16)};
 }
 
 Long64 jvm::divLong(Long64 A, Long64 B) {

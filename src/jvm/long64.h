@@ -11,11 +11,12 @@
 /// extremely slow when compared to normal numeric operations" (§8). This is
 /// that implementation: a long is a pair of 32-bit halves, and every
 /// arithmetic operation is built from operations a JS engine could perform
-/// (32-bit chunks with manual carries, shift-subtract division). The
-/// DoppioJS execution mode routes all JVM `long` bytecodes through these
-/// functions; the NativeHotspot baseline uses hardware int64 instead, which
-/// is a large part of the measured gap on long-heavy benchmarks (pidigits,
-/// Figure 4).
+/// (16-bit chunks with manual carries, and division as schoolbook long
+/// division over 16-bit digits whose every intermediate stays below 2^32).
+/// The DoppioJS execution mode routes all JVM `long` bytecodes through
+/// these functions; the NativeHotspot baseline uses hardware int64
+/// instead. The virtual clock charges the paper's gLong costs for them
+/// (DESIGN.md §8), not the host cost of this code.
 ///
 //===----------------------------------------------------------------------===//
 

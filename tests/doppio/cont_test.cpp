@@ -10,6 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "browser/wire.h"
 #include "doppio/backends/in_memory.h"
 #include "doppio/cont/continuation.h"
 #include "doppio/cont/snapshot.h"
@@ -22,6 +23,9 @@
 #include "jvm/proc_program.h"
 
 #include "gtest/gtest.h"
+
+#include <algorithm>
+#include <optional>
 
 using namespace doppio;
 using namespace doppio::rt;
@@ -444,6 +448,112 @@ TEST(JvmCheckpoint, NotQuiescentAndCorruptImagesAreRefusedCleanly) {
                     [&](ErrorOr<bool> Res) { Failed = !Res.ok(); });
     Dst.Env.loop().run();
     EXPECT_TRUE(Failed) << "cut at " << Cut;
+  }
+
+  // A frame that disagrees with its method is refused: pc outside the
+  // code, a locals array that is not max_locals long, or an operand stack
+  // deeper than max_stack. Each forgery edits the main frame of a
+  // well-formed mid-run image, which itself restores cleanly.
+  JvmRig Mid(browser::chromeProfile());
+  ASSERT_TRUE(
+      Mid.Root->seedFile("/classes/Ticker.class", tickerClassBytes(3000)));
+  jvm::Jvm MidVm(Mid.Env, *Mid.Fs, Mid.Proc, jvm::JvmOptions());
+  MidVm.runMain("Ticker", {}, [](int) {});
+  MidRunCapture Cap;
+  Cap.arm(Mid, MidVm, /*MinOutput=*/8);
+  Mid.Env.loop().run();
+  ASSERT_FALSE(Cap.Image.empty()) << "never found a quiescent point";
+  const jvm::Method *Main =
+      MidVm.loader().lookup("Ticker")->findDeclaredMethod(
+          "main", "([Ljava/lang/String;)V");
+  ASSERT_NE(Main, nullptr);
+
+  // Frame record: owner, name and descriptor strings, then pc u32,
+  // monitor u32, <clinit> owner string, locals count and values, operand
+  // count and values.
+  snap::Writer Key(0, 0);
+  Key.str("Ticker");
+  Key.str("main");
+  Key.str("([Ljava/lang/String;)V");
+  std::vector<uint8_t> Needle = Key.take();
+  Needle.erase(Needle.begin(), Needle.begin() + 8); // Writer's header.
+  const std::vector<uint8_t> &Image = Cap.Image;
+  size_t PcAt = static_cast<size_t>(
+      std::search(Image.begin(), Image.end(), Needle.begin(), Needle.end()) -
+      Image.begin());
+  ASSERT_LT(PcAt, Image.size()) << "main frame not found in the image";
+  PcAt += Needle.size();
+  auto U32At = [&Image](size_t At) {
+    return browser::wire::getU32(&Image[At]);
+  };
+  auto ValueSize = [](uint8_t Kind) -> size_t {
+    switch (static_cast<jvm::Value::Kind>(Kind)) {
+    case jvm::Value::Kind::Long:
+    case jvm::Value::Kind::Double:
+      return 1 + 8;
+    case jvm::Value::Kind::Empty:
+      return 1;
+    default:
+      return 1 + 4;
+    }
+  };
+  size_t LocalsAt = PcAt + 8 + 4 + U32At(PcAt + 8);
+  uint32_t NumLocals = U32At(LocalsAt);
+  ASSERT_EQ(NumLocals, Main->Code.MaxLocals);
+  ASSERT_GT(NumLocals, 0u);
+  size_t LastLocalAt = LocalsAt + 4;
+  for (uint32_t L = 1; L < NumLocals; ++L)
+    LastLocalAt += ValueSize(Image[LastLocalAt]);
+  size_t StackAt = LastLocalAt + ValueSize(Image[LastLocalAt]);
+  uint32_t Depth = U32At(StackAt);
+  size_t StackEnd = StackAt + 4;
+  for (uint32_t S = 0; S != Depth; ++S)
+    StackEnd += ValueSize(Image[StackEnd]);
+  auto PutU32 = [](std::vector<uint8_t> &B, size_t At, uint32_t V) {
+    std::vector<uint8_t> Bytes;
+    browser::wire::putU32(Bytes, V);
+    std::copy(Bytes.begin(), Bytes.end(), B.begin() + At);
+  };
+
+  std::vector<uint8_t> PcOutside = Image;
+  PutU32(PcOutside, PcAt,
+         static_cast<uint32_t>(Main->Code.Bytecode.size()));
+  std::vector<uint8_t> TooFewLocals = Image;
+  PutU32(TooFewLocals, LocalsAt, NumLocals - 1);
+  TooFewLocals.erase(TooFewLocals.begin() + LastLocalAt,
+                     TooFewLocals.begin() + StackAt);
+  std::vector<uint8_t> TooDeep = Image;
+  uint32_t Extra = Main->Code.MaxStack + 1 - Depth;
+  PutU32(TooDeep, StackAt, Depth + Extra);
+  TooDeep.insert(TooDeep.begin() + StackEnd, Extra,
+                 static_cast<uint8_t>(jvm::Value::Kind::Empty));
+
+  struct Forgery {
+    const char *Name;
+    const std::vector<uint8_t> *Bytes;
+    bool Refused;
+  };
+  for (const Forgery &Fg :
+       {Forgery{"well-formed", &Image, false},
+        Forgery{"pc outside the code", &PcOutside, true},
+        Forgery{"locals below max_locals", &TooFewLocals, true},
+        Forgery{"operands over max_stack", &TooDeep, true}}) {
+    SCOPED_TRACE(Fg.Name);
+    JvmRig Dst(browser::chromeProfile());
+    ASSERT_TRUE(
+        Dst.Root->seedFile("/classes/Ticker.class", tickerClassBytes(3000)));
+    jvm::Jvm VmB(Dst.Env, *Dst.Fs, Dst.Proc, jvm::JvmOptions());
+    std::optional<ErrorOr<bool>> Result;
+    jvm::restoreJvm(VmB, *Fg.Bytes, [](int) {},
+                    [&](ErrorOr<bool> Res) { Result = std::move(Res); });
+    Dst.Env.loop().run();
+    ASSERT_TRUE(Result.has_value());
+    if (!Fg.Refused) {
+      EXPECT_TRUE(Result->ok());
+      continue;
+    }
+    ASSERT_FALSE(Result->ok());
+    EXPECT_EQ(Result->error().Code, Errno::Io);
   }
 }
 

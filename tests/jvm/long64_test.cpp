@@ -12,6 +12,7 @@
 
 #include <limits>
 #include <random>
+#include <string>
 
 using namespace doppio;
 using namespace doppio::jvm;
@@ -113,6 +114,121 @@ TEST(Long64, ShiftsMatchHardware) {
           << A << ">>>" << S;
     }
   }
+}
+
+/// Checks divLong and remLong on \p A / \p B in all four sign
+/// combinations against hardware int64.
+void expectDivisionMatchesHardware(int64_t A, int64_t B) {
+  for (int64_t SA : {A, -A})
+    for (int64_t SB : {B, -B}) {
+      Long64 LA = Long64::fromBits(SA), LB = Long64::fromBits(SB);
+      EXPECT_EQ(divLong(LA, LB).bits(), SA / SB) << SA << "/" << SB;
+      EXPECT_EQ(remLong(LA, LB).bits(), SA % SB) << SA << "%" << SB;
+    }
+}
+
+// Directed tests of udivmod's base-2^16 long division (Knuth's Algorithm
+// D). Random operands reach its rare branches too seldom to rely on.
+
+TEST(Long64Division, DivisorsOfOneToFourDigits) {
+  // The divisor's significant 16-bit digits pick the path: one digit is
+  // short division, two to four run Algorithm D over 3, 2 and 1 quotient
+  // digits.
+  const int64_t Dividend = 0x7123456789ABCDEFll;
+  for (int64_t Divisor : {0x1ll, 0x7ll, 0xFFFFll, 0x10000ll, 0x12345ll,
+                          0xFFFFFFFFll, 0x100000000ll, 0x123456789ll,
+                          0xFFFFFFFFFFFFll, 0x1000000000000ll,
+                          0x123456789ABCDll, 0x7123456789ABCDEEll,
+                          0x7123456789ABCDEFll})
+    expectDivisionMatchesHardware(Dividend, Divisor);
+  // A dividend with fewer digits than the divisor is all remainder.
+  expectDivisionMatchesHardware(0xFFFF, 0x10000);
+  expectDivisionMatchesHardware(0x12345678, 0x123456789ABCll);
+}
+
+TEST(Long64Division, EveryNormalizationShift) {
+  // The divisor's top digit has its high bit at 15 - S, so D1 shifts
+  // divisor and dividend left by exactly S bits.
+  for (int S = 0; S != 16; ++S) {
+    int64_t Top = (0x8000 >> S) | (0x5A5A >> S);
+    for (int Digits = 2; Digits != 5; ++Digits) {
+      if (Digits == 4 && S == 0)
+        continue; // Top digit 0x8000... is not a positive int64.
+      int64_t Divisor = Top << (16 * (Digits - 1)) | 0x1357;
+      SCOPED_TRACE("shift " + std::to_string(S) + ", digits " +
+                   std::to_string(Digits));
+      const int64_t Dividends[] = {0x7FEDCBA987654321ll, Divisor - 1,
+                                   Divisor + 1, Divisor / 3};
+      for (int64_t Dividend : Dividends)
+        expectDivisionMatchesHardware(Dividend, Divisor);
+    }
+  }
+}
+
+TEST(Long64Division, QuotientDigitCorrection) {
+  // Operands found with an instrumented copy of udivmod. D3's estimate
+  // q̂ from the top two digits is too large and the loop lowers it before
+  // the multiply-subtract.
+  struct Case {
+    int64_t A, B;
+  };
+  const Case Cases[] = {
+      // One correction.
+      {0x6f7ce81100027fffll, 0x8000fffe1309ll},
+      {0x7ffe00029cff0002ll, 0x2f8118000ll},
+      // Two corrections.
+      {0x7ffe7356e053fffell, 0x8001fffe0002ll},
+      {0x7fff0bda80010001ll, 0x8001dcf6b36ell},
+      // q̂ starts at 2^16 or above (equal top digits), then corrects.
+      {0x80001b076cf5ll, 0x8000ffffll},
+      {0x7fff6d66863da70bll, 0x7fff7a80ll},
+  };
+  for (const Case &C : Cases)
+    expectDivisionMatchesHardware(C.A, C.B);
+}
+
+TEST(Long64Division, AddBackStep) {
+  // D6: q̂ survives the correction loop one too large, the subtraction
+  // goes negative, and the divisor is added back. Random operands take
+  // this branch about once per 2^15 quotient digits; these were found
+  // with an instrumented copy of udivmod. A two-digit divisor never
+  // needs it: there the correction test already compares every digit.
+  struct Case {
+    int64_t A, B, Q, R;
+  };
+  const Case Cases[] = {
+      // Three-digit divisors, normalization shifts 0, 3 and 13.
+      {0x471a8000ffff8000ll, 0x80000001ffffll, 36404, 140737011781172ll},
+      {0x64280001cff9fffell, 0x800000026611ll, 51279, 140737211480255ll},
+      {0x1538826eab3fdc7bll, 0x18c258cb57bbll, 56169, 27222774376392ll},
+      {0xda73c673885fe5ll, 0x6707ff147ll, 2223245, 27656980426ll},
+      // Four-digit divisors just above the dividend: q̂ = 1 is one too
+      // large (shifts 1 and 15).
+      {0x7fff000180010002ll, 0x7fff0001a9e6c2f6ll, 0, 0x7fff000180010002ll},
+      {0x18001fffefffell, 0x18001fffffffell, 0, 0x18001fffefffell},
+  };
+  for (const Case &C : Cases) {
+    Long64 LA = Long64::fromBits(C.A), LB = Long64::fromBits(C.B);
+    EXPECT_EQ(divLong(LA, LB).bits(), C.Q) << C.A << "/" << C.B;
+    EXPECT_EQ(remLong(LA, LB).bits(), C.R) << C.A << "%" << C.B;
+    expectDivisionMatchesHardware(C.A, C.B);
+  }
+}
+
+TEST(Long64Division, MinValueOperands) {
+  // |MIN| does not fit a positive int64; its magnitude is 2^63 unsigned.
+  const int64_t Min = std::numeric_limits<int64_t>::min();
+  Long64 LMin = Long64::fromBits(Min);
+  const int64_t Divisors[] = {2, 3, -7, 0x10000, 0x123456789,
+                              std::numeric_limits<int64_t>::max(), Min};
+  for (int64_t B : Divisors) {
+    EXPECT_EQ(divLong(LMin, Long64::fromBits(B)).bits(), Min / B) << B;
+    EXPECT_EQ(remLong(LMin, Long64::fromBits(B)).bits(), Min % B) << B;
+  }
+  EXPECT_EQ(divLong(LMin, Long64::fromBits(-1)).bits(), Min); // Wraps.
+  EXPECT_EQ(remLong(LMin, Long64::fromBits(-1)).bits(), 0);
+  EXPECT_EQ(divLong(Long64::fromBits(5), LMin).bits(), 0);
+  EXPECT_EQ(remLong(Long64::fromBits(-5), LMin).bits(), -5);
 }
 
 // Property sweep: random 64-bit operands.
