@@ -44,9 +44,10 @@ struct CheckpointAccess {
   static int &exitCode(Jvm &Vm) { return Vm.ExitCode; }
   static int32_t &mainTid(Jvm &Vm) { return Vm.MainTid; }
   static std::function<void(int)> &mainDone(Jvm &Vm) { return Vm.MainDone; }
-  static std::vector<Frame> &callStack(JvmThread &T) { return T.CallStack; }
-  static void configureSuspendChecks(JvmThread &T, Frame &F) {
-    T.configureSuspendChecks(F);
+  static Frame *placeFrame(JvmThread &T, Method *M,
+                           std::span<const Value> Locals,
+                           std::span<const Value> Operands) {
+    return T.placeFrame(M, Locals, Operands);
   }
   static bool &finished(JvmThread &T) { return T.Finished; }
   static bool &uncaught(JvmThread &T) { return T.Uncaught; }
@@ -260,9 +261,13 @@ void writeThread(Writer &W, Jvm &Vm, JvmThread &T, const ObjectIds &Ids) {
     W.i64(T.PendingReacquire->Count);
   }
   W.u64(T.WaitGeneration);
+  // Each frame is written from its two windows into the thread's value
+  // array (DESIGN.md §9): the wire form keeps one locals and one operand
+  // array per frame.
   const std::vector<Frame> &Stack = T.callStack();
   W.u32(static_cast<uint32_t>(Stack.size()));
-  for (const Frame &F : Stack) {
+  for (size_t I = 0; I != Stack.size(); ++I) {
+    const Frame &F = Stack[I];
     assert(F.M && F.M->Owner && "frame without a resolved method");
     W.str(F.M->Owner->Name);
     W.str(F.M->Name);
@@ -270,11 +275,12 @@ void writeThread(Writer &W, Jvm &Vm, JvmThread &T, const ObjectIds &Ids) {
     W.u32(F.Pc);
     W.u32(Ids.of(F.Locked));
     W.str(F.ClinitOf ? F.ClinitOf->Name : std::string());
-    W.u32(static_cast<uint32_t>(F.Locals.size()));
-    for (const Value &V : F.Locals)
-      writeValue(W, V, Ids);
-    W.u32(static_cast<uint32_t>(F.Stack.size()));
-    for (const Value &V : F.Stack)
+    W.u32(static_cast<uint32_t>(F.Stack - F.Locals));
+    for (const Value *V = F.Locals; V != F.Stack; ++V)
+      writeValue(W, *V, Ids);
+    std::span<const Value> Operands = T.operands(I);
+    W.u32(static_cast<uint32_t>(Operands.size()));
+    for (const Value &V : Operands)
       writeValue(W, V, Ids);
   }
 }
@@ -627,19 +633,20 @@ void finishRestore(const std::shared_ptr<RestoreState> &St) {
       Raw->PendingReacquire = JvmThread::Reacquire{Obj, Count};
     }
     Raw->WaitGeneration = R.u64();
-    std::vector<Frame> Stack;
+    // Each frame is decoded into temporaries and checked against its
+    // method, then placed on top of the thread's value array.
     for (uint32_t N = R.u32(); N != 0 && R.ok() && ValuesOk; --N) {
       std::string KName = R.str();
       std::string MName = R.str();
       std::string MDesc = R.str();
-      Frame F;
-      F.Pc = R.u32();
-      F.Locked = ObjAt(R.u32());
+      uint32_t Pc = R.u32();
+      Object *Locked = ObjAt(R.u32());
       std::string ClinitName = R.str();
+      std::vector<Value> Locals, Operands;
       for (uint32_t L = R.u32(); L != 0 && R.ok(); --L)
-        F.Locals.push_back(readValue(R, Objects, ValuesOk));
+        Locals.push_back(readValue(R, Objects, ValuesOk));
       for (uint32_t S = R.u32(); S != 0 && R.ok(); --S)
-        F.Stack.push_back(readValue(R, Objects, ValuesOk));
+        Operands.push_back(readValue(R, Objects, ValuesOk));
       Klass *K = Vm.loader().lookup(KName);
       Method *M = K ? K->findDeclaredMethod(MName, MDesc) : nullptr;
       if (!M) {
@@ -649,23 +656,26 @@ void finishRestore(const std::shared_ptr<RestoreState> &St) {
       // The interpreter indexes a frame by its method's verified bounds
       // (DESIGN.md §12), so a frame that disagrees with its method is
       // refused here rather than trusted there.
-      if (F.Pc >= M->Code.Bytecode.size() ||
-          F.Locals.size() != M->Code.MaxLocals ||
-          F.Stack.size() > M->Code.MaxStack) {
+      if (Pc >= M->Code.Bytecode.size() ||
+          Locals.size() != M->Code.MaxLocals ||
+          Operands.size() > M->Code.MaxStack) {
         St->fail(rt::Errno::Io, "frame of " + KName + "." + MName +
                                     " does not fit its method");
         return;
       }
-      F.M = M;
-      F.ClinitOf = ClinitName.empty() ? nullptr : Vm.loader().lookup(ClinitName);
-      // Trust is a property of this VM's verifier run, not of the image.
-      F.Trusted = M->Verified && Vm.profile().TrustVerifier;
-      // Same for suspend-check placement: re-derive from this VM's mode
-      // and the restored method's analysis verdict (DESIGN.md §17).
-      CheckpointAccess::configureSuspendChecks(*Raw, F);
-      Stack.push_back(std::move(F));
+      // Trust and suspend-check placement are re-derived from this VM's
+      // verifier run and mode, not taken from the image (DESIGN.md §17).
+      Frame *F = CheckpointAccess::placeFrame(*Raw, M, Locals, Operands);
+      if (!F) {
+        St->fail(rt::Errno::Io, "call stack of thread " +
+                                    std::to_string(Tid) + " is too deep");
+        return;
+      }
+      F->Pc = Pc;
+      F->Locked = Locked;
+      F->ClinitOf =
+          ClinitName.empty() ? nullptr : Vm.loader().lookup(ClinitName);
     }
-    CheckpointAccess::callStack(*Raw) = std::move(Stack);
     rt::ThreadPool::ThreadId Got = Vm.pool().spawn(std::move(T));
     assert(Got == Tid && "pool and image thread order diverged");
     (void)Got;

@@ -170,19 +170,70 @@ static bool isInstanceOfKlass(Jvm &Vm, Object *O, Klass *Target) {
 
 void JvmThread::pushEntryFrame(Method *M, std::vector<Value> Args) {
   assert(M->HasCode && "entry frame needs bytecode");
-  Frame F;
-  F.M = M;
   // Spread args into slots (category-2 values get padding).
+  std::vector<Value> Locals;
   for (const Value &V : Args) {
-    F.Locals.push_back(V);
+    Locals.push_back(V);
     if (V.isCategory2())
-      F.Locals.push_back(Value());
+      Locals.push_back(Value());
   }
-  F.Locals.resize(M->Code.MaxLocals);
-  F.Stack.reserve(M->Code.MaxStack);
+  Locals.resize(M->Code.MaxLocals);
+  Frame *F = placeFrame(M, Locals, {});
+  assert(F && "an entry frame always fits");
+  (void)F;
+}
+
+//===----------------------------------------------------------------------===//
+// The value array (DESIGN.md §9)
+//===----------------------------------------------------------------------===//
+
+bool JvmThread::reserveFrame(size_t Base, const Method &M) {
+  // One slot of slack above max_stack: a caught exception is pushed even
+  // into a frame whose (unverified) max_stack is 0.
+  size_t Need = Base + M.Code.MaxLocals + M.Code.MaxStack + 1;
+  if (CallStack.size() >= MaxCallDepth || Need > MaxStackSlots)
+    return false;
+  if (Need <= Values.size())
+    return true;
+  std::vector<Value> Grown(
+      std::min(MaxStackSlots, std::max({Need, 2 * Values.size(),
+                                        InitialStackSlots})));
+  std::copy(Values.data(), Sp, Grown.data());
+  for (Frame &F : CallStack) {
+    F.Locals = Grown.data() + (F.Locals - Values.data());
+    F.Stack = Grown.data() + (F.Stack - Values.data());
+  }
+  Sp = Grown.data() + top();
+  Values.swap(Grown);
+  return true;
+}
+
+Frame &JvmThread::pushFrame(Method *M, size_t Base, size_t ArgSlots) {
+  // Built in place: a by-value Frame copied in costs more than the rest
+  // of the call.
+  Frame &F = CallStack.emplace_back();
+  F.M = M;
+  F.Locals = Values.data() + Base;
+  F.Stack = F.Locals + M->Code.MaxLocals;
+  std::fill(F.Locals + std::min<size_t>(ArgSlots, M->Code.MaxLocals),
+            F.Stack, Value());
   F.Trusted = M->Verified && Vm.profile().TrustVerifier;
   configureSuspendChecks(F);
-  CallStack.push_back(std::move(F));
+  Sp = F.Stack;
+  return F;
+}
+
+Frame *JvmThread::placeFrame(Method *M, std::span<const Value> Locals,
+                             std::span<const Value> Operands) {
+  assert(Locals.size() == M->Code.MaxLocals && "locals must fill the window");
+  assert(Operands.size() <= M->Code.MaxStack && "operands past max_stack");
+  size_t Base = top();
+  if (!reserveFrame(Base, *M))
+    return nullptr;
+  Frame &F = pushFrame(M, Base, 0);
+  std::copy(Locals.begin(), Locals.end(), F.Locals);
+  Sp = std::copy(Operands.begin(), Operands.end(), F.Stack);
+  return &F;
 }
 
 std::string JvmThread::stackTrace() const {
@@ -347,8 +398,8 @@ JvmThread::StepResult JvmThread::dispatchException(Object *Ex) {
           if (!Catch || !isInstanceOfKlass(Vm, Ex, Catch))
             continue;
         }
-        F.Stack.clear();
-        F.Stack.push_back(Value::ref(Ex));
+        Sp = F.Stack;
+        push(Value::ref(Ex));
         F.Pc = H.HandlerPc;
         // Handler entry is a check site in Placed mode: the throwing
         // path may have run check-free since the last kept site, and the
@@ -363,6 +414,7 @@ JvmThread::StepResult JvmThread::dispatchException(Object *Ex) {
       releaseMonitor(F.Locked);
     if (F.ClinitOf)
       F.ClinitOf->Init = Klass::InitState::Initialized;
+    Sp = F.Locals;
     CallStack.pop_back();
   }
   // Uncaught: report and terminate the thread ("exits with an error").
@@ -420,14 +472,15 @@ bool JvmThread::ensureInitialized(Klass *K, StepResult &Out) {
     // Loop: more ancestors (or K itself) may still need work.
     return ensureInitialized(K, Out);
   }
-  Frame F;
-  F.M = Clinit;
-  F.Locals.resize(Clinit->Code.MaxLocals);
-  F.Stack.reserve(Clinit->Code.MaxStack);
-  F.ClinitOf = Top;
-  F.Trusted = Clinit->Verified && Vm.profile().TrustVerifier;
-  configureSuspendChecks(F);
-  CallStack.push_back(std::move(F));
+  // The <clinit> frame sits on the caller's stack top, which the
+  // re-executed instruction then finds intact.
+  size_t Base = top();
+  if (!reserveFrame(Base, *Clinit)) {
+    Top->Init = Klass::InitState::Uninitialized;
+    Out = throwJvm("java/lang/StackOverflowError", Clinit->qualifiedName());
+    return false;
+  }
+  pushFrame(Clinit, Base, 0).ClinitOf = Top;
   ++Vm.stats().MethodInvocations;
   Out = StepResult::Continue; // Re-executes the triggering instruction
   // A <clinit> push is a method-entry boundary like any invoke; outside
@@ -533,35 +586,32 @@ JvmThread::StepResult JvmThread::invokeMethod(Method *M, bool HasReceiver,
   // The caller resolved everything and handled synchronization
   // contention; the argument slots sit on its operand stack and pc still
   // points at the invoke instruction.
-  Frame &Caller = CallStack.back();
   size_t TotalSlots = M->ParamSlots + (HasReceiver ? 1 : 0);
-  size_t ArgsAt = Caller.Stack.size() - TotalSlots;
-  const Value *Slots = Caller.Stack.data() + ArgsAt;
+  size_t ArgsAt = top() - TotalSlots;
   ++Vm.stats().MethodInvocations;
 
   if (M->isNative()) {
-    std::vector<Value> Args = unpackArgs(Slots, *M, HasReceiver);
-    Caller.Stack.resize(ArgsAt);
+    std::vector<Value> Args =
+        unpackArgs(Values.data() + ArgsAt, *M, HasReceiver);
+    Sp = Values.data() + ArgsAt;
     return invokeNative(M, std::move(Args), InsnLen);
   }
 
   if (!M->HasCode) {
-    Caller.Stack.resize(ArgsAt);
+    Sp = Values.data() + ArgsAt;
     return throwJvm("java/lang/AbstractMethodError", M->qualifiedName());
   }
 
-  Caller.Pc += InsnLen; // Return lands after the invoke.
-  Frame F;
-  F.M = M;
-  // The argument slots become the callee's first locals, copied straight
-  // off the caller's operand stack.
-  F.Locals.resize(M->Code.MaxLocals);
-  std::copy_n(Slots, std::min<size_t>(TotalSlots, M->Code.MaxLocals),
-              F.Locals.begin());
-  Caller.Stack.resize(ArgsAt);
-  F.Stack.reserve(M->Code.MaxStack);
-  F.Trusted = M->Verified && Vm.profile().TrustVerifier;
-  configureSuspendChecks(F);
+  // The callee's locals start on the first argument slot, as in HotSpot's
+  // interpreter: the arguments are already its first locals. The array
+  // may move here, so the window pointers are formed after.
+  if (!reserveFrame(ArgsAt, *M)) {
+    // Pc still points at the invoke, so the handler search sees it.
+    Sp = Values.data() + ArgsAt;
+    return throwJvm("java/lang/StackOverflowError", M->qualifiedName());
+  }
+  CallStack.back().Pc += InsnLen; // Return lands after the invoke.
+  Frame &F = pushFrame(M, ArgsAt, TotalSlots);
   if (M->isSynchronized()) {
     Object *Lock = HasReceiver ? F.Locals[0].R : Vm.mirrorOf(M->Owner);
     // Contention was checked by the caller before popping; entering here
@@ -571,7 +621,6 @@ JvmThread::StepResult JvmThread::invokeMethod(Method *M, bool HasReceiver,
     (void)R;
     F.Locked = Lock;
   }
-  CallStack.push_back(std::move(F));
   // "DoppioJVM checks at each function call boundary whether it should
   // suspend" (§6.1).
   if (wantsSuspend())
@@ -585,6 +634,9 @@ JvmThread::returnFromFrame(std::optional<Value> Ret) {
   if (F.Locked)
     releaseMonitor(F.Locked);
   Klass *InitDone = F.ClinitOf;
+  // The caller's stack top drops to this frame's base, where the
+  // arguments were: the return value lands in their place.
+  Sp = F.Locals;
   CallStack.pop_back();
   if (InitDone)
     InitDone->Init = Klass::InitState::Initialized;
@@ -647,9 +699,10 @@ bool JvmThread::guardedPrecheck(Frame &F, StepResult &Out) {
     return false;
   }
   const char *Fault = nullptr;
-  if (F.Stack.size() < static_cast<size_t>(E.Pops))
+  size_t Depth = static_cast<size_t>(Sp - F.Stack);
+  if (Depth < static_cast<size_t>(E.Pops))
     Fault = "stack underflow at ";
-  else if (F.Stack.size() - E.Pops + E.Pushes > Code.MaxStack)
+  else if (Depth - E.Pops + E.Pushes > Code.MaxStack)
     Fault = "stack overflow at ";
   else if (E.LocalTop >= Code.MaxLocals)
     Fault = "local out of bounds at ";

@@ -5,15 +5,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The DoppioJVM interpreter: all 201 JVM-spec-2 opcodes over an explicit,
-/// heap-allocated call stack — "DoppioJVM's stack frame is a JavaScript
-/// object that contains an array for the operand stack, an array for the
-/// local variables, and a reference to the method that the stack frame
-/// belongs to. The call stack is simply an array of these stack frame
-/// objects" (§6.1). Because the stack is explicit, the thread can suspend
-/// at any call boundary (automatic event segmentation), block on
-/// asynchronous natives (§4.2/§6.3), switch threads at monitor points
-/// (§6.2), and dispatch exceptions by walking the virtual stack (§6.6).
+/// The DoppioJVM interpreter: all 201 JVM-spec-2 opcodes over an explicit
+/// call stack — "DoppioJVM's stack frame is a JavaScript object that
+/// contains an array for the operand stack, an array for the local
+/// variables, and a reference to the method that the stack frame belongs
+/// to. The call stack is simply an array of these stack frame objects"
+/// (§6.1). Because the stack is explicit, the thread can suspend at any
+/// call boundary (automatic event segmentation), block on asynchronous
+/// natives (§4.2/§6.3), switch threads at monitor points (§6.2), and
+/// dispatch exceptions by walking the virtual stack (§6.6).
+///
+/// The two per-frame arrays are windows into one contiguous value array
+/// per thread (DESIGN.md §9): a frame's locals sit directly below its
+/// operand stack, and a callee's locals start on its caller's first
+/// argument slot, so the arguments are already in place and a call or
+/// return moves no values. The frame list stays explicit, so
+/// introspection, suspension and serialization work as before.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,20 +32,27 @@
 #include "jvm/klass.h"
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace doppio {
 namespace jvm {
 
-/// One frame of the explicit call stack (§6.1).
+/// One frame of the explicit call stack (§6.1): two windows into its
+/// thread's value array. It owns no memory, and the pointers are rebased
+/// whenever the array grows (JvmThread::reserveFrame).
 struct Frame {
   Method *M = nullptr;
   uint32_t Pc = 0;
-  /// Local variable array; category-2 values take a slot plus padding.
-  std::vector<Value> Locals;
-  /// The operand stack; same two-slot convention as the specification.
-  std::vector<Value> Stack;
+  /// Local variables, [Locals, Stack): max_locals slots, the first of
+  /// them the caller's argument slots. Category-2 values take a slot plus
+  /// padding.
+  Value *Locals = nullptr;
+  /// The operand stack, Locals + max_locals upward, same two-slot
+  /// convention. It ends at the next frame's Locals, or at the thread's
+  /// stack top for the top frame.
+  Value *Stack = nullptr;
   /// Monitor held by a synchronized method (released on exit/unwind).
   Object *Locked = nullptr;
   /// When this frame is a <clinit>, the class to mark initialized on
@@ -77,6 +91,20 @@ public:
   bool finished() const { return Finished; }
   bool uncaughtException() const { return Uncaught; }
   const std::vector<Frame> &callStack() const { return CallStack; }
+  /// The live operand stack of callStack()[\p I].
+  std::span<const Value> operands(size_t I) const {
+    return {CallStack[I].Stack,
+            I + 1 == CallStack.size() ? Sp : CallStack[I + 1].Locals};
+  }
+
+  /// Slots a thread's value array starts with: small, since most guest
+  /// threads stay shallow, and doubled on demand.
+  static constexpr size_t InitialStackSlots = 1024;
+  /// StackOverflowError bounds, checked where a frame is pushed: frames
+  /// per thread, and slots in the thread's value array. Both sit far above
+  /// what any shipped program reaches.
+  static constexpr size_t MaxCallDepth = size_t{1} << 14;
+  static constexpr size_t MaxStackSlots = size_t{1} << 20;
 
   /// The java.lang.Thread object bound to this thread (may be null for
   /// the main thread until Thread.currentThread materializes it).
@@ -109,7 +137,10 @@ public:
 
   /// Tears the call stack down (System.exit): the invoking native returns
   /// into an empty stack and the thread terminates.
-  void killForExit() { CallStack.clear(); }
+  void killForExit() {
+    CallStack.clear();
+    Sp = Values.data();
+  }
 
 private:
   enum class StepResult { Continue, Yield, Block, Done };
@@ -126,25 +157,21 @@ private:
   /// the dispatch outcome in \p Out.
   bool guardedPrecheck(Frame &F, StepResult &Out);
 
-  // Operand stack helpers (two-slot convention for category 2).
-  void push(Value V) { CallStack.back().Stack.push_back(V); }
+  // Operand stack helpers (two-slot convention for category 2). No
+  // capacity checks: a trusted frame's depth is proven within max_stack,
+  // guardedPrecheck bounds every other frame's pushes, and reserveFrame
+  // made room for max_stack above the locals.
+  void push(Value V) { *Sp++ = V; }
   void push2(Value V) {
     push(V);
     push(Value()); // Padding slot.
   }
-  Value pop() {
-    Value V = CallStack.back().Stack.back();
-    CallStack.back().Stack.pop_back();
-    return V;
-  }
+  Value pop() { return *--Sp; }
   Value pop2() {
-    CallStack.back().Stack.pop_back(); // Padding.
+    --Sp; // Padding.
     return pop();
   }
-  Value &peek(int Depth = 0) {
-    auto &S = CallStack.back().Stack;
-    return S[S.size() - 1 - Depth];
-  }
+  Value &peek(int Depth = 0) { return Sp[-1 - Depth]; }
   /// Pushes a value using the slot convention its kind demands.
   void pushSlotted(Value V) {
     if (V.isCategory2())
@@ -169,6 +196,25 @@ private:
   /// Ensures static initialization; pushes a <clinit> frame and asks the
   /// caller to re-execute when initialization is pending.
   bool ensureInitialized(Klass *K, StepResult &Out);
+
+  // The value array (DESIGN.md §9).
+  /// Slot index of the stack top.
+  size_t top() const { return static_cast<size_t>(Sp - Values.data()); }
+  /// The single growth point: makes room for a frame of \p M whose locals
+  /// start at slot \p Base, reallocating the array and rebasing every
+  /// frame's windows and Sp when it is too small. Returns false, changing
+  /// nothing, when the frame would pass MaxCallDepth or MaxStackSlots.
+  /// Nothing may hold a window pointer across this call.
+  bool reserveFrame(size_t Base, const Method &M);
+  /// Pushes a frame of \p M at slot \p Base, room for which reserveFrame
+  /// made: the first \p ArgSlots locals are already in place, the rest
+  /// are cleared, and the operand stack starts empty.
+  Frame &pushFrame(Method *M, size_t Base, size_t ArgSlots);
+  /// Pushes a frame of \p M on top of the stack with copies of \p Locals
+  /// (max_locals slots) and \p Operands; null, pushing nothing, past the
+  /// StackOverflowError bounds. For entry frames and checkpoint restore.
+  Frame *placeFrame(Method *M, std::span<const Value> Locals,
+                    std::span<const Value> Operands);
 
   // Invocation.
   StepResult invokeMethod(Method *M, bool HasReceiver,
@@ -199,6 +245,10 @@ private:
   Jvm &Vm;
   int32_t Tid;
   std::vector<Frame> CallStack;
+  /// Every frame's locals and operand stack, bottom frame first.
+  std::vector<Value> Values;
+  /// One past the top frame's topmost operand.
+  Value *Sp = nullptr;
   bool Finished = false;
   bool Uncaught = false;
   /// Dispatched bytecodes awaiting a virtual-clock charge, flushed at

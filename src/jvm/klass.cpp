@@ -45,14 +45,13 @@ FieldInfo *Klass::findField(const std::string &FName) {
   return nullptr;
 }
 
-QuickEntry &Klass::quickEntry(uint16_t CpIndex) {
+QuickEntry &Klass::newQuickEntry(uint16_t CpIndex) {
   if (QuickPool.empty())
     QuickPool.resize(Cf.Pool.size());
   assert(CpIndex < QuickPool.size() && "quickening an out-of-pool index");
-  std::unique_ptr<QuickEntry> &Slot = QuickPool[CpIndex];
-  if (!Slot)
-    Slot = std::make_unique<QuickEntry>();
-  return *Slot;
+  assert(!QuickPool[CpIndex] && "quick entry already exists");
+  QuickPool[CpIndex] = std::make_unique<QuickEntry>();
+  return *QuickPool[CpIndex];
 }
 
 int Klass::fastFieldId(const std::string &FName) {

@@ -180,14 +180,22 @@ public:
   /// The quickening side table for \p CpIndex, created on first use
   /// (DESIGN.md §18). Indexed by constant-pool index of the rewritten
   /// instruction's operand; lazily sized to the pool on first quickening
-  /// so classes that never quicken pay nothing.
-  QuickEntry &quickEntry(uint16_t CpIndex);
+  /// so classes that never quicken pay nothing. The hit path every quick
+  /// handler takes is inline; creation is out of line.
+  QuickEntry &quickEntry(uint16_t CpIndex) {
+    if (CpIndex < QuickPool.size())
+      if (QuickEntry *Q = QuickPool[CpIndex].get())
+        return *Q;
+    return newQuickEntry(CpIndex);
+  }
   /// Interns \p Name into this class's dense field-id space, used to
   /// index Object::fastCell inline-cache slots. Ids are consecutive from
   /// zero per klass and never recycled.
   int fastFieldId(const std::string &Name);
 
 private:
+  QuickEntry &newQuickEntry(uint16_t CpIndex);
+
   std::vector<std::unique_ptr<QuickEntry>> QuickPool;
   std::unordered_map<std::string, int> FastFieldIds;
 };

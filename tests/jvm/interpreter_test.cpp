@@ -8,6 +8,8 @@
 
 #include "jvm_test_util.h"
 
+#include "jvm/checkpoint.h"
+
 #include "gtest/gtest.h"
 
 using namespace doppio;
@@ -31,6 +33,15 @@ void printlnInt(MethodBuilder &M) {
   M.getstatic("java/lang/System", "out", Out)
       .op(Op::Swap)
       .invokevirtual("java/io/PrintStream", "println", PrintlnI);
+}
+
+/// Emits: System.out.println(<long on stack>).
+void printlnLong(MethodBuilder &M) {
+  M.invokestatic("java/lang/Long", "toString", "(J)Ljava/lang/String;")
+      .getstatic("java/lang/System", "out", Out)
+      .op(Op::Swap)
+      .invokevirtual("java/io/PrintStream", "println",
+                     "(Ljava/lang/String;)V");
 }
 
 class BothModes : public ::testing::TestWithParam<ExecutionMode> {};
@@ -125,28 +136,20 @@ TEST_P(BothModes, LongArithmeticSoftwareVsHardware) {
   JvmRig Rig(GetParam());
   ClassBuilder B("Main");
   MethodBuilder &M = mainOf(B);
-  auto PrintL = [&](MethodBuilder &MB) {
-    MB.invokestatic("java/lang/Long", "toString",
-                    "(J)Ljava/lang/String;")
-        .getstatic("java/lang/System", "out", Out)
-        .op(Op::Swap)
-        .invokevirtual("java/io/PrintStream", "println",
-                       "(Ljava/lang/String;)V");
-  };
   M.lconst(123456789012345ll).lconst(987654321ll).op(Op::Ladd);
-  PrintL(M);
+  printlnLong(M);
   M.lconst(1ll << 40).lconst(3).op(Op::Lmul);
-  PrintL(M);
+  printlnLong(M);
   M.lconst(-1000000000000ll).lconst(7).op(Op::Ldiv);
-  PrintL(M);
+  printlnLong(M);
   M.lconst(-1000000000000ll).lconst(7).op(Op::Lrem);
-  PrintL(M);
+  printlnLong(M);
   M.lconst(1).iconst(62).op(Op::Lshl);
-  PrintL(M);
+  printlnLong(M);
   M.lconst(-8).iconst(1).op(Op::Lshr);
-  PrintL(M);
+  printlnLong(M);
   M.lconst(-8).iconst(1).op(Op::Lushr);
-  PrintL(M);
+  printlnLong(M);
   M.op(Op::Return);
   Rig.addClass(B);
   EXPECT_EQ(Rig.run("Main"), 0);
@@ -833,6 +836,356 @@ TEST_P(BothModes, JsEvalInterop) {
   });
   EXPECT_EQ(Rig.run("Main"), 0);
   EXPECT_EQ(Rig.out(), "3\n");
+}
+
+//===----------------------------------------------------------------------===//
+// Frames as windows over one value array per thread (DESIGN.md §9)
+//===----------------------------------------------------------------------===//
+
+/// static long down(int n, long acc) {
+///   return n == 0 ? acc : (long)n + down(n - 1, acc + n); }
+/// The caller's (long)n stays live on its operand stack below the
+/// arguments, so every level leaves five slots in the array: three locals
+/// and the live long. down(n, 0) == n * (n + 1). With \p Bottom, the
+/// deepest level returns Bottom(acc) instead of acc.
+void addDown(ClassBuilder &B, const char *Bottom = nullptr) {
+  MethodBuilder &D = B.method(AccPublic | AccStatic, "down", "(IJ)J");
+  MethodBuilder::Label Recurse = D.newLabel();
+  D.iload(0).branch(Op::Ifne, Recurse).lload(1);
+  if (Bottom)
+    D.invokestatic("Main", Bottom, "(J)J");
+  D.op(Op::Lreturn);
+  D.bind(Recurse)
+      .iload(0)
+      .op(Op::I2l)
+      .iload(0)
+      .iconst(1)
+      .op(Op::Isub)
+      .lload(1)
+      .iload(0)
+      .op(Op::I2l)
+      .op(Op::Ladd)
+      .invokestatic("Main", "down", "(IJ)J")
+      .op(Op::Ladd)
+      .op(Op::Lreturn);
+}
+
+TEST_P(BothModes, DeepRecursionGrowsTheValueArray) {
+  // 2000 levels of five slots each pass 4x the initial array, so the
+  // array grows (and every frame is rebased) at least three times while
+  // the live operands and category-2 arguments below the top must
+  // survive each move.
+  constexpr int Depth = 2000;
+  static_assert(Depth * 5 > 4 * JvmThread::InitialStackSlots);
+  JvmRig Rig(GetParam());
+  ClassBuilder B("Main");
+  addDown(B);
+  MethodBuilder &M = mainOf(B);
+  M.iconst(Depth).lconst(0).invokestatic("Main", "down", "(IJ)J");
+  printlnLong(M);
+  M.op(Op::Return);
+  Rig.addClass(B);
+  EXPECT_EQ(Rig.run("Main"), 0);
+  EXPECT_EQ(Rig.out(), std::to_string(int64_t{Depth} * (Depth + 1)) + "\n");
+}
+
+TEST_P(BothModes, CategoryTwoArgumentsAndParameterStores) {
+  // static double g(long a, int b, double c) {
+  //   a *= 3; b += 5; c *= 2; return a + b + c; }
+  // The callee's stores land in slots that were the caller's argument
+  // slots; the caller's live operands below them must not change.
+  JvmRig Rig(GetParam());
+  ClassBuilder B("Main");
+  MethodBuilder &G = B.method(AccPublic | AccStatic, "g", "(JID)D");
+  G.lload(0).lconst(3).op(Op::Lmul).lstore(0);
+  G.iinc(2, 5);
+  G.dload(3).dconst(2.0).op(Op::Dmul).dstore(3);
+  G.lload(0)
+      .op(Op::L2d)
+      .iload(2)
+      .op(Op::I2d)
+      .op(Op::Dadd)
+      .dload(3)
+      .op(Op::Dadd)
+      .op(Op::Dreturn);
+  MethodBuilder &M = mainOf(B);
+  // 1000 + (int)g(7, 2, 1.25) = 1000 + (21 + 7 + 2.5) -> 1030; then a
+  // long and a double below a second call's arguments.
+  M.iconst(1000)
+      .lconst(7)
+      .iconst(2)
+      .dconst(1.25)
+      .invokestatic("Main", "g", "(JID)D")
+      .op(Op::D2i)
+      .op(Op::Iadd);
+  printlnInt(M);
+  M.lconst(-5)
+      .dconst(0.5)
+      .lconst(1)
+      .iconst(-5)
+      .dconst(-0.25)
+      .invokestatic("Main", "g", "(JID)D") // 3 + 0 - 0.5 = 2.5
+      .op(Op::Dadd)                        // 0.5 + 2.5 = 3
+      .op(Op::D2l)
+      .op(Op::Lmul); // -5 * 3
+  printlnLong(M);
+  M.op(Op::Return);
+  Rig.addClass(B);
+  EXPECT_EQ(Rig.run("Main"), 0);
+  EXPECT_EQ(Rig.out(), "1030\n-15\n");
+}
+
+TEST_P(BothModes, SynchronizedCalleeAndNativeCallAtDepth) {
+  // static synchronized int s(int n) {
+  //   if (n == 0) { System.out.println(n); return (int)Math.sqrt(144.0); }
+  //   return s(n - 1) + 1; }
+  // Each level re-enters the class monitor; the natives run with 64
+  // frames below them and return into the deepest window.
+  JvmRig Rig(GetParam());
+  ClassBuilder B("Main");
+  MethodBuilder &S =
+      B.method(AccPublic | AccStatic | AccSynchronized, "s", "(I)I");
+  MethodBuilder::Label Recurse = S.newLabel();
+  S.iload(0).branch(Op::Ifne, Recurse).iload(0);
+  printlnInt(S);
+  S.dconst(144.0)
+      .invokestatic("java/lang/Math", "sqrt", "(D)D")
+      .op(Op::D2i)
+      .op(Op::Ireturn);
+  S.bind(Recurse)
+      .iload(0)
+      .iconst(1)
+      .op(Op::Isub)
+      .invokestatic("Main", "s", "(I)I")
+      .iconst(1)
+      .op(Op::Iadd)
+      .op(Op::Ireturn);
+  MethodBuilder &M = mainOf(B);
+  M.iconst(64).invokestatic("Main", "s", "(I)I");
+  printlnInt(M);
+  M.op(Op::Return);
+  Rig.addClass(B);
+  EXPECT_EQ(Rig.run("Main"), 0);
+  EXPECT_EQ(Rig.out(), "0\n76\n");
+  Object *Mirror = Rig.vm().mirrorOf(Rig.vm().loader().lookup("Main"));
+  EXPECT_EQ(Mirror->monitor().OwnerTid, -1) << "every level released it";
+  EXPECT_EQ(Mirror->monitor().EntryCount, 0);
+}
+
+TEST_P(BothModes, ExceptionAtDepthResetsTheCatchingFrame) {
+  // static int t(int n) {
+  //   if (n == 0) throw new IllegalStateException("deep"); return t(n-1); }
+  // static int c() { try { return 5 + 9L + t(40); }  // Live operands.
+  //                  catch (IllegalStateException e) { ... } }
+  // The handler starts with the exception alone on c's stack and then
+  // fills the stack to exactly max_stack. Run guarded, a stale slot left
+  // below the exception would be a VerifyError, not a wrong answer.
+  for (bool Trusted : {true, false}) {
+    SCOPED_TRACE(Trusted ? "trusted" : "guarded");
+    JvmRig Rig(GetParam());
+    Rig.Options.Exec.TrustVerifier = Trusted;
+    ClassBuilder B("Main");
+    MethodBuilder &T = B.method(AccPublic | AccStatic, "t", "(I)I");
+    MethodBuilder::Label Recurse = T.newLabel();
+    T.iload(0).branch(Op::Ifne, Recurse);
+    T.anew("java/lang/IllegalStateException")
+        .op(Op::Dup)
+        .ldcString("deep")
+        .invokespecial("java/lang/IllegalStateException", "<init>",
+                       "(Ljava/lang/String;)V")
+        .op(Op::Athrow);
+    T.bind(Recurse)
+        .iload(0)
+        .iconst(1)
+        .op(Op::Isub)
+        .invokestatic("Main", "t", "(I)I")
+        .op(Op::Ireturn);
+    MethodBuilder &C = B.method(AccPublic | AccStatic, "c", "()I");
+    MethodBuilder::Label Start = C.newLabel(), End = C.newLabel(),
+                         Handler = C.newLabel();
+    C.bind(Start)
+        .iconst(5)
+        .lconst(9)
+        .iconst(40)
+        .invokestatic("Main", "t", "(I)I")
+        .op(Op::I2l)
+        .op(Op::Ladd)
+        .op(Op::L2i)
+        .op(Op::Iadd)
+        .op(Op::Ireturn)
+        .bind(End);
+    C.bind(Handler)
+        .invokevirtual("java/lang/Throwable", "getMessage",
+                       "()Ljava/lang/String;")
+        .invokevirtual("java/lang/String", "length", "()I") // 4
+        .iconst(10)
+        .iconst(20)
+        .iconst(30)
+        .iconst(40)
+        .op(Op::Iadd)
+        .op(Op::Iadd)
+        .op(Op::Iadd)
+        .op(Op::Iadd) // 104
+        .op(Op::Ireturn)
+        .handler(Start, End, Handler, "java/lang/IllegalStateException");
+    MethodBuilder &M = mainOf(B);
+    M.invokestatic("Main", "c", "()I");
+    printlnInt(M);
+    M.op(Op::Return);
+    Rig.addClass(B);
+    EXPECT_EQ(Rig.run("Main"), 0) << Rig.err();
+    EXPECT_EQ(Rig.out(), "104\n");
+  }
+}
+
+TEST_P(BothModes, StackOverflowErrorIsCatchable) {
+  // static void rec() { depth++; try { rec(); }
+  //                     catch (StackOverflowError e) { caught = 1; } }
+  // The handler covers the invoke alone, so it matches only while the
+  // overflowing frame's pc still points at that invoke.
+  JvmRig Rig(GetParam());
+  ClassBuilder B("Main");
+  B.addField(AccPublic | AccStatic, "depth", "I");
+  B.addField(AccPublic | AccStatic, "caught", "I");
+  MethodBuilder &R = B.method(AccPublic | AccStatic, "rec", "()V");
+  MethodBuilder::Label Start = R.newLabel(), End = R.newLabel(),
+                       Handler = R.newLabel();
+  R.getstatic("Main", "depth", "I")
+      .iconst(1)
+      .op(Op::Iadd)
+      .putstatic("Main", "depth", "I");
+  R.bind(Start).invokestatic("Main", "rec", "()V").bind(End).op(Op::Return);
+  R.bind(Handler)
+      .op(Op::Pop)
+      .iconst(1)
+      .putstatic("Main", "caught", "I")
+      .op(Op::Return)
+      .handler(Start, End, Handler, "java/lang/StackOverflowError");
+  MethodBuilder &M = mainOf(B);
+  M.invokestatic("Main", "rec", "()V");
+  M.getstatic("Main", "caught", "I");
+  printlnInt(M);
+  M.getstatic("Main", "depth", "I");
+  printlnInt(M);
+  M.op(Op::Return);
+  Rig.addClass(B);
+  EXPECT_EQ(Rig.run("Main"), 0) << Rig.err();
+  // main is the first frame; rec fills the rest.
+  EXPECT_EQ(Rig.out(),
+            "1\n" + std::to_string(JvmThread::MaxCallDepth - 1) + "\n");
+}
+
+/// Main: println(down(200, 0)), where the deepest level runs
+/// static long work(long seed) { for (int i = 0; i < 300; i++) {
+///   seed = seed * 31 + i; System.out.println((int)(seed % 1000));
+///   Thread.yield(); } return seed; }
+/// Every yield is a quiescent point with 200 frames on the stack.
+ClassBuilder deepWorkerClass() {
+  ClassBuilder B("Main");
+  addDown(B, "work");
+  MethodBuilder &W = B.method(AccPublic | AccStatic, "work", "(J)J");
+  MethodBuilder::Label Loop = W.newLabel(), Done = W.newLabel();
+  W.iconst(0).istore(2);
+  W.bind(Loop).iload(2).iconst(300).branch(Op::IfIcmpge, Done);
+  W.lload(0)
+      .lconst(31)
+      .op(Op::Lmul)
+      .iload(2)
+      .op(Op::I2l)
+      .op(Op::Ladd)
+      .lstore(0);
+  W.lload(0).lconst(1000).op(Op::Lrem).op(Op::L2i);
+  printlnInt(W);
+  W.invokestatic("java/lang/Thread", "yield", "()V");
+  W.iinc(2, 1).branch(Op::Goto, Loop);
+  W.bind(Done).lload(0).op(Op::Lreturn);
+  MethodBuilder &M = mainOf(B);
+  // Drop the args array: no frame then holds an object reference.
+  M.aconstNull().astore(0);
+  M.iconst(200).lconst(0).invokestatic("Main", "down", "(IJ)J");
+  printlnLong(M);
+  M.op(Op::Return);
+  return B;
+}
+
+/// The frame records of a JVM image: its tail from the main thread's
+/// frame count on. No frame holds a reference, so these bytes carry no
+/// object ids.
+std::vector<uint8_t> frameRecords(const std::vector<uint8_t> &Image) {
+  std::string Bytes(Image.begin(), Image.end());
+  const std::string Desc = "([Ljava/lang/String;)V";
+  std::string Head = std::string("\0\0\0\4Main\0\0\0\4main\0\0\0", 19) +
+                     static_cast<char>(Desc.size()) + Desc;
+  size_t At = Bytes.rfind(Head);
+  if (At == std::string::npos || At < 4)
+    return {};
+  return {Image.begin() + static_cast<ptrdiff_t>(At - 4), Image.end()};
+}
+
+TEST_P(BothModes, CheckpointAtDepthRoundTripsItsFrameRecords) {
+  // Source: capture mid-run while the main thread is 200 frames deep,
+  // then let it finish; its whole output is the baseline. Each println
+  // queues a probe behind the running slice. The probe finds the thread
+  // parked in Thread.yield, so it queues once more, behind the yield's
+  // completion, and then finds the thread Ready.
+  ClassBuilder Src = deepWorkerClass();
+  JvmRig A(GetParam());
+  A.addClass(Src);
+  std::string OutA, Prefix;
+  std::vector<uint8_t> Image;
+  std::function<void(bool)> Probe = [&](bool Again) {
+    JvmThread *Main = A.vm().threadForTid(0);
+    if (!Image.empty() || !Main || Main->callStack().size() <= 200)
+      return;
+    if (!checkpointReady(A.vm())) {
+      if (Again)
+        A.Env.loop().post(kernel::Lane::Resume, [&] { Probe(false); });
+      return;
+    }
+    rt::ErrorOr<std::vector<uint8_t>> S = serializeJvm(A.vm());
+    ASSERT_TRUE(S.ok()) << S.error().message();
+    Image = std::move(*S);
+    Prefix = OutA;
+  };
+  A.Proc.setStdout([&](const std::string &Text) {
+    OutA += Text;
+    A.Env.loop().post(kernel::Lane::Resume, [&] { Probe(true); });
+  });
+  int ExitA = -1;
+  A.vm().runMain("Main", {}, [&](int C) { ExitA = C; });
+  A.Env.loop().run();
+  ASSERT_EQ(ExitA, 0);
+  ASSERT_FALSE(Image.empty()) << "never found a quiescent point at depth";
+  ASSERT_FALSE(Prefix.empty());
+  ASSERT_LT(Prefix.size(), OutA.size());
+
+  // Destination: the restored frames are placed on a fresh thread's
+  // array; serializing them again gives the same frame records, and the
+  // revived run finishes the same output. The rest of the image is not
+  // compared: the destination's own bootstrap objects (System.out and
+  // err, Unsafe) stay in its arena beside the image's, shifting every
+  // object id.
+  ClassBuilder Dst = deepWorkerClass();
+  JvmRig B(GetParam());
+  B.addClass(Dst);
+  int ExitB = -1;
+  bool RestoreOk = false;
+  std::vector<uint8_t> Again;
+  restoreJvm(B.vm(), Image, [&](int C) { ExitB = C; },
+             [&](rt::ErrorOr<bool> R) {
+               RestoreOk = R.ok();
+               if (rt::ErrorOr<std::vector<uint8_t>> S = serializeJvm(B.vm());
+                   S.ok())
+                 Again = std::move(*S);
+             });
+  B.Env.loop().run();
+  EXPECT_TRUE(RestoreOk);
+  std::vector<uint8_t> Frames = frameRecords(Image);
+  EXPECT_GT(Frames.size(), 200u * 30) << "200 frames of down(IJ)J and more";
+  EXPECT_EQ(frameRecords(Again), Frames);
+
+  EXPECT_EQ(ExitB, 0);
+  EXPECT_EQ(Prefix + B.out(), OutA);
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, BothModes,
