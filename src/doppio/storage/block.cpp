@@ -4,27 +4,81 @@
 
 #include "doppio/cont/snapshot.h"
 
+#include <bit>
 #include <cstddef>
 #include <cstdio>
+#include <cstring>
 
 using namespace doppio;
 using namespace doppio::rt;
 using namespace doppio::rt::storage;
 
-uint64_t storage::hashBlock(const uint8_t *Data, size_t Size) {
-  // FNV-1a over the contents...
-  uint64_t H = 1469598103934665603ull;
-  for (size_t I = 0; I != Size; ++I) {
-    H ^= Data[I];
-    H *= 1099511628211ull;
+namespace {
+
+// XXH64 (seed 0), from the xxHash specification.
+constexpr uint64_t P1 = 0x9E3779B185EBCA87ull;
+constexpr uint64_t P2 = 0xC2B2AE3D27D4EB4Full;
+constexpr uint64_t P3 = 0x165667B19E3779F9ull;
+constexpr uint64_t P4 = 0x85EBCA77C2B2AE63ull;
+constexpr uint64_t P5 = 0x27D4EB2F165667C5ull;
+
+/// Little-endian loads on every host, so block ids are platform-stable.
+template <typename T> T loadLE(const uint8_t *P) {
+  T V;
+  std::memcpy(&V, P, sizeof(V));
+  if constexpr (std::endian::native == std::endian::big) {
+    if constexpr (sizeof(T) == 8)
+      V = __builtin_bswap64(V);
+    else
+      V = __builtin_bswap32(V);
   }
-  // ...then the murmur3 fmix64 finalizer: small sequential inputs (block
-  // 0 of C0.class vs C1.class) must land far apart.
+  return V;
+}
+
+uint64_t round64(uint64_t Acc, uint64_t Lane) {
+  return std::rotl(Acc + Lane * P2, 31) * P1;
+}
+
+uint64_t mergeRound(uint64_t H, uint64_t Acc) {
+  return (H ^ round64(0, Acc)) * P1 + P4;
+}
+
+} // namespace
+
+uint64_t storage::hashBlock(const uint8_t *Data, size_t Size) {
+  const uint8_t *P = Data;
+  const uint8_t *End = Data + Size;
+  uint64_t H;
+  if (Size >= 32) {
+    // Four independent lanes over 32-byte stripes: the multiplies of one
+    // stripe do not wait on each other.
+    uint64_t V1 = P1 + P2, V2 = P2, V3 = 0, V4 = 0 - P1;
+    for (; End - P >= 32; P += 32) {
+      V1 = round64(V1, loadLE<uint64_t>(P));
+      V2 = round64(V2, loadLE<uint64_t>(P + 8));
+      V3 = round64(V3, loadLE<uint64_t>(P + 16));
+      V4 = round64(V4, loadLE<uint64_t>(P + 24));
+    }
+    H = std::rotl(V1, 1) + std::rotl(V2, 7) + std::rotl(V3, 12) +
+        std::rotl(V4, 18);
+    H = mergeRound(mergeRound(mergeRound(mergeRound(H, V1), V2), V3), V4);
+  } else {
+    H = P5;
+  }
+  H += Size;
+  for (; End - P >= 8; P += 8)
+    H = std::rotl(H ^ round64(0, loadLE<uint64_t>(P)), 27) * P1 + P4;
+  if (End - P >= 4) {
+    H = std::rotl(H ^ (loadLE<uint32_t>(P) * P1), 23) * P2 + P3;
+    P += 4;
+  }
+  for (; P != End; ++P)
+    H = std::rotl(H ^ (*P * P5), 11) * P1;
   H ^= H >> 33;
-  H *= 0xff51afd7ed558ccdull;
-  H ^= H >> 33;
-  H *= 0xc4ceb9fe1a85ec53ull;
-  H ^= H >> 33;
+  H *= P2;
+  H ^= H >> 29;
+  H *= P3;
+  H ^= H >> 32;
   return H;
 }
 

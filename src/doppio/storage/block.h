@@ -52,9 +52,12 @@ struct BlockId {
   }
 };
 
-/// Hashes \p Size bytes at \p Data: FNV-1a folded through the murmur3
-/// fmix64 finalizer (the same avalanche fix the cluster hash ring needed —
-/// raw FNV clusters on small sequential inputs).
+/// Hashes \p Size bytes at \p Data with XXH64 (seed 0): four independent
+/// 64-bit lanes over 32-byte stripes, then 8-, 4- and 1-byte tails, then
+/// XXH64's avalanche. Words load as little-endian, so an id is the same
+/// on every host. A stored id is an opaque name: reads fetch by the id in
+/// the manifest and never re-hash, so blocks written under an earlier hash
+/// (FNV-1a) still load, and GC drops them once nothing references them.
 uint64_t hashBlock(const uint8_t *Data, size_t Size);
 
 /// The slow-store key of a block: "b:<hash hex>.<size>".

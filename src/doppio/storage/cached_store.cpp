@@ -165,7 +165,7 @@ void CachedKvStore::doGet(const std::string &Key, GetCb Done) {
   auto It = Entries.find(Key);
   if (It != Entries.end()) {
     HitsC->inc();
-    touchLru(Key, It->second);
+    touchLru(It->second);
     serveFromEntry(It->second, Done);
     return;
   }
@@ -264,13 +264,12 @@ void CachedKvStore::finishFill(const std::string &Key) {
     return;
   }
 
-  Bytes Value;
-  Value.reserve(F.M.SizeBytes);
-  for (const BlockId &B : F.M.Blocks) {
-    const Bytes &D = F.Blocks[B];
-    Value.insert(Value.end(), D.begin(), D.end());
-  }
-  insertBlocks(F.M, Value);
+  // The fetched payloads move into the pool; waiters get one assembled
+  // copy, taken before eviction can drop the new entry again.
+  for (const BlockId &B : F.M.Blocks)
+    if (Bytes *Slot = refBlock(B))
+      *Slot = std::move(F.Blocks[B]);
+  Bytes Value = F.Waiters.empty() ? Bytes() : assemble(F.M);
   Entry &E = Entries[Key];
   E.M = F.M;
   E.Dirty = false;
@@ -314,19 +313,23 @@ void CachedKvStore::maybePrefetch(const std::string &MissKey) {
 
 void CachedKvStore::put(const std::string &Key, const Bytes &Value,
                         DoneCb Done) {
-  enqueueOrRun([this, Key, Value, Done = std::move(Done)]() mutable {
-    doPut(Key, std::move(Value), std::move(Done));
-  });
+  // Once ready, doPut takes the only copy of Value, and a value that fits
+  // one block moves on into its pool slot.
+  if (!Ready) {
+    enqueueOrRun([this, Key, Value, Done = std::move(Done)]() mutable {
+      doPut(Key, std::move(Value), std::move(Done));
+    });
+    return;
+  }
+  doPut(Key, Value, std::move(Done));
 }
 
-uint64_t CachedKvStore::projectedPutCost(const Manifest &M, const Bytes &Value,
+uint64_t CachedKvStore::projectedPutCost(const Manifest &M,
                                          const std::string &Key) const {
   uint64_t Cost = recordOverhead(Key, M);
-  for (size_t I = 0; I != M.Blocks.size(); ++I) {
-    const BlockId &B = M.Blocks[I];
+  for (const BlockId &B : M.Blocks) {
     if (Persisted.count(B) || DirtyBlocks.count(B))
       continue; // Already durable or already billed.
-    (void)Value;
     Cost += Slow->putCostBytes(blockKey(B), B.Size);
   }
   return Cost;
@@ -337,7 +340,7 @@ void CachedKvStore::doPut(const std::string &Key, Bytes Value, DoneCb Done) {
 
   uint64_t Quota = Slow->quotaBytes();
   if (Quota) {
-    uint64_t Need = projectedPutCost(M, Value, Key);
+    uint64_t Need = projectedPutCost(M, Key);
     if (Slow->usedBytes() + DirtyProjected + Need > Quota) {
       // Fast-fail with ENOSPC instead of acking a write that can never be
       // flushed, then reclaim in the background (checkpoint truncates the
@@ -364,13 +367,18 @@ void CachedKvStore::doPut(const std::string &Key, Bytes Value, DoneCb Done) {
     It->second.LruPos = LruList.begin();
   }
   Entry &E = It->second;
-  insertBlocks(M, Value);
+  // A single-block value becomes its pool slot as is; only a value that
+  // spans blocks is cut into per-block copies.
+  for (size_t I = 0; I != M.Blocks.size(); ++I)
+    if (Bytes *Slot = refBlock(M.Blocks[I]))
+      *Slot = M.Blocks.size() == 1 ? std::move(Value)
+                                   : blockPayload(Value, Cfg.BlockBytes, I);
   E.M = M;
   E.Dirty = true;
   E.Tombstone = false;
   E.Prefetched = false;
   E.DirtyEpoch = ++Epoch;
-  touchLru(Key, E);
+  touchLru(E);
 
   Dir.put(Key, M);
   J.stagePut(Key, M);
@@ -414,7 +422,7 @@ void CachedKvStore::doDel(const std::string &Key, DoneCb Done) {
   E.Dirty = true;
   E.Tombstone = true;
   E.DirtyEpoch = ++Epoch;
-  touchLru(Key, E);
+  touchLru(E);
   if (Existed)
     J.stageDel(Key);
   BytesG->set(static_cast<int64_t>(CachedBytes));
@@ -437,29 +445,22 @@ CachedKvStore::Bytes CachedKvStore::assemble(const Manifest &M) const {
   return Out;
 }
 
-void CachedKvStore::touchLru(const std::string &Key, Entry &E) {
+void CachedKvStore::touchLru(Entry &E) {
   if (E.LruPos != LruList.begin())
     LruList.splice(LruList.begin(), LruList, E.LruPos);
   E.LruPos = LruList.begin();
-  (void)Key;
 }
 
-void CachedKvStore::insertBlocks(const Manifest &M, const Bytes &Value) {
-  for (size_t I = 0; I != M.Blocks.size(); ++I) {
-    const BlockId &B = M.Blocks[I];
-    auto It = Pool.find(B);
-    if (It != Pool.end()) {
-      ++It->second.Refs;
-      DedupHitsC->inc();
-    } else {
-      Block &Slot = Pool[B];
-      Slot.Data = blockPayload(Value, Cfg.BlockBytes, I);
-      Slot.Refs = 1;
-      CachedBytes += B.Size;
-    }
-    if (!Persisted.count(B) && DirtyBlocks.insert(B).second)
-      DirtyBytes += B.Size;
-  }
+CachedKvStore::Bytes *CachedKvStore::refBlock(const BlockId &B) {
+  auto [It, New] = Pool.try_emplace(B);
+  ++It->second.Refs;
+  if (New)
+    CachedBytes += B.Size;
+  else
+    DedupHitsC->inc();
+  if (!Persisted.count(B) && DirtyBlocks.insert(B).second)
+    DirtyBytes += B.Size;
+  return New ? &It->second.Data : nullptr;
 }
 
 void CachedKvStore::dropEntryBlocks(const Entry &E) {

@@ -194,8 +194,11 @@ private:
   void maybePrefetch(const std::string &MissKey);
 
   Bytes assemble(const Manifest &M) const;
-  void touchLru(const std::string &Key, Entry &E);
-  void insertBlocks(const Manifest &M, const Bytes &Value);
+  void touchLru(Entry &E);
+  /// Takes one reference on block \p B. Returns the new, empty pool slot
+  /// for the caller to fill when the pool did not hold \p B yet, else null
+  /// (a dedup hit).
+  Bytes *refBlock(const BlockId &B);
   void dropEntryBlocks(const Entry &E);
   void evictIfNeeded();
 
@@ -213,8 +216,7 @@ private:
   bool anythingToFlush() const {
     return J.stagedRecords() != 0 || !SealedUnapplied.empty();
   }
-  uint64_t projectedPutCost(const Manifest &M, const Bytes &Value,
-                            const std::string &Key) const;
+  uint64_t projectedPutCost(const Manifest &M, const std::string &Key) const;
 
   browser::BrowserEnv &Env;
   std::unique_ptr<fs::AsyncKvStore> Slow;

@@ -1,9 +1,11 @@
 //===- tests/doppio/storage_test.cpp --------------------------------------==//
 //
 // Storage hierarchy tests (DESIGN.md §19): the content-addressed block
-// vocabulary, the log-structured journal's codec and recovery, the
-// write-back cached store's semantics (write-back acks, group commit,
-// LRU + quota-pressure eviction, sequential prefetch, dedup), uniform
+// vocabulary and its pinned XXH64 block hash, the log-structured
+// journal's codec and recovery, the write-back cached store's semantics
+// (write-back acks, group commit, LRU + quota-pressure eviction,
+// sequential prefetch, dedup, value lifetime on the write path, stores
+// written under the earlier FNV-1a block ids), uniform
 // ENOSPC surfacing at the fs layer, and the deterministic power-cut fuzz
 // sweep: the journal is cut at *every* byte offset and the recovered tree
 // must equal the state after some prefix of the committed groups.
@@ -24,6 +26,7 @@
 #include <map>
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -175,6 +178,88 @@ TEST(StorageBlock, DirectoryNeighbourQueries) {
   EXPECT_TRUE(D.adjacent("b", "d"));
 }
 
+uint64_t hashOf(const Bytes &B) { return hashBlock(B.data(), B.size()); }
+
+TEST(StorageBlockHash, PublishedXxh64Vectors) {
+  const uint8_t Empty[1] = {0};
+  EXPECT_EQ(hashBlock(Empty, 0), 0xEF46DB3751D8E999ull);
+  EXPECT_EQ(hashOf(bytesOf("a")), 0xD24EC4F1A98C6E5Bull);
+  EXPECT_EQ(hashOf(bytesOf("abc")), 0x44BC2CF5AD770999ull);
+  EXPECT_EQ(hashOf(bytesOf("Nobody inspects the spammish repetition")),
+            0xFBCEA83C8A378BF1ull);
+}
+
+/// Block ids name slow-store objects, so they must never drift: pinned
+/// XXH64 values of every prefix of blob(16384, 1) up to 65 bytes (each
+/// stripe, 8-, 4- and 1-byte tail combination), plus the full block.
+TEST(StorageBlockHash, GoldenValuesAcrossEveryTailBoundary) {
+  static const uint64_t Want[66] = {
+      0xef46db3751d8e999ull, 0x8a4127811b21e730ull, // 0-1
+      0x3476fd2d74fa08c0ull, 0x31487142ceee192aull, // 2-3
+      0xe974238725d583a0ull, 0x7dc13e6e7a316943ull, // 4-5
+      0x856367215b46ea85ull, 0x5e6c4f5ee907205aull, // 6-7
+      0x5651c7bfe44e95d4ull, 0x3cd26264fbf2e51dull, // 8-9
+      0x9fcbc530f503cb57ull, 0xf3fb3d9e87a4ff30ull, // 10-11
+      0x9e2efa279d314048ull, 0x2efcc4b8af1496a5ull, // 12-13
+      0xd4c38083c4d59262ull, 0xd3545cc54b205de6ull, // 14-15
+      0xecfcfd4c38eaa895ull, 0xd5eed321652bbb06ull, // 16-17
+      0xbf8e01a9eee0d59dull, 0x3965c30bbaa8fb79ull, // 18-19
+      0x8ba7a97d101884c5ull, 0xece6189cf7c504a8ull, // 20-21
+      0xb2e7fda0a7cae4c9ull, 0xf135592e2a632449ull, // 22-23
+      0x5a8f17da26e40d96ull, 0xd0953f175fb58782ull, // 24-25
+      0x1f35a883ebcf79f2ull, 0x6b909e26b9db379eull, // 26-27
+      0x8ad6fdb1bb9b886cull, 0x604b2fc7eab9137eull, // 28-29
+      0x2a5831905ebbbf39ull, 0xf2e176a3af059d3bull, // 30-31
+      0xfe1388a454390dcfull, 0xe21f50b5506f39b3ull, // 32-33
+      0x666c84c11365f671ull, 0x936ba77f305da975ull, // 34-35
+      0xf0ba24af8acf8ea2ull, 0x1ce86be731d5eb0aull, // 36-37
+      0xde4f4f94d512bf4full, 0xf8f06461330d1b4eull, // 38-39
+      0xf46198aa7b847084ull, 0x4cf900a9f08c1828ull, // 40-41
+      0x751f25a978231934ull, 0x2c72c9a48c6cc6bcull, // 42-43
+      0x50d966798912f839ull, 0x8d7be3683ee4c78eull, // 44-45
+      0x6738de78385f34bdull, 0xe7c55058756d1c47ull, // 46-47
+      0x788a056a43f57742ull, 0x7cd9d967dd726a01ull, // 48-49
+      0x89aafe1150c3476dull, 0xcf23219c3eb9e372ull, // 50-51
+      0x19e07954abea8a5full, 0xe9ee845b14e86520ull, // 52-53
+      0x4b3b206f5400de9bull, 0xa2eaee6798c98f72ull, // 54-55
+      0x210c9905a9918ec1ull, 0x8008e65e879fc336ull, // 56-57
+      0xa19e6e245a5deb7dull, 0x0e1245d516b6f79eull, // 58-59
+      0xa0043e889e71369full, 0x538c25562eb022bbull, // 60-61
+      0xda7f3775bf799905ull, 0xfe21a6cb773bafc7ull, // 62-63
+      0x002ab26e2253326dull, 0xf296f63a43a996a2ull, // 64-65
+  };
+  Bytes B = blob(16 * 1024, 1);
+  for (size_t N = 0; N != 66; ++N)
+    EXPECT_EQ(hashBlock(B.data(), N), Want[N]) << "length " << N;
+  EXPECT_EQ(hashOf(B), 0x47e687d85855bf17ull);
+}
+
+TEST(StorageBlockHash, OneBitFlipAtEveryOffsetChangesTheHash) {
+  Bytes B = blob(16 * 1024, 5);
+  const uint64_t Base = hashOf(B);
+  std::set<uint64_t> Seen = {Base};
+  for (size_t Off = 0; Off != B.size(); ++Off) {
+    uint8_t Mask = static_cast<uint8_t>(1u << (Off % 8));
+    B[Off] ^= Mask;
+    uint64_t H = hashOf(B);
+    B[Off] ^= Mask;
+    ASSERT_NE(H, Base) << "offset " << Off;
+    Seen.insert(H);
+  }
+  EXPECT_EQ(Seen.size(), B.size() + 1); // No two flips collide either.
+}
+
+TEST(StorageBlockHash, UnalignedInputHashesLikeAnAlignedCopy) {
+  Bytes B = blob(16 * 1024 + 8, 3);
+  for (size_t Off = 1; Off != 8; ++Off)
+    for (size_t N : {0, 1, 3, 4, 7, 8, 12, 31, 32, 33, 63, 64, 65, 16384}) {
+      Bytes Copy(B.begin() + static_cast<ptrdiff_t>(Off),
+                 B.begin() + static_cast<ptrdiff_t>(Off + N));
+      EXPECT_EQ(hashBlock(B.data() + Off, N), hashOf(Copy))
+          << "offset " << Off << " length " << N;
+    }
+}
+
 //===----------------------------------------------------------------------===//
 // Journal unit tests
 //===----------------------------------------------------------------------===//
@@ -304,19 +389,26 @@ TEST(CachedStore, DeleteTombstonesAndPersists) {
 }
 
 TEST(CachedStore, DedupSharesIdenticalBlocks) {
-  BrowserEnv Env(chromeProfile());
-  CachedKvStore Store(Env, std::make_unique<fs::CloudKv>(Env),
-                      quiescentConfig());
-  drain(Env);
-  Bytes Same = blob(16 * 1024, 9);
-  ASSERT_FALSE(putKv(Env, Store, "first", Same).has_value());
-  ASSERT_FALSE(putKv(Env, Store, "second", Same).has_value());
-  CacheStats S = Store.stats();
-  EXPECT_GE(S.DedupHits, 1u);
-  EXPECT_EQ(S.CachedBytes, Same.size()); // One pooled block, two refs.
-  ASSERT_FALSE(syncKv(Env, Store).has_value());
-  // One block payload reached the slow store.
-  EXPECT_EQ(Store.stats().FlushedBlocks, 1u);
+  for (size_t N : {100, 16 * 1024}) { // A short value, then a full block.
+    BrowserEnv Env(chromeProfile());
+    CachedKvStore Store(Env, std::make_unique<fs::CloudKv>(Env),
+                        quiescentConfig());
+    drain(Env);
+    Bytes Same = blob(N, 9);
+    ASSERT_FALSE(putKv(Env, Store, "first", Same).has_value());
+    ASSERT_FALSE(putKv(Env, Store, "second", Same).has_value());
+    CacheStats S = Store.stats();
+    EXPECT_EQ(S.DedupHits, 1u);
+    EXPECT_EQ(S.CachedBytes, Same.size()); // One pooled block, two refs.
+    ASSERT_FALSE(syncKv(Env, Store).has_value());
+    // One block payload reached the slow store.
+    EXPECT_EQ(Store.stats().FlushedBlocks, 1u);
+    // Rewriting one sharer leaves the other's bytes in the shared slot.
+    ASSERT_FALSE(putKv(Env, Store, "first", blob(N, 10)).has_value());
+    auto Got = getKv(Env, Store, "second");
+    ASSERT_TRUE(Got.has_value());
+    EXPECT_EQ(*Got, Same);
+  }
 }
 
 TEST(CachedStore, LruEvictsCleanEntriesOnly) {
@@ -980,6 +1072,171 @@ TEST(KvDirRecords, CorruptRecordsFailWithEio) {
   ASSERT_TRUE(reloadWith(Env, "d:/d", Dir));
   KvFs Reload(Env);
   EXPECT_EQ(treeOf(Reload.Backend->index()), Want);
+}
+
+//===----------------------------------------------------------------------===//
+// Write path: value lifetime and stores written under the FNV-era hash
+//===----------------------------------------------------------------------===//
+
+/// Writes \p Value under \p Key straight into the tab's IndexedDB, below
+/// any cache.
+void idbPut(BrowserEnv &Env, const std::string &Key, const Bytes &Value) {
+  bool Wrote = false;
+  Env.indexedDB()->put(Key, Value, [&](bool Ok) { Wrote = Ok; });
+  drain(Env);
+  ASSERT_TRUE(Wrote) << Key;
+}
+
+TEST(CachedStoreWritePath, EverySizeRoundTripsThroughEvictAndFill) {
+  const size_t Sizes[] = {0,  1,     7,     8,     31,   32,
+                          33, 16383, 16384, 16385, 40000};
+  BrowserEnv Env(chromeProfile());
+  CacheConfig C = quiescentConfig();
+  C.CapacityBytes = 0; // Every clean byte is evicted, so reads must fill.
+  CachedKvStore Store(Env, std::make_unique<fs::IndexedDbKv>(Env), C);
+  drain(Env);
+  for (size_t N : Sizes)
+    ASSERT_FALSE(putKv(Env, Store, "v" + std::to_string(N),
+                       blob(N, static_cast<uint8_t>(N)))
+                     .has_value());
+  ASSERT_FALSE(syncKv(Env, Store).has_value());
+  ASSERT_EQ(Store.stats().CachedBytes, 0u);
+
+  for (size_t N : Sizes) {
+    auto Got = getKv(Env, Store, "v" + std::to_string(N));
+    ASSERT_TRUE(Got.has_value()) << N;
+    EXPECT_EQ(*Got, blob(N, static_cast<uint8_t>(N))) << N;
+  }
+  EXPECT_GE(Store.stats().Fills, std::size(Sizes) - 1); // All but size 0.
+}
+
+TEST(CachedStoreWritePath, CallerBufferIsNotAliasedAfterPut) {
+  BrowserEnv Env(chromeProfile());
+  CachedKvStore Store(Env, std::make_unique<fs::IndexedDbKv>(Env),
+                      quiescentConfig());
+  drain(Env);
+  for (size_t N : {100, 40000}) { // One block, then several.
+    std::string Key = "k" + std::to_string(N);
+    Bytes V = blob(N, 4);
+    bool Acked = false;
+    Store.put(Key, V, [&](std::optional<ApiError> E) {
+      EXPECT_FALSE(E.has_value());
+      Acked = true;
+    });
+    ASSERT_TRUE(Acked);
+    std::fill(V.begin(), V.end(), 0xAA);
+    V.clear();
+    auto Got = getKv(Env, Store, Key);
+    ASSERT_TRUE(Got.has_value());
+    EXPECT_EQ(*Got, blob(N, 4));
+  }
+  ASSERT_FALSE(syncKv(Env, Store).has_value());
+  CachedKvStore Reader(Env, std::make_unique<fs::IndexedDbKv>(Env),
+                       quiescentConfig());
+  drain(Env);
+  for (size_t N : {100, 40000}) {
+    auto Got = getKv(Env, Reader, "k" + std::to_string(N));
+    ASSERT_TRUE(Got.has_value());
+    EXPECT_EQ(*Got, blob(N, 4));
+  }
+}
+
+TEST(CachedStoreWritePath, PutQueuedBeforeReadyLands) {
+  BrowserEnv Env(chromeProfile());
+  CachedKvStore Store(Env, std::make_unique<fs::IndexedDbKv>(Env),
+                      quiescentConfig());
+  ASSERT_FALSE(Store.ready()); // Recovery is still reading the slow store.
+  Bytes V = blob(300, 6);
+  std::optional<ApiError> Err = ApiError(Errno::Io, "never completed");
+  Store.put("early", V, [&](std::optional<ApiError> E) { Err = E; });
+  std::fill(V.begin(), V.end(), 0);
+  drain(Env);
+  ASSERT_TRUE(Store.ready());
+  EXPECT_FALSE(Err.has_value());
+  auto Got = getKv(Env, Store, "early");
+  ASSERT_TRUE(Got.has_value());
+  EXPECT_EQ(*Got, blob(300, 6));
+  // It also reached the journal that recovery had not yet loaded.
+  ASSERT_FALSE(syncKv(Env, Store).has_value());
+  CachedKvStore Reader(Env, std::make_unique<fs::IndexedDbKv>(Env),
+                       quiescentConfig());
+  drain(Env);
+  Got = getKv(Env, Reader, "early");
+  ASSERT_TRUE(Got.has_value());
+  EXPECT_EQ(*Got, blob(300, 6));
+}
+
+/// The block id a store wrote before ids were XXH64: byte-wise FNV-1a
+/// through the murmur3 fmix64 finalizer.
+uint64_t fnvEraHash(const Bytes &B) {
+  uint64_t H = 1469598103934665603ull;
+  for (uint8_t C : B) {
+    H ^= C;
+    H *= 1099511628211ull;
+  }
+  H ^= H >> 33;
+  H *= 0xff51afd7ed558ccdull;
+  H ^= H >> 33;
+  H *= 0xc4ceb9fe1a85ec53ull;
+  H ^= H >> 33;
+  return H;
+}
+
+/// Block ids are opaque names once written, so the hash change needs no
+/// format bump: an image whose ids are not hashBlock of their contents
+/// still recovers, and GC reclaims its blocks once they are rewritten.
+TEST(CachedStoreWritePath, FnvEraImageReadsBackAndIsCollected) {
+  BrowserEnv Env(chromeProfile());
+  const std::map<std::string, Bytes> Values = {
+      {"empty", Bytes()}, {"small", blob(100, 1)}, {"big", blob(40000, 2)}};
+  const size_t BlockBytes = 16 * 1024;
+  Directory Old;
+  std::vector<BlockId> OldIds;
+  for (const auto &[Key, V] : Values) {
+    Manifest M;
+    M.SizeBytes = V.size();
+    for (size_t I = 0; I * BlockBytes < V.size(); ++I) {
+      Bytes P = blockPayload(V, BlockBytes, I);
+      BlockId Id{fnvEraHash(P), static_cast<uint32_t>(P.size())};
+      ASSERT_NE(Id.Hash, hashOf(P));
+      idbPut(Env, blockKey(Id), P);
+      M.Blocks.push_back(Id);
+      OldIds.push_back(Id);
+    }
+    Old.put(Key, M);
+  }
+  ASSERT_EQ(OldIds.size(), 4u);
+  idbPut(Env, "dir", Old.serialize());
+
+  CacheConfig C = quiescentConfig();
+  C.CheckpointJournalBytes = 64; // Checkpoint (and GC) after the flush.
+  CachedKvStore Store(Env, std::make_unique<fs::IndexedDbKv>(Env), C);
+  drain(Env);
+  ASSERT_TRUE(Store.ready());
+  for (const auto &[Key, V] : Values) {
+    auto Got = getKv(Env, Store, Key);
+    ASSERT_TRUE(Got.has_value()) << Key;
+    EXPECT_EQ(*Got, V) << Key;
+  }
+
+  for (const auto &[Key, V] : Values)
+    ASSERT_FALSE(putKv(Env, Store, Key, V).has_value());
+  ASSERT_FALSE(syncKv(Env, Store).has_value());
+  CacheStats S = Store.stats();
+  EXPECT_GE(S.Checkpoints, 1u);
+  EXPECT_EQ(S.GcBlocks, OldIds.size());
+  std::vector<std::string> Keys = idbKeys(Env);
+  for (const BlockId &Id : OldIds)
+    EXPECT_EQ(std::count(Keys.begin(), Keys.end(), blockKey(Id)), 0)
+        << blockKey(Id);
+
+  CachedKvStore Reader(Env, std::make_unique<fs::IndexedDbKv>(Env), C);
+  drain(Env);
+  for (const auto &[Key, V] : Values) {
+    auto Got = getKv(Env, Reader, Key);
+    ASSERT_TRUE(Got.has_value()) << Key;
+    EXPECT_EQ(*Got, V) << Key;
+  }
 }
 
 //===----------------------------------------------------------------------===//
