@@ -211,41 +211,42 @@ void KeyValueBackend::open(const std::string &Path, OpenFlags Flags,
                });
   };
 
-  auto finish = [this, Path, Flags, Done,
-                 Sync](std::vector<uint8_t> Contents) {
+  // Takes the preloaded contents (none: an empty file). It runs once, so
+  // Done and Sync move into the descriptor and the hops after it instead
+  // of being copied.
+  auto finish = [this, Path, Flags, Done = std::move(Done),
+                 Sync = std::move(Sync)](
+                    ErrorOr<std::optional<AsyncKvStore::Bytes>> R) mutable {
+    if (!R) {
+      Done(R.error());
+      return;
+    }
     bool IsNew = !Index.exists(Path);
-    auto Fd = std::make_shared<PreloadFile>(Env, Path, Flags,
-                                            std::move(Contents), Sync);
+    auto Fd = std::make_shared<PreloadFile>(
+        Env, Path, Flags, std::move(*R).value_or(AsyncKvStore::Bytes()),
+        std::move(Sync));
     if (!IsNew) {
       Done(FdPtr(Fd));
       return;
     }
     // Creating: record the (empty) file immediately so stat sees it.
     Index.addFile(Path, 0, Env.clock().nowNs());
-    persistDir(path::dirname(Path), [Fd, Done](std::optional<ApiError> E) {
-      if (E)
-        Done(*E);
-      else
-        Done(FdPtr(Fd));
-    });
+    persistDir(path::dirname(Path),
+               [Fd, Done = std::move(Done)](std::optional<ApiError> E) {
+                 if (E)
+                   Done(*E);
+                 else
+                   Done(FdPtr(Fd));
+               });
   };
 
   if (!Meta || Flags.Truncate) {
-    finish({});
+    finish(std::optional<AsyncKvStore::Bytes>());
     return;
   }
   // Preload the existing contents (§5.1: files are completely loaded into
   // memory before they can be operated on).
-  Store->get(fileKey(Path),
-             [Path, finish, Done](
-                 ErrorOr<std::optional<AsyncKvStore::Bytes>> R) {
-               if (!R) {
-                 Done(R.error());
-                 return;
-               }
-               finish(R->has_value() ? std::move(R->value())
-                                     : AsyncKvStore::Bytes());
-             });
+  Store->get(fileKey(Path), std::move(finish));
 }
 
 void KeyValueBackend::unlink(const std::string &Path, CompletionCb Done) {

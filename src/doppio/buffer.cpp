@@ -47,40 +47,48 @@ Buffer::Buffer(browser::BrowserEnv &Env, size_t Size)
     : Env(&Env), Bytes(Size, 0),
       Store(Env.profile().HasTypedArrays ? Backing::TypedArray
                                          : Backing::NumberArray) {
-  if (Store == Backing::TypedArray)
-    Env.noteTypedArrayAlloc(Size);
+  if (Store == Backing::TypedArray) {
+    NotedBytes = Size;
+    Env.noteTypedArrayAlloc(NotedBytes);
+  }
 }
 
 Buffer::Buffer(browser::BrowserEnv &Env, std::vector<uint8_t> InitBytes)
     : Env(&Env), Bytes(std::move(InitBytes)),
       Store(Env.profile().HasTypedArrays ? Backing::TypedArray
                                          : Backing::NumberArray) {
-  if (Store == Backing::TypedArray)
-    Env.noteTypedArrayAlloc(Bytes.size());
+  if (Store == Backing::TypedArray) {
+    NotedBytes = Bytes.size();
+    Env.noteTypedArrayAlloc(NotedBytes);
+  }
 }
 
 Buffer::Buffer(Buffer &&Other) noexcept
-    : Env(Other.Env), Bytes(std::move(Other.Bytes)), Store(Other.Store) {
+    : Env(Other.Env), Bytes(std::move(Other.Bytes)),
+      NotedBytes(Other.NotedBytes), Store(Other.Store) {
   Other.Env = nullptr;
   Other.Bytes.clear();
+  Other.NotedBytes = 0;
 }
 
 Buffer &Buffer::operator=(Buffer &&Other) noexcept {
   if (this == &Other)
     return *this;
-  if (Env && Store == Backing::TypedArray)
-    Env->noteTypedArrayFree(Bytes.size());
+  if (Env && NotedBytes)
+    Env->noteTypedArrayFree(NotedBytes);
   Env = Other.Env;
   Bytes = std::move(Other.Bytes);
+  NotedBytes = Other.NotedBytes;
   Store = Other.Store;
   Other.Env = nullptr;
   Other.Bytes.clear();
+  Other.NotedBytes = 0;
   return *this;
 }
 
 Buffer::~Buffer() {
-  if (Env && Store == Backing::TypedArray)
-    Env->noteTypedArrayFree(Bytes.size());
+  if (Env && NotedBytes)
+    Env->noteTypedArrayFree(NotedBytes);
 }
 
 void Buffer::chargeAccess(size_t NumBytes) const {

@@ -128,11 +128,19 @@ public:
   const std::vector<uint8_t> &bytes() const { return Bytes; }
   std::vector<uint8_t> &bytes() { return Bytes; }
 
+  /// Moves the bytes out, leaving the buffer empty (simulation glue, like
+  /// bytes()). The typed array stays allocated in the memory model: the
+  /// destructor still frees the size noted at allocation, so live, leaked
+  /// and paging accounting are the same as if the bytes had been copied.
+  std::vector<uint8_t> release() { return std::move(Bytes); }
+
 private:
   void chargeAccess(size_t NumBytes) const;
 
   browser::BrowserEnv *Env;
   std::vector<uint8_t> Bytes;
+  /// Bytes passed to noteTypedArrayAlloc (0 for a number array).
+  size_t NotedBytes = 0;
   Backing Store;
 };
 

@@ -17,8 +17,7 @@ static std::vector<uint8_t> bytesOf(const char *S) {
 
 /// Encoded Status::Error response frame with \p Why as the body.
 static std::vector<uint8_t> errorFrame(const char *Why) {
-  return frame::encode(
-      frame::encodeResponse({frame::Status::Error, bytesOf(Why)}));
+  return frame::encodeResponseFrame(frame::Status::Error, bytesOf(Why));
 }
 
 Balancer::Balancer(const browser::Profile &P, Fabric &Fab, Config Cfg)
@@ -184,7 +183,7 @@ void Balancer::onClientData(uint64_t Id, const std::vector<uint8_t> &Data) {
 
 void Balancer::pumpClient(Conn &C) {
   while (true) {
-    auto Payload = C.FromClient.next();
+    auto Payload = C.FromClient.nextView();
     if (!Payload) {
       if (C.FromClient.corrupted())
         closeConn(C.Id);
@@ -324,7 +323,7 @@ void Balancer::onUpstreamData(uint64_t Id, const std::vector<uint8_t> &Data) {
   Conn &C = *It->second;
   C.FromShard.feed(Data);
   while (true) {
-    auto Payload = C.FromShard.next();
+    auto Payload = C.FromShard.nextView();
     if (!Payload)
       break;
     Env.chargeCompute(Cfg.RouteComputeNs);
@@ -398,11 +397,10 @@ Balancer::localMetricsResponse(const frame::Request &Req) {
   else if (Format == "json")
     Body = obs::renderJson(Env.metrics());
   else
-    return frame::encode(frame::encodeResponse(
-        {frame::Status::BadRequest,
-         bytesOf("metrics: unknown format")}));
-  return frame::encode(frame::encodeResponse(
-      {frame::Status::Ok, std::vector<uint8_t>(Body.begin(), Body.end())}));
+    return frame::encodeResponseFrame(frame::Status::BadRequest,
+                                      bytesOf("metrics: unknown format"));
+  return frame::encodeResponseFrame(
+      frame::Status::Ok, std::vector<uint8_t>(Body.begin(), Body.end()));
 }
 
 void Balancer::synthesizeErrors(Conn &C, const char *Why) {

@@ -176,14 +176,15 @@ void FileSystem::readFile(const std::string &P,
     endOp(Op, StartNs);
     Done(std::move(R));
   };
-  // Simulated over the core API: open -> stat -> read -> close.
-  open(P, "r", [this, Done = std::move(Finish)](ErrorOr<FdPtr> R) {
+  // Simulated over the core API: open -> stat -> read -> close. Each hop
+  // runs once, so Done moves along the chain instead of being copied.
+  open(P, "r", [this, Done = std::move(Finish)](ErrorOr<FdPtr> R) mutable {
     if (!R) {
       Done(R.error());
       return;
     }
     FdPtr Fd = *R;
-    Fd->stat([this, Fd, Done](ErrorOr<Stats> SR) {
+    Fd->stat([this, Fd, Done = std::move(Done)](ErrorOr<Stats> SR) mutable {
       if (!SR) {
         Done(SR.error());
         return;
@@ -191,16 +192,18 @@ void FileSystem::readFile(const std::string &P,
       size_t Size = static_cast<size_t>(SR->SizeBytes);
       auto Dst = std::make_shared<Buffer>(Env, Size);
       Fd->read(*Dst, 0, Size, 0,
-               [this, Fd, Dst, Size, Done](ErrorOr<size_t> RR) {
+               [this, Fd, Dst, Size,
+                Done = std::move(Done)](ErrorOr<size_t> RR) mutable {
                  if (!RR) {
                    Done(RR.error());
                    return;
                  }
                  BytesReadC->inc(*RR);
-                 std::vector<uint8_t> Out(
-                     Dst->bytes().begin(),
-                     Dst->bytes().begin() + std::min(*RR, Size));
-                 Fd->close([Done, Out = std::move(Out)](
+                 // The charged copy was the read itself; Dst's bytes move
+                 // out, and Dst still frees its typed array when it dies.
+                 std::vector<uint8_t> Out = Dst->release();
+                 Out.resize(std::min(*RR, Size));
+                 Fd->close([Done = std::move(Done), Out = std::move(Out)](
                                std::optional<ApiError> CE) mutable {
                    if (CE) {
                      Done(*CE);

@@ -289,11 +289,12 @@ void PreloadFile::sync(CompletionCb Done) {
   std::vector<uint8_t> Snapshot(Contents.bytes().begin(),
                                 Contents.bytes().begin() + Size);
   auto Self = shared_from_this();
-  Sync(FilePath, Snapshot, [Self, Done](std::optional<ApiError> Err) {
-    if (!Err)
-      Self->Dirty = false;
-    Done(Err);
-  });
+  Sync(FilePath, Snapshot,
+       [Self, Done = std::move(Done)](std::optional<ApiError> Err) {
+         if (!Err)
+           Self->Dirty = false;
+         Done(Err);
+       });
 }
 
 void PreloadFile::close(CompletionCb Done) {
@@ -303,7 +304,7 @@ void PreloadFile::close(CompletionCb Done) {
   }
   // Sync-on-close (§5.1).
   auto Self = shared_from_this();
-  sync([Self, Done](std::optional<ApiError> Err) {
+  sync([Self, Done = std::move(Done)](std::optional<ApiError> Err) {
     Self->Closed = true;
     Done(Err);
   });

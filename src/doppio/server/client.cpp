@@ -50,7 +50,7 @@ void FrameClient::request(const std::string &Handler,
 void FrameClient::onData(const std::vector<uint8_t> &Data) {
   BytesReceived += Data.size();
   Decode.feed(Data);
-  while (auto Payload = Decode.next()) {
+  while (auto Payload = Decode.nextView()) {
     auto Resp = frame::decodeResponse(*Payload);
     if (!Resp || Pending.empty()) {
       close();

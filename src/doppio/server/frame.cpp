@@ -11,7 +11,7 @@ using namespace doppio::rt::server;
 using doppio::browser::wire::getU32;
 using doppio::browser::wire::putU32;
 
-std::vector<uint8_t> frame::encode(const std::vector<uint8_t> &Payload) {
+std::vector<uint8_t> frame::encode(ByteView Payload) {
   assert(Payload.size() <= MaxPayloadBytes && "frame payload too large");
   std::vector<uint8_t> Out;
   Out.reserve(HeaderBytes + Payload.size());
@@ -23,24 +23,36 @@ std::vector<uint8_t> frame::encode(const std::vector<uint8_t> &Payload) {
 void frame::Decoder::feed(const std::vector<uint8_t> &Data) {
   if (Corrupted)
     return;
+  // Drop the consumed prefix: only an unconsumed partial frame moves, and
+  // the buffer keeps its capacity.
+  Buffer.erase(Buffer.begin(), Buffer.begin() + Cursor);
+  Cursor = 0;
   Buffer.insert(Buffer.end(), Data.begin(), Data.end());
 }
 
-std::optional<std::vector<uint8_t>> frame::Decoder::next() {
-  if (Corrupted || Buffer.size() < HeaderBytes)
+std::optional<frame::ByteView> frame::Decoder::nextView() {
+  size_t Avail = Buffer.size() - Cursor;
+  if (Corrupted || Avail < HeaderBytes)
     return std::nullopt;
-  uint32_t Len = getU32(Buffer.data());
+  uint32_t Len = getU32(Buffer.data() + Cursor);
   if (Len > MaxPayloadBytes) {
     Corrupted = true;
     Buffer.clear();
+    Cursor = 0;
     return std::nullopt;
   }
-  if (Buffer.size() < HeaderBytes + Len)
+  if (Avail < HeaderBytes + Len)
     return std::nullopt;
-  std::vector<uint8_t> Payload(Buffer.begin() + HeaderBytes,
-                               Buffer.begin() + HeaderBytes + Len);
-  Buffer.erase(Buffer.begin(), Buffer.begin() + HeaderBytes + Len);
+  ByteView Payload(Buffer.data() + Cursor + HeaderBytes, Len);
+  Cursor += HeaderBytes + Len;
   return Payload;
+}
+
+std::optional<std::vector<uint8_t>> frame::Decoder::next() {
+  std::optional<ByteView> Payload = nextView();
+  if (!Payload)
+    return std::nullopt;
+  return std::vector<uint8_t>(Payload->begin(), Payload->end());
 }
 
 const char *frame::statusName(Status S) {
@@ -67,8 +79,7 @@ std::vector<uint8_t> frame::encodeRequest(const Request &R) {
   return Out;
 }
 
-std::optional<frame::Request>
-frame::decodeRequest(const std::vector<uint8_t> &Payload) {
+std::optional<frame::Request> frame::decodeRequest(ByteView Payload) {
   if (Payload.empty())
     return std::nullopt;
   size_t NameLen = Payload[0];
@@ -88,8 +99,17 @@ std::vector<uint8_t> frame::encodeResponse(const Response &R) {
   return Out;
 }
 
-std::optional<frame::Response>
-frame::decodeResponse(const std::vector<uint8_t> &Payload) {
+std::vector<uint8_t> frame::encodeResponseFrame(Status S, ByteView Body) {
+  assert(1 + Body.size() <= MaxPayloadBytes && "frame payload too large");
+  std::vector<uint8_t> Out;
+  Out.reserve(HeaderBytes + 1 + Body.size());
+  putU32(Out, static_cast<uint32_t>(1 + Body.size()));
+  Out.push_back(static_cast<uint8_t>(S));
+  Out.insert(Out.end(), Body.begin(), Body.end());
+  return Out;
+}
+
+std::optional<frame::Response> frame::decodeResponse(ByteView Payload) {
   if (Payload.empty())
     return std::nullopt;
   if (Payload[0] > static_cast<uint8_t>(Status::Error))

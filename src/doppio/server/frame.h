@@ -19,6 +19,11 @@
 /// comes from browser/wire.h, the same helpers the RFC6455 WebSocket codec
 /// uses.
 ///
+/// A payload is copied once per hop that has to own it: the sender builds
+/// the whole frame in one allocation (encodeResponseFrame), the receiving
+/// Decoder buffers the stream, and the request/response decoders parse
+/// straight out of a view of that buffer (Decoder::nextView).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DOPPIO_DOPPIO_SERVER_FRAME_H
@@ -26,6 +31,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,26 +46,38 @@ constexpr size_t HeaderBytes = 4;
 /// Frames advertising more than this are treated as stream corruption.
 constexpr uint32_t MaxPayloadBytes = 16u << 20;
 
+/// Read-only bytes owned by someone else: a payload inside a Decoder's
+/// buffer, or a caller's vector.
+using ByteView = std::span<const uint8_t>;
+
 /// Wraps \p Payload in a length-prefixed frame.
-std::vector<uint8_t> encode(const std::vector<uint8_t> &Payload);
+std::vector<uint8_t> encode(ByteView Payload);
 
 /// Incremental frame decoder: feed byte chunks, pop complete payloads.
+/// Consumed frames advance a read cursor; the buffer is compacted on the
+/// next feed(), so popping a frame never shifts the bytes behind it.
 class Decoder {
 public:
   void feed(const std::vector<uint8_t> &Data);
 
-  /// Extracts the next complete frame payload, or nullopt if more bytes
+  /// Extracts the next complete frame payload as a view into the
+  /// decoder's buffer, valid until the next feed(); nullopt if more bytes
   /// are needed. Returns nullopt forever once the stream is corrupted.
+  std::optional<ByteView> nextView();
+
+  /// nextView(), copied out for callers that keep the payload.
   std::optional<std::vector<uint8_t>> next();
 
   /// True once an oversized length prefix was seen; the connection should
   /// be dropped.
   bool corrupted() const { return Corrupted; }
 
-  size_t bufferedBytes() const { return Buffer.size(); }
+  /// Bytes fed but not yet handed out.
+  size_t bufferedBytes() const { return Buffer.size() - Cursor; }
 
 private:
   std::vector<uint8_t> Buffer;
+  size_t Cursor = 0;
   bool Corrupted = false;
 };
 
@@ -90,11 +108,16 @@ struct Response {
 /// Handler names are length-prefixed with one byte.
 constexpr size_t MaxHandlerNameBytes = 255;
 
+/// The decoders are total: a malformed payload yields nullopt.
 std::vector<uint8_t> encodeRequest(const Request &R);
-std::optional<Request> decodeRequest(const std::vector<uint8_t> &Payload);
+std::optional<Request> decodeRequest(ByteView Payload);
 
 std::vector<uint8_t> encodeResponse(const Response &R);
-std::optional<Response> decodeResponse(const std::vector<uint8_t> &Payload);
+std::optional<Response> decodeResponse(ByteView Payload);
+
+/// encode(encodeResponse({S, Body})) built in one allocation: the
+/// complete `[u32 len][status][body]` frame.
+std::vector<uint8_t> encodeResponseFrame(Status S, ByteView Body);
 
 } // namespace frame
 } // namespace server

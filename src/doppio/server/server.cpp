@@ -108,21 +108,22 @@ void Server::onData(uint64_t Id, const std::vector<uint8_t> &Data) {
     if (It == Conns.end())
       return;
     Conn &C = *It->second;
-    auto Payload = C.Decode.next();
+    auto Payload = C.Decode.nextView();
     if (!Payload) {
       if (C.Decode.corrupted())
         closeConn(Id, CloseReason::ProtocolError);
       return;
     }
-    serveRequest(Id, C, std::move(*Payload));
+    serveRequest(Id, C, *Payload);
   }
 }
 
-void Server::serveRequest(uint64_t Id, Conn &C,
-                          std::vector<uint8_t> Payload) {
+void Server::serveRequest(uint64_t Id, Conn &C, frame::ByteView Payload) {
   ++C.InFlight;
   uint64_t Seq = C.NextSeq++;
   uint64_t StartNs = nowNs();
+  // Decoded before the handler runs: Payload views C's decoder buffer,
+  // which an inline response may tear down with the connection.
   auto Req = frame::decodeRequest(Payload);
   // One span per request, named for the handler. The span is current
   // while the handler starts work, so fs ops it issues (and every kernel
@@ -133,7 +134,7 @@ void Server::serveRequest(uint64_t Id, Conn &C,
       Req ? "server.req." + Req->Handler : std::string("server.req"));
   auto Respond = [this, Id, Seq, StartNs, Span](frame::Status St,
                                                 std::vector<uint8_t> Body) {
-    finishRequest(Id, Seq, StartNs, Span, St, std::move(Body));
+    finishRequest(Id, Seq, StartNs, Span, St, Body);
   };
   obs::SpanStore::Scope Scope(Spans, Span);
   if (!Req) {
@@ -145,7 +146,7 @@ void Server::serveRequest(uint64_t Id, Conn &C,
 
 void Server::finishRequest(uint64_t Id, uint64_t Seq, uint64_t StartNs,
                            obs::SpanId Span, frame::Status St,
-                           std::vector<uint8_t> Body) {
+                           frame::ByteView Body) {
   Env.metrics().spans().end(Span);
   auto It = Conns.find(Id);
   if (It == Conns.end())
@@ -162,8 +163,7 @@ void Server::finishRequest(uint64_t Id, uint64_t Seq, uint64_t StartNs,
     RequestErrorsC->inc();
   // Responses leave in request order; a response completing ahead of an
   // earlier in-flight one parks in Ready until its turn.
-  C.Ready.emplace(Seq,
-                  frame::encode(frame::encodeResponse({St, std::move(Body)})));
+  C.Ready.emplace(Seq, frame::encodeResponseFrame(St, Body));
   while (true) {
     auto RIt = C.Ready.find(C.NextToSend);
     if (RIt == C.Ready.end())

@@ -117,10 +117,10 @@ private:
   void acceptNext();
   void onAccepted(browser::TcpConnection &T);
   void onData(uint64_t Id, const std::vector<uint8_t> &Data);
-  void serveRequest(uint64_t Id, Conn &C, std::vector<uint8_t> Payload);
+  void serveRequest(uint64_t Id, Conn &C, frame::ByteView Payload);
   void finishRequest(uint64_t Id, uint64_t Seq, uint64_t StartNs,
                      obs::SpanId Span, frame::Status St,
-                     std::vector<uint8_t> Body);
+                     frame::ByteView Body);
   void closeConn(uint64_t Id, CloseReason Why);
   void armIdleSweep();
   void idleSweep();

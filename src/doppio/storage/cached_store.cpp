@@ -143,9 +143,13 @@ void CachedKvStore::enqueueOrRun(std::function<void()> Fn) {
 //===----------------------------------------------------------------------===//
 
 void CachedKvStore::get(const std::string &Key, GetCb Done) {
-  enqueueOrRun([this, Key, Done = std::move(Done)]() mutable {
-    doGet(Key, std::move(Done));
-  });
+  if (!Ready) {
+    enqueueOrRun([this, Key, Done = std::move(Done)]() mutable {
+      doGet(Key, std::move(Done));
+    });
+    return;
+  }
+  doGet(Key, std::move(Done));
 }
 
 void CachedKvStore::serveFromEntry(Entry &E, GetCb &Done) {

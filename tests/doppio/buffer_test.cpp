@@ -103,6 +103,41 @@ TEST(Buffer, TypedArrayAllocationIsAccounted) {
   EXPECT_EQ(Ie8.liveTypedArrayBytes(), 0u);
 }
 
+TEST(Buffer, ReleaseMovesBytesButFreesTheNotedSizeOnce) {
+  // Safari leaks every freed typed array, so Leaked counts frees exactly.
+  BrowserEnv Env(safariProfile());
+  std::vector<uint8_t> Out;
+  {
+    Buffer A(Env, 1000);
+    A.writeUInt8(42, 999);
+    Out = A.release();
+    EXPECT_EQ(A.size(), 0u);
+    EXPECT_EQ(Env.liveTypedArrayBytes(), 1000u); // Still allocated.
+    EXPECT_EQ(Env.leakedTypedArrayBytes(), 0u);
+  }
+  ASSERT_EQ(Out.size(), 1000u);
+  EXPECT_EQ(Out[999], 42);
+  EXPECT_EQ(Env.liveTypedArrayBytes(), 0u);
+  EXPECT_EQ(Env.leakedTypedArrayBytes(), 1000u);
+
+  {
+    Buffer A(Env, 300);
+    Out = A.release();
+    Buffer B(std::move(A)); // Carries the noted size; A frees nothing.
+    Buffer C(Env, 20);
+    C = std::move(B); // Frees C's 20; C now owns A's 300.
+    EXPECT_EQ(Env.liveTypedArrayBytes(), 300u);
+    EXPECT_EQ(Env.leakedTypedArrayBytes(), 1020u);
+    Buffer D(Env, 5);
+    D = std::move(C);
+    EXPECT_EQ(Env.liveTypedArrayBytes(), 300u);
+    EXPECT_EQ(Env.leakedTypedArrayBytes(), 1025u);
+  }
+  EXPECT_EQ(Env.liveTypedArrayBytes(), 0u);
+  EXPECT_EQ(Env.leakedTypedArrayBytes(), 1325u);
+  EXPECT_EQ(Env.cumulativeTypedArrayBytes(), 1325u);
+}
+
 TEST(Buffer, NumberArrayAccessChargesMore) {
   BrowserEnv Chrome(chromeProfile());
   BrowserEnv Ie8(ie8Profile());

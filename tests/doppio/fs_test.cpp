@@ -14,6 +14,7 @@
 #include "doppio/backends/mountable.h"
 #include "doppio/backends/xhr_fs.h"
 #include "doppio/fs.h"
+#include "doppio/storage/cached_store.h"
 
 #include "gtest/gtest.h"
 
@@ -641,6 +642,78 @@ TEST_F(FrontendTest, StatsTrackTraffic) {
   EXPECT_EQ(Fs.stats().BytesRead, 5u);
   EXPECT_GE(Fs.stats().Operations, 2u);
   EXPECT_EQ(Fs.stats().UniqueFilesTouched, 1u);
+}
+
+//===--------------------------------------------------------------------===//
+// readFile memory accounting
+//===--------------------------------------------------------------------===//
+
+/// What the memory model and the virtual clock read after one readFile.
+struct ReadMark {
+  uint64_t Live = 0, Cumulative = 0, Leaked = 0, ClockNs = 0;
+  bool operator==(const ReadMark &) const = default;
+};
+
+std::ostream &operator<<(std::ostream &OS, const ReadMark &M) {
+  return OS << "{" << M.Live << ", " << M.Cumulative << ", " << M.Leaked
+            << ", " << M.ClockNs << "}";
+}
+
+constexpr size_t PinnedReadSizes[] = {0, 1, 4096, 16385};
+
+/// Seeds a cached-cloud fs under \p P with one file per pinned size, then
+/// reads each back, marking the accounting after every readFile.
+std::vector<ReadMark> readFileMarks(const Profile &P) {
+  BrowserEnv Env(P);
+  auto Backend = std::make_unique<KeyValueBackend>(
+      Env, std::make_unique<storage::CachedKvStore>(
+               Env, std::make_unique<CloudKv>(Env)));
+  Backend->initialize([](std::optional<ApiError> E) { ASSERT_FALSE(E); });
+  Env.loop().run();
+  Process Proc;
+  FileSystem Fs(Env, Proc, std::move(Backend));
+  auto contents = [](size_t Size) {
+    std::vector<uint8_t> Bytes(Size);
+    for (size_t I = 0; I != Size; ++I)
+      Bytes[I] = static_cast<uint8_t>(I * 131 + 7);
+    return Bytes;
+  };
+  for (size_t Size : PinnedReadSizes)
+    Fs.writeFile("/f" + std::to_string(Size), contents(Size),
+                 [](std::optional<ApiError> E) { ASSERT_FALSE(E); });
+  Env.loop().run();
+  std::vector<ReadMark> Marks;
+  for (size_t Size : PinnedReadSizes) {
+    Fs.readFile("/f" + std::to_string(Size),
+                [&](ErrorOr<std::vector<uint8_t>> R) {
+                  ASSERT_TRUE(R.ok());
+                  EXPECT_EQ(*R, contents(Size));
+                });
+    Env.loop().run();
+    Marks.push_back({Env.liveTypedArrayBytes(),
+                     Env.cumulativeTypedArrayBytes(),
+                     Env.leakedTypedArrayBytes(), Env.clock().nowNs()});
+  }
+  return Marks;
+}
+
+// readFile hands its read buffer's bytes to the caller without a copy;
+// the buffer must still be freed, once, at its allocation size. Pinned
+// against the copying implementation.
+TEST(ReadFileAccounting, ChromeMatchesCopyingReads) {
+  std::vector<ReadMark> Want = {{0, 40979, 0, 188068712},
+                                {0, 40981, 0, 188069315},
+                                {0, 49173, 0, 188074525},
+                                {0, 81943, 0, 188093560}};
+  EXPECT_EQ(readFileMarks(chromeProfile()), Want);
+}
+
+TEST(ReadFileAccounting, SafariLeaksMatchCopyingReads) {
+  std::vector<ReadMark> Want = {{0, 40979, 40979, 188068712},
+                                {0, 40981, 40981, 188069317},
+                                {0, 49173, 49173, 188077395},
+                                {0, 81943, 81943, 188107900}};
+  EXPECT_EQ(readFileMarks(safariProfile()), Want);
 }
 
 } // namespace

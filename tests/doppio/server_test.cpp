@@ -9,11 +9,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "doppio/backends/in_memory.h"
+#include "doppio/backends/kv_backend.h"
+#include "doppio/backends/kv_store.h"
 #include "doppio/fs.h"
 #include "doppio/server/client.h"
 #include "doppio/server/handlers.h"
 #include "doppio/server/server.h"
 #include "doppio/sockets.h"
+#include "doppio/storage/cached_store.h"
 #include "workloads/traffic.h"
 
 #include "gtest/gtest.h"
@@ -27,6 +30,23 @@ namespace {
 
 std::vector<uint8_t> bytesOf(const std::string &S) {
   return std::vector<uint8_t>(S.begin(), S.end());
+}
+
+std::vector<uint8_t> bytesOf(frame::ByteView V) {
+  return std::vector<uint8_t>(V.begin(), V.end());
+}
+
+std::vector<uint8_t> concat(std::initializer_list<std::vector<uint8_t>> Parts) {
+  std::vector<uint8_t> Out;
+  for (const std::vector<uint8_t> &P : Parts)
+    Out.insert(Out.end(), P.begin(), P.end());
+  return Out;
+}
+
+/// Bytes [Begin, End) of \p V.
+std::vector<uint8_t> slice(const std::vector<uint8_t> &V, size_t Begin,
+                           size_t End) {
+  return std::vector<uint8_t>(V.begin() + Begin, V.begin() + End);
 }
 
 //===----------------------------------------------------------------------===//
@@ -79,9 +99,10 @@ TEST(Frame, RequestRoundTripAndRejects) {
   EXPECT_EQ(Back->Handler, "stat");
   EXPECT_EQ(Back->Body, bytesOf("/tmp/x"));
 
+  using Bytes = std::vector<uint8_t>;
   EXPECT_FALSE(frame::decodeRequest({}).has_value());
-  EXPECT_FALSE(frame::decodeRequest({0}).has_value()); // Empty name.
-  EXPECT_FALSE(frame::decodeRequest({5, 'a', 'b'}).has_value()); // Short.
+  EXPECT_FALSE(frame::decodeRequest(Bytes{0}).has_value()); // Empty name.
+  EXPECT_FALSE(frame::decodeRequest(Bytes{5, 'a', 'b'}).has_value()); // Short.
 }
 
 TEST(Frame, ResponseRoundTripAndRejects) {
@@ -91,8 +112,114 @@ TEST(Frame, ResponseRoundTripAndRejects) {
   EXPECT_EQ(Back->S, frame::Status::Error);
   EXPECT_EQ(Back->text(), "ENOENT");
 
+  using Bytes = std::vector<uint8_t>;
   EXPECT_FALSE(frame::decodeResponse({}).has_value());
-  EXPECT_FALSE(frame::decodeResponse({42, 'x'}).has_value()); // Bad status.
+  // Bad status.
+  EXPECT_FALSE(frame::decodeResponse(Bytes{42, 'x'}).has_value());
+}
+
+TEST(Frame, FrameSplitAfterAConsumedFrameDecodes) {
+  std::vector<uint8_t> Two = frame::encode(bytesOf("second frame"));
+  frame::Decoder D;
+  D.feed(frame::encode(bytesOf("first")));
+  auto A = D.nextView();
+  ASSERT_TRUE(A.has_value());
+  EXPECT_EQ(bytesOf(*A), bytesOf("first"));
+  // The next frame arrives in three chunks; the first splits its header.
+  D.feed(slice(Two, 0, 2));
+  EXPECT_FALSE(D.nextView().has_value());
+  EXPECT_EQ(D.bufferedBytes(), 2u);
+  D.feed(slice(Two, 2, 7));
+  EXPECT_FALSE(D.nextView().has_value());
+  EXPECT_EQ(D.bufferedBytes(), 7u);
+  D.feed(slice(Two, 7, Two.size()));
+  auto B = D.nextView();
+  ASSERT_TRUE(B.has_value());
+  EXPECT_EQ(bytesOf(*B), bytesOf("second frame"));
+  EXPECT_EQ(D.bufferedBytes(), 0u);
+  EXPECT_FALSE(D.nextView().has_value());
+}
+
+TEST(Frame, CoalescedFramesThenAPartialOne) {
+  std::vector<uint8_t> Three = frame::encode(bytesOf("three"));
+  frame::Decoder D;
+  // Payload lengths differ, so a length read from the wrong frame shows.
+  D.feed(concat({frame::encode(bytesOf("one")),
+                 frame::encode(bytesOf("second")), slice(Three, 0, 6)}));
+  EXPECT_EQ(D.bufferedBytes(), 7u + 10u + 6u);
+  // Views stay valid until the next feed, so both can be held at once.
+  auto A = D.nextView();
+  EXPECT_EQ(D.bufferedBytes(), 10u + 6u);
+  auto B = D.nextView();
+  EXPECT_EQ(D.bufferedBytes(), 6u);
+  ASSERT_TRUE(A && B);
+  EXPECT_EQ(bytesOf(*A), bytesOf("one"));
+  EXPECT_EQ(bytesOf(*B), bytesOf("second"));
+  EXPECT_FALSE(D.nextView().has_value());
+  EXPECT_EQ(D.bufferedBytes(), 6u);
+  D.feed(slice(Three, 6, Three.size()));
+  auto C = D.nextView();
+  ASSERT_TRUE(C.has_value());
+  EXPECT_EQ(bytesOf(*C), bytesOf("three"));
+  EXPECT_EQ(D.bufferedBytes(), 0u);
+}
+
+TEST(Frame, CorruptPrefixAfterAConsumedFrame) {
+  frame::Decoder D;
+  D.feed(concat({frame::encode(bytesOf("ok")), {0xff, 0xff, 0xff, 0xff}}));
+  auto A = D.nextView();
+  ASSERT_TRUE(A.has_value());
+  EXPECT_EQ(bytesOf(*A), bytesOf("ok"));
+  EXPECT_FALSE(D.corrupted());
+  EXPECT_FALSE(D.nextView().has_value());
+  EXPECT_TRUE(D.corrupted());
+  EXPECT_EQ(D.bufferedBytes(), 0u);
+  D.feed(frame::encode(bytesOf("x")));
+  EXPECT_FALSE(D.nextView().has_value());
+  EXPECT_EQ(D.bufferedBytes(), 0u);
+}
+
+TEST(Frame, ResponseFrameMatchesTwoStepEncoding) {
+  for (size_t Size : {0u, 1u, 255u, 256u, 65535u, 65536u}) {
+    std::vector<uint8_t> Body(Size);
+    for (size_t I = 0; I != Size; ++I)
+      Body[I] = static_cast<uint8_t>(I * 7 + 3);
+    for (frame::Status S : {frame::Status::Ok, frame::Status::Error}) {
+      EXPECT_EQ(frame::encodeResponseFrame(S, Body),
+                frame::encode(frame::encodeResponse({S, Body})))
+          << "body " << Size;
+    }
+  }
+}
+
+TEST(Frame, DecodersRejectMalformedPayloadsInPlace) {
+  // Each malformed payload is decoded both on its own and as a view into
+  // a decoder buffer where the next frame's bytes follow it, so reading
+  // past the view would find enough bytes to pass.
+  auto viewed = [](const std::vector<uint8_t> &Payload, auto Decode) {
+    frame::Decoder D;
+    D.feed(concat({frame::encode(Payload),
+                   frame::encode(bytesOf("\x01zzzzzzzzzz"))}));
+    auto View = D.nextView();
+    EXPECT_TRUE(View.has_value());
+    return View ? Decode(*View).has_value() : true;
+  };
+  auto request = [](frame::ByteView V) { return frame::decodeRequest(V); };
+  auto response = [](frame::ByteView V) { return frame::decodeResponse(V); };
+
+  std::vector<uint8_t> Empty, ZeroName{0, 'a'}, ShortName{5, 'a', 'b'},
+      BadStatus{static_cast<uint8_t>(frame::Status::Error) + 1, 'x'};
+  for (const std::vector<uint8_t> *P : {&Empty, &ZeroName, &ShortName}) {
+    EXPECT_FALSE(frame::decodeRequest(*P).has_value());
+    EXPECT_FALSE(viewed(*P, request));
+  }
+  for (const std::vector<uint8_t> *P : {&Empty, &BadStatus}) {
+    EXPECT_FALSE(frame::decodeResponse(*P).has_value());
+    EXPECT_FALSE(viewed(*P, response));
+  }
+  // The same bytes, well formed, decode from a view.
+  EXPECT_TRUE(viewed({2, 'o', 'k'}, request));
+  EXPECT_TRUE(viewed({static_cast<uint8_t>(frame::Status::Error)}, response));
 }
 
 TEST(Stats, PercentileNearestRank) {
@@ -267,6 +394,101 @@ TEST(Server, StatAndFileHandlersServeTheFs) {
   EXPECT_EQ(StatLine, "file 20");
   EXPECT_EQ(FileBody, "hello from doppio fs");
   EXPECT_NE(MissingErr.find("ENOENT"), std::string::npos);
+}
+
+/// The file handler over the cached-cloud stack serve_files runs:
+/// KeyValueBackend -> CachedKvStore -> CloudKv.
+struct CachedCloudRig {
+  CachedCloudRig() : Env(chromeProfile()) {
+    auto Backend = std::make_unique<fs::KeyValueBackend>(
+        Env, std::make_unique<storage::CachedKvStore>(
+                 Env, std::make_unique<fs::CloudKv>(Env)));
+    Backend->initialize([](std::optional<ApiError> E) { ASSERT_FALSE(E); });
+    Env.loop().run();
+    Fs = std::make_unique<fs::FileSystem>(Env, Proc, std::move(Backend));
+    Fs->mkdirp("/srv", [](std::optional<ApiError> E) { ASSERT_FALSE(E); });
+    Env.loop().run();
+  }
+
+  static std::vector<uint8_t> contents(size_t Size) {
+    std::vector<uint8_t> Bytes(Size);
+    for (size_t I = 0; I != Size; ++I)
+      Bytes[I] = static_cast<uint8_t>(I * 131 + I / 256);
+    return Bytes;
+  }
+
+  static std::string pathOf(size_t Size) {
+    return "/srv/f" + std::to_string(Size);
+  }
+
+  BrowserEnv Env;
+  Process Proc;
+  std::unique_ptr<fs::FileSystem> Fs;
+};
+
+TEST(Server, FileHandlerServesCachedCloudBodiesByteExact) {
+  // 16 KiB is the cache's block size: the larger files are assembled from
+  // several pooled blocks.
+  const size_t Sizes[] = {0, 1, 16383, 16384, 16385, 40000};
+  CachedCloudRig R;
+  for (size_t Size : Sizes)
+    R.Fs->writeFile(R.pathOf(Size), R.contents(Size),
+                    [](std::optional<ApiError> E) { ASSERT_FALSE(E); });
+  R.Env.loop().run();
+  Server Srv(R.Env, testConfig());
+  installDefaultHandlers(Srv.router(), *R.Fs, &R.Env.metrics());
+  ASSERT_TRUE(Srv.start());
+
+  std::map<size_t, frame::Response> Got;
+  frame::Response Missing, Dir;
+  FrameClient C(R.Env.net());
+  C.connect(7000, [&](bool Ok) {
+    ASSERT_TRUE(Ok);
+    for (size_t Size : Sizes)
+      C.request("file", bytesOf(R.pathOf(Size)),
+                [&Got, Size](frame::Response Resp) {
+                  Got[Size] = std::move(Resp);
+                });
+    C.request("file", bytesOf("/srv/missing"),
+              [&](frame::Response Resp) { Missing = std::move(Resp); });
+    C.request("file", bytesOf("/srv"), [&](frame::Response Resp) {
+      Dir = std::move(Resp);
+      C.close();
+    });
+  });
+  R.Env.loop().run();
+  for (size_t Size : Sizes) {
+    ASSERT_EQ(Got.count(Size), 1u) << Size;
+    EXPECT_EQ(Got[Size].S, frame::Status::Ok) << Size;
+    EXPECT_TRUE(Got[Size].Body == R.contents(Size)) << Size;
+  }
+  EXPECT_EQ(Missing.S, frame::Status::Error);
+  EXPECT_NE(Missing.text().find("ENOENT"), std::string::npos);
+  EXPECT_EQ(Dir.S, frame::Status::Error);
+  EXPECT_NE(Dir.text().find("EISDIR"), std::string::npos);
+}
+
+TEST(Server, FileHandlerRespondsExactlyOnce) {
+  CachedCloudRig R;
+  R.Fs->writeFile(R.pathOf(20000), R.contents(20000),
+                  [](std::optional<ApiError> E) { ASSERT_FALSE(E); });
+  R.Env.loop().run();
+  Router::Handler File = makeFileHandler(*R.Fs);
+  for (const std::string &Path : {R.pathOf(20000), std::string("/srv/nope"),
+                                  std::string("/srv")}) {
+    int Calls = 0;
+    frame::Status St = frame::Status::BadRequest;
+    File(frame::Request{"file", bytesOf(Path)},
+         [&](frame::Status S, std::vector<uint8_t>) {
+           ++Calls;
+           St = S;
+         });
+    R.Env.loop().run();
+    EXPECT_EQ(Calls, 1) << Path;
+    EXPECT_EQ(St, Path == R.pathOf(20000) ? frame::Status::Ok
+                                          : frame::Status::Error)
+        << Path;
+  }
 }
 
 TEST(Server, UnknownHandlerAnswersNoHandler) {
