@@ -217,7 +217,8 @@ Frame &JvmThread::pushFrame(Method *M, size_t Base, size_t ArgSlots) {
   F.Stack = F.Locals + M->Code.MaxLocals;
   std::fill(F.Locals + std::min<size_t>(ArgSlots, M->Code.MaxLocals),
             F.Stack, Value());
-  F.Trusted = M->Verified && Vm.profile().TrustVerifier;
+  if (!M->Verified || !Vm.profile().TrustVerifier)
+    F.General = Frame::GuardedBit;
   configureSuspendChecks(F);
   Sp = F.Stack;
   return F;
@@ -342,22 +343,21 @@ void JvmThread::configureSuspendChecks(Frame &F) {
   case SuspendCheckMode::CallBoundary:
     break; // Legacy §6.1 behavior: boundaries only, branches free.
   case SuspendCheckMode::Everywhere:
-    F.CheckEvery = true;
+    F.General |= Frame::CheckEveryBit;
     break;
   case SuspendCheckMode::Placed:
-    // Placement rides on the verifier like Trusted does: the proof used
-    // the verified boundaries, so an untrusted run degrades too.
+    // Placement rides on the verifier like trust does: the proof used
+    // the verified boundaries, so an unverified method degrades too.
     if (F.M->placementProved() && F.M->Verified)
       F.SuspendKeep = F.M->SuspendKeep.data();
     else
-      F.CheckEvery = true;
+      F.General |= Frame::CheckEveryBit;
     break;
   }
 }
 
 JvmThread::StepResult JvmThread::branchDone(Frame &F, uint32_t Site) {
-  if (!F.SuspendKeep)
-    return StepResult::Continue;
+  assert(F.SuspendKeep && "only frames with keep bits check at branches");
   if (F.SuspendKeep[Site]) {
     // A loop back edge: the one branch site that must keep its check.
     // Pc already points at the destination, so a yield resumes there.
@@ -367,6 +367,21 @@ JvmThread::StepResult JvmThread::branchDone(Frame &F, uint32_t Site) {
     Vm.noteSuspendCheckElided();
   }
   return StepResult::Continue;
+}
+
+QuickEntry *JvmThread::quicken(Frame &F, uint16_t Idx) {
+  // Widths match, so no pc, branch offset, SuspendKeep bit, or
+  // checkpointed frame image ever moves. Gated on the frame being
+  // verifier-trusted: quick forms bypass the guarded precheck's operand
+  // re-validation, so only proven bodies may install them.
+  if (!Vm.profile().Quicken || !F.trusted())
+    return nullptr;
+  uint8_t &Opcode = F.M->Code.Bytecode[F.Pc];
+  if (!isQuickOpcode(Opcode)) {
+    Opcode = quickenedForm(Opcode);
+    ++Vm.stats().QuickenedSites;
+  }
+  return &F.M->Owner->quickEntry(Idx);
 }
 
 //===----------------------------------------------------------------------===//
@@ -657,20 +672,18 @@ JvmThread::returnFromFrame(std::optional<Value> Ret) {
 
 namespace {
 
-/// Big-endian operand readers.
-inline uint8_t rdU1(const std::vector<uint8_t> &C, uint32_t At) {
-  return C[At];
-}
-inline int8_t rdS1(const std::vector<uint8_t> &C, uint32_t At) {
+/// Big-endian operand readers over a method's code.
+inline uint8_t rdU1(const uint8_t *C, uint32_t At) { return C[At]; }
+inline int8_t rdS1(const uint8_t *C, uint32_t At) {
   return static_cast<int8_t>(C[At]);
 }
-inline uint16_t rdU2(const std::vector<uint8_t> &C, uint32_t At) {
+inline uint16_t rdU2(const uint8_t *C, uint32_t At) {
   return static_cast<uint16_t>((C[At] << 8) | C[At + 1]);
 }
-inline int16_t rdS2(const std::vector<uint8_t> &C, uint32_t At) {
+inline int16_t rdS2(const uint8_t *C, uint32_t At) {
   return static_cast<int16_t>(rdU2(C, At));
 }
-inline int32_t rdS4(const std::vector<uint8_t> &C, uint32_t At) {
+inline int32_t rdS4(const uint8_t *C, uint32_t At) {
   return static_cast<int32_t>((static_cast<uint32_t>(C[At]) << 24) |
                               (static_cast<uint32_t>(C[At + 1]) << 16) |
                               (static_cast<uint32_t>(C[At + 2]) << 8) |
@@ -689,8 +702,8 @@ inline int32_t rdS4(const std::vector<uint8_t> &C, uint32_t At) {
 /// errors, exactly as the seed interpreter behaved for all code.
 bool JvmThread::guardedPrecheck(Frame &F, StepResult &Out) {
   const CodeAttr &Code = F.M->Code;
-  // Quick forms never reach untrusted frames (quickening requires
-  // Frame::Trusted), but the decoder maps them to their base form
+  // Quick forms never reach untrusted frames (quickening requires a
+  // trusted frame), but the decoder maps them to their base form
   // defensively: the operand layouts are identical by construction.
   StackEffect E =
       decodeStackEffect(Code.Bytecode, F.Pc, F.M->Owner->Cf.Pool);
@@ -715,28 +728,85 @@ bool JvmThread::guardedPrecheck(Frame &F, StepResult &Out) {
   return false;
 }
 
-// Dispatch-label macro (DESIGN.md §18). Under DOPPIO_COMPUTED_GOTO
-// (selected at configure time on GCC/Clang) every handler is a
-// labels-as-values target and dispatch is one indexed indirect jump;
-// otherwise the handlers are cases of a portable switch. Handler bodies
-// are identical in both modes.
+// Register-resident threaded dispatch (DESIGN.md §18). step() keeps the
+// top frame's pc, stack top, code base and length, and a count of
+// dispatched ops in locals. Fast handlers use only those and dispatch
+// their successor themselves; memory (Frame::Pc, Sp and the three op
+// counters) is written back by SYNC() on entry to a slow handler, before
+// a fast handler calls a helper that can observe the thread, and on every
+// return. Frames with Frame::General set run the general path: Next does
+// the per-instruction check, counting and precheck in memory. Without
+// DOPPIO_COMPUTED_GOTO the handlers are cases of a portable switch, and
+// every dispatch syncs and returns to Next.
 #ifdef DOPPIO_COMPUTED_GOTO
 #define OPC(name) Lbl_##name:
 #define OPC_ILLEGAL Lbl_Illegal:
 
 namespace {
 
-/// Handler addresses indexed by opcode byte. Gaps point at the illegal
-/// handler, exactly like the switch default.
-struct DispatchTable {
-  const void *Handler[256];
+/// Opcodes whose handlers run with memory in sync: they may push or pop
+/// frames, resolve or load classes, allocate through the class loader,
+/// block, or throw from deep inside a helper. Illegal opcodes are slow
+/// too.
+constexpr bool isSlowOpcode(Op O) {
+  switch (O) {
+  case Op::Ldc:
+  case Op::LdcW:
+  case Op::Getstatic:
+  case Op::Putstatic:
+  case Op::Getfield:
+  case Op::Putfield:
+  case Op::Invokevirtual:
+  case Op::Invokespecial:
+  case Op::Invokestatic:
+  case Op::Invokeinterface:
+  case Op::InvokevirtualQuick:
+  case Op::InvokespecialQuick:
+  case Op::InvokestaticQuick:
+  case Op::InvokeinterfaceQuick:
+  case Op::Ireturn:
+  case Op::Lreturn:
+  case Op::Freturn:
+  case Op::Dreturn:
+  case Op::Areturn:
+  case Op::Return:
+  case Op::New:
+  case Op::Newarray:
+  case Op::Anewarray:
+  case Op::Multianewarray:
+  case Op::Checkcast:
+  case Op::Instanceof:
+  case Op::Athrow:
+  case Op::Monitorenter:
+  case Op::Monitorexit:
+  case Op::Wide:
+    return true;
+  default:
+    return false;
+  }
+}
 
-  DispatchTable(
-      const void *Illegal,
+/// The label tables, indexed by opcode byte. Full holds every handler
+/// (gaps at the illegal handler, like the switch default) and is entered
+/// with memory in sync. Fast is the fast path's successor table: slow
+/// and illegal opcodes point at the sync stub. Resync is the general
+/// path's successor table: every entry returns to Next.
+struct DispatchTables {
+  const void *Full[256];
+  const void *Fast[256];
+  const void *Resync[256];
+
+  DispatchTables(
+      const void *Illegal, const void *Sync, const void *ToNext,
       std::initializer_list<std::pair<uint8_t, const void *>> Handlers) {
-    std::fill(std::begin(Handler), std::end(Handler), Illegal);
-    for (const auto &[Opcode, Target] : Handlers)
-      Handler[Opcode] = Target;
+    std::fill(std::begin(Full), std::end(Full), Illegal);
+    std::fill(std::begin(Fast), std::end(Fast), Sync);
+    std::fill(std::begin(Resync), std::end(Resync), ToNext);
+    for (const auto &[Opcode, Target] : Handlers) {
+      Full[Opcode] = Target;
+      if (!isSlowOpcode(static_cast<Op>(Opcode)))
+        Fast[Opcode] = Target;
+    }
   }
 };
 
@@ -746,11 +816,49 @@ struct DispatchTable {
 #define OPC_ILLEGAL default:
 #endif
 
-// Handler exits. A handler never returns Continue: NEXT() jumps back to
-// the top of step(), which runs the per-instruction suspend check and
-// counters and dispatches the next bytecode on the (possibly new) top
-// frame. NEXT_IF_CONTINUE() does the same with a helper's outcome, and
-// returns any other outcome (Yield, Block, Done) to resume().
+// The register-resident operand stack: the same two-slot convention as
+// push/pop, over the local stack top S.
+#define PUSH(V) (*S++ = (V))
+#define PUSH2(V)                                                           \
+  do {                                                                     \
+    *S++ = (V);                                                            \
+    *S++ = Value();                                                        \
+  } while (0)
+#define POP() (*--S)
+#define POP2() (S -= 2, S[0])
+#define PEEK() (S[-1])
+
+// Writes the dispatch locals back to memory.
+#define SYNC()                                                             \
+  do {                                                                     \
+    F.Pc = Pc;                                                             \
+    Sp = S;                                                                \
+    Vm.stats().OpsExecuted += Ops;                                         \
+    OpsSinceFlush += Ops;                                                  \
+    OpsSinceCheck += Ops;                                                  \
+    Ops = 0;                                                               \
+  } while (0)
+
+// Fast-handler exit: dispatch the successor at Pc.
+#ifdef DOPPIO_COMPUTED_GOTO
+#define DISPATCH()                                                         \
+  do {                                                                     \
+    assert(Pc < CodeLen && "pc ran off the end of the method");            \
+    O = static_cast<Op>(C[Pc]);                                            \
+    ++Ops;                                                                 \
+    goto *Successor[C[Pc]];                                                \
+  } while (0)
+#else
+#define DISPATCH()                                                         \
+  do {                                                                     \
+    SYNC();                                                                \
+    goto Next;                                                             \
+  } while (0)
+#endif
+
+// Slow-handler exits. NEXT() reloads the locals from memory at Next.
+// NEXT_IF_CONTINUE() does the same with a helper's outcome, and returns
+// any other outcome (Yield, Block, Done) to resume().
 #define NEXT() goto Next
 #define NEXT_IF_CONTINUE(Outcome)                                          \
   do {                                                                     \
@@ -758,71 +866,108 @@ struct DispatchTable {
       return Out_;                                                         \
     goto Next;                                                             \
   } while (0)
+// A fast handler's call into a helper that may see the thread's state:
+// sync first, then exit like a slow handler.
+#define SYNC_NEXT_IF_CONTINUE(Outcome)                                     \
+  do {                                                                     \
+    SYNC();                                                                \
+    NEXT_IF_CONTINUE(Outcome);                                             \
+  } while (0)
+// Tail of every branch: only frames with keep bits (Placed mode) run
+// branchDone, with memory in sync since it may flush and yield.
+#define BRANCH_DONE(Site)                                                  \
+  do {                                                                     \
+    if (F.SuspendKeep) {                                                   \
+      SYNC();                                                              \
+      if (StepResult Out_ = branchDone(F, Site);                           \
+          Out_ != StepResult::Continue)                                    \
+        return Out_;                                                       \
+    }                                                                      \
+    DISPATCH();                                                            \
+  } while (0)
 
-JvmThread::StepResult JvmThread::step() {
-Next:
-  Frame &F = CallStack.back();
-  // Everywhere mode — and Placed-mode frames the analysis could not
-  // prove — checks before every dispatch. Pc is untouched, so a yield
-  // re-enters at the same instruction; nothing below has run yet.
-  if (F.CheckEvery && wantsSuspend())
-    return StepResult::Yield;
-  const std::vector<uint8_t> &C = F.M->Code.Bytecode;
-  assert(F.Pc < C.size() && "pc ran off the end of the method");
-  Op O = static_cast<Op>(C[F.Pc]);
-  ++Vm.stats().OpsExecuted;
-  ++OpsSinceFlush;
-  ++OpsSinceCheck;
-
-  // Check-elision fast path: frames the verifier proved skip the guarded
-  // precheck entirely (DESIGN.md §12).
-  if (!F.Trusted) {
-    StepResult Guarded;
-    if (!guardedPrecheck(F, Guarded))
-      NEXT_IF_CONTINUE(Guarded);
-  }
-
-  // In-place quickening (DESIGN.md §18): after a slow handler fully
-  // resolved its operands, rewrite the opcode byte to the _quick form and
-  // hand back the constant-pool side table to stash the resolution in.
-  // Widths match, so no pc, branch offset, SuspendKeep bit, or
-  // checkpointed frame image ever moves. Gated on the frame being
-  // verifier-trusted: quick forms bypass the guarded precheck's operand
-  // re-validation, so only proven bodies may install them.
-  auto quicken = [&](uint16_t Idx) -> QuickEntry * {
-    if (!Vm.profile().Quicken || !F.Trusted)
-      return nullptr;
-    if (!isQuickOpcode(F.M->Code.Bytecode[F.Pc])) {
-      F.M->Code.Bytecode[F.Pc] = quickenedForm(F.M->Code.Bytecode[F.Pc]);
-      ++Vm.stats().QuickenedSites;
-    }
-    return &F.M->Owner->quickEntry(Idx);
-  };
-
+[[gnu::aligned(64)]] JvmThread::StepResult JvmThread::step() {
 #ifdef DOPPIO_COMPUTED_GOTO
-  // Threaded dispatch: the handler-address table, built from opcodes.def
-  // on the first step(). A function-local static, so concurrent first
-  // entries from several host threads initialize it exactly once.
-  static const DispatchTable Dispatch(&&Lbl_Illegal, {
+  // Built from opcodes.def on the first step(). A function-local static,
+  // so concurrent first entries from several host threads initialize it
+  // exactly once; its guard is checked once per step(), not per bytecode.
+  static const DispatchTables Tables(&&Lbl_Illegal, &&SyncEntry, &&Resync, {
 #define JVM_OPCODE(NAME, VALUE, ...) {VALUE, &&Lbl_##NAME},
 #define JVM_QUICK_OPCODE(NAME, VALUE, ...) {VALUE, &&Lbl_##NAME},
 #include "jvm/classfile/opcodes.def"
 #undef JVM_QUICK_OPCODE
 #undef JVM_OPCODE
   });
-  goto *Dispatch.Handler[static_cast<uint8_t>(O)];
+  const void *const *Successor = Tables.Fast;
+#endif
+  // The dispatch locals: valid from Next on, written back by SYNC().
+  const uint8_t *C = nullptr;
+  uint32_t CodeLen = 0;
+  uint32_t Pc = 0;
+  Value *S = nullptr;
+  Value *L = nullptr;
+  uint64_t Ops = 0;
+  Op O = Op::Nop;
+  (void)CodeLen;
+
+Next:
+  // Memory is in sync here, and Ops is zero.
+  Frame &F = CallStack.back();
+  if (F.General) {
+    // Everywhere mode — and Placed-mode frames the analysis could not
+    // prove — checks before every dispatch. Pc is untouched, so a yield
+    // re-enters at the same instruction; nothing below has run yet.
+    if (F.checkEvery() && wantsSuspend())
+      return StepResult::Yield;
+#ifdef DOPPIO_COMPUTED_GOTO
+    Successor = Tables.Resync;
+  } else {
+    Successor = Tables.Fast;
+#endif
+  }
+  C = F.M->Code.Bytecode.data();
+  CodeLen = static_cast<uint32_t>(F.M->Code.Bytecode.size());
+  assert(F.Pc < CodeLen && "pc ran off the end of the method");
+  ++Vm.stats().OpsExecuted;
+  ++OpsSinceFlush;
+  ++OpsSinceCheck;
+  // Check-elision fast path: frames the verifier proved skip the guarded
+  // precheck entirely (DESIGN.md §12).
+  if (!F.trusted()) {
+    StepResult Guarded;
+    if (!guardedPrecheck(F, Guarded))
+      NEXT_IF_CONTINUE(Guarded);
+  }
+  Pc = F.Pc;
+  S = Sp;
+  L = F.Locals;
+  O = static_cast<Op>(C[Pc]);
+#ifdef DOPPIO_COMPUTED_GOTO
+  goto *Tables.Full[C[Pc]];
+
+SyncEntry:
+  // A fast handler dispatched a slow opcode, already counted in Ops.
+  SYNC();
+  goto *Tables.Full[C[Pc]];
+
+Resync:
+  // A fast handler ran in a general-path frame: Next counts and checks
+  // the successor itself.
+  --Ops;
+  SYNC();
+  goto Next;
 #else
   switch (O) {
 #endif
   OPC(Nop)
-    ++F.Pc;
-    NEXT();
+    ++Pc;
+    DISPATCH();
 
   // Constants -----------------------------------------------------------
   OPC(AconstNull)
-    push(Value::null());
-    ++F.Pc;
-    NEXT();
+    PUSH(Value::null());
+    ++Pc;
+    DISPATCH();
   OPC(IconstM1)
   OPC(Iconst0)
   OPC(Iconst1)
@@ -830,37 +975,37 @@ Next:
   OPC(Iconst3)
   OPC(Iconst4)
   OPC(Iconst5)
-    push(Value::intVal(static_cast<int32_t>(O) -
+    PUSH(Value::intVal(static_cast<int32_t>(O) -
                        static_cast<int32_t>(Op::Iconst0)));
-    ++F.Pc;
-    NEXT();
+    ++Pc;
+    DISPATCH();
   OPC(Lconst0)
   OPC(Lconst1)
-    push2(Value::longVal(static_cast<int64_t>(
+    PUSH2(Value::longVal(static_cast<int64_t>(
         static_cast<int32_t>(O) - static_cast<int32_t>(Op::Lconst0))));
-    ++F.Pc;
-    NEXT();
+    ++Pc;
+    DISPATCH();
   OPC(Fconst0)
   OPC(Fconst1)
   OPC(Fconst2)
-    push(Value::floatVal(static_cast<float>(
+    PUSH(Value::floatVal(static_cast<float>(
         static_cast<int32_t>(O) - static_cast<int32_t>(Op::Fconst0))));
-    ++F.Pc;
-    NEXT();
+    ++Pc;
+    DISPATCH();
   OPC(Dconst0)
   OPC(Dconst1)
-    push2(Value::doubleVal(static_cast<double>(
+    PUSH2(Value::doubleVal(static_cast<double>(
         static_cast<int32_t>(O) - static_cast<int32_t>(Op::Dconst0))));
-    ++F.Pc;
-    NEXT();
+    ++Pc;
+    DISPATCH();
   OPC(Bipush)
-    push(Value::intVal(rdS1(C, F.Pc + 1)));
-    F.Pc += 2;
-    NEXT();
+    PUSH(Value::intVal(rdS1(C, Pc + 1)));
+    Pc += 2;
+    DISPATCH();
   OPC(Sipush)
-    push(Value::intVal(rdS2(C, F.Pc + 1)));
-    F.Pc += 3;
-    NEXT();
+    PUSH(Value::intVal(rdS2(C, Pc + 1)));
+    Pc += 3;
+    DISPATCH();
 
   OPC(Ldc)
   OPC(LdcW) {
@@ -892,73 +1037,73 @@ Next:
     }
     // Interned strings and class mirrors are VM-cached, so replaying the
     // materialized value from the quick entry preserves identity.
-    if (QuickEntry *Q = quicken(Idx))
+    if (QuickEntry *Q = quicken(F, Idx))
       Q->Constant = V;
     push(V);
     F.Pc += Len;
     NEXT();
   }
   OPC(Ldc2W) {
-    uint16_t Idx = rdU2(C, F.Pc + 1);
+    uint16_t Idx = rdU2(C, Pc + 1);
     const CpEntry &E = F.M->Owner->Cf.Pool.at(Idx);
     if (E.Tag == CpTag::Long)
-      push2(Value::longVal(E.LongBits));
+      PUSH2(Value::longVal(E.LongBits));
     else if (E.Tag == CpTag::Double)
-      push2(Value::doubleVal(std::bit_cast<double>(E.LongBits)));
+      PUSH2(Value::doubleVal(std::bit_cast<double>(E.LongBits)));
     else
-      NEXT_IF_CONTINUE(throwJvm("java/lang/ClassFormatError",
-                                "bad ldc2_w constant"));
-    F.Pc += 3;
-    NEXT();
+      SYNC_NEXT_IF_CONTINUE(throwJvm("java/lang/ClassFormatError",
+                                     "bad ldc2_w constant"));
+    Pc += 3;
+    DISPATCH();
   }
 
   // Loads ----------------------------------------------------------------
   OPC(Iload)
   OPC(Fload)
   OPC(Aload)
-    push(F.Locals[rdU1(C, F.Pc + 1)]);
-    F.Pc += 2;
-    NEXT();
+    PUSH(L[rdU1(C, Pc + 1)]);
+    Pc += 2;
+    DISPATCH();
   OPC(Lload)
   OPC(Dload)
-    push2(F.Locals[rdU1(C, F.Pc + 1)]);
-    F.Pc += 2;
-    NEXT();
+    PUSH2(L[rdU1(C, Pc + 1)]);
+    Pc += 2;
+    DISPATCH();
   OPC(Iload0)
   OPC(Iload1)
   OPC(Iload2)
   OPC(Iload3)
-    push(F.Locals[static_cast<int>(O) - static_cast<int>(Op::Iload0)]);
-    ++F.Pc;
-    NEXT();
+    PUSH(L[static_cast<int>(O) - static_cast<int>(Op::Iload0)]);
+    ++Pc;
+    DISPATCH();
   OPC(Lload0)
   OPC(Lload1)
   OPC(Lload2)
   OPC(Lload3)
-    push2(F.Locals[static_cast<int>(O) - static_cast<int>(Op::Lload0)]);
-    ++F.Pc;
-    NEXT();
+    PUSH2(L[static_cast<int>(O) - static_cast<int>(Op::Lload0)]);
+    ++Pc;
+    DISPATCH();
   OPC(Fload0)
   OPC(Fload1)
   OPC(Fload2)
   OPC(Fload3)
-    push(F.Locals[static_cast<int>(O) - static_cast<int>(Op::Fload0)]);
-    ++F.Pc;
-    NEXT();
+    PUSH(L[static_cast<int>(O) - static_cast<int>(Op::Fload0)]);
+    ++Pc;
+    DISPATCH();
   OPC(Dload0)
   OPC(Dload1)
   OPC(Dload2)
   OPC(Dload3)
-    push2(F.Locals[static_cast<int>(O) - static_cast<int>(Op::Dload0)]);
-    ++F.Pc;
-    NEXT();
+    PUSH2(L[static_cast<int>(O) - static_cast<int>(Op::Dload0)]);
+    ++Pc;
+    DISPATCH();
   OPC(Aload0)
   OPC(Aload1)
   OPC(Aload2)
   OPC(Aload3)
-    push(F.Locals[static_cast<int>(O) - static_cast<int>(Op::Aload0)]);
-    ++F.Pc;
-    NEXT();
+    PUSH(L[static_cast<int>(O) - static_cast<int>(Op::Aload0)]);
+    ++Pc;
+    DISPATCH();
 
   // Array loads ----------------------------------------------------------
   OPC(Iaload)
@@ -969,71 +1114,71 @@ Next:
   OPC(Baload)
   OPC(Caload)
   OPC(Saload) {
-    int32_t Index = pop().I;
-    Object *Ref = pop().R;
+    int32_t Index = POP().I;
+    Object *Ref = POP().R;
     if (!Ref)
-      NEXT_IF_CONTINUE(throwJvm("java/lang/NullPointerException",
-                                "array load"));
+      SYNC_NEXT_IF_CONTINUE(throwJvm("java/lang/NullPointerException",
+                                     "array load"));
     auto *A = static_cast<ArrayObject *>(Ref);
     if (Index < 0 || Index >= A->length())
-      NEXT_IF_CONTINUE(throwJvm("java/lang/ArrayIndexOutOfBoundsException",
-                                std::to_string(Index)));
+      SYNC_NEXT_IF_CONTINUE(throwJvm(
+          "java/lang/ArrayIndexOutOfBoundsException", std::to_string(Index)));
     Value V = A->get(Index);
     if (O == Op::Laload || O == Op::Daload)
-      push2(V);
+      PUSH2(V);
     else
-      push(V);
-    ++F.Pc;
-    NEXT();
+      PUSH(V);
+    ++Pc;
+    DISPATCH();
   }
 
   // Stores ---------------------------------------------------------------
   OPC(Istore)
   OPC(Fstore)
   OPC(Astore)
-    F.Locals[rdU1(C, F.Pc + 1)] = pop();
-    F.Pc += 2;
-    NEXT();
+    L[rdU1(C, Pc + 1)] = POP();
+    Pc += 2;
+    DISPATCH();
   OPC(Lstore)
   OPC(Dstore)
-    F.Locals[rdU1(C, F.Pc + 1)] = pop2();
-    F.Pc += 2;
-    NEXT();
+    L[rdU1(C, Pc + 1)] = POP2();
+    Pc += 2;
+    DISPATCH();
   OPC(Istore0)
   OPC(Istore1)
   OPC(Istore2)
   OPC(Istore3)
-    F.Locals[static_cast<int>(O) - static_cast<int>(Op::Istore0)] = pop();
-    ++F.Pc;
-    NEXT();
+    L[static_cast<int>(O) - static_cast<int>(Op::Istore0)] = POP();
+    ++Pc;
+    DISPATCH();
   OPC(Lstore0)
   OPC(Lstore1)
   OPC(Lstore2)
   OPC(Lstore3)
-    F.Locals[static_cast<int>(O) - static_cast<int>(Op::Lstore0)] = pop2();
-    ++F.Pc;
-    NEXT();
+    L[static_cast<int>(O) - static_cast<int>(Op::Lstore0)] = POP2();
+    ++Pc;
+    DISPATCH();
   OPC(Fstore0)
   OPC(Fstore1)
   OPC(Fstore2)
   OPC(Fstore3)
-    F.Locals[static_cast<int>(O) - static_cast<int>(Op::Fstore0)] = pop();
-    ++F.Pc;
-    NEXT();
+    L[static_cast<int>(O) - static_cast<int>(Op::Fstore0)] = POP();
+    ++Pc;
+    DISPATCH();
   OPC(Dstore0)
   OPC(Dstore1)
   OPC(Dstore2)
   OPC(Dstore3)
-    F.Locals[static_cast<int>(O) - static_cast<int>(Op::Dstore0)] = pop2();
-    ++F.Pc;
-    NEXT();
+    L[static_cast<int>(O) - static_cast<int>(Op::Dstore0)] = POP2();
+    ++Pc;
+    DISPATCH();
   OPC(Astore0)
   OPC(Astore1)
   OPC(Astore2)
   OPC(Astore3)
-    F.Locals[static_cast<int>(O) - static_cast<int>(Op::Astore0)] = pop();
-    ++F.Pc;
-    NEXT();
+    L[static_cast<int>(O) - static_cast<int>(Op::Astore0)] = POP();
+    ++Pc;
+    DISPATCH();
 
   // Array stores ---------------------------------------------------------
   OPC(Iastore)
@@ -1044,16 +1189,16 @@ Next:
   OPC(Sastore)
   OPC(Lastore)
   OPC(Dastore) {
-    Value V = (O == Op::Lastore || O == Op::Dastore) ? pop2() : pop();
-    int32_t Index = pop().I;
-    Object *Ref = pop().R;
+    Value V = (O == Op::Lastore || O == Op::Dastore) ? POP2() : POP();
+    int32_t Index = POP().I;
+    Object *Ref = POP().R;
     if (!Ref)
-      NEXT_IF_CONTINUE(throwJvm("java/lang/NullPointerException",
-                                "array store"));
+      SYNC_NEXT_IF_CONTINUE(throwJvm("java/lang/NullPointerException",
+                                     "array store"));
     auto *A = static_cast<ArrayObject *>(Ref);
     if (Index < 0 || Index >= A->length())
-      NEXT_IF_CONTINUE(throwJvm("java/lang/ArrayIndexOutOfBoundsException",
-                                std::to_string(Index)));
+      SYNC_NEXT_IF_CONTINUE(throwJvm(
+          "java/lang/ArrayIndexOutOfBoundsException", std::to_string(Index)));
     switch (O) {
     case Op::Bastore:
       V = Value::intVal(static_cast<int8_t>(V.I));
@@ -1069,180 +1214,181 @@ Next:
           A->elemDesc() != "Ljava/lang/Object;") {
         Klass *ElemK = Vm.loader().lookup(desc::toClassName(A->elemDesc()));
         if (ElemK && !isInstanceOfKlass(Vm, V.R, ElemK))
-          NEXT_IF_CONTINUE(throwJvm("java/lang/ArrayStoreException",
-                                    V.R->klass()->Name));
+          SYNC_NEXT_IF_CONTINUE(throwJvm("java/lang/ArrayStoreException",
+                                         V.R->klass()->Name));
       }
       break;
     default:
       break;
     }
     A->set(Index, V);
-    ++F.Pc;
-    NEXT();
+    ++Pc;
+    DISPATCH();
   }
 
   // Stack manipulation ----------------------------------------------------
   OPC(Pop)
-    pop();
-    ++F.Pc;
-    NEXT();
+    --S;
+    ++Pc;
+    DISPATCH();
   OPC(Pop2)
-    pop();
-    pop();
-    ++F.Pc;
-    NEXT();
+    S -= 2;
+    ++Pc;
+    DISPATCH();
   OPC(Dup) {
-    Value V = peek();
-    push(V);
-    ++F.Pc;
-    NEXT();
+    Value V = PEEK();
+    PUSH(V);
+    ++Pc;
+    DISPATCH();
   }
   OPC(DupX1) {
-    Value A = pop(), B = pop();
-    push(A);
-    push(B);
-    push(A);
-    ++F.Pc;
-    NEXT();
+    Value A = POP(), B = POP();
+    PUSH(A);
+    PUSH(B);
+    PUSH(A);
+    ++Pc;
+    DISPATCH();
   }
   OPC(DupX2) {
-    Value A = pop(), B = pop(), X = pop();
-    push(A);
-    push(X);
-    push(B);
-    push(A);
-    ++F.Pc;
-    NEXT();
+    Value A = POP(), B = POP(), X = POP();
+    PUSH(A);
+    PUSH(X);
+    PUSH(B);
+    PUSH(A);
+    ++Pc;
+    DISPATCH();
   }
   OPC(Dup2) {
-    Value A = pop(), B = pop();
-    push(B);
-    push(A);
-    push(B);
-    push(A);
-    ++F.Pc;
-    NEXT();
+    Value A = POP(), B = POP();
+    PUSH(B);
+    PUSH(A);
+    PUSH(B);
+    PUSH(A);
+    ++Pc;
+    DISPATCH();
   }
   OPC(Dup2X1) {
-    Value A = pop(), B = pop(), X = pop();
-    push(B);
-    push(A);
-    push(X);
-    push(B);
-    push(A);
-    ++F.Pc;
-    NEXT();
+    Value A = POP(), B = POP(), X = POP();
+    PUSH(B);
+    PUSH(A);
+    PUSH(X);
+    PUSH(B);
+    PUSH(A);
+    ++Pc;
+    DISPATCH();
   }
   OPC(Dup2X2) {
-    Value A = pop(), B = pop(), X = pop(), Y = pop();
-    push(B);
-    push(A);
-    push(Y);
-    push(X);
-    push(B);
-    push(A);
-    ++F.Pc;
-    NEXT();
+    Value A = POP(), B = POP(), X = POP(), Y = POP();
+    PUSH(B);
+    PUSH(A);
+    PUSH(Y);
+    PUSH(X);
+    PUSH(B);
+    PUSH(A);
+    ++Pc;
+    DISPATCH();
   }
   OPC(Swap) {
-    Value A = pop(), B = pop();
-    push(A);
-    push(B);
-    ++F.Pc;
-    NEXT();
+    Value A = POP(), B = POP();
+    PUSH(A);
+    PUSH(B);
+    ++Pc;
+    DISPATCH();
   }
 
   // Integer arithmetic ----------------------------------------------------
   OPC(Iadd) {
-    int32_t B = pop().I, A = pop().I;
-    push(Value::intVal(modeAdd(A, B)));
-    ++F.Pc;
-    NEXT();
+    int32_t B = POP().I, A = POP().I;
+    PUSH(Value::intVal(modeAdd(A, B)));
+    ++Pc;
+    DISPATCH();
   }
   OPC(Isub) {
-    int32_t B = pop().I, A = pop().I;
-    push(Value::intVal(modeSub(A, B)));
-    ++F.Pc;
-    NEXT();
+    int32_t B = POP().I, A = POP().I;
+    PUSH(Value::intVal(modeSub(A, B)));
+    ++Pc;
+    DISPATCH();
   }
   OPC(Imul) {
-    int32_t B = pop().I, A = pop().I;
-    push(Value::intVal(modeMul(A, B)));
-    ++F.Pc;
-    NEXT();
+    int32_t B = POP().I, A = POP().I;
+    PUSH(Value::intVal(modeMul(A, B)));
+    ++Pc;
+    DISPATCH();
   }
   OPC(Idiv) {
-    int32_t B = pop().I, A = pop().I;
+    int32_t B = POP().I, A = POP().I;
     if (B == 0)
-      NEXT_IF_CONTINUE(throwJvm("java/lang/ArithmeticException", "/ by zero"));
+      SYNC_NEXT_IF_CONTINUE(
+          throwJvm("java/lang/ArithmeticException", "/ by zero"));
     if (Vm.mode() == ExecutionMode::DoppioJS)
-      push(Value::intVal(jsnum::divInt32(A, B)));
+      PUSH(Value::intVal(jsnum::divInt32(A, B)));
     else
-      push(Value::intVal(A == INT32_MIN && B == -1 ? A : A / B));
-    ++F.Pc;
-    NEXT();
+      PUSH(Value::intVal(A == INT32_MIN && B == -1 ? A : A / B));
+    ++Pc;
+    DISPATCH();
   }
   OPC(Irem) {
-    int32_t B = pop().I, A = pop().I;
+    int32_t B = POP().I, A = POP().I;
     if (B == 0)
-      NEXT_IF_CONTINUE(throwJvm("java/lang/ArithmeticException", "/ by zero"));
+      SYNC_NEXT_IF_CONTINUE(
+          throwJvm("java/lang/ArithmeticException", "/ by zero"));
     if (Vm.mode() == ExecutionMode::DoppioJS)
-      push(Value::intVal(jsnum::remInt32(A, B)));
+      PUSH(Value::intVal(jsnum::remInt32(A, B)));
     else
-      push(Value::intVal(A == INT32_MIN && B == -1 ? 0 : A % B));
-    ++F.Pc;
-    NEXT();
+      PUSH(Value::intVal(A == INT32_MIN && B == -1 ? 0 : A % B));
+    ++Pc;
+    DISPATCH();
   }
   OPC(Ineg) {
-    int32_t A = pop().I;
-    push(Value::intVal(Vm.mode() == ExecutionMode::DoppioJS
+    int32_t A = POP().I;
+    PUSH(Value::intVal(Vm.mode() == ExecutionMode::DoppioJS
                            ? jsnum::negInt32(A)
                            : modeSub(0, A)));
-    ++F.Pc;
-    NEXT();
+    ++Pc;
+    DISPATCH();
   }
   OPC(Ishl) {
-    int32_t B = pop().I, A = pop().I;
-    push(Value::intVal(jsnum::shlInt32(A, B)));
-    ++F.Pc;
-    NEXT();
+    int32_t B = POP().I, A = POP().I;
+    PUSH(Value::intVal(jsnum::shlInt32(A, B)));
+    ++Pc;
+    DISPATCH();
   }
   OPC(Ishr) {
-    int32_t B = pop().I, A = pop().I;
-    push(Value::intVal(jsnum::shrInt32(A, B)));
-    ++F.Pc;
-    NEXT();
+    int32_t B = POP().I, A = POP().I;
+    PUSH(Value::intVal(jsnum::shrInt32(A, B)));
+    ++Pc;
+    DISPATCH();
   }
   OPC(Iushr) {
-    int32_t B = pop().I, A = pop().I;
-    push(Value::intVal(jsnum::ushrInt32(A, B)));
-    ++F.Pc;
-    NEXT();
+    int32_t B = POP().I, A = POP().I;
+    PUSH(Value::intVal(jsnum::ushrInt32(A, B)));
+    ++Pc;
+    DISPATCH();
   }
   OPC(Iand) {
-    int32_t B = pop().I, A = pop().I;
-    push(Value::intVal(A & B));
-    ++F.Pc;
-    NEXT();
+    int32_t B = POP().I, A = POP().I;
+    PUSH(Value::intVal(A & B));
+    ++Pc;
+    DISPATCH();
   }
   OPC(Ior) {
-    int32_t B = pop().I, A = pop().I;
-    push(Value::intVal(A | B));
-    ++F.Pc;
-    NEXT();
+    int32_t B = POP().I, A = POP().I;
+    PUSH(Value::intVal(A | B));
+    ++Pc;
+    DISPATCH();
   }
   OPC(Ixor) {
-    int32_t B = pop().I, A = pop().I;
-    push(Value::intVal(A ^ B));
-    ++F.Pc;
-    NEXT();
+    int32_t B = POP().I, A = POP().I;
+    PUSH(Value::intVal(A ^ B));
+    ++Pc;
+    DISPATCH();
   }
   OPC(Iinc) {
-    uint8_t Slot = rdU1(C, F.Pc + 1);
-    int8_t Delta = rdS1(C, F.Pc + 2);
-    F.Locals[Slot] = Value::intVal(modeAdd(F.Locals[Slot].I, Delta));
-    F.Pc += 3;
-    NEXT();
+    uint8_t Slot = rdU1(C, Pc + 1);
+    int8_t Delta = rdS1(C, Pc + 2);
+    L[Slot] = Value::intVal(modeAdd(L[Slot].I, Delta));
+    Pc += 3;
+    DISPATCH();
   }
 
   // Long arithmetic (§8's software longs in DoppioJS mode) ----------------
@@ -1252,254 +1398,271 @@ Next:
   OPC(Land)
   OPC(Lor)
   OPC(Lxor) {
-    Value B = pop2(), A = pop2();
-    push2(modeLongBin(O, A, B));
-    ++F.Pc;
-    NEXT();
+    Value B = POP2(), A = POP2();
+    PUSH2(modeLongBin(O, A, B));
+    ++Pc;
+    DISPATCH();
   }
   OPC(Ldiv)
   OPC(Lrem) {
-    Value B = pop2(), A = pop2();
+    Value B = POP2(), A = POP2();
     if (B.J == 0)
-      NEXT_IF_CONTINUE(throwJvm("java/lang/ArithmeticException", "/ by zero"));
-    push2(modeLongBin(O, A, B));
-    ++F.Pc;
-    NEXT();
+      SYNC_NEXT_IF_CONTINUE(
+          throwJvm("java/lang/ArithmeticException", "/ by zero"));
+    PUSH2(modeLongBin(O, A, B));
+    ++Pc;
+    DISPATCH();
   }
   OPC(Lneg) {
-    Value A = pop2();
+    Value A = POP2();
     if (Vm.mode() == ExecutionMode::DoppioJS)
-      push2(Value::longVal(negLong(A.asLong64())));
+      PUSH2(Value::longVal(negLong(A.asLong64())));
     else
-      push2(Value::longVal(
+      PUSH2(Value::longVal(
           static_cast<int64_t>(0 - static_cast<uint64_t>(A.J))));
-    ++F.Pc;
-    NEXT();
+    ++Pc;
+    DISPATCH();
   }
   OPC(Lshl)
   OPC(Lshr)
   OPC(Lushr) {
-    int32_t Count = pop().I;
-    Value A = pop2();
+    int32_t Count = POP().I;
+    Value A = POP2();
     if (Vm.mode() == ExecutionMode::DoppioJS) {
       ExtraOpsSinceFlush += 2; // Software shift across the 32-bit halves.
       Long64 X = A.asLong64();
       Long64 R = O == Op::Lshl    ? shlLong(X, Count)
                  : O == Op::Lshr ? shrLong(X, Count)
                                  : ushrLong(X, Count);
-      push2(Value::longVal(R));
+      PUSH2(Value::longVal(R));
     } else {
       int64_t X = A.J;
-      int32_t S = Count & 63;
+      int32_t Sh = Count & 63;
       int64_t R;
       if (O == Op::Lshl)
-        R = static_cast<int64_t>(static_cast<uint64_t>(X) << S);
+        R = static_cast<int64_t>(static_cast<uint64_t>(X) << Sh);
       else if (O == Op::Lshr)
-        R = X >> S;
+        R = X >> Sh;
       else
-        R = static_cast<int64_t>(static_cast<uint64_t>(X) >> S);
-      push2(Value::longVal(R));
+        R = static_cast<int64_t>(static_cast<uint64_t>(X) >> Sh);
+      PUSH2(Value::longVal(R));
     }
-    ++F.Pc;
-    NEXT();
+    ++Pc;
+    DISPATCH();
   }
 
   // Float/double arithmetic ------------------------------------------------
   OPC(Fadd) {
-    float B = pop().F, A = pop().F;
-    push(Value::floatVal(A + B));
-    ++F.Pc;
-    NEXT();
+    float B = POP().F, A = POP().F;
+    PUSH(Value::floatVal(A + B));
+    ++Pc;
+    DISPATCH();
   }
   OPC(Fsub) {
-    float B = pop().F, A = pop().F;
-    push(Value::floatVal(A - B));
-    ++F.Pc;
-    NEXT();
+    float B = POP().F, A = POP().F;
+    PUSH(Value::floatVal(A - B));
+    ++Pc;
+    DISPATCH();
   }
   OPC(Fmul) {
-    float B = pop().F, A = pop().F;
-    push(Value::floatVal(A * B));
-    ++F.Pc;
-    NEXT();
+    float B = POP().F, A = POP().F;
+    PUSH(Value::floatVal(A * B));
+    ++Pc;
+    DISPATCH();
   }
   OPC(Fdiv) {
-    float B = pop().F, A = pop().F;
-    push(Value::floatVal(A / B));
-    ++F.Pc;
-    NEXT();
+    float B = POP().F, A = POP().F;
+    PUSH(Value::floatVal(A / B));
+    ++Pc;
+    DISPATCH();
   }
   OPC(Frem) {
-    float B = pop().F, A = pop().F;
-    push(Value::floatVal(std::fmod(A, B)));
-    ++F.Pc;
-    NEXT();
+    float B = POP().F, A = POP().F;
+    PUSH(Value::floatVal(std::fmod(A, B)));
+    ++Pc;
+    DISPATCH();
   }
-  OPC(Fneg)
-    push(Value::floatVal(-pop().F));
-    ++F.Pc;
-    NEXT();
+  OPC(Fneg) {
+    float A = POP().F;
+    PUSH(Value::floatVal(-A));
+    ++Pc;
+    DISPATCH();
+  }
   OPC(Dadd) {
-    Value B = pop2(), A = pop2();
-    push2(Value::doubleVal(A.D + B.D));
-    ++F.Pc;
-    NEXT();
+    Value B = POP2(), A = POP2();
+    PUSH2(Value::doubleVal(A.D + B.D));
+    ++Pc;
+    DISPATCH();
   }
   OPC(Dsub) {
-    Value B = pop2(), A = pop2();
-    push2(Value::doubleVal(A.D - B.D));
-    ++F.Pc;
-    NEXT();
+    Value B = POP2(), A = POP2();
+    PUSH2(Value::doubleVal(A.D - B.D));
+    ++Pc;
+    DISPATCH();
   }
   OPC(Dmul) {
-    Value B = pop2(), A = pop2();
-    push2(Value::doubleVal(A.D * B.D));
-    ++F.Pc;
-    NEXT();
+    Value B = POP2(), A = POP2();
+    PUSH2(Value::doubleVal(A.D * B.D));
+    ++Pc;
+    DISPATCH();
   }
   OPC(Ddiv) {
-    Value B = pop2(), A = pop2();
-    push2(Value::doubleVal(A.D / B.D));
-    ++F.Pc;
-    NEXT();
+    Value B = POP2(), A = POP2();
+    PUSH2(Value::doubleVal(A.D / B.D));
+    ++Pc;
+    DISPATCH();
   }
   OPC(Drem) {
-    Value B = pop2(), A = pop2();
-    push2(Value::doubleVal(std::fmod(A.D, B.D)));
-    ++F.Pc;
-    NEXT();
+    Value B = POP2(), A = POP2();
+    PUSH2(Value::doubleVal(std::fmod(A.D, B.D)));
+    ++Pc;
+    DISPATCH();
   }
   OPC(Dneg) {
-    Value A = pop2();
-    push2(Value::doubleVal(-A.D));
-    ++F.Pc;
-    NEXT();
+    Value A = POP2();
+    PUSH2(Value::doubleVal(-A.D));
+    ++Pc;
+    DISPATCH();
   }
 
   // Conversions ------------------------------------------------------------
   OPC(I2l) {
-    int32_t A = pop().I;
-    push2(Value::longVal(Vm.mode() == ExecutionMode::DoppioJS
+    int32_t A = POP().I;
+    PUSH2(Value::longVal(Vm.mode() == ExecutionMode::DoppioJS
                              ? Long64::fromInt32(A)
                              : Long64::fromBits(A)));
-    ++F.Pc;
-    NEXT();
+    ++Pc;
+    DISPATCH();
   }
-  OPC(I2f)
-    push(Value::floatVal(static_cast<float>(pop().I)));
-    ++F.Pc;
-    NEXT();
-  OPC(I2d)
-    push2(Value::doubleVal(static_cast<double>(pop().I)));
-    ++F.Pc;
-    NEXT();
+  OPC(I2f) {
+    int32_t A = POP().I;
+    PUSH(Value::floatVal(static_cast<float>(A)));
+    ++Pc;
+    DISPATCH();
+  }
+  OPC(I2d) {
+    int32_t A = POP().I;
+    PUSH2(Value::doubleVal(static_cast<double>(A)));
+    ++Pc;
+    DISPATCH();
+  }
   OPC(L2i) {
-    Value A = pop2();
-    push(Value::intVal(Vm.mode() == ExecutionMode::DoppioJS
+    Value A = POP2();
+    PUSH(Value::intVal(Vm.mode() == ExecutionMode::DoppioJS
                            ? A.asLong64().toInt32()
                            : static_cast<int32_t>(A.J)));
-    ++F.Pc;
-    NEXT();
+    ++Pc;
+    DISPATCH();
   }
   OPC(L2f) {
-    Value A = pop2();
-    push(Value::floatVal(Vm.mode() == ExecutionMode::DoppioJS
+    Value A = POP2();
+    PUSH(Value::floatVal(Vm.mode() == ExecutionMode::DoppioJS
                              ? A.asLong64().toFloat()
                              : static_cast<float>(A.J)));
-    ++F.Pc;
-    NEXT();
+    ++Pc;
+    DISPATCH();
   }
   OPC(L2d) {
-    Value A = pop2();
-    push2(Value::doubleVal(Vm.mode() == ExecutionMode::DoppioJS
+    Value A = POP2();
+    PUSH2(Value::doubleVal(Vm.mode() == ExecutionMode::DoppioJS
                                ? A.asLong64().toDouble()
                                : static_cast<double>(A.J)));
-    ++F.Pc;
-    NEXT();
+    ++Pc;
+    DISPATCH();
   }
-  OPC(F2i)
-    push(Value::intVal(jsnum::doubleToInt(pop().F)));
-    ++F.Pc;
-    NEXT();
+  OPC(F2i) {
+    float A = POP().F;
+    PUSH(Value::intVal(jsnum::doubleToInt(A)));
+    ++Pc;
+    DISPATCH();
+  }
   OPC(F2l) {
-    float A = pop().F;
-    push2(Value::longVal(Long64::fromDouble(A)));
-    ++F.Pc;
-    NEXT();
+    float A = POP().F;
+    PUSH2(Value::longVal(Long64::fromDouble(A)));
+    ++Pc;
+    DISPATCH();
   }
-  OPC(F2d)
-    push2(Value::doubleVal(static_cast<double>(pop().F)));
-    ++F.Pc;
-    NEXT();
+  OPC(F2d) {
+    float A = POP().F;
+    PUSH2(Value::doubleVal(static_cast<double>(A)));
+    ++Pc;
+    DISPATCH();
+  }
   OPC(D2i) {
-    Value A = pop2();
-    push(Value::intVal(jsnum::doubleToInt(A.D)));
-    ++F.Pc;
-    NEXT();
+    Value A = POP2();
+    PUSH(Value::intVal(jsnum::doubleToInt(A.D)));
+    ++Pc;
+    DISPATCH();
   }
   OPC(D2l) {
-    Value A = pop2();
-    push2(Value::longVal(Long64::fromDouble(A.D)));
-    ++F.Pc;
-    NEXT();
+    Value A = POP2();
+    PUSH2(Value::longVal(Long64::fromDouble(A.D)));
+    ++Pc;
+    DISPATCH();
   }
   OPC(D2f) {
-    Value A = pop2();
-    push(Value::floatVal(static_cast<float>(A.D)));
-    ++F.Pc;
-    NEXT();
+    Value A = POP2();
+    PUSH(Value::floatVal(static_cast<float>(A.D)));
+    ++Pc;
+    DISPATCH();
   }
-  OPC(I2b)
-    push(Value::intVal(static_cast<int8_t>(pop().I)));
-    ++F.Pc;
-    NEXT();
-  OPC(I2c)
-    push(Value::intVal(pop().I & 0xFFFF));
-    ++F.Pc;
-    NEXT();
-  OPC(I2s)
-    push(Value::intVal(static_cast<int16_t>(pop().I)));
-    ++F.Pc;
-    NEXT();
+  OPC(I2b) {
+    int32_t A = POP().I;
+    PUSH(Value::intVal(static_cast<int8_t>(A)));
+    ++Pc;
+    DISPATCH();
+  }
+  OPC(I2c) {
+    int32_t A = POP().I;
+    PUSH(Value::intVal(A & 0xFFFF));
+    ++Pc;
+    DISPATCH();
+  }
+  OPC(I2s) {
+    int32_t A = POP().I;
+    PUSH(Value::intVal(static_cast<int16_t>(A)));
+    ++Pc;
+    DISPATCH();
+  }
 
   // Comparisons ------------------------------------------------------------
   OPC(Lcmp) {
-    Value B = pop2(), A = pop2();
+    Value B = POP2(), A = POP2();
     int32_t R;
     if (Vm.mode() == ExecutionMode::DoppioJS) {
       ExtraOpsSinceFlush += 2; // Software comparison of the halves.
       R = cmpLong(A.asLong64(), B.asLong64());
-    }
-    else
+    } else {
       R = A.J < B.J ? -1 : (A.J > B.J ? 1 : 0);
-    push(Value::intVal(R));
-    ++F.Pc;
-    NEXT();
+    }
+    PUSH(Value::intVal(R));
+    ++Pc;
+    DISPATCH();
   }
   OPC(Fcmpl)
   OPC(Fcmpg) {
-    float B = pop().F, A = pop().F;
+    float B = POP().F, A = POP().F;
     int32_t R;
     if (std::isnan(A) || std::isnan(B))
       R = O == Op::Fcmpg ? 1 : -1;
     else
       R = A < B ? -1 : (A > B ? 1 : 0);
-    push(Value::intVal(R));
-    ++F.Pc;
-    NEXT();
+    PUSH(Value::intVal(R));
+    ++Pc;
+    DISPATCH();
   }
   OPC(Dcmpl)
   OPC(Dcmpg) {
-    Value VB = pop2(), VA = pop2();
+    Value VB = POP2(), VA = POP2();
     double B = VB.D, A = VA.D;
     int32_t R;
     if (std::isnan(A) || std::isnan(B))
       R = O == Op::Dcmpg ? 1 : -1;
     else
       R = A < B ? -1 : (A > B ? 1 : 0);
-    push(Value::intVal(R));
-    ++F.Pc;
-    NEXT();
+    PUSH(Value::intVal(R));
+    ++Pc;
+    DISPATCH();
   }
 
   // Branches ---------------------------------------------------------------
@@ -1509,7 +1672,7 @@ Next:
   OPC(Ifge)
   OPC(Ifgt)
   OPC(Ifle) {
-    int32_t A = pop().I;
+    int32_t A = POP().I;
     bool Taken = false;
     switch (O) {
     case Op::Ifeq:
@@ -1531,9 +1694,9 @@ Next:
       Taken = A <= 0;
       break;
     }
-    uint32_t Site = F.Pc;
-    F.Pc = Taken ? F.Pc + rdS2(C, F.Pc + 1) : F.Pc + 3;
-    NEXT_IF_CONTINUE(branchDone(F, Site));
+    uint32_t Site = Pc;
+    Pc = Taken ? Pc + rdS2(C, Pc + 1) : Pc + 3;
+    BRANCH_DONE(Site);
   }
   OPC(IfIcmpeq)
   OPC(IfIcmpne)
@@ -1541,7 +1704,7 @@ Next:
   OPC(IfIcmpge)
   OPC(IfIcmpgt)
   OPC(IfIcmple) {
-    int32_t B = pop().I, A = pop().I;
+    int32_t B = POP().I, A = POP().I;
     bool Taken = false;
     switch (O) {
     case Op::IfIcmpeq:
@@ -1563,69 +1726,69 @@ Next:
       Taken = A <= B;
       break;
     }
-    uint32_t Site = F.Pc;
-    F.Pc = Taken ? F.Pc + rdS2(C, F.Pc + 1) : F.Pc + 3;
-    NEXT_IF_CONTINUE(branchDone(F, Site));
+    uint32_t Site = Pc;
+    Pc = Taken ? Pc + rdS2(C, Pc + 1) : Pc + 3;
+    BRANCH_DONE(Site);
   }
   OPC(IfAcmpeq)
   OPC(IfAcmpne) {
-    Object *B = pop().R, *A = pop().R;
+    Object *B = POP().R, *A = POP().R;
     bool Taken = O == Op::IfAcmpeq ? A == B : A != B;
-    uint32_t Site = F.Pc;
-    F.Pc = Taken ? F.Pc + rdS2(C, F.Pc + 1) : F.Pc + 3;
-    NEXT_IF_CONTINUE(branchDone(F, Site));
+    uint32_t Site = Pc;
+    Pc = Taken ? Pc + rdS2(C, Pc + 1) : Pc + 3;
+    BRANCH_DONE(Site);
   }
   OPC(Ifnull)
   OPC(Ifnonnull) {
-    Object *A = pop().R;
+    Object *A = POP().R;
     bool Taken = O == Op::Ifnull ? A == nullptr : A != nullptr;
-    uint32_t Site = F.Pc;
-    F.Pc = Taken ? F.Pc + rdS2(C, F.Pc + 1) : F.Pc + 3;
-    NEXT_IF_CONTINUE(branchDone(F, Site));
+    uint32_t Site = Pc;
+    Pc = Taken ? Pc + rdS2(C, Pc + 1) : Pc + 3;
+    BRANCH_DONE(Site);
   }
   OPC(Goto) {
-    uint32_t Site = F.Pc;
-    F.Pc += rdS2(C, F.Pc + 1);
-    NEXT_IF_CONTINUE(branchDone(F, Site));
+    uint32_t Site = Pc;
+    Pc += rdS2(C, Pc + 1);
+    BRANCH_DONE(Site);
   }
   OPC(GotoW) {
-    uint32_t Site = F.Pc;
-    F.Pc += rdS4(C, F.Pc + 1);
-    NEXT_IF_CONTINUE(branchDone(F, Site));
+    uint32_t Site = Pc;
+    Pc += rdS4(C, Pc + 1);
+    BRANCH_DONE(Site);
   }
   OPC(Jsr)
-    push(Value::retAddr(F.Pc + 3));
-    F.Pc += rdS2(C, F.Pc + 1);
-    NEXT();
+    PUSH(Value::retAddr(Pc + 3));
+    Pc += rdS2(C, Pc + 1);
+    DISPATCH();
   OPC(JsrW)
-    push(Value::retAddr(F.Pc + 5));
-    F.Pc += rdS4(C, F.Pc + 1);
-    NEXT();
+    PUSH(Value::retAddr(Pc + 5));
+    Pc += rdS4(C, Pc + 1);
+    DISPATCH();
   OPC(Ret)
-    F.Pc = F.Locals[rdU1(C, F.Pc + 1)].Ret;
-    NEXT();
+    Pc = L[rdU1(C, Pc + 1)].Ret;
+    DISPATCH();
 
   OPC(Tableswitch) {
-    uint32_t Base = F.Pc;
+    uint32_t Base = Pc;
     uint32_t Operands = (Base + 4) & ~3u;
     int32_t Default = rdS4(C, Operands);
     int32_t Low = rdS4(C, Operands + 4);
     int32_t High = rdS4(C, Operands + 8);
-    int32_t Index = pop().I;
+    int32_t Index = POP().I;
     if (Index < Low || Index > High) {
-      F.Pc = Base + Default;
+      Pc = Base + Default;
     } else {
       int32_t Offset = rdS4(C, Operands + 12 + 4 * (Index - Low));
-      F.Pc = Base + Offset;
+      Pc = Base + Offset;
     }
-    NEXT_IF_CONTINUE(branchDone(F, Base));
+    BRANCH_DONE(Base);
   }
   OPC(Lookupswitch) {
-    uint32_t Base = F.Pc;
+    uint32_t Base = Pc;
     uint32_t Operands = (Base + 4) & ~3u;
     int32_t Default = rdS4(C, Operands);
     int32_t NPairs = rdS4(C, Operands + 4);
-    int32_t Key = pop().I;
+    int32_t Key = POP().I;
     int32_t Offset = Default;
     for (int32_t I = 0; I != NPairs; ++I) {
       int32_t Match = rdS4(C, Operands + 8 + 8 * I);
@@ -1634,8 +1797,8 @@ Next:
         break;
       }
     }
-    F.Pc = Base + Offset;
-    NEXT_IF_CONTINUE(branchDone(F, Base));
+    Pc = Base + Offset;
+    BRANCH_DONE(Base);
   }
 
   // Returns ----------------------------------------------------------------
@@ -1667,7 +1830,7 @@ Next:
     if (!Holder)
       NEXT_IF_CONTINUE(throwJvm("java/lang/NoSuchFieldError",
                                 Ref.ClassName + "." + Ref.Name));
-    if (QuickEntry *Q = quicken(Idx)) {
+    if (QuickEntry *Q = quicken(F, Idx)) {
       Q->Holder = Holder;
       Q->Name = Ref.Name;
       Q->Descriptor = Ref.Descriptor;
@@ -1709,7 +1872,7 @@ Next:
       if (V.K == Value::Kind::Empty)
         V = ArrayObject::defaultElement(Ref.Descriptor);
     }
-    if (QuickEntry *Q = quicken(Idx)) {
+    if (QuickEntry *Q = quicken(F, Idx)) {
       Q->Name = Ref.Name;
       Q->Descriptor = Ref.Descriptor;
       Q->Wide = desc::slotSize(Ref.Descriptor) == 2;
@@ -1737,7 +1900,7 @@ Next:
         NEXT_IF_CONTINUE(throwJvm("java/lang/NoSuchFieldError", Ref.Name));
       Obj->setSlot(FI->SlotIndex, V);
     }
-    if (QuickEntry *Q = quicken(Idx)) {
+    if (QuickEntry *Q = quicken(F, Idx)) {
       Q->Name = Ref.Name;
       Q->Descriptor = Ref.Descriptor;
       Q->Wide = desc::slotSize(Ref.Descriptor) == 2;
@@ -1761,7 +1924,7 @@ Next:
       NEXT_IF_CONTINUE(
           throwJvm("java/lang/NoSuchMethodError",
                    Ref.ClassName + "." + Ref.Name + Ref.Descriptor));
-    if (QuickEntry *Q = quicken(Idx)) {
+    if (QuickEntry *Q = quicken(F, Idx)) {
       Q->Holder = K;
       Q->Callee = M;
       Q->Name = Ref.Name;
@@ -1797,7 +1960,7 @@ Next:
       M = K->findMethod(Ref.Name, Ref.Descriptor);
     } else {
       // Virtual dispatch from the receiver's class (§6.7's class ref).
-      M = Receiver.R->klass()->findVirtual(Ref.Name, Ref.Descriptor);
+      M = Receiver.R->klass()->findMethod(Ref.Name, Ref.Descriptor);
       if (!M)
         M = K->findMethod(Ref.Name, Ref.Descriptor);
     }
@@ -1808,13 +1971,19 @@ Next:
     if (M->isAbstract())
       NEXT_IF_CONTINUE(throwJvm("java/lang/AbstractMethodError",
                                 M->qualifiedName()));
-    if (QuickEntry *Q = quicken(Idx)) {
+    if (QuickEntry *Q = quicken(F, Idx)) {
       Q->Holder = K;
       Q->Name = Ref.Name;
       Q->Descriptor = Ref.Descriptor;
       Q->ArgSlots = ArgSlots;
-      if (O == Op::Invokespecial)
+      if (O == Op::Invokespecial) {
         Q->Callee = M; // Statically bound; virtual sites re-dispatch.
+      } else if (O == Op::Invokevirtual) {
+        // Inline-cache misses dispatch through this slot for receivers
+        // that descend from its root (Klass::vtableTarget).
+        Q->VSlot = M->VSlot;
+        Q->VRoot = M->VRoot;
+      }
     }
     if (M->isSynchronized()) {
       Monitor &Mon = Receiver.R->monitor();
@@ -1836,7 +2005,7 @@ Next:
       NEXT_IF_CONTINUE(R);
     if (K->isInterface() || (K->AccessFlags & AccAbstract))
       NEXT_IF_CONTINUE(throwJvm("java/lang/InstantiationError", Name));
-    if (QuickEntry *Q = quicken(Idx)) {
+    if (QuickEntry *Q = quicken(F, Idx)) {
       Q->Holder = K;
       Q->Name = Name;
     }
@@ -1901,13 +2070,13 @@ Next:
     NEXT();
   }
   OPC(Arraylength) {
-    Object *Ref = pop().R;
+    Object *Ref = POP().R;
     if (!Ref)
-      NEXT_IF_CONTINUE(throwJvm("java/lang/NullPointerException",
-                                "arraylength"));
-    push(Value::intVal(static_cast<ArrayObject *>(Ref)->length()));
-    ++F.Pc;
-    NEXT();
+      SYNC_NEXT_IF_CONTINUE(throwJvm("java/lang/NullPointerException",
+                                     "arraylength"));
+    PUSH(Value::intVal(static_cast<ArrayObject *>(Ref)->length()));
+    ++Pc;
+    DISPATCH();
   }
 
   // Casts ------------------------------------------------------------------
@@ -1918,7 +2087,7 @@ Next:
     Klass *K = resolveClass(Name, R);
     if (!K)
       return R;
-    if (QuickEntry *Q = quicken(Idx)) {
+    if (QuickEntry *Q = quicken(F, Idx)) {
       Q->Holder = K;
       Q->Name = Name;
     }
@@ -1937,7 +2106,7 @@ Next:
     Klass *K = resolveClass(Name, R);
     if (!K)
       return R;
-    if (QuickEntry *Q = quicken(Idx)) {
+    if (QuickEntry *Q = quicken(F, Idx)) {
       Q->Holder = K;
       Q->Name = Name;
     }
@@ -1993,41 +2162,42 @@ Next:
   OPC(Wide)
     NEXT_IF_CONTINUE(stepWide(F));
 
+
   // Quickened forms (DESIGN.md §18) --------------------------------------
   // Each handler replays its base instruction from the resolution the
   // slow path stashed in the owning class's quick-entry table: no
   // constant-pool parsing, no class resolution, no initialization checks
   // (the class initialized before the site could quicken). Observable
-  // behavior is bit-identical to the base form.
+  // behavior is bit-identical to the base form. The non-invoke forms are
+  // fast handlers.
   OPC(LdcQuick)
   OPC(LdcWQuick) {
-    uint16_t Idx =
-        O == Op::LdcQuick ? rdU1(C, F.Pc + 1) : rdU2(C, F.Pc + 1);
-    push(F.M->Owner->quickEntry(Idx).Constant);
-    F.Pc += O == Op::LdcQuick ? 2 : 3;
-    NEXT();
+    uint16_t Idx = O == Op::LdcQuick ? rdU1(C, Pc + 1) : rdU2(C, Pc + 1);
+    PUSH(F.M->Owner->quickEntry(Idx).Constant);
+    Pc += O == Op::LdcQuick ? 2 : 3;
+    DISPATCH();
   }
   OPC(GetstaticQuick) {
-    QuickEntry &Q = F.M->Owner->quickEntry(rdU2(C, F.Pc + 1));
+    QuickEntry &Q = F.M->Owner->quickEntry(rdU2(C, Pc + 1));
     if (Q.Wide)
-      push2(*Q.StaticCell);
+      PUSH2(*Q.StaticCell);
     else
-      push(*Q.StaticCell);
-    F.Pc += 3;
-    NEXT();
+      PUSH(*Q.StaticCell);
+    Pc += 3;
+    DISPATCH();
   }
   OPC(PutstaticQuick) {
-    QuickEntry &Q = F.M->Owner->quickEntry(rdU2(C, F.Pc + 1));
-    *Q.StaticCell = Q.Wide ? pop2() : pop();
-    F.Pc += 3;
-    NEXT();
+    QuickEntry &Q = F.M->Owner->quickEntry(rdU2(C, Pc + 1));
+    *Q.StaticCell = Q.Wide ? POP2() : POP();
+    Pc += 3;
+    DISPATCH();
   }
   OPC(GetfieldQuick) {
-    QuickEntry &Q = F.M->Owner->quickEntry(rdU2(C, F.Pc + 1));
-    Object *Obj = pop().R;
+    QuickEntry &Q = F.M->Owner->quickEntry(rdU2(C, Pc + 1));
+    Object *Obj = POP().R;
     if (!Obj)
-      NEXT_IF_CONTINUE(throwJvm("java/lang/NullPointerException",
-                                "getfield " + Q.Name));
+      SYNC_NEXT_IF_CONTINUE(throwJvm("java/lang/NullPointerException",
+                                     "getfield " + Q.Name));
     Value V;
     if (Vm.mode() == ExecutionMode::DoppioJS) {
       // Monomorphic inline cache over the §6.7 field dictionary: on a
@@ -2060,7 +2230,8 @@ Next:
       if (Obj->klass() != Q.IcKlass || !Q.Field) {
         Q.Field = Obj->klass()->findField(Q.Name);
         if (!Q.Field)
-          NEXT_IF_CONTINUE(throwJvm("java/lang/NoSuchFieldError", Q.Name));
+          SYNC_NEXT_IF_CONTINUE(
+              throwJvm("java/lang/NoSuchFieldError", Q.Name));
         Q.IcKlass = Obj->klass();
       }
       V = Obj->getSlot(Q.Field->SlotIndex);
@@ -2068,19 +2239,19 @@ Next:
         V = ArrayObject::defaultElement(Q.Descriptor);
     }
     if (Q.Wide)
-      push2(V);
+      PUSH2(V);
     else
-      push(V);
-    F.Pc += 3;
-    NEXT();
+      PUSH(V);
+    Pc += 3;
+    DISPATCH();
   }
   OPC(PutfieldQuick) {
-    QuickEntry &Q = F.M->Owner->quickEntry(rdU2(C, F.Pc + 1));
-    Value V = Q.Wide ? pop2() : pop();
-    Object *Obj = pop().R;
+    QuickEntry &Q = F.M->Owner->quickEntry(rdU2(C, Pc + 1));
+    Value V = Q.Wide ? POP2() : POP();
+    Object *Obj = POP().R;
     if (!Obj)
-      NEXT_IF_CONTINUE(throwJvm("java/lang/NullPointerException",
-                                "putfield " + Q.Name));
+      SYNC_NEXT_IF_CONTINUE(throwJvm("java/lang/NullPointerException",
+                                     "putfield " + Q.Name));
     if (Vm.mode() == ExecutionMode::DoppioJS) {
       Value *Cell = nullptr;
       if (Vm.profile().InlineCaches && Obj->klass() == Q.IcKlass)
@@ -2101,13 +2272,14 @@ Next:
       if (Obj->klass() != Q.IcKlass || !Q.Field) {
         Q.Field = Obj->klass()->findField(Q.Name);
         if (!Q.Field)
-          NEXT_IF_CONTINUE(throwJvm("java/lang/NoSuchFieldError", Q.Name));
+          SYNC_NEXT_IF_CONTINUE(
+              throwJvm("java/lang/NoSuchFieldError", Q.Name));
         Q.IcKlass = Obj->klass();
       }
       Obj->setSlot(Q.Field->SlotIndex, V);
     }
-    F.Pc += 3;
-    NEXT();
+    Pc += 3;
+    DISPATCH();
   }
   OPC(InvokestaticQuick) {
     Method *M = F.M->Owner->quickEntry(rdU2(C, F.Pc + 1)).Callee;
@@ -2149,7 +2321,12 @@ Next:
       Vm.noteIcHit();
       M = Q.IcCallee;
     } else {
-      M = RK->findVirtual(Q.Name, Q.Descriptor);
+      // Behind the cache, a receiver descending from the site's root
+      // method dispatches through its vtable slot; interface sites,
+      // arrays and unrelated receivers resolve by name.
+      M = RK->vtableTarget(Q.VSlot, Q.VRoot);
+      if (!M)
+        M = RK->findMethod(Q.Name, Q.Descriptor);
       if (!M)
         M = Q.Holder->findMethod(Q.Name, Q.Descriptor);
       if (!M)
@@ -2173,27 +2350,27 @@ Next:
     NEXT_IF_CONTINUE(invokeMethod(M, /*HasReceiver=*/true, InsnLen));
   }
   OPC(NewQuick) {
-    QuickEntry &Q = F.M->Owner->quickEntry(rdU2(C, F.Pc + 1));
-    push(Value::ref(Vm.allocObject(Q.Holder)));
-    F.Pc += 3;
-    NEXT();
+    QuickEntry &Q = F.M->Owner->quickEntry(rdU2(C, Pc + 1));
+    PUSH(Value::ref(Vm.allocObject(Q.Holder)));
+    Pc += 3;
+    DISPATCH();
   }
   OPC(CheckcastQuick) {
-    QuickEntry &Q = F.M->Owner->quickEntry(rdU2(C, F.Pc + 1));
-    Object *Obj = peek().R;
+    QuickEntry &Q = F.M->Owner->quickEntry(rdU2(C, Pc + 1));
+    Object *Obj = PEEK().R;
     if (Obj && !isInstanceOfKlass(Vm, Obj, Q.Holder))
-      NEXT_IF_CONTINUE(
+      SYNC_NEXT_IF_CONTINUE(
           throwJvm("java/lang/ClassCastException",
                    Obj->klass()->Name + " cannot be cast to " + Q.Name));
-    F.Pc += 3;
-    NEXT();
+    Pc += 3;
+    DISPATCH();
   }
   OPC(InstanceofQuick) {
-    QuickEntry &Q = F.M->Owner->quickEntry(rdU2(C, F.Pc + 1));
-    Object *Obj = pop().R;
-    push(Value::intVal(isInstanceOfKlass(Vm, Obj, Q.Holder) ? 1 : 0));
-    F.Pc += 3;
-    NEXT();
+    QuickEntry &Q = F.M->Owner->quickEntry(rdU2(C, Pc + 1));
+    Object *Obj = POP().R;
+    PUSH(Value::intVal(isInstanceOfKlass(Vm, Obj, Q.Holder) ? 1 : 0));
+    Pc += 3;
+    DISPATCH();
   }
 
   OPC_ILLEGAL
@@ -2206,11 +2383,20 @@ Next:
 
 #undef OPC
 #undef OPC_ILLEGAL
+#undef PUSH
+#undef PUSH2
+#undef POP
+#undef POP2
+#undef PEEK
+#undef SYNC
+#undef DISPATCH
 #undef NEXT
 #undef NEXT_IF_CONTINUE
+#undef SYNC_NEXT_IF_CONTINUE
+#undef BRANCH_DONE
 
 JvmThread::StepResult JvmThread::stepWide(Frame &F) {
-  const std::vector<uint8_t> &C = F.M->Code.Bytecode;
+  const uint8_t *C = F.M->Code.Bytecode.data();
   Op Inner = static_cast<Op>(C[F.Pc + 1]);
   uint16_t Slot = rdU2(C, F.Pc + 2);
   switch (Inner) {

@@ -58,19 +58,23 @@ struct Frame {
   /// When this frame is a <clinit>, the class to mark initialized on
   /// return.
   Klass *ClinitOf = nullptr;
-  /// True when the dataflow verifier proved the method and the VM trusts
-  /// it (ExecProfile::TrustVerifier): step() skips the guarded per-instruction
-  /// stack/locals precheck for this frame (DESIGN.md §12).
-  bool Trusted = false;
   /// Suspend-check placement for this frame (DESIGN.md §17), set from
   /// the VM's SuspendCheckMode when the frame is pushed or restored. In
   /// Placed mode a proven method points SuspendKeep at its per-pc keep
-  /// bits (klass.h) and branch sites consult them; an unproven method
-  /// sets CheckEvery and checks before every dispatch, as does every
-  /// frame in Everywhere mode. The default CallBoundary mode leaves both
-  /// unset: zero new work on the legacy path.
+  /// bits (klass.h) and branch sites consult them. The default
+  /// CallBoundary mode leaves it null: zero new work on the legacy path.
   const uint8_t *SuspendKeep = nullptr;
-  bool CheckEvery = false;
+  /// Why step() must run this frame down its general path, with memory
+  /// in sync on every dispatch (DESIGN.md §18); zero for a frame that
+  /// runs register-resident. GuardedBit: the verifier did not prove the
+  /// method or the VM does not trust it (ExecProfile::TrustVerifier), so
+  /// every instruction is prechecked (DESIGN.md §12). CheckEveryBit: a
+  /// suspend check before every dispatch (Everywhere mode, or a method
+  /// the placement analysis could not prove in Placed mode).
+  static constexpr uint8_t GuardedBit = 1, CheckEveryBit = 2;
+  uint8_t General = 0;
+  bool trusted() const { return !(General & GuardedBit); }
+  bool checkEvery() const { return General & CheckEveryBit; }
 };
 
 /// A JVM thread: a guest thread of the Doppio pool (§4.3/§6.2).
@@ -147,7 +151,9 @@ private:
 
   /// Executes bytecodes on the top frame until the thread yields, blocks
   /// or finishes; never returns Continue (handlers dispatch the next
-  /// bytecode in place, DESIGN.md §18).
+  /// bytecode in place, DESIGN.md §18). Pc, the stack top and the
+  /// dispatched-op count live in locals and reach memory only at slow
+  /// handler entry, before a helper call, and on return.
   StepResult step();
   /// The wide prefix; returns Continue to step() like any helper.
   StepResult stepWide(Frame &F);
@@ -231,12 +237,19 @@ private:
   /// Call-boundary suspend check (§6.1); also counts context-switch
   /// points.
   bool wantsSuspend();
-  /// Stamps \p F's placement fields (Frame::SuspendKeep / CheckEvery)
-  /// from the VM mode and the method's analysis verdict.
+  /// Stamps \p F's placement fields (Frame::SuspendKeep and the
+  /// CheckEveryBit) from the VM mode and the method's analysis verdict.
   void configureSuspendChecks(Frame &F);
-  /// Tail of every branch dispatch case: executes the kept suspend check
-  /// or counts the elision for the branch that sat at \p Site.
+  /// Tail of every branch in a frame with keep bits (Placed mode):
+  /// executes the kept suspend check or counts the elision for the
+  /// branch that sat at \p Site.
   StepResult branchDone(Frame &F, uint32_t Site);
+  /// In-place quickening (DESIGN.md §18) of the instruction at \p F's
+  /// pc, whose slow handler has fully resolved constant-pool entry
+  /// \p Idx: rewrites the opcode byte to its _quick form and returns the
+  /// side-table entry to stash the resolution in. Null when the profile
+  /// does not quicken or the frame is not verifier-trusted.
+  QuickEntry *quicken(Frame &F, uint16_t Idx);
 
   friend struct NativeContext;
   friend class Jvm;

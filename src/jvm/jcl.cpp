@@ -1104,8 +1104,7 @@ void registerThreadNatives(Jvm &Vm) {
           return;
         }
         setField(Ctx.Vm, ThreadObj, "started", Value::intVal(1));
-        Method *Run =
-            ThreadObj->klass()->findVirtual("run", "()V");
+        Method *Run = ThreadObj->klass()->findMethod("run", "()V");
         if (!Run || !Run->HasCode) {
           Ctx.throwEx("java/lang/IllegalStateException", "no run()");
           return;

@@ -11,7 +11,8 @@
 /// helpers, mirroring what the JavaScript interpreter performs; the
 /// NativeHotspot mode uses hardware int32 directly. ToInt32 takes the
 /// integer fast path a JS engine takes for in-range values (see toInt32),
-/// which keeps libm off the path of every int add, subtract and multiply.
+/// and mulInt32 reduces its cross term with a mask, so no int add,
+/// subtract or multiply reaches libm.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,9 +64,12 @@ inline int32_t mulInt32(int32_t A, int32_t B) {
   double ALo = static_cast<double>(UA & 0xFFFF);
   double BHi = static_cast<double>(UB >> 16);
   double BLo = static_cast<double>(UB & 0xFFFF);
-  // (AHi*BLo + ALo*BHi) << 16 + ALo*BLo, all mod 2^32.
+  // (AHi*BLo + ALo*BHi) << 16 + ALo*BLo, all mod 2^32. Cross is an exact
+  // non-negative integer below 2^33, so its low 16 bits are its value
+  // mod 2^16: the polyfill's `<< 16` drops the rest, and so does the mask.
   double Cross = AHi * BLo + ALo * BHi;
-  double CrossShifted = std::fmod(Cross, 65536.0) * 65536.0;
+  double CrossShifted =
+      static_cast<double>(static_cast<uint64_t>(Cross) & 0xFFFF) * 65536.0;
   return toInt32(CrossShifted + ALo * BLo);
 }
 

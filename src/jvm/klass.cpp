@@ -108,6 +108,26 @@ static Value defaultForDesc(const std::string &Desc) {
   return ArrayObject::defaultElement(Desc);
 }
 
+/// Gives \p M its vtable slot in \p K: the slot of an inherited method
+/// with the same name and descriptor, which M overrides, or a new one.
+/// A duplicate declaration in K itself shares the first one's slot
+/// without displacing it, as findMethod finds the first.
+static void addToVTable(Klass &K, Method &M) {
+  for (size_t Slot = 0; Slot != K.VTable.size(); ++Slot) {
+    Method *Old = K.VTable[Slot];
+    if (Old->Name != M.Name || Old->Descriptor != M.Descriptor)
+      continue;
+    M.VSlot = static_cast<uint32_t>(Slot);
+    M.VRoot = Old->VRoot;
+    if (Old->Owner != &K)
+      K.VTable[Slot] = &M;
+    return;
+  }
+  M.VSlot = static_cast<uint32_t>(K.VTable.size());
+  M.VRoot = &M;
+  K.VTable.push_back(&M);
+}
+
 std::unique_ptr<Klass>
 jvm::linkClass(ClassFile Cf, Klass *Super, std::vector<Klass *> Interfaces,
                const std::function<NativeFn(const Klass &, const Method &)>
@@ -158,6 +178,8 @@ jvm::linkClass(ClassFile Cf, Klass *Super, std::vector<Klass *> Interfaces,
   }
   K->InstanceSlotCount = NextSlot;
 
+  if (Super)
+    K->VTable = Super->VTable;
   for (const MemberInfo &M : Cf.Methods) {
     auto Method_ = std::make_unique<Method>();
     Method_->Owner = K.get();
@@ -175,6 +197,7 @@ jvm::linkClass(ClassFile Cf, Klass *Super, std::vector<Klass *> Interfaces,
     }
     if (Method_->isNative() && ResolveNative)
       Method_->Native = ResolveNative(*K, *Method_);
+    addToVTable(*K, *Method_);
     K->Methods.push_back(std::move(Method_));
   }
 

@@ -70,6 +70,11 @@ struct QuickEntry {
   Klass *IcKlass = nullptr;
   int IcFieldId = -1;
   Method *IcCallee = nullptr;
+  /// invokevirtual: the resolved callee's vtable slot and root
+  /// (Method::VSlot/VRoot), so an inline-cache miss on a receiver that
+  /// descends from the root is an index load (Klass::vtableTarget).
+  uint32_t VSlot = 0;
+  Method *VRoot = nullptr;
 };
 
 /// A native method body, implemented in the host (paper: in JavaScript,
@@ -105,6 +110,12 @@ struct Method {
   bool placementProved() const {
     return Placement == AnalysisStatus::Proved;
   }
+  /// This method's index in its owner's Klass::VTable, and the
+  /// declaration that first claimed the slot: the method itself unless
+  /// it overrides one of the same name and descriptor higher up the
+  /// superclass chain, whose root it then shares.
+  uint32_t VSlot = 0;
+  Method *VRoot = nullptr;
   NativeFn Native; // Bound at link time from the native registry (§6.3).
 
   bool isStatic() const { return AccessFlags & AccStatic; }
@@ -157,11 +168,25 @@ public:
   /// Declared method lookup (this class only).
   Method *findDeclaredMethod(const std::string &Name,
                              const std::string &Desc);
-  /// Resolution along the superclass chain (and interfaces).
+  /// Resolution along the superclass chain (and interfaces); also
+  /// virtual dispatch from this (receiver) class.
   Method *findMethod(const std::string &Name, const std::string &Desc);
-  /// Virtual dispatch from this (receiver) class.
-  Method *findVirtual(const std::string &Name, const std::string &Desc) {
-    return findMethod(Name, Desc);
+
+  /// The virtual table, built at link time (DESIGN.md §18): a copy of
+  /// the superclass's table, in which each declared method takes over
+  /// the slot of the same name and descriptor or appends a new one. So
+  /// for every name and descriptor declared along the superclass chain,
+  /// VTable[slot] is what findMethod returns. Array classes leave it
+  /// empty.
+  std::vector<Method *> VTable;
+  /// The method slot \p Slot dispatches to for a receiver of this class,
+  /// when the slot belongs to \p Root (Method::VRoot), that is when this
+  /// class descends from the class that declared Root. Null otherwise
+  /// (interface methods, arrays, unrelated receivers): resolve by name.
+  Method *vtableTarget(uint32_t Slot, const Method *Root) const {
+    if (Slot < VTable.size() && VTable[Slot]->VRoot == Root)
+      return VTable[Slot];
+    return nullptr;
   }
 
   /// Field lookup along the superclass chain.

@@ -120,4 +120,29 @@ TEST(JsNumber, IntHelpersWrapLikeJavaInts) {
   EXPECT_EQ(jsnum::remInt32(-7, 2), -1);
 }
 
+TEST(JsNumber, MulInt32IsTheWrappedProduct) {
+  // The 16-bit-halves multiply must equal the two's-complement product
+  // mod 2^32 for every pair: edge values crossed with each other, then a
+  // seeded sweep of 2^20 pairs.
+  auto Wrapped = [](int32_t A, int32_t B) {
+    return static_cast<int32_t>(static_cast<uint32_t>(A) *
+                                static_cast<uint32_t>(B));
+  };
+  const int32_t Max = std::numeric_limits<int32_t>::max();
+  const int32_t Min = std::numeric_limits<int32_t>::min();
+  const int32_t Edges[] = {0,       1,       -1,      2,       -2,
+                           0xFFFF,  0x10000, -0xFFFF, -0x10000, 0x7FFF,
+                           -0x8000, 46341,   -46341,  Max,     Min,
+                           Max - 1, Min + 1};
+  for (int32_t A : Edges)
+    for (int32_t B : Edges)
+      ASSERT_EQ(jsnum::mulInt32(A, B), Wrapped(A, B)) << A << " * " << B;
+  std::mt19937_64 Rng(0x1D0C0FFEE);
+  for (int I = 0; I != 1 << 20; ++I) {
+    uint64_t R = Rng();
+    int32_t A = static_cast<int32_t>(R), B = static_cast<int32_t>(R >> 32);
+    ASSERT_EQ(jsnum::mulInt32(A, B), Wrapped(A, B)) << A << " * " << B;
+  }
+}
+
 } // namespace
