@@ -183,7 +183,7 @@ DrainResult runDrain(const browser::Profile &P) {
 
   uint32_t Victim = 0;
   bool DrainDone = false;
-  browser::TimerHandle T = Cl.balancer().env().loop().postTimer(
+  browser::TimerHandle T = Cl.balancer().env().loop().postAfter(
       kernel::Lane::Timer,
       [&] {
         uint64_t Best = 0;

@@ -185,9 +185,9 @@ MigrateRun runOnce(const browser::Profile &P,
     // Resume lane, same reasoning as the cluster's checkpoint retry: the
     // guest's slices run there, and Resume outranks Timer, so a Timer-
     // lane probe would starve until the guest exits.
-    browser::TimerHandle H = Src->env().loop().postTimer(
+    // Dropping the handle does not cancel; the next fire re-arms.
+    Src->env().loop().postAfter(
         kernel::Lane::Resume, [&Probe] { Probe(); }, browser::usToNs(50));
-    (void)H; // Destruction does not cancel; the next fire re-arms.
   };
   if (DoMigrate)
     Probe();

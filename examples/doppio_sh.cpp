@@ -236,13 +236,13 @@ private:
         // Not quiescent yet: retry on the Resume lane — guest slices run
         // there, and Resume outranks Timer, so a Timer-lane retry would
         // starve behind a compute-bound guest until it exits.
-        browser::TimerHandle H = Env.loop().postTimer(
+        // Dropping the handle does not cancel.
+        Env.loop().postAfter(
             kernel::Lane::Resume,
             [this, Target, Path = std::move(Path)] {
               attemptCheckpoint(Target, Path);
             },
             browser::usToNs(100));
-        (void)H; // Destruction does not cancel.
         return;
       }
       printf("checkpoint: %s\n", Blob.error().message().c_str());

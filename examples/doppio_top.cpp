@@ -12,7 +12,7 @@
 // also renders a live cache panel (hit ratio, dirty bytes, evictions,
 // journal depth) straight from the storage.* registry cells.
 //
-// Also demonstrates the typed timer API: the refresh tick is a
+// Also demonstrates timer handles: the refresh tick is a
 // browser::TimerHandle re-armed from its own callback and cancelled when
 // the load completes.
 //
@@ -116,10 +116,10 @@ int main() {
     printf("%s", renderCachePanel(Env.metrics()).c_str());
     printf("%s\n", obs::renderTop(Env.metrics(), /*MaxSpans=*/6).c_str());
     if (!LoadDone)
-      Tick = Env.loop().postTimer(kernel::Lane::Timer, Refresh,
+      Tick = Env.loop().postAfter(kernel::Lane::Timer, Refresh,
                                   browser::msToNs(2));
   };
-  Tick = Env.loop().postTimer(kernel::Lane::Timer, Refresh,
+  Tick = Env.loop().postAfter(kernel::Lane::Timer, Refresh,
                               browser::msToNs(2));
 
   Gen.start([&] {

@@ -14,46 +14,23 @@ void EventLoop::enqueueTask(Event Fn, EventKind Kind) {
          std::move(Fn));
 }
 
-bool TimerHandle::cancel() {
-  if (!armed())
-    return false;
-  // Belt and braces: the heap entry (O(1) when still pending) and the
-  // token (stops a timer already promoted into its lane).
-  Loop->cancelTimer(Handle);
-  Src.cancel();
-  return true;
+bool TimerHandle::armed() const {
+  return Loop && Loop->kernel().timerArmed(Handle);
 }
 
-TimerHandle EventLoop::setTimer(Event Fn, uint64_t DelayNs, EventKind Kind) {
+bool TimerHandle::cancel() {
+  return Loop && Loop->kernel().cancelTimer(Handle);
+}
+
+TimerHandle EventLoop::setTimeout(Event Fn, uint64_t DelayNs,
+                                  EventKind Kind) {
   // The HTML timer specification imposes a minimum delay; the paper (§4.4)
   // identifies this 4 ms clamp as what makes setTimeout-based resumption
   // unacceptably slow.
   uint64_t Effective = std::max(DelayNs, Prof.MinTimeoutClampNs);
-  return postTimer(Kind == EventKind::Input ? Lane::Input : Lane::Timer,
+  return postAfter(Kind == EventKind::Input ? Lane::Input : Lane::Timer,
                    std::move(Fn), Effective);
 }
-
-TimerHandle EventLoop::postTimer(kernel::Lane L, Event Fn, uint64_t DelayNs) {
-  kernel::CancelSource Src;
-  auto Fired = std::make_shared<bool>(false);
-  uint64_t Handle = K.postAfter(
-      L,
-      [Fired, Fn = std::move(Fn)]() {
-        *Fired = true;
-        Fn();
-      },
-      DelayNs, Src.token());
-  return TimerHandle(this, Handle, std::move(Src), std::move(Fired));
-}
-
-uint64_t EventLoop::setTimeout(Event Fn, uint64_t DelayNs, EventKind Kind) {
-  // Integer shim kept for the JS-visible surface; the clamp lives in
-  // setTimer now. Dropping the TimerHandle does not cancel, so the raw id
-  // remains valid for clearTimeout.
-  return setTimer(std::move(Fn), DelayNs, Kind).id();
-}
-
-void EventLoop::clearTimeout(uint64_t Handle) { K.cancelTimer(Handle); }
 
 void EventLoop::scheduleAfter(Event Fn, uint64_t DelayNs, EventKind Kind) {
   K.postAfter(Kind == EventKind::Input ? Lane::Input : Lane::IoCompletion,
@@ -68,18 +45,14 @@ bool EventLoop::trySetImmediate(Event Fn) {
   return true;
 }
 
-void EventLoop::post(kernel::Lane L, Event Fn, kernel::CancelToken Cancel) {
-  K.post(L, std::move(Fn), std::move(Cancel));
+void EventLoop::post(kernel::Lane L, Event Fn) { K.post(L, std::move(Fn)); }
+
+void EventLoop::post(kernel::Lane L, rt::Continuation Cont) {
+  K.post(L, std::move(Cont));
 }
 
-void EventLoop::post(kernel::Lane L, rt::Continuation Cont,
-                     kernel::CancelToken Cancel) {
-  K.post(L, std::move(Cont), std::move(Cancel));
-}
-
-uint64_t EventLoop::postAfter(kernel::Lane L, Event Fn, uint64_t DelayNs,
-                              kernel::CancelToken Cancel) {
-  return K.postAfter(L, std::move(Fn), DelayNs, std::move(Cancel));
+TimerHandle EventLoop::postAfter(kernel::Lane L, Event Fn, uint64_t DelayNs) {
+  return TimerHandle(this, K.postAfter(L, std::move(Fn), DelayNs));
 }
 
 bool EventLoop::runOne() {

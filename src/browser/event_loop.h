@@ -17,9 +17,10 @@
 /// own: it is a run-to-completion facade over doppio::kernel::Kernel's
 /// prioritized dispatch lanes. Browser policy lives here (the timer clamp,
 /// watchdog accounting, input-latency stats); ordering, timers,
-/// cancellation, and tracing live in the kernel. The classic browser API
-/// (enqueueTask / setTimeout / scheduleAfter / trySetImmediate) maps onto
-/// lanes, and lane-aware callers can use post()/postAfter() directly.
+/// cancellation, and dispatch counters live in the kernel. The classic
+/// browser API (enqueueTask / setTimeout / scheduleAfter /
+/// trySetImmediate) maps onto lanes, and lane-aware callers can use
+/// post()/postAfter() directly.
 ///
 /// The loop also owns the tab's obs::Registry (the simulated tab is the
 /// paper's process): every subsystem above it — fs, doppiod, suspender,
@@ -28,11 +29,10 @@
 /// operations across async hops (see obs/span.h). The loop's own Stats
 /// struct is a registry-backed view (`loop.*` cells).
 ///
-/// Timer ownership is typed: setTimer()/postTimer() return a TimerHandle
-/// that can cancel the pending fire even after promotion (handle cancel +
-/// CancelToken, the belt-and-braces doppiod's idle sweep pioneered). The
-/// integer setTimeout()/clearTimeout() surface survives as a thin shim for
-/// the JavaScript-visible API, which hands integer ids to scripts.
+/// setTimeout() and postAfter() return a TimerHandle: the loop and the
+/// kernel timer handle, nothing more. The kernel keeps the handle live
+/// until the timer is dispatched, so TimerHandle::cancel() stops a timer
+/// whether it still waits in the heap or is already queued in its lane.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,7 +46,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <utility>
 
 namespace doppio {
 namespace browser {
@@ -57,50 +57,46 @@ enum class EventKind { Task, Input };
 
 class EventLoop;
 
-/// Owning handle for a pending timer, returned by EventLoop::setTimer /
-/// postTimer. Move-only; destruction does NOT cancel (matching the old
-/// integer-handle semantics, where dropping the id let the timer fire).
-///
-/// cancel() beats the raw kernel handle in one way that matters: a timer
-/// that is already *due* has been promoted out of the heap into its lane,
-/// where cancelTimer() can no longer reach it — but the CancelToken every
-/// typed timer carries still stops it at dispatch. Callers that used to
-/// keep a (handle, CancelSource, armed-flag) triple keep one object.
+/// Handle for a pending timer, returned by EventLoop::setTimeout /
+/// postAfter. Move-only; destruction does NOT cancel (dropping the handle
+/// lets the timer fire). A moved-from handle is unbound. armed() and
+/// cancel() ask the loop's kernel, so the loop must outlive any call to
+/// them.
 class TimerHandle {
 public:
   TimerHandle() = default;
-  TimerHandle(TimerHandle &&) = default;
-  TimerHandle &operator=(TimerHandle &&) = default;
+  TimerHandle(TimerHandle &&O) noexcept
+      : Loop(std::exchange(O.Loop, nullptr)),
+        Handle(std::exchange(O.Handle, 0)) {}
+  TimerHandle &operator=(TimerHandle &&O) noexcept {
+    Loop = std::exchange(O.Loop, nullptr);
+    Handle = std::exchange(O.Handle, 0);
+    return *this;
+  }
   TimerHandle(const TimerHandle &) = delete;
   TimerHandle &operator=(const TimerHandle &) = delete;
 
   /// True if this handle was ever bound to a timer.
   explicit operator bool() const { return Loop != nullptr; }
 
-  /// True while the timer is still going to fire: bound, not yet run, not
-  /// cancelled.
-  bool armed() const { return Loop && Fired && !*Fired && !Src.cancelled(); }
+  /// True while the timer is still going to fire: bound, not yet
+  /// dispatched, not cancelled. False inside the timer's own callback.
+  bool armed() const;
 
-  /// Cancels the pending fire (heap entry in O(1), or via the token if
-  /// already promoted). Returns true if a fire was actually prevented;
-  /// false for unbound, already-fired, or already-cancelled handles.
+  /// Cancels the pending fire (kernel::Kernel::cancelTimer). Returns true
+  /// if a fire was actually prevented; false for unbound, already-fired,
+  /// or already-cancelled handles.
   bool cancel();
 
-  /// The underlying kernel timer handle (0 when unbound) — interoperates
-  /// with the integer clearTimeout()/cancelTimer() surface.
+  /// The kernel timer handle (0 when unbound).
   uint64_t id() const { return Handle; }
 
 private:
   friend class EventLoop;
-  TimerHandle(EventLoop *Loop, uint64_t Handle, kernel::CancelSource Src,
-              std::shared_ptr<bool> Fired)
-      : Loop(Loop), Handle(Handle), Src(std::move(Src)),
-        Fired(std::move(Fired)) {}
+  TimerHandle(EventLoop *Loop, uint64_t Handle) : Loop(Loop), Handle(Handle) {}
 
   EventLoop *Loop = nullptr;
   uint64_t Handle = 0;
-  kernel::CancelSource Src;
-  std::shared_ptr<bool> Fired;
 };
 
 /// The single-threaded, run-to-completion browser event loop: browser
@@ -136,30 +132,11 @@ public:
   /// plain tasks go to the Background lane.
   void enqueueTask(Event Fn, EventKind Kind = EventKind::Task);
 
-  /// Typed JavaScript timer: schedules \p Fn after \p DelayNs, subject to
-  /// the profile's minimum timeout clamp, and returns an owning
-  /// TimerHandle. Prefer this over setTimeout() in C++ callers.
-  TimerHandle setTimer(Event Fn, uint64_t DelayNs,
-                       EventKind Kind = EventKind::Task);
-
-  /// Typed lane-aware timer: \p Fn runs on lane \p L after exactly
-  /// \p DelayNs (no clamp), with an owning TimerHandle. Prefer this over
-  /// postAfter() when the caller may need to cancel.
-  TimerHandle postTimer(kernel::Lane L, Event Fn, uint64_t DelayNs);
-
-  /// Schedules \p Fn after \p DelayNs, subject to the profile's minimum
-  /// timeout clamp. Returns a handle usable with clearTimeout.
-  ///
-  /// Deprecated integer surface: kept because the JavaScript-visible API
-  /// hands integer ids to scripts (jcl's JS setTimeout). New C++ callers
-  /// should use setTimer(); this is now a thin shim over it.
-  uint64_t setTimeout(Event Fn, uint64_t DelayNs,
-                      EventKind Kind = EventKind::Task);
-
-  /// Cancels a pending timeout. Cancelling an already-fired or unknown
-  /// handle is a no-op. Deprecated with setTimeout (TimerHandle::cancel
-  /// supersedes it); kept for the JS-visible integer surface.
-  void clearTimeout(uint64_t Handle);
+  /// JavaScript timer: schedules \p Fn after \p DelayNs, subject to the
+  /// profile's minimum timeout clamp. Input timers land in the Input
+  /// lane, the rest in the Timer lane.
+  TimerHandle setTimeout(Event Fn, uint64_t DelayNs,
+                         EventKind Kind = EventKind::Task);
 
   /// Schedules \p Fn exactly \p DelayNs from now with no minimum clamp.
   /// This is not a JavaScript-visible API: it models the completion of
@@ -174,21 +151,16 @@ public:
   bool trySetImmediate(Event Fn);
 
   /// Lane-aware enqueue: \p Fn is eligible now, dispatched in \p L's
-  /// priority position. Work carrying a cancelled token is skipped.
-  void post(kernel::Lane L, Event Fn, kernel::CancelToken Cancel = {});
+  /// priority position.
+  void post(kernel::Lane L, Event Fn);
 
   /// Posts a reified continuation (DESIGN.md §16) for one-shot dispatch
   /// on lane \p L.
-  void post(kernel::Lane L, rt::Continuation K, kernel::CancelToken Cancel = {});
+  void post(kernel::Lane L, rt::Continuation K);
 
   /// Lane-aware timer: \p Fn runs on lane \p L after exactly \p DelayNs
-  /// (no clamp). Returns a kernel timer handle for cancelTimer().
-  uint64_t postAfter(kernel::Lane L, Event Fn, uint64_t DelayNs,
-                     kernel::CancelToken Cancel = {});
-
-  /// Cancels a handle from postAfter()/setTimeout(). Returns false for
-  /// already-fired, already-cancelled, or unknown handles.
-  bool cancelTimer(uint64_t Handle) { return K.cancelTimer(Handle); }
+  /// (no clamp).
+  TimerHandle postAfter(kernel::Lane L, Event Fn, uint64_t DelayNs);
 
   /// Dispatches a single event, advancing the virtual clock over idle gaps.
   /// Returns false when no work remains.
@@ -234,7 +206,7 @@ public:
   const Profile &profile() const { return Prof; }
   VirtualClock &clock() { return Clock; }
 
-  /// The scheduling core: trace ring, per-lane counters, timer state.
+  /// The scheduling core: lanes, per-lane counters, timer state.
   kernel::Kernel &kernel() { return K; }
   const kernel::Kernel &kernel() const { return K; }
 

@@ -150,11 +150,10 @@ void Cluster::migrateFrom(uint32_t Id, control::MigrateCmd Cmd,
       // through to the error report below; the retry counter makes the
       // spin observable.
       S->env().metrics().counter("cluster.migrate_retries").inc();
-      browser::TimerHandle Retry = S->env().loop().postTimer(
+      S->env().loop().postAfter(
           kernel::Lane::Resume,
           [this, Id, Cmd, Attempt] { migrateFrom(Id, Cmd, Attempt + 1); },
           browser::usToNs(100));
-      (void)Retry;
       return;
     }
     control::MigrateDoneMsg D;
@@ -202,7 +201,7 @@ void Cluster::armPush(uint32_t Id) {
   if (R.DrainStarted || R.Killed)
     return;
   Shard *S = R.S.get();
-  R.PushTimer = S->env().loop().postTimer(
+  R.PushTimer = S->env().loop().postAfter(
       kernel::Lane::Timer,
       [this, Id, S] {
         S->pushStats(Bal->tab());

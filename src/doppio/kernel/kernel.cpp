@@ -24,15 +24,14 @@ const char *doppio::kernel::laneName(Lane L) {
   return "?";
 }
 
-Kernel::Kernel(browser::VirtualClock &Clock, size_t TraceCapacity)
+Kernel::Kernel(browser::VirtualClock &Clock)
     : Clock(Clock), OwnedReg(std::make_unique<obs::Registry>(Clock)),
-      Reg(*OwnedReg), Trace(TraceCapacity) {
+      Reg(*OwnedReg) {
   bindCells();
 }
 
-Kernel::Kernel(browser::VirtualClock &Clock, obs::Registry &Reg,
-               size_t TraceCapacity)
-    : Clock(Clock), Reg(Reg), Trace(TraceCapacity) {
+Kernel::Kernel(browser::VirtualClock &Clock, obs::Registry &Reg)
+    : Clock(Clock), Reg(Reg) {
   bindCells();
 }
 
@@ -78,42 +77,26 @@ Counters Kernel::counters() const {
   return Out;
 }
 
-std::vector<TraceEntry> TraceRing::snapshot() const {
-  std::vector<TraceEntry> Out;
-  size_t N = size();
-  Out.reserve(N);
-  size_t Start = Total < Buf.size() ? 0 : Next;
-  for (size_t I = 0; I < N; ++I)
-    Out.push_back(Buf[(Start + I) % Buf.size()]);
-  return Out;
-}
-
-uint64_t Kernel::post(Lane L, WorkFn Fn, CancelToken Cancel) {
+void Kernel::post(Lane L, WorkFn Fn) {
   assert(Fn && "posting empty work");
   size_t Idx = static_cast<size_t>(L);
-  uint64_t Id = NextWorkId++;
-  Lanes[Idx].push_back({std::move(Fn), Id, Clock.nowNs(), std::move(Cancel),
-                        Reg.spans().current()});
+  Lanes[Idx].push_back(
+      {std::move(Fn), Clock.nowNs(), /*Timer=*/0, Reg.spans().current()});
   Cells[Idx].Posted->inc();
-  return Id;
 }
 
-uint64_t Kernel::post(Lane L, rt::Continuation K, CancelToken Cancel) {
+void Kernel::post(Lane L, rt::Continuation K) {
   // WorkFn is a copyable std::function; the move-only continuation rides
   // in a shared_ptr. One-shot enforcement lives in the continuation, so
   // even a pathological double-dispatch is accounted, not undefined.
   auto Held = std::make_shared<rt::Continuation>(std::move(K));
-  return post(
-      L,
-      [Held] {
-        if (Held->armed())
-          Held->resume();
-      },
-      std::move(Cancel));
+  post(L, [Held] {
+    if (Held->armed())
+      Held->resume();
+  });
 }
 
-uint64_t Kernel::postAfter(Lane L, WorkFn Fn, uint64_t DelayNs,
-                           CancelToken Cancel) {
+uint64_t Kernel::postAfter(Lane L, WorkFn Fn, uint64_t DelayNs) {
   assert(Fn && "scheduling empty work");
   auto Rec = std::make_unique<TimerRec>();
   Rec->DueNs = Clock.nowNs() + DelayNs;
@@ -121,7 +104,6 @@ uint64_t Kernel::postAfter(Lane L, WorkFn Fn, uint64_t DelayNs,
   Rec->Handle = NextHandle++;
   Rec->L = L;
   Rec->Fn = std::move(Fn);
-  Rec->Cancel = std::move(Cancel);
   Rec->Span = Reg.spans().current();
   uint64_t Handle = Rec->Handle;
   LiveTimers.emplace(Handle, Rec.get());
@@ -135,9 +117,12 @@ bool Kernel::cancelTimer(uint64_t Handle) {
   auto It = LiveTimers.find(Handle);
   if (It == LiveTimers.end())
     return false;
-  It->second->Cancelled = true;
-  It->second->Fn = nullptr; // Drop captured state eagerly.
+  TimerRec *Rec = It->second;
   LiveTimers.erase(It);
+  if (!Rec)
+    return true; // Already promoted: next() skips it.
+  Rec->Cancelled = true;
+  Rec->Fn = nullptr; // Drop captured state eagerly.
   ++CancelledInHeap;
   TimersCancelledC->inc();
   compactIfNeeded();
@@ -180,13 +165,16 @@ void Kernel::promoteDue() {
     if (Heap.empty() || Heap.front()->DueNs > NowNs)
       break;
     std::unique_ptr<TimerRec> Rec = heapPop();
-    LiveTimers.erase(Rec->Handle);
+    // The handle stays live, now marking a queued timer, until next()
+    // dispatches or skips it.
+    auto It = LiveTimers.find(Rec->Handle);
+    assert(It != LiveTimers.end() && "live heap entry without a handle");
+    It->second = nullptr;
     // A promoted timer's ReadyNs is its due time, not the promotion
     // moment: queue-delay accounting should charge the wait behind other
     // work, and input-latency tracking in the facade depends on it.
     Lanes[static_cast<size_t>(Rec->L)].push_back(
-        {std::move(Rec->Fn), NextWorkId++, Rec->DueNs, std::move(Rec->Cancel),
-         Rec->Span});
+        {std::move(Rec->Fn), Rec->DueNs, Rec->Handle, Rec->Span});
   }
 }
 
@@ -216,12 +204,14 @@ std::optional<Kernel::Work> Kernel::next(std::optional<uint64_t> HorizonNs) {
       ReadyItem Item = std::move(Q.front());
       Q.pop_front();
       Popped = true;
-      if (Item.Cancel.cancelled()) {
+      // A timer runs only if its handle is still live; dispatch retires
+      // the handle, so the callback already sees itself disarmed.
+      if (Item.Timer && LiveTimers.erase(Item.Timer) == 0) {
         Cells[Idx].CancelledSkipped->inc();
         break; // Re-promote and re-scan from the top lane.
       }
-      return Work{std::move(Item.Fn), static_cast<Lane>(Idx), Item.Id,
-                  Item.ReadyNs, Item.Span};
+      return Work{std::move(Item.Fn), static_cast<Lane>(Idx), Item.ReadyNs,
+                  Item.Span};
     }
     if (Popped)
       continue;
@@ -239,7 +229,7 @@ std::optional<Kernel::Work> Kernel::next(std::optional<uint64_t> HorizonNs) {
 }
 
 std::optional<uint64_t> Kernel::nextEligibleNs() {
-  // Queued lane work (even token-cancelled items: popping them is still a
+  // Queued lane work (even cancelled timers: popping them is still a
   // dispatch step) is eligible immediately.
   for (const std::deque<ReadyItem> &Q : Lanes)
     if (!Q.empty())
@@ -261,7 +251,6 @@ void Kernel::noteDispatched(const Work &W, uint64_t StartNs,
   LC.QueueDelayNsMax->noteMax(static_cast<int64_t>(QueueDelayNs));
   LC.RunNsTotal->inc(RunNs);
   LC.RunNsMax->noteMax(static_cast<int64_t>(RunNs));
-  Trace.push({W.Id, W.L, W.ReadyNs, StartNs, QueueDelayNs, RunNs});
 }
 
 bool Kernel::idle() const {

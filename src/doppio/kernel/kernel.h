@@ -29,17 +29,20 @@
 ///    vector. Equal due times preserve insertion order, which is what TCP
 ///    FIFO delivery in SimNet relies on.
 ///
-///  - **First-class cancellation.** Timers return handles with O(1)
-///    cancellation; any work item can additionally carry a CancelToken.
-///    Cancelled entries are reaped on promotion and the heap is compacted
-///    whenever cancelled entries outnumber live ones, so a long-lived
-///    server that arms and cancels timers forever stays bounded.
+///  - **One way to cancel a timer.** Every timer returns a handle that
+///    stays live until the timer is dispatched; cancelTimer() works while
+///    the timer waits in the heap (O(1), lazy deletion) and after it has
+///    been promoted into its lane (the lane skips it at dispatch).
+///    Cancelled heap entries are reaped on promotion and the heap is
+///    compacted whenever cancelled entries outnumber live ones, so a
+///    long-lived server that arms and cancels timers forever stays
+///    bounded.
 ///
-///  - **A trace ring buffer + counters.** Every dispatch is recorded
-///    (event id, lane, queue delay, run time, virtual-clock timestamps) in
-///    a fixed-size ring (default: the last 4096 dispatches), with
-///    aggregate per-lane counters — the data that answers *why* a
-///    Figure 5/7 number moved.
+///  - **Per-lane counters.** Every dispatch lands in registry cells
+///    (`kernel.lane.<lane>.*`: posted, dispatched, cancelled-skipped,
+///    queue delay and run time, totals and maxima) — the data that answers
+///    *why* a Figure 5/7 number moved. Per-operation queue delay rides the
+///    causal span instead (obs/span.h).
 ///
 /// The kernel is policy-free about browser semantics: the 4 ms setTimeout
 /// clamp, the watchdog, and per-profile costs stay in browser::EventLoop,
@@ -90,95 +93,12 @@ constexpr size_t NumLanes = 5;
 
 const char *laneName(Lane L);
 
-class CancelSource;
-
-/// Observer half of a cancellation pair. Copyable; work items carrying a
-/// cancelled token are skipped (never run) at dispatch time. A
-/// default-constructed token never reports cancelled.
-class CancelToken {
-public:
-  CancelToken() = default;
-
-  bool cancelled() const { return Flag && *Flag; }
-  /// True if this token is connected to a CancelSource.
-  bool attached() const { return Flag != nullptr; }
-
-private:
-  friend class CancelSource;
-  explicit CancelToken(std::shared_ptr<const bool> Flag)
-      : Flag(std::move(Flag)) {}
-  std::shared_ptr<const bool> Flag;
-};
-
-/// Owner half of a cancellation pair: hand out tokens, flip them all with
-/// one cancel() call. Single-threaded, like everything over the virtual
-/// clock.
-class CancelSource {
-public:
-  CancelSource() : Flag(std::make_shared<bool>(false)) {}
-
-  CancelToken token() const { return CancelToken(Flag); }
-  void cancel() { *Flag = true; }
-  bool cancelled() const { return *Flag; }
-  /// Re-arms the source: outstanding tokens from before reset() stay
-  /// cancelled; token() hands out fresh ones.
-  void reset() { Flag = std::make_shared<bool>(false); }
-
-private:
-  std::shared_ptr<bool> Flag;
-};
-
-/// One dispatched event, as recorded in the trace ring.
-struct TraceEntry {
-  /// Monotonically increasing dispatch id (kernel-wide).
-  uint64_t Id = 0;
-  Lane L = Lane::Background;
-  /// Virtual time the item became eligible to run (post time, or a
-  /// timer's due time).
-  uint64_t ReadyNs = 0;
-  /// Virtual time dispatch started.
-  uint64_t StartNs = 0;
-  /// StartNs - ReadyNs: how long the item waited behind other work.
-  uint64_t QueueDelayNs = 0;
-  /// Virtual duration of the callback itself.
-  uint64_t RunNs = 0;
-};
-
-/// Fixed-size ring of the most recent dispatches.
-class TraceRing {
-public:
-  explicit TraceRing(size_t Capacity) : Buf(Capacity) {}
-
-  void push(const TraceEntry &E) {
-    if (Buf.empty())
-      return;
-    Buf[Next] = E;
-    Next = (Next + 1) % Buf.size();
-    ++Total;
-  }
-
-  size_t capacity() const { return Buf.size(); }
-  /// Dispatches ever recorded (not bounded by capacity).
-  uint64_t recorded() const { return Total; }
-  /// Entries currently held.
-  size_t size() const {
-    return Total < Buf.size() ? static_cast<size_t>(Total) : Buf.size();
-  }
-
-  /// The retained entries, oldest first.
-  std::vector<TraceEntry> snapshot() const;
-
-private:
-  std::vector<TraceEntry> Buf;
-  size_t Next = 0;
-  uint64_t Total = 0;
-};
-
 /// Aggregate dispatch statistics for one lane.
 struct LaneCounters {
   uint64_t Posted = 0;
   uint64_t Dispatched = 0;
-  /// Items skipped because their CancelToken fired before dispatch.
+  /// Timers cancelled after promotion into this lane, skipped at
+  /// dispatch.
   uint64_t CancelledSkipped = 0;
   uint64_t TotalQueueDelayNs = 0;
   uint64_t MaxQueueDelayNs = 0;
@@ -193,7 +113,8 @@ struct LaneCounters {
 struct Counters {
   LaneCounters Lanes[NumLanes];
   uint64_t TimersScheduled = 0;
-  /// Successful cancelTimer() calls.
+  /// cancelTimer() calls that found the timer still in the heap (a
+  /// cancel after promotion counts in the lane's CancelledSkipped).
   uint64_t TimersCancelled = 0;
   /// Cancelled heap entries discarded before firing (on promotion, top
   /// cleanup, or compaction).
@@ -215,46 +136,48 @@ class Kernel {
 public:
   using WorkFn = std::function<void()>;
 
-  static constexpr size_t DefaultTraceCapacity = 4096;
-
   /// Standalone kernel: owns a private metrics registry (tests, tools).
-  explicit Kernel(browser::VirtualClock &Clock,
-                  size_t TraceCapacity = DefaultTraceCapacity);
+  explicit Kernel(browser::VirtualClock &Clock);
 
   /// Kernel over a shared registry (the event loop's): lane and timer
   /// counters become cells in \p Reg, and posted work captures the
   /// registry's current span so causal ids ride every async hop.
-  Kernel(browser::VirtualClock &Clock, obs::Registry &Reg,
-         size_t TraceCapacity = DefaultTraceCapacity);
+  Kernel(browser::VirtualClock &Clock, obs::Registry &Reg);
 
   Kernel(const Kernel &) = delete;
   Kernel &operator=(const Kernel &) = delete;
 
   /// Enqueues \p Fn at the back of lane \p L, eligible to run now.
-  /// Returns the work id (also the future trace id).
-  uint64_t post(Lane L, WorkFn Fn, CancelToken Cancel = {});
+  void post(Lane L, WorkFn Fn);
 
   /// Enqueues a reified continuation on lane \p L (DESIGN.md §16). The
   /// registry's current span is captured like any other post, so causal
   /// ids follow the suspended computation across the hop. A continuation
   /// disarmed before dispatch (resumed elsewhere, or its owner died) is a
   /// tolerated no-op at dispatch time.
-  uint64_t post(Lane L, rt::Continuation K, CancelToken Cancel = {});
+  void post(Lane L, rt::Continuation K);
 
   /// Schedules \p Fn on lane \p L, due \p DelayNs from now. Returns a
-  /// timer handle usable with cancelTimer().
-  uint64_t postAfter(Lane L, WorkFn Fn, uint64_t DelayNs,
-                     CancelToken Cancel = {});
+  /// timer handle (never 0) usable with cancelTimer() until the timer is
+  /// dispatched.
+  uint64_t postAfter(Lane L, WorkFn Fn, uint64_t DelayNs);
 
-  /// Cancels a pending timer in O(1). Returns false (a no-op) for
-  /// already-fired, already-cancelled, or unknown handles.
+  /// Cancels a timer that has not been dispatched yet: in O(1) from the
+  /// heap, or, once it has been promoted into its lane, by having next()
+  /// skip it. Returns false (a no-op) for already-dispatched,
+  /// already-cancelled, or unknown handles.
   bool cancelTimer(uint64_t Handle);
+
+  /// True while \p Handle's timer is still going to run: scheduled, not
+  /// yet dispatched, not cancelled. False inside the timer's own callback.
+  bool timerArmed(uint64_t Handle) const {
+    return LiveTimers.count(Handle) != 0;
+  }
 
   /// A dispatched unit of work, handed to the host loop.
   struct Work {
     WorkFn Fn;
     Lane L = Lane::Background;
-    uint64_t Id = 0;
     /// When the item became eligible (for queue-delay accounting).
     uint64_t ReadyNs = 0;
     /// The span current when the item was posted (0 for none). The host
@@ -284,7 +207,7 @@ public:
   /// The cluster lockstep driver uses this to pick its global horizon.
   std::optional<uint64_t> nextEligibleNs();
 
-  /// Records trace + counters for a dispatch performed by the host loop.
+  /// Records lane counters for a dispatch performed by the host loop.
   void noteDispatched(const Work &W, uint64_t StartNs, uint64_t EndNs);
 
   /// True when no queued work and no live timers remain.
@@ -304,7 +227,6 @@ public:
   /// bound `const Counters &C = K.counters();` keep working via temporary
   /// lifetime extension.
   Counters counters() const;
-  const TraceRing &trace() const { return Trace; }
 
   /// The metrics registry this kernel reports into (owned or shared).
   obs::Registry &metrics() { return Reg; }
@@ -313,9 +235,10 @@ public:
 private:
   struct ReadyItem {
     WorkFn Fn;
-    uint64_t Id = 0;
     uint64_t ReadyNs = 0;
-    CancelToken Cancel;
+    /// A promoted timer's handle (0 for plain posts): the item runs only
+    /// if the handle is still live when it reaches the front.
+    uint64_t Timer = 0;
     obs::SpanId Span = 0;
   };
 
@@ -325,7 +248,6 @@ private:
     uint64_t Handle = 0;
     Lane L = Lane::Timer;
     WorkFn Fn;
-    CancelToken Cancel;
     bool Cancelled = false;
     obs::SpanId Span = 0;
   };
@@ -367,17 +289,17 @@ private:
   obs::Registry &Reg;
   std::deque<ReadyItem> Lanes[NumLanes];
   std::vector<std::unique_ptr<TimerRec>> Heap;
+  /// Every timer not yet dispatched or cancelled: its heap record, or
+  /// nullptr once it has been promoted into its lane.
   std::unordered_map<uint64_t, TimerRec *> LiveTimers;
   size_t CancelledInHeap = 0;
   uint64_t NextSeq = 0;
   uint64_t NextHandle = 1;
-  uint64_t NextWorkId = 1;
   LaneCells Cells[NumLanes];
   obs::Counter *TimersScheduledC = nullptr;
   obs::Counter *TimersCancelledC = nullptr;
   obs::Counter *TimersReapedC = nullptr;
   obs::Counter *HeapCompactionsC = nullptr;
-  TraceRing Trace;
 };
 
 } // namespace kernel

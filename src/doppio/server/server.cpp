@@ -202,7 +202,7 @@ void Server::armIdleSweep() {
   if (Cfg.IdleTimeoutNs == 0 || Sweep.armed() || Draining || Conns.empty())
     return;
   uint64_t Period = std::max<uint64_t>(1, Cfg.IdleTimeoutNs / 2);
-  Sweep = Env.loop().postTimer(kernel::Lane::Timer, [this] { idleSweep(); },
+  Sweep = Env.loop().postAfter(kernel::Lane::Timer, [this] { idleSweep(); },
                                Period);
 }
 
@@ -243,8 +243,7 @@ void Server::shutdown(std::function<void()> Done) {
   Running = false;
   Draining = true;
   OnDrained = std::move(Done);
-  // Kill the housekeeping timer: TimerHandle::cancel removes the heap
-  // entry and fires the token, covering a sweep already promoted but not
+  // Kill the housekeeping timer, even a sweep already promoted but not
   // yet run.
   Sweep.cancel();
   Sock.close(); // Release the port; queued connects are refused.

@@ -147,9 +147,7 @@ private:
   bool AcceptArmed = false;
   bool Draining = false;
   /// Pending idle-sweep timer. TimerHandle::cancel covers both the heap
-  /// entry and a sweep already promoted but not yet run (the
-  /// belt-and-braces this server used to hand-roll with a raw handle +
-  /// CancelSource + armed flag).
+  /// entry and a sweep already promoted but not yet run.
   browser::TimerHandle Sweep;
   std::function<void()> OnDrained;
 };

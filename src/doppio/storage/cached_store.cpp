@@ -37,7 +37,6 @@ CacheConfig CacheConfig::forProfile(const browser::Profile &P) {
   C.FlushIntervalNs = browser::msToNs(8) * (P.Costs.EngineFactor >= 10 ? 4 : 1);
   C.CheckpointJournalBytes = 256 * 1024;
   C.PrefetchDepth = 8;
-  C.Journaled = true;
   return C;
 }
 
@@ -513,7 +512,7 @@ void CachedKvStore::evictIfNeeded() {
 void CachedKvStore::armFlushTimer() {
   if (FlushInFlight || FlushTimer.armed())
     return;
-  FlushTimer = Env.loop().postTimer(
+  FlushTimer = Env.loop().postAfter(
       kernel::Lane::Background, [this] { kickFlush(false); },
       Cfg.FlushIntervalNs);
 }
@@ -586,42 +585,21 @@ void CachedKvStore::flushBlocksDone(std::vector<BlockId> Written,
 }
 
 void CachedKvStore::persistCommit(std::vector<BlockId> Written) {
-  // Phase 2: the durability point — one atomic slow-store put. Journaled
-  // stores persist the log image; unjournaled stores persist the full
-  // directory snapshot (absorbing the sealed records first).
-  if (Cfg.Journaled) {
-    Slow->put(JournalKey, J.bytes(),
-              [this, Written = std::move(Written)](
-                  std::optional<ApiError> E) mutable {
-                if (E) {
-                  flushFailed(*E);
-                  return;
-                }
-                for (const Journal::Record &R : SealedUnapplied) {
-                  if (R.K == Journal::Record::Kind::Put)
-                    Committed.put(R.Key, R.M);
-                  else if (R.K == Journal::Record::Kind::Del)
-                    Committed.remove(R.Key);
-                }
-                commitDurable(std::move(Written));
-              });
-    return;
-  }
-  // Reapplying on a retry is idempotent (records carry full manifests).
-  for (const Journal::Record &R : SealedUnapplied) {
-    if (R.K == Journal::Record::Kind::Put)
-      Committed.put(R.Key, R.M);
-    else if (R.K == Journal::Record::Kind::Del)
-      Committed.remove(R.Key);
-  }
-  Slow->put(DirKey, Committed.serialize(),
+  // Phase 2: the durability point — one atomic slow-store put of the log
+  // image.
+  Slow->put(JournalKey, J.bytes(),
             [this, Written = std::move(Written)](
                 std::optional<ApiError> E) mutable {
               if (E) {
                 flushFailed(*E);
                 return;
               }
-              J.truncate();
+              for (const Journal::Record &R : SealedUnapplied) {
+                if (R.K == Journal::Record::Kind::Put)
+                  Committed.put(R.Key, R.M);
+                else if (R.K == Journal::Record::Kind::Del)
+                  Committed.remove(R.Key);
+              }
               commitDurable(std::move(Written));
             });
 }
@@ -664,7 +642,7 @@ void CachedKvStore::commitDurable(std::vector<BlockId> Written) {
   if (CachedBytes > Cfg.CapacityBytes)
     evictIfNeeded();
 
-  if (Cfg.Journaled && J.depthBytes() > Cfg.CheckpointJournalBytes) {
+  if (J.depthBytes() > Cfg.CheckpointJournalBytes) {
     startCheckpoint(/*Rescue=*/false);
     return;
   }

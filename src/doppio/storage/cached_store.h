@@ -76,11 +76,6 @@ struct CacheConfig {
   size_t CheckpointJournalBytes = 256 * 1024;
   /// Directory neighbours fetched ahead on a sequential miss run.
   unsigned PrefetchDepth = 8;
-  /// False collapses the journal: each flush persists the directory
-  /// snapshot directly (one atomic put = the commit). Loses group-commit
-  /// batching of the log but keeps crash consistency; used for slow
-  /// stores whose values are too small to amortize a log (localstorage).
-  bool Journaled = true;
 
   static CacheConfig forProfile(const browser::Profile &P);
 };

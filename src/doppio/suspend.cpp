@@ -133,13 +133,11 @@ void Suspender::dispatchViaMechanism(uint64_t Id) {
   }
   case ResumeMechanism::SetTimeout: {
     // IE8 fallback: the resumption still targets the Resume lane but
-    // must eat the HTML timer clamp on the way (§4.4). Typed timer API;
-    // a resumption is never cancelled, so the handle is dropped (dropping
-    // does not cancel).
-    browser::TimerHandle T = Env.loop().postTimer(
-        kernel::Lane::Resume, [this, Id] { fire(Id); },
-        Env.profile().MinTimeoutClampNs);
-    (void)T;
+    // must eat the HTML timer clamp on the way (§4.4). A resumption is
+    // never cancelled, so the handle is dropped (dropping does not
+    // cancel).
+    Env.loop().postAfter(kernel::Lane::Resume, [this, Id] { fire(Id); },
+                         Env.profile().MinTimeoutClampNs);
     return;
   }
   }

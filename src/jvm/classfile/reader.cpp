@@ -73,6 +73,43 @@ private:
   bool Failed = false;
 };
 
+/// True if \p Idx names a pool entry tagged \p Tag. Every index the
+/// reader resolves goes through this first: the pool accessors assert the
+/// tag, so a mistagged index must become an error here.
+bool hasTag(const ConstantPool &Pool, uint16_t Idx, CpTag Tag) {
+  return Pool.valid(Idx) && Pool.at(Idx).Tag == Tag;
+}
+
+/// True if every reference held inside the pool points at an entry of the
+/// kind the specification requires (§4.4).
+bool poolRefsWellTyped(const ConstantPool &Pool) {
+  for (uint16_t I = 1; I < Pool.size(); ++I) {
+    const CpEntry &E = Pool.at(I);
+    switch (E.Tag) {
+    case CpTag::Class:
+    case CpTag::String:
+      if (!hasTag(Pool, E.Ref1, CpTag::Utf8))
+        return false;
+      break;
+    case CpTag::Fieldref:
+    case CpTag::Methodref:
+    case CpTag::InterfaceMethodref:
+      if (!hasTag(Pool, E.Ref1, CpTag::Class) ||
+          !hasTag(Pool, E.Ref2, CpTag::NameAndType))
+        return false;
+      break;
+    case CpTag::NameAndType:
+      if (!hasTag(Pool, E.Ref1, CpTag::Utf8) ||
+          !hasTag(Pool, E.Ref2, CpTag::Utf8))
+        return false;
+      break;
+    default:
+      break;
+    }
+  }
+  return true;
+}
+
 ErrorOr<ConstantPool> readPool(Cursor &In) {
   ConstantPool Pool;
   uint16_t Count = In.u2();
@@ -115,6 +152,8 @@ ErrorOr<ConstantPool> readPool(Cursor &In) {
                           std::to_string(static_cast<int>(E.Tag)));
     }
     bool TwoSlots = E.Tag == CpTag::Long || E.Tag == CpTag::Double;
+    if (TwoSlots && I + 1 >= Count)
+      return ApiError(Errno::Invalid, "8-byte constant in the last pool slot");
     Pool.appendRaw(std::move(E));
     if (TwoSlots) {
       Pool.appendRaw(CpEntry());
@@ -123,10 +162,12 @@ ErrorOr<ConstantPool> readPool(Cursor &In) {
   }
   if (In.failed())
     return ApiError(Errno::Invalid, "truncated constant pool");
+  if (!poolRefsWellTyped(Pool))
+    return ApiError(Errno::Invalid, "constant pool reference to a wrong kind");
   return Pool;
 }
 
-ErrorOr<CodeAttr> readCode(Cursor &In) {
+ErrorOr<CodeAttr> readCode(Cursor &In, const ConstantPool &Pool) {
   CodeAttr Code;
   Code.MaxStack = In.u2();
   Code.MaxLocals = In.u2();
@@ -134,19 +175,24 @@ ErrorOr<CodeAttr> readCode(Cursor &In) {
   std::string Bytecode = In.bytes(CodeLen);
   Code.Bytecode.assign(Bytecode.begin(), Bytecode.end());
   uint16_t HandlerCount = In.u2();
-  for (uint16_t I = 0; I != HandlerCount; ++I) {
+  for (uint16_t I = 0; I != HandlerCount && !In.failed(); ++I) {
     ExceptionHandler H;
     H.StartPc = In.u2();
     H.EndPc = In.u2();
     H.HandlerPc = In.u2();
     H.CatchType = In.u2();
+    if (!In.failed() && H.CatchType != 0 &&
+        !hasTag(Pool, H.CatchType, CpTag::Class))
+      return ApiError(Errno::Invalid, "bad catch type index");
     Code.Handlers.push_back(H);
   }
   // Sub-attributes (LineNumberTable, ...) are ignored.
   uint16_t AttrCount = In.u2();
-  for (uint16_t I = 0; I != AttrCount; ++I) {
-    In.u2(); // Name index.
+  for (uint16_t I = 0; I != AttrCount && !In.failed(); ++I) {
+    uint16_t AttrName = In.u2();
     uint32_t Len = In.u4();
+    if (!In.failed() && !hasTag(Pool, AttrName, CpTag::Utf8))
+      return ApiError(Errno::Invalid, "bad attribute name index");
     In.skip(Len);
   }
   if (In.failed())
@@ -160,21 +206,24 @@ ErrorOr<MemberInfo> readMember(Cursor &In, const ConstantPool &Pool,
   M.AccessFlags = In.u2();
   uint16_t NameIdx = In.u2();
   uint16_t DescIdx = In.u2();
-  if (In.failed() || !Pool.valid(NameIdx) || !Pool.valid(DescIdx))
+  if (In.failed())
     return ApiError(Errno::Invalid, "truncated member info");
+  if (!hasTag(Pool, NameIdx, CpTag::Utf8) ||
+      !hasTag(Pool, DescIdx, CpTag::Utf8))
+    return ApiError(Errno::Invalid, "bad member name or descriptor index");
   M.Name = Pool.utf8(NameIdx);
   M.Descriptor = Pool.utf8(DescIdx);
   uint16_t AttrCount = In.u2();
   for (uint16_t I = 0; I != AttrCount && !In.failed(); ++I) {
     uint16_t AttrName = In.u2();
     uint32_t Len = In.u4();
-    if (!Pool.valid(AttrName)) {
-      In.skip(Len);
-      continue;
-    }
+    if (In.failed())
+      break;
+    if (!hasTag(Pool, AttrName, CpTag::Utf8))
+      return ApiError(Errno::Invalid, "bad attribute name index");
     const std::string &Name = Pool.utf8(AttrName);
     if (IsMethod && Name == "Code") {
-      ErrorOr<CodeAttr> Code = readCode(In);
+      ErrorOr<CodeAttr> Code = readCode(In, Pool);
       if (!Code)
         return Code.error();
       M.Code = std::move(*Code);
@@ -207,18 +256,22 @@ ErrorOr<ClassFile> jvm::readClassFile(const std::vector<uint8_t> &Bytes) {
   Cf.AccessFlags = In.u2();
   uint16_t ThisIdx = In.u2();
   uint16_t SuperIdx = In.u2();
-  if (In.failed() || !Cf.Pool.valid(ThisIdx))
+  if (In.failed())
     return ApiError(Errno::Invalid, "truncated class header");
+  if (!hasTag(Cf.Pool, ThisIdx, CpTag::Class))
+    return ApiError(Errno::Invalid, "bad this_class index");
   Cf.ThisClass = Cf.Pool.className(ThisIdx);
   if (SuperIdx != 0) {
-    if (!Cf.Pool.valid(SuperIdx))
+    if (!hasTag(Cf.Pool, SuperIdx, CpTag::Class))
       return ApiError(Errno::Invalid, "bad superclass index");
     Cf.SuperClass = Cf.Pool.className(SuperIdx);
   }
   uint16_t IfaceCount = In.u2();
   for (uint16_t I = 0; I != IfaceCount && !In.failed(); ++I) {
     uint16_t Idx = In.u2();
-    if (!Cf.Pool.valid(Idx))
+    if (In.failed())
+      break;
+    if (!hasTag(Cf.Pool, Idx, CpTag::Class))
       return ApiError(Errno::Invalid, "bad interface index");
     Cf.Interfaces.push_back(Cf.Pool.className(Idx));
   }
@@ -240,11 +293,17 @@ ErrorOr<ClassFile> jvm::readClassFile(const std::vector<uint8_t> &Bytes) {
   for (uint16_t I = 0; I != AttrCount && !In.failed(); ++I) {
     uint16_t AttrName = In.u2();
     uint32_t Len = In.u4();
-    if (Cf.Pool.valid(AttrName) && Cf.Pool.utf8(AttrName) == "SourceFile" &&
-        Len == 2) {
+    if (In.failed())
+      break;
+    if (!hasTag(Cf.Pool, AttrName, CpTag::Utf8))
+      return ApiError(Errno::Invalid, "bad attribute name index");
+    if (Cf.Pool.utf8(AttrName) == "SourceFile" && Len == 2) {
       uint16_t SrcIdx = In.u2();
-      if (Cf.Pool.valid(SrcIdx))
-        Cf.SourceFile = Cf.Pool.utf8(SrcIdx);
+      if (In.failed())
+        break;
+      if (!hasTag(Cf.Pool, SrcIdx, CpTag::Utf8))
+        return ApiError(Errno::Invalid, "bad SourceFile index");
+      Cf.SourceFile = Cf.Pool.utf8(SrcIdx);
       continue;
     }
     In.skip(Len);

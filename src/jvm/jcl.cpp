@@ -509,11 +509,11 @@ void registerObjectNatives(Jvm &Vm) {
     if (TimeoutMs > 0) {
       Jvm &TheVm = Ctx.Vm;
       // Object.wait(timeout) is a JVM-visible timer, not an I/O
-      // completion: Timer lane. Typed timer API; the wake-up is never
-      // cancelled — a notify is handled by the generation check, and
-      // cancelling would change when the virtual clock goes idle — so the
-      // handle is dropped (dropping does not cancel).
-      Ctx.Vm.env().loop().postTimer(
+      // completion: Timer lane. The wake-up is never cancelled — a notify
+      // is handled by the generation check, and cancelling would change
+      // when the virtual clock goes idle — so the handle is dropped
+      // (dropping does not cancel).
+      Ctx.Vm.env().loop().postAfter(
           kernel::Lane::Timer,
           [&TheVm, O, Tid, Generation] {
             JvmThread *T = TheVm.threadForTid(Tid);
@@ -1130,9 +1130,9 @@ void registerThreadNatives(Jvm &Vm) {
       "java/lang/Thread", "sleep", "(J)V", [](NativeContext &Ctx) {
         int64_t Ms = longArg(Ctx.Args[0]);
         Ctx.blockWithResult([&Ctx, Ms](NativeCompletion Complete) {
-          // Thread.sleep is a timer wake-up, not I/O (typed timer API;
-          // sleep is uninterruptible here, the handle is dropped).
-          Ctx.Vm.env().loop().postTimer(
+          // Thread.sleep is a timer wake-up, not I/O (sleep is
+          // uninterruptible here, the handle is dropped).
+          Ctx.Vm.env().loop().postAfter(
               kernel::Lane::Timer, [Complete] { Complete(Value()); },
               browser::msToNs(static_cast<uint64_t>(Ms < 0 ? 0 : Ms)));
         });
@@ -1434,9 +1434,9 @@ void registerFileNatives(Jvm &Vm) {
         Ctx.blockWithResult([&TheVm](NativeCompletion Complete) {
           // Model keystroke delivery latency; a keystroke is user input,
           // so it arrives on the Input lane ahead of everything queued.
-          // Typed timer API; the keystroke is never cancelled, so the
-          // handle is dropped (dropping does not cancel).
-          TheVm.env().loop().postTimer(
+          // The keystroke is never cancelled, so the handle is dropped
+          // (dropping does not cancel).
+          TheVm.env().loop().postAfter(
               kernel::Lane::Input,
               [&TheVm, Complete] {
                 if (!TheVm.process().hasStdin()) {

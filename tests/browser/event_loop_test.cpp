@@ -73,9 +73,8 @@ TEST(EventLoop, TimersFireInDueOrderThenInsertionOrder) {
 TEST(EventLoop, ClearTimeoutCancels) {
   BrowserEnv Env(chromeProfile());
   bool Fired = false;
-  uint64_t Handle =
-      Env.loop().setTimeout([&] { Fired = true; }, msToNs(10));
-  Env.loop().clearTimeout(Handle);
+  TimerHandle H = Env.loop().setTimeout([&] { Fired = true; }, msToNs(10));
+  EXPECT_TRUE(H.cancel());
   Env.loop().run();
   EXPECT_FALSE(Fired);
 }
@@ -236,7 +235,7 @@ TEST(PagingModel, NonLeakingBrowsersReclaim) {
 TEST(TimerHandle, DoubleCancelOnlyFirstPreventsAFire) {
   BrowserEnv Env(chromeProfile());
   bool Fired = false;
-  TimerHandle H = Env.loop().postTimer(kernel::Lane::Timer,
+  TimerHandle H = Env.loop().postAfter(kernel::Lane::Timer,
                                        [&] { Fired = true; }, msToNs(5));
   EXPECT_TRUE(H.armed());
   EXPECT_TRUE(H.cancel());
@@ -252,7 +251,7 @@ TEST(TimerHandle, DoubleCancelOnlyFirstPreventsAFire) {
 TEST(TimerHandle, CancelAfterFireReportsNothingPrevented) {
   BrowserEnv Env(chromeProfile());
   bool Fired = false;
-  TimerHandle H = Env.loop().postTimer(kernel::Lane::Timer,
+  TimerHandle H = Env.loop().postAfter(kernel::Lane::Timer,
                                        [&] { Fired = true; }, msToNs(5));
   Env.loop().run();
   EXPECT_TRUE(Fired);
@@ -262,13 +261,26 @@ TEST(TimerHandle, CancelAfterFireReportsNothingPrevented) {
   EXPECT_FALSE(H.cancel());
 }
 
+TEST(TimerHandle, NotArmedInsideItsOwnCallback) {
+  // Callbacks that re-arm themselves (doppiod's idle sweep, the storage
+  // flush timer) test armed() from inside the fire.
+  BrowserEnv Env(chromeProfile());
+  TimerHandle H;
+  bool ArmedInside = true;
+  H = Env.loop().setTimeout([&] { ArmedInside = H.armed(); }, msToNs(5));
+  EXPECT_TRUE(H.armed());
+  Env.loop().run();
+  EXPECT_FALSE(ArmedInside);
+  EXPECT_FALSE(H.cancel());
+}
+
 TEST(TimerHandle, MoveAssignmentReleasesOldHandleWithoutCancelling) {
   BrowserEnv Env(chromeProfile());
   bool FiredA = false;
   bool FiredB = false;
-  TimerHandle A = Env.loop().postTimer(kernel::Lane::Timer,
+  TimerHandle A = Env.loop().postAfter(kernel::Lane::Timer,
                                        [&] { FiredA = true; }, msToNs(5));
-  TimerHandle B = Env.loop().postTimer(kernel::Lane::Timer,
+  TimerHandle B = Env.loop().postAfter(kernel::Lane::Timer,
                                        [&] { FiredB = true; }, msToNs(10));
   uint64_t IdB = B.id();
   // Overwriting A releases its timer — released, not cancelled: dropping

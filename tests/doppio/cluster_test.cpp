@@ -409,7 +409,7 @@ TEST(Cluster, DrainUnderLoadLosesNothingAndLeavesNoPendingWork) {
   uint64_t VictimActive = 0;
   bool DrainDone = false;
   std::optional<ShardSnapshot> Final;
-  browser::TimerHandle DrainTimer = Cl.balancer().env().loop().postTimer(
+  browser::TimerHandle DrainTimer = Cl.balancer().env().loop().postAfter(
       kernel::Lane::Timer,
       [&] {
         uint64_t Best = 0;
@@ -488,7 +488,7 @@ TEST(Cluster, KillSynthesizesErrorsAndReroutes) {
 
   uint32_t Victim = 0;
   uint64_t VictimActive = 0;
-  browser::TimerHandle KillTimer = Cl.balancer().env().loop().postTimer(
+  browser::TimerHandle KillTimer = Cl.balancer().env().loop().postAfter(
       kernel::Lane::Timer,
       [&] {
         uint64_t Best = 0;
@@ -764,9 +764,8 @@ TEST(Cluster, LiveMigrationMovesARunningJvmGuest) {
     }
     // Resume lane: guest slices run there and it outranks Timer, so a
     // Timer-lane probe would starve until the guest exits.
-    browser::TimerHandle H = Src->env().loop().postTimer(
+    Src->env().loop().postAfter(
         kernel::Lane::Resume, [&Probe] { Probe(); }, browser::usToNs(50));
-    (void)H;
   };
   Probe();
   auto Rep = Drv.run(10000000);
@@ -838,13 +837,12 @@ TEST(Cluster, MigrationRetryCapGivesUpOnNonQuiescentGuest) {
     rt::proc::Process *Pr = Src->procs().find(P);
     ASSERT_NE(Pr, nullptr);
     if (Pr->state().capturedStdout().empty()) {
-      browser::TimerHandle H = Src->env().loop().postTimer(
+      Src->env().loop().postAfter(
           kernel::Lane::Resume, [&Probe] { Probe(); }, browser::usToNs(50));
-      (void)H;
       return;
     }
     Requested = true;
-    browser::TimerHandle H = Src->env().loop().postTimer(
+    Src->env().loop().postAfter(
         kernel::Lane::Timer,
         [&] {
           EXPECT_TRUE(Cl.migrateProcess(
@@ -854,7 +852,6 @@ TEST(Cluster, MigrationRetryCapGivesUpOnNonQuiescentGuest) {
               }));
         },
         browser::usToNs(1000));
-    (void)H;
   };
   Probe();
   auto Rep = Drv.run(10000000);

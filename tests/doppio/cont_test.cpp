@@ -326,9 +326,9 @@ private:
     // strictly outranks Timer, so a compute-bound guest would starve a
     // Timer-lane probe until it exits. On the same lane, due times
     // interleave the probe between slices.
-    browser::TimerHandle H = R.Env.loop().postTimer(
+    // Dropping the handle does not cancel; the next fire re-arms.
+    R.Env.loop().postAfter(
         kernel::Lane::Resume, [this] { Try(); }, browser::usToNs(50));
-    (void)H; // Destruction does not cancel; the next fire re-arms.
   }
   std::function<void()> Try;
 };
@@ -420,9 +420,8 @@ TEST(JvmCheckpoint, NotQuiescentAndCorruptImagesAreRefusedCleanly) {
         SawRefusal = true;
         return;
       }
-      browser::TimerHandle H = Nap.Env.loop().postTimer(
+      Nap.Env.loop().postAfter(
           kernel::Lane::Timer, [&] { Probe(); }, browser::usToNs(20));
-      (void)H;
     };
     Probe();
     Nap.Env.loop().run();
@@ -594,9 +593,8 @@ TEST(ProcCheckpoint, JvmProcessRoundTripsThroughTheProcessTable) {
     if (!R.ok()) {
       EXPECT_EQ(R.error().Code, Errno::Again) << R.error().message();
     }
-    browser::TimerHandle H = Src.Env.loop().postTimer(
+    Src.Env.loop().postAfter(
         kernel::Lane::Resume, [&] { Try(); }, browser::usToNs(50));
-    (void)H;
   };
   Try();
   Src.Env.loop().run();

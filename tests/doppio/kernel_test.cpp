@@ -1,9 +1,9 @@
 //===- tests/doppio/kernel_test.cpp ---------------------------------------==//
 //
 // Tests for the unified scheduling kernel: lane priority, FIFO-within-lane
-// ordering, the (DueNs, Seq) timer min-heap, cancellation tokens, cancelled
-// timer reaping, the trace ring buffer, and the exported counters. Run with
-// `ctest -L kernel`.
+// ordering, the (DueNs, Seq) timer min-heap, cancellation by handle before
+// and after promotion, cancelled timer reaping, and the exported counters.
+// Run with `ctest -L kernel`.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,7 +22,7 @@ using namespace doppio::kernel;
 namespace {
 
 /// Drains the kernel the way the event-loop facade does, recording each
-/// dispatch so traces and counters are populated.
+/// dispatch so the counters are populated.
 void drain(Kernel &K, browser::VirtualClock &Clock) {
   while (auto W = K.next()) {
     uint64_t Start = Clock.nowNs();
@@ -91,33 +91,29 @@ TEST(Kernel, IdleGapsAdvanceTheVirtualClock) {
   EXPECT_EQ(FiredAt, browser::msToNs(50));
 }
 
-TEST(Kernel, CancelledTokenWorkNeverRuns) {
+TEST(Kernel, SameInstantTimerCancelledByItsPeerNeverRuns) {
+  // Two timers due at the same instant are promoted together; the first
+  // one's callback cancels the second, which is already queued.
   browser::VirtualClock Clock;
   Kernel K(Clock);
-  CancelSource Src;
-  bool CancelledRan = false;
-  bool PlainRan = false;
-  K.post(Lane::Resume, [&] { CancelledRan = true; }, Src.token());
-  K.post(Lane::Resume, [&] { PlainRan = true; });
-  Src.cancel();
+  bool SecondRan = false;
+  uint64_t Second = 0;
+  std::vector<bool> Cancels;
+  K.postAfter(Lane::Timer,
+              [&] {
+                Cancels.push_back(K.cancelTimer(Second));
+                Cancels.push_back(K.cancelTimer(Second));
+              },
+              browser::msToNs(5));
+  Second = K.postAfter(Lane::Timer, [&] { SecondRan = true; },
+                       browser::msToNs(5));
   drain(K, Clock);
-  EXPECT_FALSE(CancelledRan);
-  EXPECT_TRUE(PlainRan);
-  EXPECT_EQ(K.counters().Lanes[size_t(Lane::Resume)].CancelledSkipped, 1u);
-  EXPECT_EQ(K.counters().Lanes[size_t(Lane::Resume)].Dispatched, 1u);
-}
-
-TEST(Kernel, CancelTokenCoversTimers) {
-  browser::VirtualClock Clock;
-  Kernel K(Clock);
-  CancelSource Src;
-  bool Ran = false;
-  K.postAfter(Lane::Timer, [&] { Ran = true; }, browser::msToNs(5),
-              Src.token());
-  K.postAfter(Lane::Timer, [] {}, browser::msToNs(10));
-  Src.cancel();
-  drain(K, Clock);
-  EXPECT_FALSE(Ran);
+  EXPECT_FALSE(SecondRan);
+  EXPECT_EQ(Cancels, (std::vector<bool>{true, false}));
+  const Counters &C = K.counters();
+  EXPECT_EQ(C.Lanes[size_t(Lane::Timer)].CancelledSkipped, 1u);
+  EXPECT_EQ(C.Lanes[size_t(Lane::Timer)].Dispatched, 1u);
+  EXPECT_EQ(C.TimersCancelled, 0u);
 }
 
 TEST(Kernel, CancelTimerByHandle) {
@@ -135,7 +131,7 @@ TEST(Kernel, CancelTimerByHandle) {
 }
 
 TEST(Kernel, CancelledEntriesDoNotAccumulate) {
-  // The clearTimeout regression (satellite): the old event loop kept
+  // The cancel-leak regression: the old event loop kept
   // Cancelled entries in its timer vector until their due time passed —
   // a server arming and cancelling far-future timers grew without bound.
   // The kernel reaps on promotion and compacts when cancelled entries
@@ -178,44 +174,6 @@ TEST(Kernel, MixedCancelledAndLiveTimersStayOrdered) {
   }
 }
 
-TEST(Kernel, TraceRecordsQueueDelayAndRunTime) {
-  browser::VirtualClock Clock;
-  Kernel K(Clock);
-  // A 10 ms event queued ahead of a 1 ms event: the second entry must
-  // show 10 ms of queue delay and 1 ms of run time.
-  K.post(Lane::Background, [&] { Clock.chargeNs(browser::msToNs(10)); });
-  K.post(Lane::Background, [&] { Clock.chargeNs(browser::msToNs(1)); });
-  drain(K, Clock);
-  std::vector<TraceEntry> T = K.trace().snapshot();
-  ASSERT_EQ(T.size(), 2u);
-  EXPECT_EQ(T[0].QueueDelayNs, 0u);
-  EXPECT_EQ(T[0].RunNs, browser::msToNs(10));
-  EXPECT_EQ(T[1].QueueDelayNs, browser::msToNs(10));
-  EXPECT_EQ(T[1].RunNs, browser::msToNs(1));
-  EXPECT_EQ(T[1].StartNs, T[1].ReadyNs + T[1].QueueDelayNs);
-  EXPECT_EQ(T[0].L, Lane::Background);
-  EXPECT_LT(T[0].Id, T[1].Id);
-}
-
-TEST(Kernel, TraceRingRetainsLast4096Dispatches) {
-  browser::VirtualClock Clock;
-  Kernel K(Clock);
-  constexpr int Total = 5000;
-  for (int I = 0; I < Total; ++I)
-    K.post(Lane::Background, [] {});
-  drain(K, Clock);
-  const TraceRing &T = K.trace();
-  EXPECT_EQ(T.capacity(), Kernel::DefaultTraceCapacity);
-  EXPECT_GE(T.capacity(), 4096u);
-  EXPECT_EQ(T.recorded(), uint64_t(Total));
-  std::vector<TraceEntry> Snap = T.snapshot();
-  ASSERT_EQ(Snap.size(), 4096u);
-  // Oldest-first, contiguous, ending at the final dispatch.
-  for (size_t I = 0; I + 1 < Snap.size(); ++I)
-    EXPECT_EQ(Snap[I].Id + 1, Snap[I + 1].Id);
-  EXPECT_EQ(Snap.back().Id, K.counters().totalDispatched());
-}
-
 TEST(Kernel, CountersAggregatePerLane) {
   browser::VirtualClock Clock;
   Kernel K(Clock);
@@ -237,33 +195,17 @@ TEST(Kernel, CountersAggregatePerLane) {
   EXPECT_STREQ(laneName(Lane::Background), "background");
 }
 
-TEST(Kernel, CancelSourceResetRearms) {
-  browser::VirtualClock Clock;
-  Kernel K(Clock);
-  CancelSource Src;
-  bool OldRan = false, NewRan = false;
-  K.post(Lane::Resume, [&] { OldRan = true; }, Src.token());
-  Src.cancel();
-  Src.reset();
-  K.post(Lane::Resume, [&] { NewRan = true; }, Src.token());
-  drain(K, Clock);
-  EXPECT_FALSE(OldRan) << "pre-reset tokens stay cancelled";
-  EXPECT_TRUE(NewRan) << "post-reset tokens are fresh";
-  EXPECT_FALSE(CancelToken().attached());
-  EXPECT_TRUE(Src.token().attached());
-}
-
 // --- Facade integration: the browser event loop over kernel lanes. ------===//
 
 TEST(EventLoopFacade, ClearTimeoutReapsFarFutureTimers) {
-  // Regression for the satellite bug at the EventLoop level: clearTimeout
-  // used to leave Cancelled entries in the timer vector until their due
-  // time arrived; with kernel handles they are reaped eagerly.
+  // The same regression at the EventLoop level: cancelled timeouts used
+  // to stay in the timer vector until their due time arrived; with kernel
+  // handles they are reaped eagerly.
   browser::BrowserEnv Env(browser::chromeProfile());
-  for (int I = 0; I < 10000; ++I) {
-    uint64_t H = Env.loop().setTimeout([] {}, browser::msToNs(100000 + I));
-    Env.loop().clearTimeout(H);
-  }
+  for (int I = 0; I < 10000; ++I)
+    EXPECT_TRUE(Env.loop()
+                    .setTimeout([] {}, browser::msToNs(100000 + I))
+                    .cancel());
   const kernel::Kernel &K = Env.loop().kernel();
   EXPECT_EQ(K.pendingTimers(), 0u);
   EXPECT_LT(K.cancelledTimers(), 64u);
@@ -294,20 +236,33 @@ TEST(EventLoopFacade, StatsShapePreservedAndTraceExported) {
   EXPECT_EQ(S.MaxEventNs, browser::msToNs(10));
   EXPECT_EQ(S.TotalEventNs, browser::msToNs(10));
   EXPECT_EQ(S.WatchdogKills, 0u);
-  // Every facade dispatch reaches the kernel trace.
-  EXPECT_EQ(Env.loop().kernel().trace().recorded(), 1u);
-  EXPECT_EQ(Env.loop().kernel().counters().totalDispatched(), 1u);
+  // Every facade dispatch reaches the kernel's lane counters.
+  const kernel::Counters &C = Env.loop().kernel().counters();
+  EXPECT_EQ(C.totalDispatched(), 1u);
+  EXPECT_EQ(C.Lanes[size_t(Lane::Background)].TotalRunNs,
+            browser::msToNs(10));
 }
 
-TEST(EventLoopFacade, PostAfterWithTokenSkipsCancelledWork) {
+TEST(EventLoopFacade, PostAfterHandleCancelsAPromotedTimer) {
+  // The timer is due and promoted behind a long input event; cancelling
+  // the handle from that event still stops it.
   browser::BrowserEnv Env(browser::chromeProfile());
-  kernel::CancelSource Src;
   bool Ran = false;
-  Env.loop().postAfter(kernel::Lane::Timer, [&] { Ran = true; },
-                       browser::msToNs(1), Src.token());
-  Src.cancel();
+  browser::TimerHandle H = Env.loop().postAfter(
+      kernel::Lane::Timer, [&] { Ran = true; }, browser::msToNs(1));
+  Env.loop().scheduleAfter(
+      [&] {
+        Env.clock().chargeNs(browser::msToNs(5));
+        Env.loop().enqueueTask([&] { EXPECT_TRUE(H.cancel()); },
+                               browser::EventKind::Input);
+      },
+      0, browser::EventKind::Input);
   Env.loop().run();
   EXPECT_FALSE(Ran);
+  EXPECT_FALSE(H.armed());
+  const kernel::Counters &C = Env.loop().kernel().counters();
+  EXPECT_EQ(C.Lanes[size_t(Lane::Timer)].CancelledSkipped, 1u);
+  EXPECT_EQ(C.TimersCancelled, 0u);
 }
 
 } // namespace

@@ -498,24 +498,6 @@ TEST(CachedStore, ReloadRecoversFromJournalReplay) {
   EXPECT_EQ(textOf(*V), "beta2");
 }
 
-TEST(CachedStore, UnjournaledModePersistsViaDirectorySnapshots) {
-  BrowserEnv Env(chromeProfile());
-  CacheConfig C = quiescentConfig();
-  C.Journaled = false;
-  {
-    CachedKvStore Writer(Env, std::make_unique<fs::IndexedDbKv>(Env), C);
-    drain(Env);
-    ASSERT_FALSE(putKv(Env, Writer, "x", bytesOf("snapshotted")).has_value());
-    ASSERT_FALSE(syncKv(Env, Writer).has_value());
-  }
-  CachedKvStore Reader(Env, std::make_unique<fs::IndexedDbKv>(Env), C);
-  drain(Env);
-  auto V = getKv(Env, Reader, "x");
-  ASSERT_TRUE(V.has_value());
-  EXPECT_EQ(textOf(*V), "snapshotted");
-  EXPECT_EQ(Reader.stats().ReplayedCommits, 0u); // No journal to replay.
-}
-
 TEST(CachedStore, CheckpointTruncatesJournalAndCollectsGarbage) {
   BrowserEnv Env(chromeProfile());
   CacheConfig C = quiescentConfig();

@@ -238,6 +238,109 @@ TEST(Reader, RejectsGarbage) {
   EXPECT_FALSE(readClassFile(Truncated).ok());
 }
 
+/// Offset of each constant pool entry's tag byte in a class file (index 0
+/// and the second slot of an 8-byte constant stay 0), plus the offset just
+/// past the pool.
+struct PoolLayout {
+  std::vector<size_t> EntryAt;
+  size_t End = 0;
+};
+
+PoolLayout layoutPool(const std::vector<uint8_t> &Bytes) {
+  auto U2 = [&](size_t At) { return size_t(Bytes[At]) << 8 | Bytes[At + 1]; };
+  size_t Count = U2(8);
+  PoolLayout L;
+  L.EntryAt.assign(Count, 0);
+  size_t At = 10;
+  for (size_t I = 1; I < Count; ++I) {
+    L.EntryAt[I] = At;
+    switch (static_cast<CpTag>(Bytes[At])) {
+    case CpTag::Utf8:
+      At += 3 + U2(At + 1);
+      break;
+    case CpTag::Class:
+    case CpTag::String:
+      At += 3;
+      break;
+    case CpTag::Long:
+    case CpTag::Double:
+      At += 9;
+      ++I;
+      break;
+    default: // Integer, Float, member refs, NameAndType.
+      At += 5;
+      break;
+    }
+  }
+  L.End = At;
+  return L;
+}
+
+void putU2(std::vector<uint8_t> &Bytes, size_t At, uint16_t V) {
+  Bytes[At] = static_cast<uint8_t>(V >> 8);
+  Bytes[At + 1] = static_cast<uint8_t>(V);
+}
+
+TEST(Reader, MistaggedIndexesAreErrorsNotAsserts) {
+  // One static method, no fields or interfaces, so the header and the
+  // first method's name index sit at fixed offsets past the pool.
+  ClassBuilder B("demo/Patched");
+  MethodBuilder &M = B.method(AccPublic | AccStatic, "f", "()I");
+  MethodBuilder::Label Start = M.newLabel(), End = M.newLabel(),
+                       Handler = M.newLabel();
+  M.bind(Start)
+      .iconst(100000) // ldc: an Integer constant.
+      .op(Op::Ireturn)
+      .bind(End)
+      .bind(Handler)
+      .op(Op::Pop)
+      .iconst(-1)
+      .op(Op::Ireturn)
+      .handler(Start, End, Handler, "java/lang/Exception");
+  std::vector<uint8_t> Good = B.bytes();
+  auto Parsed = readClassFile(Good);
+  ASSERT_TRUE(Parsed.ok()) << Parsed.error().message();
+  ASSERT_EQ(Parsed->Interfaces.size(), 0u);
+  ASSERT_EQ(Parsed->Fields.size(), 0u);
+  ASSERT_EQ(Parsed->Methods[0].Name, "f");
+  ASSERT_EQ(Parsed->Methods[0].Code->Handlers.size(), 1u);
+  const ConstantPool &Pool = Parsed->Pool;
+  uint16_t ClassIdx = 0, Utf8Idx = 0, IntIdx = 0;
+  for (uint16_t I = 1; I < Pool.size(); ++I) {
+    CpTag T = Pool.at(I).Tag;
+    if (T == CpTag::Class && !ClassIdx)
+      ClassIdx = I;
+    else if (T == CpTag::Utf8 && !Utf8Idx)
+      Utf8Idx = I;
+    else if (T == CpTag::Integer && !IntIdx)
+      IntIdx = I;
+  }
+  ASSERT_TRUE(ClassIdx && Utf8Idx && IntIdx);
+  PoolLayout L = layoutPool(Good);
+  // Header past the pool: access, this_class, super_class, interface
+  // count, field count, method count; then method 0's access and name.
+  size_t ThisAt = L.End + 2;
+  size_t MethodNameAt = L.End + 14;
+
+  std::vector<uint8_t> ThisIsUtf8 = Good;
+  putU2(ThisIsUtf8, ThisAt, Utf8Idx);
+  std::vector<uint8_t> NameIsClass = Good;
+  putU2(NameIsClass, MethodNameAt, ClassIdx);
+  std::vector<uint8_t> ClassNamesInteger = Good;
+  putU2(ClassNamesInteger, L.EntryAt[ClassIdx] + 1, IntIdx);
+  // The disassembler resolves a handler's catch type without verifying.
+  ClassFile Model = *Parsed;
+  Model.Methods[0].Code->Handlers[0].CatchType = Utf8Idx;
+  std::vector<uint8_t> CatchTypeIsUtf8 = writeClassFile(Model);
+
+  for (const std::vector<uint8_t> *Bad :
+       {&ThisIsUtf8, &NameIsClass, &ClassNamesInteger, &CatchTypeIsUtf8}) {
+    auto R = readClassFile(*Bad);
+    ASSERT_FALSE(R.ok());
+    EXPECT_EQ(R.error().Code, rt::Errno::Invalid) << R.error().message();
+  }
+}
+
 TEST(Reader, InterfaceFlagsSurvive) {
   ClassBuilder B("demo/Iface");
   B.setAccess(AccPublic | AccInterface | AccAbstract);

@@ -304,9 +304,8 @@ ImageRun checkpointAndRestore(const std::string &Main,
       R.TopMethod = Top->M->Owner->Name + "." + Top->M->Name;
       return;
     }
-    browser::TimerHandle H = Src.Env.loop().postTimer(
+    Src.Env.loop().postAfter(
         kernel::Lane::Resume, [&Try] { Try(); }, browser::usToNs(20));
-    (void)H;
   };
   Try();
   Src.Env.loop().run();

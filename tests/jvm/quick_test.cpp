@@ -266,9 +266,8 @@ TEST(QuickCheckpoint, MidRunRoundTripOfAQuickenedGuest) {
     }
     // Resume lane: guest slices run there and it outranks Timer, so a
     // Timer-lane probe would starve until the guest exits.
-    browser::TimerHandle H = Src.Env.loop().postTimer(
+    Src.Env.loop().postAfter(
         kernel::Lane::Resume, [&Try] { Try(); }, browser::usToNs(50));
-    (void)H;
   };
   Try();
   Src.Env.loop().run();
@@ -395,9 +394,8 @@ TEST(QuickCluster, LiveMigrationMovesAQuickenedGuest) {
           }));
       return;
     }
-    browser::TimerHandle H = Src->env().loop().postTimer(
+    Src->env().loop().postAfter(
         kernel::Lane::Resume, [&Probe] { Probe(); }, browser::usToNs(50));
-    (void)H;
   };
   Probe();
   auto Rep = Drv.run(10000000);
