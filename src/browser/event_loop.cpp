@@ -125,14 +125,6 @@ EventLoop::Stats EventLoop::stats() const {
   return S;
 }
 
-void EventLoop::resetStats() {
-  EventsRunC->reset();
-  WatchdogKillsC->reset();
-  TotalEventNsC->reset();
-  MaxEventNsG->reset();
-  MaxInputLatencyNsG->reset();
-}
-
 uint64_t EventLoop::currentEventElapsedNs() const {
   assert(EventDepth > 0 && "no event is running");
   return Clock.nowNs() - CurrentEventStartNs;

@@ -200,8 +200,6 @@ public:
   /// cells. By-value; existing `const Stats &S = Loop.stats();` callers
   /// keep working via temporary lifetime extension.
   Stats stats() const;
-  /// Zeroes the loop's registry cells (other subsystems' cells survive).
-  void resetStats();
 
   const Profile &profile() const { return Prof; }
   VirtualClock &clock() { return Clock; }

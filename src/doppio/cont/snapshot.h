@@ -72,6 +72,9 @@ public:
 
   bool ok() const { return Ok; }
   bool atEnd() const { return Ok && Pos == B.size(); }
+  /// Unread bytes (0 once a read failed): the bound for a count taken
+  /// from the image before anything is sized by it.
+  size_t remaining() const { return Ok ? B.size() - Pos : 0; }
 
   uint8_t u8() {
     if (!need(1))

@@ -46,15 +46,6 @@ FileSystem::OpStats FileSystem::stats() const {
   return S;
 }
 
-void FileSystem::resetStats() {
-  OpsC->reset();
-  BytesReadC->reset();
-  BytesWrittenC->reset();
-  UniqueFilesC->reset();
-  OpNsH->reset();
-  Touched.clear();
-}
-
 obs::SpanId FileSystem::beginOp(const char *Name) {
   return Env.metrics().spans().begin(Name);
 }

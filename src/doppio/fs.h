@@ -101,7 +101,6 @@ public:
   /// By-value snapshot; `const OpStats &S = Fs.stats();` callers keep
   /// working via temporary lifetime extension.
   OpStats stats() const;
-  void resetStats();
 
 private:
   std::string standardize(const std::string &P) const {

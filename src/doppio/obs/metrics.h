@@ -74,9 +74,10 @@ private:
 /// The buckets drive the Prometheus-style exposition; the exact samples —
 /// on by default — make percentile() bit-identical to the nearest-rank
 /// math the fig6/fig7 harnesses always used, so retrofitting a producer
-/// onto the registry can never move a published number. Producers on
-/// unbounded hot paths (per-dispatch kernel accounting) opt out of sample
-/// retention and get bucket-upper-bound percentiles instead.
+/// onto the registry can never move a published number. Every producer in
+/// the tree keeps the default, so each histogram grows by 8 bytes per
+/// recorded value; with KeepSamples off (only obs_test turns it off)
+/// percentile() falls back to bucket upper bounds.
 class Histogram {
 public:
   struct Options {

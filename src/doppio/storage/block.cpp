@@ -89,6 +89,13 @@ std::string storage::blockKey(const BlockId &Id) {
   return Buf;
 }
 
+bool Manifest::sizeMatchesBlocks() const {
+  uint64_t Sum = 0;
+  for (const BlockId &Id : Blocks)
+    Sum += Id.Size;
+  return Sum == SizeBytes;
+}
+
 Manifest storage::makeManifest(const std::vector<uint8_t> &Value,
                                size_t BlockBytes) {
   Manifest M;
@@ -163,7 +170,8 @@ Directory Directory::deserialize(const std::vector<uint8_t> &Bytes,
   Directory D;
   snap::Reader R(Bytes, DirMagic, DirVersion);
   uint32_t N = R.u32();
-  for (uint32_t I = 0; I != N && R.ok(); ++I) {
+  bool SizesOk = true;
+  for (uint32_t I = 0; I != N && R.ok() && SizesOk; ++I) {
     std::string Key = R.str();
     Manifest M;
     M.SizeBytes = R.u64();
@@ -174,10 +182,11 @@ Directory Directory::deserialize(const std::vector<uint8_t> &Bytes,
       Id.Size = R.u32();
       M.Blocks.push_back(Id);
     }
-    if (R.ok())
+    SizesOk = M.sizeMatchesBlocks();
+    if (R.ok() && SizesOk)
       D.Entries[Key] = std::move(M);
   }
-  Ok = R.ok() && R.atEnd();
+  Ok = R.ok() && R.atEnd() && SizesOk;
   if (!Ok)
     D.Entries.clear();
   return D;

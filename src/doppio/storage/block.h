@@ -71,6 +71,11 @@ struct Manifest {
   bool operator==(const Manifest &O) const {
     return SizeBytes == O.SizeBytes && Blocks == O.Blocks;
   }
+
+  /// True when SizeBytes is the sum of the block sizes. Decoders of
+  /// persisted manifests (the `dir` snapshot, journal Put records) refuse
+  /// any other: assembling a value reserves SizeBytes up front.
+  bool sizeMatchesBlocks() const;
 };
 
 /// Splits \p Value into BlockBytes-sized chunks and returns the manifest
@@ -103,7 +108,8 @@ public:
 
   /// Wire form: magic+version header, length-prefixed entries.
   std::vector<uint8_t> serialize() const;
-  /// Rejects malformed input by returning an empty directory with
+  /// Rejects malformed input, including a manifest whose SizeBytes is
+  /// not the sum of its block sizes, by returning an empty directory with
   /// \p Ok = false.
   static Directory deserialize(const std::vector<uint8_t> &Bytes, bool &Ok);
 

@@ -33,7 +33,8 @@ void writeHeader(std::vector<uint8_t> &Out) {
 
 /// Bounds-checked record parse starting at \p Pos. Returns true and
 /// advances \p Pos past the record (including its checksum) only for a
-/// complete record with an intact checksum.
+/// complete record with an intact checksum whose manifest, for a Put, is
+/// as long as its blocks.
 bool parseRecord(const std::vector<uint8_t> &B, size_t &Pos,
                  Journal::Record &R) {
   size_t P = Pos;
@@ -72,6 +73,8 @@ bool parseRecord(const std::vector<uint8_t> &B, size_t &Pos,
       P += 4;
       R.M.Blocks.push_back(Id);
     }
+    if (!R.M.sizeMatchesBlocks())
+      return false;
     break;
   }
   case Journal::Record::Kind::Del: {

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <cstring>
 #include <set>
 #include <unordered_map>
@@ -492,7 +493,13 @@ void finishRestore(const std::shared_ptr<RestoreState> &St) {
   }
 
   // Objects, pass one: allocate shapes in arena order so ids resolve.
+  // Every object, and every array element, takes at least one more byte
+  // of the image, so counts beyond the unread bytes are forgeries.
   uint32_t NObjects = R.u32();
+  if (NObjects > R.remaining()) {
+    St->fail(rt::Errno::Io, "object count exceeds the image");
+    return;
+  }
   std::vector<Object *> Objects;
   Objects.reserve(NObjects);
   for (uint32_t I = 0; I != NObjects && R.ok(); ++I) {
@@ -501,8 +508,17 @@ void finishRestore(const std::shared_ptr<RestoreState> &St) {
       uint32_t Len = R.u32();
       if (!R.ok())
         break;
+      if (Len > std::min<size_t>(R.remaining(), INT32_MAX)) {
+        St->fail(rt::Errno::Io, "array length exceeds the image");
+        return;
+      }
+      Klass *AK = Vm.loader().lookup("[" + ElemDesc);
+      if (!AK) {
+        St->fail(rt::Errno::Io, "array of unknown class [" + ElemDesc);
+        return;
+      }
       Objects.push_back(
-          Vm.allocArrayOf(ElemDesc, static_cast<int32_t>(Len)));
+          Vm.allocArray(AK, ElemDesc, static_cast<int32_t>(Len)));
     } else {
       std::string Name = R.str();
       Klass *K = Vm.loader().lookup(Name);

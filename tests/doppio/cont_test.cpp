@@ -527,16 +527,54 @@ TEST(JvmCheckpoint, NotQuiescentAndCorruptImagesAreRefusedCleanly) {
   TooDeep.insert(TooDeep.begin() + StackEnd, Extra,
                  static_cast<uint8_t>(jvm::Value::Kind::Empty));
 
+  // Image head: magic, version, mode u8, then exit code, main tid and
+  // next identity hash (8 bytes each), then the class table (name, init
+  // u8), then the object count and each object's shape: tag u8, then the
+  // class name, or for an array (tag 1) the element descriptor and length.
+  size_t At = 8 + 1 + 3 * 8;
+  uint32_t NClasses = U32At(At);
+  At += 4;
+  for (uint32_t C = 0; C != NClasses; ++C)
+    At += 4 + U32At(At) + 1;
+  size_t NObjectsAt = At;
+  At += 4;
+  while (At < Image.size() && Image[At] != 1)
+    At += 1 + 4 + U32At(At + 1);
+  ASSERT_LT(At, Image.size()) << "no array in the image";
+  size_t ElemAt = At + 1;
+  size_t LenAt = ElemAt + 4 + U32At(ElemAt);
+  std::vector<uint8_t> HugeObjectCount = Image;
+  PutU32(HugeObjectCount, NObjectsAt, 0xffffffffu);
+  std::vector<uint8_t> HugeArray = Image;
+  PutU32(HugeArray, LenAt, 0xffffffffu);
+  std::vector<uint8_t> UnknownElem = Image;
+  snap::Writer Elem(0, 0);
+  Elem.str("LNoSuchClass;");
+  std::vector<uint8_t> ElemBytes = Elem.take();
+  UnknownElem.erase(UnknownElem.begin() + ElemAt,
+                    UnknownElem.begin() + LenAt);
+  UnknownElem.insert(UnknownElem.begin() + ElemAt, ElemBytes.begin() + 8,
+                     ElemBytes.end());
+
+  // Why: a substring of the refusal's message, or null for an image that
+  // must restore.
   struct Forgery {
     const char *Name;
     const std::vector<uint8_t> *Bytes;
-    bool Refused;
+    const char *Why;
   };
+  const char *DoesNotFit = "does not fit its method";
   for (const Forgery &Fg :
-       {Forgery{"well-formed", &Image, false},
-        Forgery{"pc outside the code", &PcOutside, true},
-        Forgery{"locals below max_locals", &TooFewLocals, true},
-        Forgery{"operands over max_stack", &TooDeep, true}}) {
+       {Forgery{"well-formed", &Image, nullptr},
+        Forgery{"pc outside the code", &PcOutside, DoesNotFit},
+        Forgery{"locals below max_locals", &TooFewLocals, DoesNotFit},
+        Forgery{"operands over max_stack", &TooDeep, DoesNotFit},
+        Forgery{"object count beyond the image", &HugeObjectCount,
+                "object count exceeds the image"},
+        Forgery{"array length beyond the image", &HugeArray,
+                "array length exceeds the image"},
+        Forgery{"array of an unloaded class", &UnknownElem,
+                "array of unknown class [LNoSuchClass;"}}) {
     SCOPED_TRACE(Fg.Name);
     JvmRig Dst(browser::chromeProfile());
     ASSERT_TRUE(
@@ -547,12 +585,14 @@ TEST(JvmCheckpoint, NotQuiescentAndCorruptImagesAreRefusedCleanly) {
                     [&](ErrorOr<bool> Res) { Result = std::move(Res); });
     Dst.Env.loop().run();
     ASSERT_TRUE(Result.has_value());
-    if (!Fg.Refused) {
+    if (!Fg.Why) {
       EXPECT_TRUE(Result->ok());
       continue;
     }
     ASSERT_FALSE(Result->ok());
     EXPECT_EQ(Result->error().Code, Errno::Io);
+    EXPECT_NE(Result->error().message().find(Fg.Why), std::string::npos)
+        << Result->error().message();
   }
 }
 

@@ -163,6 +163,19 @@ TEST(StorageBlock, DirectoryRoundTripAndCorruptReject) {
   Directory Bad = Directory::deserialize(Wire, Ok);
   EXPECT_FALSE(Ok);
   EXPECT_EQ(Bad.size(), 0u);
+
+  // A manifest whose SizeBytes disagrees with its blocks is rejected
+  // too: assembling the value would reserve the forged size.
+  for (uint64_t Forged : {uint64_t{1} << 40, uint64_t{5001}, uint64_t{0}}) {
+    SCOPED_TRACE(Forged);
+    Directory F = D;
+    Manifest M = *D.lookup("beta");
+    M.SizeBytes = Forged;
+    F.put("beta", M);
+    Directory Got = Directory::deserialize(F.serialize(), Ok);
+    EXPECT_FALSE(Ok);
+    EXPECT_EQ(Got.size(), 0u);
+  }
 }
 
 TEST(StorageBlock, DirectoryNeighbourQueries) {
@@ -297,6 +310,26 @@ TEST(StorageJournal, EmptyAndCorruptImages) {
   EXPECT_FALSE(Rec.HeaderOk);
   EXPECT_EQ(Rec.TornTailBytes, Garbage.size());
   EXPECT_EQ(D.size(), 0u);
+
+  // A checksummed Put whose manifest size disagrees with its blocks ends
+  // the valid prefix like a torn record: its group is never applied.
+  for (uint64_t Forged : {uint64_t{1} << 40, uint64_t{101}}) {
+    SCOPED_TRACE(Forged);
+    Journal W;
+    W.stagePut("kept", makeManifest(blob(100, 1), 64));
+    size_t GoodEnd = W.sealGroup().size();
+    Manifest M = makeManifest(blob(100, 2), 64);
+    M.SizeBytes = Forged;
+    W.stagePut("forged", M);
+    Bytes Image = W.sealGroup();
+    Directory Got;
+    Rec = J.recover(Image, Got);
+    EXPECT_TRUE(Rec.HeaderOk);
+    EXPECT_EQ(Rec.Commits, 1u);
+    EXPECT_NE(Got.lookup("kept"), nullptr);
+    EXPECT_EQ(Got.lookup("forged"), nullptr);
+    EXPECT_EQ(Rec.TornTailBytes, Image.size() - GoodEnd);
+  }
 }
 
 TEST(StorageJournal, BitFlipInvalidatesOnlyTheTail) {
