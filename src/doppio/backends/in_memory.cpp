@@ -39,9 +39,10 @@ void InMemoryBackend::open(const std::string &Path, OpenFlags Flags,
     return;
   }
   if (!Meta) {
-    const FileIndex::Meta *Parent = Index.lookup(path::dirname(Path));
+    std::string_view ParentPath = path::parentOf(Path);
+    const FileIndex::Meta *Parent = Index.lookup(ParentPath);
     if (!Parent || Parent->Type != FileType::Directory) {
-      Done(ApiError(Errno::NoEnt, path::dirname(Path)));
+      Done(ApiError(Errno::NoEnt, std::string(ParentPath)));
       return;
     }
     Index.addFile(Path, 0, Env.clock().nowNs());
@@ -103,13 +104,14 @@ void InMemoryBackend::mkdir(const std::string &Path, CompletionCb Done) {
     Done(ApiError(Errno::Exists, Path));
     return;
   }
-  const FileIndex::Meta *Parent = Index.lookup(path::dirname(Path));
+  std::string_view ParentPath = path::parentOf(Path);
+  const FileIndex::Meta *Parent = Index.lookup(ParentPath);
   if (!Parent) {
-    Done(ApiError(Errno::NoEnt, path::dirname(Path)));
+    Done(ApiError(Errno::NoEnt, std::string(ParentPath)));
     return;
   }
   if (Parent->Type != FileType::Directory) {
-    Done(ApiError(Errno::NotDir, path::dirname(Path)));
+    Done(ApiError(Errno::NotDir, std::string(ParentPath)));
     return;
   }
   Index.addDir(Path);
@@ -128,8 +130,7 @@ void InMemoryBackend::readdir(const std::string &Path,
     Done(ApiError(Errno::NotDir, Path));
     return;
   }
-  const std::set<std::string> *Kids = Index.list(Path);
-  Done(std::vector<std::string>(Kids->begin(), Kids->end()));
+  Done(Index.list(Path));
 }
 
 void InMemoryBackend::rename(const std::string &OldPath,
@@ -140,9 +141,10 @@ void InMemoryBackend::rename(const std::string &OldPath,
     Done(ApiError(Errno::NoEnt, OldPath));
     return;
   }
-  const FileIndex::Meta *DestParent = Index.lookup(path::dirname(NewPath));
+  std::string_view DestParentPath = path::parentOf(NewPath);
+  const FileIndex::Meta *DestParent = Index.lookup(DestParentPath);
   if (!DestParent || DestParent->Type != FileType::Directory) {
-    Done(ApiError(Errno::NoEnt, path::dirname(NewPath)));
+    Done(ApiError(Errno::NoEnt, std::string(DestParentPath)));
     return;
   }
   const FileIndex::Meta *Dest = Index.lookup(NewPath);
@@ -160,7 +162,6 @@ void InMemoryBackend::rename(const std::string &OldPath,
     }
     std::vector<std::string> Files = Index.allFiles();
     std::vector<std::string> Dirs = Index.allDirs();
-    FileIndex::Meta Saved = *Meta;
     auto isUnder = [&](const std::string &P) {
       return P.compare(0, OldPath.size(), OldPath) == 0 &&
              (P.size() == OldPath.size() || P[OldPath.size()] == '/');
@@ -186,7 +187,6 @@ void InMemoryBackend::rename(const std::string &OldPath,
       if (isUnder(*It) && *It != OldPath)
         Index.remove(*It);
     Index.remove(OldPath);
-    (void)Saved;
     Done(std::nullopt);
     return;
   }

@@ -45,7 +45,9 @@ static void forEachAsync(
 static constexpr uint32_t DirRecordMagic = 0x44495252; // "DIRR"
 static constexpr uint32_t DirRecordVersion = 1;
 
-static std::string dirKey(const std::string &Dir) { return "d:" + Dir; }
+static std::string dirKey(std::string_view Dir) {
+  return std::string("d:").append(Dir);
+}
 
 static AsyncKvStore::Bytes encodeDir(const FileIndex::ChildMap &Kids) {
   snap::Writer W(DirRecordMagic, DirRecordVersion);
@@ -141,7 +143,7 @@ void KeyValueBackend::initialize(CompletionCb Done) {
           "/");
 }
 
-void KeyValueBackend::persistDir(const std::string &Dir, CompletionCb Done) {
+void KeyValueBackend::persistDir(std::string_view Dir, CompletionCb Done) {
   if (const FileIndex::ChildMap *Kids = Index.children(Dir))
     Store->put(dirKey(Dir), encodeDir(*Kids), std::move(Done));
   else
@@ -188,9 +190,10 @@ void KeyValueBackend::open(const std::string &Path, OpenFlags Flags,
     Done(ApiError(Errno::NoEnt, Path));
     return;
   }
-  const FileIndex::Meta *Parent = Index.lookup(path::dirname(Path));
+  std::string_view ParentPath = path::parentOf(Path);
+  const FileIndex::Meta *Parent = Index.lookup(ParentPath);
   if (!Parent || Parent->Type != FileType::Directory) {
-    Done(ApiError(Errno::NoEnt, path::dirname(Path)));
+    Done(ApiError(Errno::NoEnt, std::string(ParentPath)));
     return;
   }
 
@@ -207,21 +210,20 @@ void KeyValueBackend::open(const std::string &Path, OpenFlags Flags,
                    return;
                  }
                  Index.addFile(P, Size, Env.clock().nowNs());
-                 persistDir(path::dirname(P), std::move(SyncDone));
+                 persistDir(path::parentOf(P), std::move(SyncDone));
                });
   };
 
   // Takes the preloaded contents (none: an empty file). It runs once, so
   // Done and Sync move into the descriptor and the hops after it instead
   // of being copied.
-  auto finish = [this, Path, Flags, Done = std::move(Done),
+  auto finish = [this, Path, Flags, IsNew = !Meta, Done = std::move(Done),
                  Sync = std::move(Sync)](
                     ErrorOr<std::optional<AsyncKvStore::Bytes>> R) mutable {
     if (!R) {
       Done(R.error());
       return;
     }
-    bool IsNew = !Index.exists(Path);
     auto Fd = std::make_shared<PreloadFile>(
         Env, Path, Flags, std::move(*R).value_or(AsyncKvStore::Bytes()),
         std::move(Sync));
@@ -231,7 +233,7 @@ void KeyValueBackend::open(const std::string &Path, OpenFlags Flags,
     }
     // Creating: record the (empty) file immediately so stat sees it.
     Index.addFile(Path, 0, Env.clock().nowNs());
-    persistDir(path::dirname(Path),
+    persistDir(path::parentOf(Path),
                [Fd, Done = std::move(Done)](std::optional<ApiError> E) {
                  if (E)
                    Done(*E);
@@ -267,7 +269,7 @@ void KeyValueBackend::unlink(const std::string &Path, CompletionCb Done) {
       Done(E);
       return;
     }
-    persistDir(path::dirname(Path), Done);
+    persistDir(path::parentOf(Path), Done);
   });
 }
 
@@ -287,7 +289,7 @@ void KeyValueBackend::rmdir(const std::string &Path, CompletionCb Done) {
     return;
   }
   Index.remove(Path);
-  persistDirs({path::dirname(Path), Path}, std::move(Done));
+  persistDirs({std::string(path::parentOf(Path)), Path}, std::move(Done));
 }
 
 void KeyValueBackend::mkdir(const std::string &Path, CompletionCb Done) {
@@ -296,17 +298,18 @@ void KeyValueBackend::mkdir(const std::string &Path, CompletionCb Done) {
     Done(ApiError(Errno::Exists, Path));
     return;
   }
-  const FileIndex::Meta *Parent = Index.lookup(path::dirname(Path));
+  std::string_view ParentPath = path::parentOf(Path);
+  const FileIndex::Meta *Parent = Index.lookup(ParentPath);
   if (!Parent) {
-    Done(ApiError(Errno::NoEnt, path::dirname(Path)));
+    Done(ApiError(Errno::NoEnt, std::string(ParentPath)));
     return;
   }
   if (Parent->Type != FileType::Directory) {
-    Done(ApiError(Errno::NotDir, path::dirname(Path)));
+    Done(ApiError(Errno::NotDir, std::string(ParentPath)));
     return;
   }
   Index.addDir(Path);
-  persistDir(path::dirname(Path), std::move(Done));
+  persistDir(ParentPath, std::move(Done));
 }
 
 void KeyValueBackend::readdir(const std::string &Path,
@@ -321,8 +324,7 @@ void KeyValueBackend::readdir(const std::string &Path,
     Done(ApiError(Errno::NotDir, Path));
     return;
   }
-  const std::set<std::string> *Kids = Index.list(Path);
-  Done(std::vector<std::string>(Kids->begin(), Kids->end()));
+  Done(Index.list(Path));
 }
 
 void KeyValueBackend::rename(const std::string &OldPath,
@@ -333,9 +335,10 @@ void KeyValueBackend::rename(const std::string &OldPath,
     Done(ApiError(Errno::NoEnt, OldPath));
     return;
   }
-  const FileIndex::Meta *DestParent = Index.lookup(path::dirname(NewPath));
+  std::string_view DestParentPath = path::parentOf(NewPath);
+  const FileIndex::Meta *DestParent = Index.lookup(DestParentPath);
   if (!DestParent || DestParent->Type != FileType::Directory) {
-    Done(ApiError(Errno::NoEnt, path::dirname(NewPath)));
+    Done(ApiError(Errno::NoEnt, std::string(DestParentPath)));
     return;
   }
   const FileIndex::Meta *Dest = Index.lookup(NewPath);
@@ -428,9 +431,9 @@ void KeyValueBackend::rename(const std::string &OldPath,
           Index.remove(*It);
         // Every moved directory's record lands under its new path, then
         // both parents' records; the old records are deleted last.
-        Changed.push_back(path::dirname(NewPath));
-        if (path::dirname(OldPath) != Changed.back())
-          Changed.push_back(path::dirname(OldPath));
+        Changed.emplace_back(path::parentOf(NewPath));
+        if (path::parentOf(OldPath) != Changed.back())
+          Changed.emplace_back(path::parentOf(OldPath));
         Changed.insert(Changed.end(), OldDirs.begin(), OldDirs.end());
         persistDirs(std::move(Changed), Done);
       });

@@ -69,7 +69,7 @@ private:
   static std::string fileKey(const std::string &Path) { return "f:" + Path; }
   /// Writes the record of directory \p Dir, or deletes it once \p Dir is
   /// gone.
-  void persistDir(const std::string &Dir, CompletionCb Done);
+  void persistDir(std::string_view Dir, CompletionCb Done);
   /// persistDir over \p Dirs, one after another.
   void persistDirs(std::vector<std::string> Dirs, CompletionCb Done);
 

@@ -15,26 +15,26 @@ bool MountableFileSystem::mount(const std::string &MountPoint,
   std::string Normalized = path::normalize(MountPoint);
   if (Normalized == "/" || !path::isAbsolute(Normalized))
     return false;
-  for (const auto &[Point, Existing] : Mounts)
-    if (Point == Normalized)
+  for (const Mount &M : Mounts)
+    if (M.Point == Normalized)
       return false;
-  Mounts.emplace_back(Normalized, std::move(Backend));
-  // Longest prefix first, so nested mounts route correctly.
-  std::sort(Mounts.begin(), Mounts.end(), [](const auto &A, const auto &B) {
-    return A.first.size() > B.first.size();
+  Mounts.push_back({Normalized, path::dirname(Normalized),
+                    path::basename(Normalized), std::move(Backend)});
+  std::sort(Mounts.begin(), Mounts.end(), [](const Mount &A, const Mount &B) {
+    return A.Point.size() > B.Point.size();
   });
   return true;
 }
 
 std::pair<FileSystemBackend *, std::string>
 MountableFileSystem::route(const std::string &Path) const {
-  for (const auto &[Point, Backend] : Mounts) {
-    if (Path.compare(0, Point.size(), Point) != 0)
+  for (const Mount &M : Mounts) {
+    if (Path.compare(0, M.Point.size(), M.Point) != 0)
       continue;
-    if (Path.size() == Point.size())
-      return {Backend.get(), "/"};
-    if (Path[Point.size()] == '/')
-      return {Backend.get(), Path.substr(Point.size())};
+    if (Path.size() == M.Point.size())
+      return {M.Backend.get(), "/"};
+    if (Path[M.Point.size()] == '/')
+      return {M.Backend.get(), Path.substr(M.Point.size())};
   }
   return {Root.get(), Path};
 }
@@ -79,9 +79,8 @@ void MountableFileSystem::mkdir(const std::string &Path, CompletionCb Done) {
 void MountableFileSystem::readdir(const std::string &Path,
                                   ResultCb<std::vector<std::string>> Done) {
   auto [Backend, Sub] = route(Path);
-  std::string Normalized = path::normalize(Path);
   Backend->readdir(
-      Sub, [this, Normalized,
+      Sub, [this, Path,
             Done = std::move(Done)](ErrorOr<std::vector<std::string>> R) {
         // Splice in the names of mount points that live directly under the
         // queried directory, so they are visible in listings.
@@ -89,13 +88,11 @@ void MountableFileSystem::readdir(const std::string &Path,
         if (R)
           Names = std::move(*R);
         bool AddedMount = false;
-        for (const auto &[Point, Backend2] : Mounts) {
-          (void)Backend2;
-          if (path::dirname(Point) != Normalized)
+        for (const Mount &M : Mounts) {
+          if (M.Parent != Path)
             continue;
-          std::string Name = path::basename(Point);
-          if (std::find(Names.begin(), Names.end(), Name) == Names.end()) {
-            Names.push_back(Name);
+          if (std::find(Names.begin(), Names.end(), M.Name) == Names.end()) {
+            Names.push_back(M.Name);
             AddedMount = true;
           }
         }

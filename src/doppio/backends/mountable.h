@@ -58,10 +58,18 @@ public:
                ResultCb<std::vector<std::string>> Done) override;
 
 private:
+  /// A backend mounted at Point, e.g. "/tmp" -> InMemoryBackend. Parent
+  /// and Name ("/" and "tmp") are split once, for readdir's splicing.
+  struct Mount {
+    std::string Point;
+    std::string Parent;
+    std::string Name;
+    std::unique_ptr<FileSystemBackend> Backend;
+  };
+
   std::unique_ptr<FileSystemBackend> Root;
-  /// Mount point -> backend, e.g. "/tmp" -> InMemoryBackend.
-  std::vector<std::pair<std::string, std::unique_ptr<FileSystemBackend>>>
-      Mounts;
+  /// Longest mount point first, so nested mounts route correctly.
+  std::vector<Mount> Mounts;
 };
 
 } // namespace fs

@@ -64,8 +64,7 @@ void XhrBackend::readdir(const std::string &Path,
     Done(ApiError(Errno::NotDir, Path));
     return;
   }
-  const std::set<std::string> *Kids = Index.list(Path);
-  Done(std::vector<std::string>(Kids->begin(), Kids->end()));
+  Done(Index.list(Path));
 }
 
 void XhrBackend::open(const std::string &Path, OpenFlags Flags,

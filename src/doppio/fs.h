@@ -29,6 +29,7 @@
 #include "doppio/process.h"
 
 #include <memory>
+#include <unordered_set>
 
 namespace doppio {
 namespace rt {
@@ -127,7 +128,8 @@ private:
   obs::Counter *BytesWrittenC = nullptr;
   obs::Counter *UniqueFilesC = nullptr;
   obs::Histogram *OpNsH = nullptr;
-  std::set<std::string> Touched;
+  /// Files opened at least once; only their count is read.
+  std::unordered_set<std::string> Touched;
 };
 
 } // namespace fs

@@ -89,7 +89,7 @@ bool splitPath(std::string_view Path, std::string_view &Parent,
 } // namespace
 
 FileIndex::FileIndex() : RootMeta{FileType::Directory, 0, 0} {
-  Dirs.emplace("/", DirNode());
+  Dirs.try_emplace("/");
 }
 
 FileIndex::Meta *FileIndex::find(std::string_view Path) {
@@ -101,72 +101,70 @@ FileIndex::Meta *FileIndex::find(std::string_view Path) {
   auto D = Dirs.find(Parent);
   if (D == Dirs.end())
     return nullptr;
-  auto K = D->second.Kids.find(Name);
-  return K == D->second.Kids.end() ? nullptr : &K->second;
+  auto K = D->second.find(Name);
+  return K == D->second.end() ? nullptr : &K->second;
 }
 
-bool FileIndex::add(const std::string &Path, const Meta &M) {
+bool FileIndex::add(std::string_view Path, const Meta &M) {
   std::string_view Parent, Name;
   if (!splitPath(Path, Parent, Name) || Name == "." || Name == "..")
     return false;
   auto D = Dirs.find(Parent);
   if (D == Dirs.end()) {
-    if (!addDir(std::string(Parent)))
+    if (!addDir(Parent))
       return false;
     D = Dirs.find(Parent);
   }
-  auto [K, Inserted] = D->second.Kids.emplace(std::string(Name), M);
+  auto [K, Inserted] = D->second.try_emplace(std::string(Name), M);
   if (!Inserted) {
     if (K->second.Type != M.Type)
       return false;
     K->second = M;
     return true;
   }
-  D->second.Names.emplace(Name);
   if (M.Type == FileType::Directory)
-    Dirs.emplace(Path, DirNode());
+    Dirs.try_emplace(std::string(Path));
   return true;
 }
 
-bool FileIndex::addDir(const std::string &Path) {
+bool FileIndex::addDir(std::string_view Path) {
   return Path == "/" || add(Path, {FileType::Directory, 0, 0});
 }
 
-bool FileIndex::addFile(const std::string &Path, uint64_t SizeBytes,
+bool FileIndex::addFile(std::string_view Path, uint64_t SizeBytes,
                         uint64_t MtimeNs) {
   return add(Path, {FileType::File, SizeBytes, MtimeNs});
 }
 
-bool FileIndex::remove(const std::string &Path) {
+bool FileIndex::remove(std::string_view Path) {
   std::string_view Parent, Name;
   if (!splitPath(Path, Parent, Name))
     return false;
   auto D = Dirs.find(Parent);
   if (D == Dirs.end())
     return false;
-  auto K = D->second.Kids.find(Name);
-  if (K == D->second.Kids.end())
+  auto K = D->second.find(Name);
+  if (K == D->second.end())
     return false;
   if (K->second.Type == FileType::Directory) {
     auto Sub = Dirs.find(Path);
-    if (!Sub->second.Kids.empty())
+    if (!Sub->second.empty())
       return false;
     Dirs.erase(Sub);
   }
-  D->second.Kids.erase(K);
-  D->second.Names.erase(std::string(Name));
+  D->second.erase(K);
   return true;
 }
 
-bool FileIndex::exists(const std::string &Path) const {
+bool FileIndex::exists(std::string_view Path) const {
   return lookup(Path) != nullptr;
 }
 
-const FileIndex::Meta *FileIndex::lookup(const std::string &Path) const {
+const FileIndex::Meta *FileIndex::lookup(std::string_view Path) const {
   return const_cast<FileIndex *>(this)->find(Path);
 }
 
-void FileIndex::setSize(const std::string &Path, uint64_t SizeBytes,
+void FileIndex::setSize(std::string_view Path, uint64_t SizeBytes,
                         uint64_t MtimeNs) {
   Meta *M = find(Path);
   assert(M && "setSize on unknown path");
@@ -174,26 +172,30 @@ void FileIndex::setSize(const std::string &Path, uint64_t SizeBytes,
   M->MtimeNs = MtimeNs;
 }
 
-const std::set<std::string> *FileIndex::list(const std::string &Path) const {
-  auto It = Dirs.find(Path);
-  return It == Dirs.end() ? nullptr : &It->second.Names;
+std::vector<std::string> FileIndex::list(std::string_view Path) const {
+  std::vector<std::string> Names;
+  if (const ChildMap *Kids = children(Path)) {
+    Names.reserve(Kids->size());
+    for (const auto &[Name, M] : *Kids)
+      Names.push_back(Name);
+  }
+  return Names;
 }
 
-const FileIndex::ChildMap *
-FileIndex::children(const std::string &Path) const {
+const FileIndex::ChildMap *FileIndex::children(std::string_view Path) const {
   auto It = Dirs.find(Path);
-  return It == Dirs.end() ? nullptr : &It->second.Kids;
+  return It == Dirs.end() ? nullptr : &It->second;
 }
 
-bool FileIndex::isEmptyDir(const std::string &Path) const {
+bool FileIndex::isEmptyDir(std::string_view Path) const {
   const ChildMap *Kids = children(Path);
   return Kids && Kids->empty();
 }
 
 std::vector<std::string> FileIndex::allFiles() const {
   std::vector<std::string> Out;
-  for (const auto &[Dir, Node] : Dirs)
-    for (const auto &[Name, M] : Node.Kids)
+  for (const auto &[Dir, Kids] : Dirs)
+    for (const auto &[Name, M] : Kids)
       if (M.Type == FileType::File)
         Out.push_back(Dir == "/" ? "/" + Name : Dir + "/" + Name);
   std::sort(Out.begin(), Out.end());
@@ -202,9 +204,11 @@ std::vector<std::string> FileIndex::allFiles() const {
 
 std::vector<std::string> FileIndex::allDirs() const {
   std::vector<std::string> Out;
-  for (const auto &[Dir, Node] : Dirs)
+  Out.reserve(Dirs.size() - 1);
+  for (const auto &[Dir, Kids] : Dirs)
     if (Dir != "/")
       Out.push_back(Dir);
+  std::sort(Out.begin(), Out.end());
   return Out;
 }
 

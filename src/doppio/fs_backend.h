@@ -25,9 +25,9 @@
 #include "doppio/fs_types.h"
 
 #include <map>
-#include <set>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace doppio {
@@ -74,6 +74,8 @@ public:
 /// metadata — the index utility of §5.1. The root "/" always exists.
 /// Paths are normalized and absolute; each directory keeps its direct
 /// children, so one directory's listing is read without a lookup per child.
+/// Directories are hashed by path, so a lookup is one hash of the parent
+/// plus one search of its children, and a caller can pass a view.
 class FileIndex {
 public:
   struct Meta {
@@ -88,45 +90,47 @@ public:
 
   /// Records a file, creating missing parent directories. Fails (returns
   /// false) if a parent is a file or the path is an existing directory.
-  bool addFile(const std::string &Path, uint64_t SizeBytes,
+  bool addFile(std::string_view Path, uint64_t SizeBytes,
                uint64_t MtimeNs = 0);
 
   /// Records a directory; parents are created. Fails if blocked by a file.
-  bool addDir(const std::string &Path);
+  bool addDir(std::string_view Path);
 
   /// Removes a file or empty directory. Fails otherwise.
-  bool remove(const std::string &Path);
+  bool remove(std::string_view Path);
 
-  bool exists(const std::string &Path) const;
-  const Meta *lookup(const std::string &Path) const;
-  void setSize(const std::string &Path, uint64_t SizeBytes,
-               uint64_t MtimeNs);
+  bool exists(std::string_view Path) const;
+  const Meta *lookup(std::string_view Path) const;
+  void setSize(std::string_view Path, uint64_t SizeBytes, uint64_t MtimeNs);
 
-  /// Child names of a directory, sorted. Null if \p Path is not a dir.
-  const std::set<std::string> *list(const std::string &Path) const;
+  /// Child names of a directory, sorted; empty if \p Path is not a dir.
+  std::vector<std::string> list(std::string_view Path) const;
   /// Children of a directory with their metadata. Null if not a dir.
-  const ChildMap *children(const std::string &Path) const;
+  const ChildMap *children(std::string_view Path) const;
 
   /// True if \p Path is a directory with no entries.
-  bool isEmptyDir(const std::string &Path) const;
+  bool isEmptyDir(std::string_view Path) const;
 
   /// All file (not directory) paths in the index, sorted.
   std::vector<std::string> allFiles() const;
-  /// All directory paths (excluding "/"), sorted.
+  /// All directory paths (excluding "/"), sorted, so parents come first.
   std::vector<std::string> allDirs() const;
 
 private:
-  struct DirNode {
-    ChildMap Kids;
-    /// The same names, as list() hands them out.
-    std::set<std::string> Names;
+  /// Hashes std::string keys and std::string_view probes alike.
+  struct PathHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view P) const {
+      return std::hash<std::string_view>()(P);
+    }
   };
 
   Meta *find(std::string_view Path);
-  bool add(const std::string &Path, const Meta &M);
+  bool add(std::string_view Path, const Meta &M);
 
   Meta RootMeta;
-  std::map<std::string, DirNode, std::less<>> Dirs; // Dir path -> children.
+  /// Dir path -> children.
+  std::unordered_map<std::string, ChildMap, PathHash, std::equal_to<>> Dirs;
 };
 
 /// The standard descriptor: the whole file is loaded into memory before it

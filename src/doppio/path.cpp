@@ -24,7 +24,26 @@ static std::vector<std::string> rawSegments(std::string_view P) {
   return Segments;
 }
 
+bool path::isNormalAbsolute(std::string_view P) {
+  if (!isAbsolute(P))
+    return false;
+  if (P.size() == 1)
+    return true;
+  size_t Start = 1;
+  for (size_t I = 1; I <= P.size(); ++I) {
+    if (I != P.size() && P[I] != '/')
+      continue;
+    std::string_view Segment = P.substr(Start, I - Start);
+    if (Segment.empty() || Segment == "." || Segment == "..")
+      return false;
+    Start = I + 1;
+  }
+  return true;
+}
+
 std::string path::normalize(std::string_view P) {
+  if (isNormalAbsolute(P))
+    return std::string(P);
   bool Absolute = isAbsolute(P);
   std::vector<std::string> Out;
   for (std::string &Segment : rawSegments(P)) {
@@ -75,22 +94,20 @@ std::string path::resolve(std::string_view Cwd, std::string_view P) {
   return join({Cwd, P});
 }
 
-std::string path::dirname(std::string_view P) {
-  std::string N = normalize(P);
-  size_t Slash = N.rfind('/');
-  if (Slash == std::string::npos)
+std::string_view path::parentOf(std::string_view Normal) {
+  size_t Slash = Normal.rfind('/');
+  if (Slash == std::string_view::npos)
     return ".";
-  if (Slash == 0)
-    return "/";
-  return N.substr(0, Slash);
+  return Normal.substr(0, Slash == 0 ? 1 : Slash);
+}
+
+std::string path::dirname(std::string_view P) {
+  return std::string(parentOf(normalize(P)));
 }
 
 std::string path::basename(std::string_view P) {
   std::string N = normalize(P);
-  size_t Slash = N.rfind('/');
-  if (Slash == std::string::npos)
-    return N;
-  return N.substr(Slash + 1);
+  return N.substr(N.rfind('/') + 1);
 }
 
 std::string path::extname(std::string_view P) {

@@ -25,6 +25,11 @@ namespace path {
 /// True if \p P starts with '/'.
 bool isAbsolute(std::string_view P);
 
+/// True if \p P is absolute and already normal: no empty, "." or ".."
+/// segment and no trailing slash ("/" itself is normal). One scan, no
+/// allocation; normalize returns such a path unchanged.
+bool isNormalAbsolute(std::string_view P);
+
 /// Collapses "//", "." and ".." segments. "" normalizes to ".".
 std::string normalize(std::string_view P);
 
@@ -38,6 +43,9 @@ std::string resolve(std::string_view Cwd, std::string_view P);
 /// Everything before the final segment ("/a/b/c" -> "/a/b"). The dirname
 /// of "/" is "/" and of a bare name is ".".
 std::string dirname(std::string_view P);
+
+/// dirname of an already normal path, as a view into \p Normal.
+std::string_view parentOf(std::string_view Normal);
 
 /// The final segment ("/a/b/c.txt" -> "c.txt").
 std::string basename(std::string_view P);

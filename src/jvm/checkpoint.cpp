@@ -3,6 +3,7 @@
 #include "jvm/checkpoint.h"
 
 #include "doppio/cont/snapshot.h"
+#include "jvm/classfile/descriptor.h"
 #include "jvm/interpreter.h"
 
 #include <algorithm>
@@ -514,7 +515,10 @@ void finishRestore(const std::shared_ptr<RestoreState> &St) {
       }
       Klass *AK = Vm.loader().lookup("[" + ElemDesc);
       if (!AK) {
-        St->fail(rt::Errno::Io, "array of unknown class [" + ElemDesc);
+        St->fail(rt::Errno::Io,
+                 desc::isField(ElemDesc)
+                     ? "array of unknown class [" + ElemDesc
+                     : "malformed array element '" + ElemDesc + "'");
         return;
       }
       Objects.push_back(

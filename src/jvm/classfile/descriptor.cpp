@@ -63,6 +63,11 @@ desc::parseMethod(const std::string &Descriptor) {
   return D;
 }
 
+bool desc::isField(const std::string &S) {
+  size_t Pos = 0;
+  return !consumeField(S, Pos).empty() && Pos == S.size();
+}
+
 int desc::slotSize(const std::string &FieldDesc) {
   if (FieldDesc == "V")
     return 0;

@@ -38,6 +38,10 @@ int slotSize(const std::string &FieldDesc);
 /// Total argument slots of \p D (not counting the receiver).
 int paramSlots(const MethodDesc &D);
 
+/// True if \p S is exactly one well-formed field descriptor ("I",
+/// "Ljava/lang/String;", "[[J"); false for "", "XYZ", "LFoo" and "V".
+bool isField(const std::string &S);
+
 /// True for "[..." descriptors.
 inline bool isArray(const std::string &FieldDesc) {
   return !FieldDesc.empty() && FieldDesc[0] == '[';

@@ -28,9 +28,12 @@ Klass *ClassLoader::lookup(const std::string &Name) {
 
 Klass *ClassLoader::makeArrayClass(const std::string &Name) {
   // "The special array class that the JVM constructs according to the
-  // array's component type" (§6.7). Reference element classes must be
-  // loaded first; primitive element arrays are always constructible.
+  // array's component type" (§6.7). The element must be one well-formed
+  // field descriptor, and a reference element's class must be loaded
+  // first; primitive element arrays are always constructible.
   std::string Elem = Name.substr(1);
+  if (!desc::isField(Elem))
+    return nullptr;
   if (desc::isReference(Elem)) {
     if (!lookup(desc::toClassName(Elem)))
       return nullptr; // Element class not yet loaded.

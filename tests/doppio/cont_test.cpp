@@ -547,14 +547,21 @@ TEST(JvmCheckpoint, NotQuiescentAndCorruptImagesAreRefusedCleanly) {
   PutU32(HugeObjectCount, NObjectsAt, 0xffffffffu);
   std::vector<uint8_t> HugeArray = Image;
   PutU32(HugeArray, LenAt, 0xffffffffu);
-  std::vector<uint8_t> UnknownElem = Image;
-  snap::Writer Elem(0, 0);
-  Elem.str("LNoSuchClass;");
-  std::vector<uint8_t> ElemBytes = Elem.take();
-  UnknownElem.erase(UnknownElem.begin() + ElemAt,
-                    UnknownElem.begin() + LenAt);
-  UnknownElem.insert(UnknownElem.begin() + ElemAt, ElemBytes.begin() + 8,
-                     ElemBytes.end());
+  // The first array's element descriptor swapped for \p Desc.
+  auto WithElem = [&](const char *Desc) {
+    std::vector<uint8_t> Forged = Image;
+    snap::Writer Elem(0, 0);
+    Elem.str(Desc);
+    std::vector<uint8_t> ElemBytes = Elem.take();
+    Forged.erase(Forged.begin() + ElemAt, Forged.begin() + LenAt);
+    Forged.insert(Forged.begin() + ElemAt, ElemBytes.begin() + 8,
+                  ElemBytes.end());
+    return Forged;
+  };
+  std::vector<uint8_t> UnknownElem = WithElem("LNoSuchClass;");
+  std::vector<uint8_t> BogusElem = WithElem("XYZ");
+  std::vector<uint8_t> UnterminatedElem = WithElem("LFoo");
+  std::vector<uint8_t> EmptyElem = WithElem("");
 
   // Why: a substring of the refusal's message, or null for an image that
   // must restore.
@@ -574,7 +581,13 @@ TEST(JvmCheckpoint, NotQuiescentAndCorruptImagesAreRefusedCleanly) {
         Forgery{"array length beyond the image", &HugeArray,
                 "array length exceeds the image"},
         Forgery{"array of an unloaded class", &UnknownElem,
-                "array of unknown class [LNoSuchClass;"}}) {
+                "array of unknown class [LNoSuchClass;"},
+        Forgery{"array of a non-descriptor", &BogusElem,
+                "malformed array element 'XYZ'"},
+        Forgery{"array of an unterminated class", &UnterminatedElem,
+                "malformed array element 'LFoo'"},
+        Forgery{"array of an empty element", &EmptyElem,
+                "malformed array element ''"}}) {
     SCOPED_TRACE(Fg.Name);
     JvmRig Dst(browser::chromeProfile());
     ASSERT_TRUE(

@@ -18,7 +18,10 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <random>
 
 using namespace doppio;
 using namespace doppio::rt;
@@ -316,6 +319,132 @@ TEST(FileIndexTest, ChildrenCarryMetadataAndPathsMustBeAbsolute) {
   EXPECT_FALSE(I.addDir("a/b"));
   EXPECT_FALSE(I.addFile("/a/b/f/g", 1)); // Parent is a file.
   EXPECT_EQ(I.allFiles(), std::vector<std::string>{"/a/b/f"});
+}
+
+TEST(FileIndexTest, ShuffledAddsAndRemovesMatchASortedModel) {
+  // The model: every entry but "/" -> its metadata, in a std::map.
+  std::map<std::string, FileIndex::Meta> Model;
+  auto ancestors = [](const std::string &P) {
+    std::vector<std::string> Out;
+    for (size_t Slash = P.find('/', 1); Slash != std::string::npos;
+         Slash = P.find('/', Slash + 1))
+      Out.push_back(P.substr(0, Slash));
+    return Out;
+  };
+  auto modelAdd = [&](const std::string &P, const FileIndex::Meta &M) {
+    for (const std::string &A : ancestors(P))
+      if (Model.count(A) && Model[A].Type == FileType::File)
+        return false;
+    auto It = Model.find(P);
+    if (It != Model.end() && It->second.Type != M.Type)
+      return false;
+    for (const std::string &A : ancestors(P))
+      Model[A] = {FileType::Directory, 0, 0};
+    Model[P] = M;
+    return true;
+  };
+  auto modelRemove = [&](const std::string &P) {
+    auto It = Model.find(P);
+    if (It == Model.end())
+      return false;
+    std::string Prefix = P + "/";
+    auto Sub = Model.lower_bound(Prefix);
+    if (Sub != Model.end() && Sub->first.compare(0, Prefix.size(), Prefix) == 0)
+      return false; // A directory with entries.
+    Model.erase(It);
+    return true;
+  };
+
+  // Nested candidates three levels deep; a name may be a file in one
+  // step and a directory in another.
+  std::vector<std::string> Paths;
+  for (const char *A : {"a", "b", "ab"}) {
+    std::string PA = std::string("/") + A;
+    Paths.push_back(PA);
+    for (const char *B : {"a", "c"}) {
+      std::string PB = PA + "/" + B;
+      Paths.push_back(PB);
+      for (const char *C : {"x", "y"})
+        Paths.push_back(PB + "/" + C);
+    }
+  }
+
+  auto checkAgainstModel = [&](const FileIndex &I) {
+    std::vector<std::string> Dirs, Files;
+    std::map<std::string, FileIndex::ChildMap> Kids = {{"/", {}}};
+    for (const auto &[P, M] : Model) {
+      (M.Type == FileType::Directory ? Dirs : Files).push_back(P);
+      if (M.Type == FileType::Directory)
+        Kids[P];
+      size_t Slash = P.rfind('/');
+      Kids[Slash == 0 ? "/" : P.substr(0, Slash)].emplace(P.substr(Slash + 1),
+                                                          M);
+    }
+    EXPECT_EQ(I.allDirs(), Dirs);
+    EXPECT_EQ(I.allFiles(), Files);
+    for (const auto &[Dir, Expected] : Kids) {
+      SCOPED_TRACE(Dir);
+      const FileIndex::ChildMap *Got = I.children(Dir);
+      ASSERT_NE(Got, nullptr);
+      ASSERT_EQ(Got->size(), Expected.size());
+      std::vector<std::string> Names;
+      for (auto G = Got->begin(), E = Expected.begin(); G != Got->end();
+           ++G, ++E) {
+        EXPECT_EQ(G->first, E->first);
+        EXPECT_EQ(G->second.Type, E->second.Type);
+        EXPECT_EQ(G->second.SizeBytes, E->second.SizeBytes);
+        EXPECT_EQ(G->second.MtimeNs, E->second.MtimeNs);
+        Names.push_back(E->first);
+      }
+      EXPECT_EQ(I.list(Dir), Names);
+    }
+    for (const std::string &F : Files) {
+      EXPECT_EQ(I.children(F), nullptr);
+      EXPECT_TRUE(I.list(F).empty());
+    }
+  };
+
+  std::mt19937 Rng(1402);
+  FileIndex I;
+  for (int Step = 0; Step != 4000; ++Step) {
+    const std::string &P = Paths[Rng() % Paths.size()];
+    SCOPED_TRACE(std::to_string(Step) + ": " + P);
+    switch (Rng() % 3) {
+    case 0:
+      ASSERT_EQ(I.addDir(P), modelAdd(P, {FileType::Directory, 0, 0}));
+      break;
+    case 1: {
+      uint64_t Size = Rng() % 100;
+      ASSERT_EQ(I.addFile(P, Size, uint64_t(Step)),
+                modelAdd(P, {FileType::File, Size, uint64_t(Step)}));
+      break;
+    }
+    default:
+      ASSERT_EQ(I.remove(P), modelRemove(P));
+      break;
+    }
+    if (Step % 100 == 99)
+      checkAgainstModel(I);
+  }
+  // Tear down in shuffled order: each removal succeeds once its
+  // directory is empty, and the index ends holding only "/".
+  std::vector<std::string> Left;
+  for (const auto &[P, M] : Model)
+    Left.push_back(P);
+  std::shuffle(Left.begin(), Left.end(), Rng);
+  while (!Left.empty()) {
+    std::vector<std::string> Kept;
+    for (const std::string &P : Left)
+      if (!I.remove(P))
+        Kept.push_back(P);
+      else
+        ASSERT_TRUE(modelRemove(P)) << P;
+    ASSERT_LT(Kept.size(), Left.size());
+    Left = std::move(Kept);
+    checkAgainstModel(I);
+  }
+  EXPECT_TRUE(I.allDirs().empty());
+  EXPECT_TRUE(I.isEmptyDir("/"));
 }
 
 //===--------------------------------------------------------------------===//

@@ -4,6 +4,9 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
+#include <random>
+
 using namespace doppio;
 using namespace doppio::rt;
 
@@ -65,6 +68,73 @@ TEST(Path, Split) {
   EXPECT_EQ(path::split("/a/b/c"),
             (std::vector<std::string>{"a", "b", "c"}));
   EXPECT_EQ(path::split("/"), std::vector<std::string>());
+}
+
+/// normalize's segment-vector algorithm, applied to every input: the
+/// reference that the fast path for normal absolute paths must match.
+std::string referenceNormalize(std::string_view P) {
+  bool Absolute = !P.empty() && P.front() == '/';
+  std::vector<std::string> Out;
+  size_t Start = 0;
+  while (Start <= P.size()) {
+    size_t Slash = std::min(P.find('/', Start), P.size());
+    std::string Segment(P.substr(Start, Slash - Start));
+    Start = Slash + 1;
+    if (Segment.empty() || Segment == ".")
+      continue;
+    if (Segment == "..") {
+      if (!Out.empty() && Out.back() != "..")
+        Out.pop_back();
+      else if (!Absolute)
+        Out.push_back("..");
+      continue;
+    }
+    Out.push_back(std::move(Segment));
+  }
+  std::string Result = Absolute ? "/" : "";
+  for (size_t I = 0; I != Out.size(); ++I)
+    Result += (I ? "/" : "") + Out[I];
+  return Result.empty() ? "." : Result;
+}
+
+std::string referenceDirname(std::string_view P) {
+  std::string N = referenceNormalize(P);
+  size_t Slash = N.rfind('/');
+  if (Slash == std::string::npos)
+    return ".";
+  return Slash == 0 ? "/" : N.substr(0, Slash);
+}
+
+std::string referenceBasename(std::string_view P) {
+  std::string N = referenceNormalize(P);
+  size_t Slash = N.rfind('/');
+  return Slash == std::string::npos ? N : N.substr(Slash + 1);
+}
+
+// Property: on random paths over a, b, ".", "..", "/" and "//", normalize,
+// dirname and basename agree with the slow reference, and the fast path
+// is taken exactly for absolute paths that are already normal.
+TEST(Path, FastPathMatchesSlowReference) {
+  const char *Pieces[] = {"a", "b", ".", "..", "/", "//"};
+  std::mt19937 Rng(2014);
+  size_t FastTaken = 0;
+  for (int Case = 0; Case != 200000; ++Case) {
+    std::string P;
+    for (size_t N = Rng() % 9; N != 0; --N)
+      P += Pieces[Rng() % 6];
+    SCOPED_TRACE("'" + P + "'");
+    std::string Normal = referenceNormalize(P);
+    bool Fast = path::isNormalAbsolute(P);
+    FastTaken += Fast;
+    ASSERT_EQ(Fast, path::isAbsolute(P) && Normal == P);
+    ASSERT_EQ(path::normalize(P), Normal);
+    ASSERT_EQ(path::dirname(P), referenceDirname(P));
+    ASSERT_EQ(path::basename(P), referenceBasename(P));
+    ASSERT_EQ(path::parentOf(Normal), referenceDirname(P));
+  }
+  // Both paths were exercised.
+  EXPECT_GT(FastTaken, 1000u);
+  EXPECT_LT(FastTaken, 100000u);
 }
 
 // Property: normalize is idempotent.
