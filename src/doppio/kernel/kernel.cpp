@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 using namespace doppio;
 using namespace doppio::kernel;
@@ -98,61 +99,92 @@ void Kernel::post(Lane L, rt::Continuation K) {
 
 uint64_t Kernel::postAfter(Lane L, WorkFn Fn, uint64_t DelayNs) {
   assert(Fn && "scheduling empty work");
-  auto Rec = std::make_unique<TimerRec>();
-  Rec->DueNs = Clock.nowNs() + DelayNs;
-  Rec->Seq = NextSeq++;
-  Rec->Handle = NextHandle++;
-  Rec->L = L;
-  Rec->Fn = std::move(Fn);
-  Rec->Span = Reg.spans().current();
-  uint64_t Handle = Rec->Handle;
-  LiveTimers.emplace(Handle, Rec.get());
-  heapPush(std::move(Rec));
+  uint32_t Slot = 0;
+  if (FreeSlots.empty()) {
+    // Slot + 1 must fit the handle's low 32 bits.
+    assert(Slots.size() < UINT32_MAX && "timer slot table full");
+    Slot = static_cast<uint32_t>(Slots.size());
+    Slots.emplace_back();
+  } else {
+    Slot = FreeSlots.back();
+    FreeSlots.pop_back();
+  }
+  TimerRec &Rec = Slots[Slot];
+  Rec.Fn = std::move(Fn);
+  Rec.Span = Reg.spans().current();
+  Rec.L = L;
+  Rec.State = SlotState::Armed;
+  Heap.push_back({Clock.nowNs() + DelayNs, NextSeq++, Slot});
+  std::push_heap(Heap.begin(), Heap.end(), heapLater);
   TimersScheduledC->inc();
   Cells[static_cast<size_t>(L)].Posted->inc();
-  return Handle;
+  return handleOf(Slot);
 }
 
 bool Kernel::cancelTimer(uint64_t Handle) {
-  auto It = LiveTimers.find(Handle);
-  if (It == LiveTimers.end())
+  std::optional<uint32_t> Slot = liveSlot(Handle);
+  if (!Slot)
     return false;
-  TimerRec *Rec = It->second;
-  LiveTimers.erase(It);
-  if (!Rec)
-    return true; // Already promoted: next() skips it.
-  Rec->Cancelled = true;
-  Rec->Fn = nullptr; // Drop captured state eagerly.
+  TimerRec &Rec = Slots[*Slot];
+  if (Rec.State == SlotState::Queued) {
+    // Already promoted: the lane item's handle stops resolving, so next()
+    // skips it, and the slot is free for the next timer.
+    freeSlot(*Slot);
+    return true;
+  }
+  // Drop captured state eagerly, but only once the bookkeeping is done: a
+  // closure's destructor may post or cancel timers, which can grow Slots
+  // out from under Rec.
+  WorkFn Dead = std::exchange(Rec.Fn, nullptr);
+  Rec.State = SlotState::Cancelled;
   ++CancelledInHeap;
   TimersCancelledC->inc();
   compactIfNeeded();
   return true;
 }
 
-bool Kernel::heapLater(const std::unique_ptr<TimerRec> &A,
-                       const std::unique_ptr<TimerRec> &B) {
+std::optional<uint32_t> Kernel::liveSlot(uint64_t Handle) const {
+  uint64_t Index = Handle & UINT32_MAX;
+  if (Index == 0 || Index > Slots.size())
+    return std::nullopt;
+  const TimerRec &Rec = Slots[Index - 1];
+  if (Rec.Gen != (Handle >> 32) ||
+      (Rec.State != SlotState::Armed && Rec.State != SlotState::Queued))
+    return std::nullopt;
+  return static_cast<uint32_t>(Index - 1);
+}
+
+uint64_t Kernel::handleOf(uint32_t Slot) const {
+  return (static_cast<uint64_t>(Slots[Slot].Gen) << 32) | (Slot + 1ULL);
+}
+
+void Kernel::freeSlot(uint32_t Slot) {
+  TimerRec &Rec = Slots[Slot];
+  assert(!Rec.Fn && "freeing a timer slot that still holds work");
+  ++Rec.Gen;
+  Rec.State = SlotState::Free;
+  FreeSlots.push_back(Slot);
+}
+
+bool Kernel::heapLater(const HeapEntry &A, const HeapEntry &B) {
   // std::push_heap builds a max-heap; invert so the earliest (DueNs, Seq)
   // surfaces at Heap.front().
-  if (A->DueNs != B->DueNs)
-    return A->DueNs > B->DueNs;
-  return A->Seq > B->Seq;
+  if (A.DueNs != B.DueNs)
+    return A.DueNs > B.DueNs;
+  return A.Seq > B.Seq;
 }
 
-void Kernel::heapPush(std::unique_ptr<TimerRec> Rec) {
-  Heap.push_back(std::move(Rec));
-  std::push_heap(Heap.begin(), Heap.end(), heapLater);
-}
-
-std::unique_ptr<Kernel::TimerRec> Kernel::heapPop() {
+Kernel::HeapEntry Kernel::heapPop() {
   std::pop_heap(Heap.begin(), Heap.end(), heapLater);
-  std::unique_ptr<TimerRec> Rec = std::move(Heap.back());
+  HeapEntry E = Heap.back();
   Heap.pop_back();
-  return Rec;
+  return E;
 }
 
 void Kernel::dropCancelledTop() {
-  while (!Heap.empty() && Heap.front()->Cancelled) {
-    heapPop();
+  while (!Heap.empty() &&
+         Slots[Heap.front().Slot].State == SlotState::Cancelled) {
+    freeSlot(heapPop().Slot);
     --CancelledInHeap;
     TimersReapedC->inc();
   }
@@ -162,19 +194,19 @@ void Kernel::promoteDue() {
   uint64_t NowNs = Clock.nowNs();
   for (;;) {
     dropCancelledTop();
-    if (Heap.empty() || Heap.front()->DueNs > NowNs)
+    if (Heap.empty() || Heap.front().DueNs > NowNs)
       break;
-    std::unique_ptr<TimerRec> Rec = heapPop();
+    HeapEntry E = heapPop();
+    TimerRec &Rec = Slots[E.Slot];
     // The handle stays live, now marking a queued timer, until next()
     // dispatches or skips it.
-    auto It = LiveTimers.find(Rec->Handle);
-    assert(It != LiveTimers.end() && "live heap entry without a handle");
-    It->second = nullptr;
+    Rec.State = SlotState::Queued;
     // A promoted timer's ReadyNs is its due time, not the promotion
     // moment: queue-delay accounting should charge the wait behind other
     // work, and input-latency tracking in the facade depends on it.
-    Lanes[static_cast<size_t>(Rec->L)].push_back(
-        {std::move(Rec->Fn), Rec->DueNs, Rec->Handle, Rec->Span});
+    Lanes[static_cast<size_t>(Rec.L)].push_back(
+        {std::exchange(Rec.Fn, nullptr), E.DueNs, handleOf(E.Slot),
+         Rec.Span});
   }
 }
 
@@ -186,9 +218,14 @@ void Kernel::compactIfNeeded() {
     return;
   TimersReapedC->inc(CancelledInHeap);
   HeapCompactionsC->inc();
-  std::erase_if(Heap, [](const std::unique_ptr<TimerRec> &Rec) {
-    return Rec->Cancelled;
-  });
+  size_t Kept = 0;
+  for (size_t I = 0; I < Heap.size(); ++I) {
+    if (Slots[Heap[I].Slot].State == SlotState::Cancelled)
+      freeSlot(Heap[I].Slot);
+    else
+      Heap[Kept++] = Heap[I];
+  }
+  Heap.resize(Kept);
   std::make_heap(Heap.begin(), Heap.end(), heapLater);
   CancelledInHeap = 0;
 }
@@ -206,9 +243,13 @@ std::optional<Kernel::Work> Kernel::next(std::optional<uint64_t> HorizonNs) {
       Popped = true;
       // A timer runs only if its handle is still live; dispatch retires
       // the handle, so the callback already sees itself disarmed.
-      if (Item.Timer && LiveTimers.erase(Item.Timer) == 0) {
-        Cells[Idx].CancelledSkipped->inc();
-        break; // Re-promote and re-scan from the top lane.
+      if (Item.Timer) {
+        std::optional<uint32_t> Slot = liveSlot(Item.Timer);
+        if (!Slot) {
+          Cells[Idx].CancelledSkipped->inc();
+          break; // Re-promote and re-scan from the top lane.
+        }
+        freeSlot(*Slot);
       }
       return Work{std::move(Item.Fn), static_cast<Lane>(Idx), Item.ReadyNs,
                   Item.Span};
@@ -222,9 +263,9 @@ std::optional<Kernel::Work> Kernel::next(std::optional<uint64_t> HorizonNs) {
     dropCancelledTop();
     if (Heap.empty())
       return std::nullopt;
-    if (HorizonNs && Heap.front()->DueNs > *HorizonNs)
+    if (HorizonNs && Heap.front().DueNs > *HorizonNs)
       return std::nullopt;
-    Clock.advanceTo(Heap.front()->DueNs);
+    Clock.advanceTo(Heap.front().DueNs);
   }
 }
 
@@ -237,7 +278,7 @@ std::optional<uint64_t> Kernel::nextEligibleNs() {
   dropCancelledTop();
   if (Heap.empty())
     return std::nullopt;
-  return Heap.front()->DueNs;
+  return Heap.front().DueNs;
 }
 
 void Kernel::noteDispatched(const Work &W, uint64_t StartNs,

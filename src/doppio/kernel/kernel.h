@@ -27,16 +27,21 @@
 ///  - **An O(log n) timer heap.** Timed work is a binary min-heap keyed by
 ///    (due time, sequence), replacing the event loop's sorted-on-demand
 ///    vector. Equal due times preserve insertion order, which is what TCP
-///    FIFO delivery in SimNet relies on.
+///    FIFO delivery in SimNet relies on. The heap holds plain
+///    (due, sequence, slot) entries; the timers themselves live inline in
+///    a slot table with a free list, so arming a timer allocates nothing
+///    once the table has grown to the working set.
 ///
 ///  - **One way to cancel a timer.** Every timer returns a handle that
-///    stays live until the timer is dispatched; cancelTimer() works while
-///    the timer waits in the heap (O(1), lazy deletion) and after it has
-///    been promoted into its lane (the lane skips it at dispatch).
-///    Cancelled heap entries are reaped on promotion and the heap is
-///    compacted whenever cancelled entries outnumber live ones, so a
-///    long-lived server that arms and cancels timers forever stays
-///    bounded.
+///    stays live until the timer is dispatched. A handle is the timer's
+///    slot plus the slot's generation, which is bumped each time the slot
+///    is freed, so a stale handle never reaches the slot's next occupant.
+///    cancelTimer() works while the timer waits in the heap (O(1), lazy
+///    deletion) and after it has been promoted into its lane (the lane
+///    skips it at dispatch). Cancelled heap entries are reaped on
+///    promotion and the heap is compacted whenever cancelled entries
+///    outnumber live ones, so a long-lived server that arms and cancels
+///    timers forever stays bounded.
 ///
 ///  - **Per-lane counters.** Every dispatch lands in registry cells
 ///    (`kernel.lane.<lane>.*`: posted, dispatched, cancelled-skipped,
@@ -63,7 +68,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 namespace doppio {
@@ -171,7 +175,7 @@ public:
   /// True while \p Handle's timer is still going to run: scheduled, not
   /// yet dispatched, not cancelled. False inside the timer's own callback.
   bool timerArmed(uint64_t Handle) const {
-    return LiveTimers.count(Handle) != 0;
+    return liveSlot(Handle).has_value();
   }
 
   /// A dispatched unit of work, handed to the host loop.
@@ -242,14 +246,35 @@ private:
     obs::SpanId Span = 0;
   };
 
+  /// Where a timer slot's record is in its life.
+  enum class SlotState : uint8_t {
+    /// On the free list.
+    Free,
+    /// Waiting in the heap; Fn holds the work.
+    Armed,
+    /// Cancelled while in the heap: its entry still points here until it
+    /// is reaped, so the slot cannot be reused yet. Fn is empty.
+    Cancelled,
+    /// Promoted into its lane; the lane item holds Fn and the handle.
+    Queued,
+  };
+
+  /// One timer, stored inline in the slot table. A handle is
+  /// `(Gen << 32) | (slot + 1)`; freeing a slot bumps Gen, so every handle
+  /// issued for the slot's previous occupants stops resolving.
   struct TimerRec {
+    WorkFn Fn;
+    obs::SpanId Span = 0;
+    uint32_t Gen = 0;
+    Lane L = Lane::Timer;
+    SlotState State = SlotState::Free;
+  };
+
+  /// A heap entry: the (DueNs, Seq) key plus the slot it schedules.
+  struct HeapEntry {
     uint64_t DueNs = 0;
     uint64_t Seq = 0;
-    uint64_t Handle = 0;
-    Lane L = Lane::Timer;
-    WorkFn Fn;
-    bool Cancelled = false;
-    obs::SpanId Span = 0;
+    uint32_t Slot = 0;
   };
 
   /// Per-lane registry cells, resolved once at construction so the hot
@@ -270,10 +295,14 @@ private:
 
   size_t HeapSize() const { return Heap.size(); }
   /// Min-heap ordering: earliest (DueNs, Seq) at the top.
-  static bool heapLater(const std::unique_ptr<TimerRec> &A,
-                        const std::unique_ptr<TimerRec> &B);
-  void heapPush(std::unique_ptr<TimerRec> Rec);
-  std::unique_ptr<TimerRec> heapPop();
+  static bool heapLater(const HeapEntry &A, const HeapEntry &B);
+  HeapEntry heapPop();
+  /// The slot \p Handle names, if its timer is Armed or Queued.
+  std::optional<uint32_t> liveSlot(uint64_t Handle) const;
+  /// The handle for \p Slot's current occupant.
+  uint64_t handleOf(uint32_t Slot) const;
+  /// Returns \p Slot to the free list, retiring every handle issued for it.
+  void freeSlot(uint32_t Slot);
   /// Discards cancelled records sitting at the top of the heap.
   void dropCancelledTop();
   /// Moves every timer due at or before now into its lane, reaping
@@ -288,13 +317,13 @@ private:
   std::unique_ptr<obs::Registry> OwnedReg;
   obs::Registry &Reg;
   std::deque<ReadyItem> Lanes[NumLanes];
-  std::vector<std::unique_ptr<TimerRec>> Heap;
-  /// Every timer not yet dispatched or cancelled: its heap record, or
-  /// nullptr once it has been promoted into its lane.
-  std::unordered_map<uint64_t, TimerRec *> LiveTimers;
+  /// Timer records by slot; a slot is reused once its timer is dispatched,
+  /// cancelled after promotion, or reaped from the heap.
+  std::vector<TimerRec> Slots;
+  std::vector<uint32_t> FreeSlots;
+  std::vector<HeapEntry> Heap;
   size_t CancelledInHeap = 0;
   uint64_t NextSeq = 0;
-  uint64_t NextHandle = 1;
   LaneCells Cells[NumLanes];
   obs::Counter *TimersScheduledC = nullptr;
   obs::Counter *TimersCancelledC = nullptr;

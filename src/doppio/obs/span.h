@@ -24,6 +24,11 @@
 /// open span, attributing scheduler wait to the operation that suffered
 /// it.
 ///
+/// Open spans live inline in an open-addressed table keyed by id (linear
+/// probing, backward-shift deletion), so opening and closing a span
+/// allocates no node. Ids are minted sequentially: they are visible in the
+/// JSON exposition, and consecutive ids land in consecutive slots.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DOPPIO_DOPPIO_OBS_SPAN_H
@@ -35,7 +40,7 @@
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 namespace doppio {
 namespace obs {
@@ -106,7 +111,8 @@ public:
   /// request cannot retroactively suffer scheduler wait).
   void addQueueDelay(SpanId Id, uint64_t Ns);
 
-  /// Open-span lookup; nullptr when unknown or already finished.
+  /// Open-span lookup; nullptr when unknown or already finished. The
+  /// pointer is valid until the next begin, end, or reset.
   const Span *findOpen(SpanId Id) const;
 
   /// Finished spans, oldest first, bounded by the retention limit.
@@ -114,20 +120,34 @@ public:
 
   uint64_t started() const { return Started; }
   uint64_t finished() const { return Ended; }
-  size_t openCount() const { return Open.size(); }
+  size_t openCount() const { return OpenCount; }
 
   /// Drops finished history and open-span bookkeeping; ids keep
   /// increasing so a live Scope's id simply never resolves again.
   void reset();
 
 private:
+  /// First table size: 8 inline spans stay under 1 KB, so a short-lived
+  /// store's first allocation stays a small-bin request.
+  static constexpr size_t InitialSlots = 8;
+  static constexpr size_t NoSlot = SIZE_MAX;
+
+  /// The slot holding open span \p Id, or NoSlot.
+  size_t slotOf(SpanId Id) const;
+  /// Moves every open span into a table twice the size (or allocates the
+  /// first one).
+  void grow();
+
   browser::VirtualClock &Clock;
   size_t Retain;
   SpanId Current = 0;
   SpanId NextId = 1;
   uint64_t Started = 0;
   uint64_t Ended = 0;
-  std::unordered_map<SpanId, Span> Open;
+  /// Open spans by `Id & (size - 1)`, probing forward; an empty slot has
+  /// Id 0. The size is 0 or a power of two, kept under 3/4 full.
+  std::vector<Span> Open;
+  size_t OpenCount = 0;
   std::deque<Span> Finished;
 };
 

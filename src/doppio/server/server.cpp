@@ -161,17 +161,23 @@ void Server::finishRequest(uint64_t Id, uint64_t Seq, uint64_t StartNs,
     RequestsServedC->inc();
   else
     RequestErrorsC->inc();
-  // Responses leave in request order; a response completing ahead of an
-  // earlier in-flight one parks in Ready until its turn.
-  C.Ready.emplace(Seq, frame::encodeResponseFrame(St, Body));
-  while (true) {
-    auto RIt = C.Ready.find(C.NextToSend);
-    if (RIt == C.Ready.end())
-      break;
-    BytesOutC->inc(RIt->second.size());
-    C.Tcp->send(std::move(RIt->second));
-    C.Ready.erase(RIt);
-    ++C.NextToSend;
+  // Responses leave in request order. The response due next goes straight
+  // out, followed by any parked ones it unblocks; one completing ahead of
+  // an earlier in-flight request parks in Ready until its turn.
+  std::vector<uint8_t> Frame = frame::encodeResponseFrame(St, Body);
+  if (Seq != C.NextToSend) {
+    C.Ready.emplace(Seq, std::move(Frame));
+  } else {
+    while (true) {
+      BytesOutC->inc(Frame.size());
+      C.Tcp->send(std::move(Frame));
+      ++C.NextToSend;
+      auto RIt = C.Ready.begin();
+      if (RIt == C.Ready.end() || RIt->first != C.NextToSend)
+        break;
+      Frame = std::move(RIt->second);
+      C.Ready.erase(RIt);
+    }
   }
   // A draining connection closes once its last response is on the wire;
   // the FIN is ordered after the data, so the client still gets it.

@@ -101,8 +101,8 @@ private:
     uint32_t InFlight = 0;
     /// The wire protocol has no request ids, so pipelined responses must
     /// leave in request order even when handlers complete out of order:
-    /// each request takes a sequence number and completed responses wait
-    /// in Ready until their turn.
+    /// each request takes a sequence number, and a response that completes
+    /// ahead of an earlier one waits in Ready until its turn.
     uint64_t NextSeq = 0;
     uint64_t NextToSend = 0;
     std::map<uint64_t, std::vector<uint8_t>> Ready;

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
+#include <string_view>
 
 using namespace doppio;
 using namespace doppio::rt;
@@ -118,12 +120,20 @@ void Suspender::dispatchViaMechanism(uint64_t Id) {
     // sendMessage carries only strings; the hop is the unique string ID,
     // demultiplexed by one global handler (§4.4).
     if (!HandlerRegistered) {
+      // The channel is page-wide: any script may post to it, so a
+      // message is ours only if its whole suffix is a decimal uint64_t.
       Env.channel().setOnMessage([this](const js::String &Msg) {
         std::string Text = js::toAscii(Msg);
-        const std::string Prefix = "doppio-resume:";
-        if (Text.compare(0, Prefix.size(), Prefix) != 0)
+        constexpr std::string_view Prefix = "doppio-resume:";
+        if (!std::string_view(Text).starts_with(Prefix))
           return;
-        fire(std::stoull(Text.substr(Prefix.size())));
+        const char *First = Text.data() + Prefix.size();
+        const char *Last = Text.data() + Text.size();
+        uint64_t Id = 0;
+        auto [End, Ec] = std::from_chars(First, Last, Id);
+        if (Ec != std::errc() || End != Last)
+          return;
+        fire(Id);
       });
       HandlerRegistered = true;
     }

@@ -17,6 +17,12 @@
 
 #include "gtest/gtest.h"
 
+#include <deque>
+#include <map>
+#include <random>
+#include <string>
+#include <vector>
+
 using namespace doppio;
 using namespace doppio::rt;
 using namespace doppio::browser;
@@ -197,6 +203,122 @@ TEST(Spans, RetentionIsBounded) {
   EXPECT_EQ(S.recent().size(), 4u);
   EXPECT_EQ(S.recent().front().Name, "op6"); // Oldest surviving.
   EXPECT_EQ(S.finished(), 10u);              // Totals keep counting.
+}
+
+void expectSameSpan(const obs::Span &A, const obs::Span &B) {
+  EXPECT_EQ(A.Id, B.Id);
+  EXPECT_EQ(A.Parent, B.Parent);
+  EXPECT_EQ(A.Name, B.Name);
+  EXPECT_EQ(A.StartNs, B.StartNs);
+  EXPECT_EQ(A.EndNs, B.EndNs);
+  EXPECT_EQ(A.QueueDelayNs, B.QueueDelayNs);
+}
+
+TEST(Spans, SeededOpenTableMatchesAReferenceMap) {
+  // More than a thousand spans open at once (the table grows several
+  // times), ended in random order (backward-shift deletion), checked op by
+  // op against a std::map.
+  constexpr size_t Retain = 50;
+  VirtualClock Clock;
+  obs::SpanStore S(Clock, Retain);
+  std::mt19937_64 Rng(7);
+  auto pick = [&](uint64_t N) { return Rng() % N; };
+  std::map<obs::SpanId, obs::Span> Open;
+  std::vector<obs::SpanId> OpenIds;
+  std::deque<obs::Span> Finished;
+  uint64_t Ended = 0;
+  obs::SpanId LastId = 0;
+
+  auto begin = [&] {
+    obs::SpanId Parent = OpenIds.empty() ? 0 : OpenIds[pick(OpenIds.size())];
+    std::string Name = "op" + std::to_string(pick(1000));
+    obs::SpanId Id = S.beginChildOf(Name, Parent);
+    ASSERT_EQ(Id, LastId + 1) << "ids are minted sequentially";
+    LastId = Id;
+    obs::Span Want;
+    Want.Id = Id;
+    Want.Parent = Parent;
+    Want.Name = Name;
+    Want.StartNs = Clock.nowNs();
+    Open.emplace(Id, Want);
+    OpenIds.push_back(Id);
+  };
+  auto endAt = [&](size_t Index) {
+    obs::SpanId Id = OpenIds[Index];
+    OpenIds[Index] = OpenIds.back();
+    OpenIds.pop_back();
+    S.end(Id);
+    obs::Span Done = Open.at(Id);
+    Open.erase(Id);
+    Done.EndNs = Clock.nowNs();
+    ++Ended;
+    Finished.push_back(Done);
+    if (Finished.size() > Retain)
+      Finished.pop_front();
+  };
+  auto step = [&](uint64_t BeginWeight) {
+    Clock.chargeNs(pick(100));
+    uint64_t Roll = pick(100);
+    if (Roll < BeginWeight || OpenIds.empty()) {
+      begin();
+    } else if (Roll < 70) {
+      endAt(pick(OpenIds.size()));
+    } else if (Roll < 85) {
+      // Queue delay for an open span, an ended one, or one never minted.
+      obs::SpanId Id = pick(LastId + 10);
+      uint64_t Ns = pick(1000);
+      S.addQueueDelay(Id, Ns);
+      auto It = Open.find(Id);
+      if (It != Open.end())
+        It->second.QueueDelayNs += Ns;
+    } else {
+      // Ending an unknown or already-ended id is a no-op.
+      obs::SpanId Id = pick(LastId + 10);
+      if (!Open.count(Id))
+        S.end(Id);
+    }
+    ASSERT_EQ(S.openCount(), Open.size());
+  };
+  auto check = [&] {
+    ASSERT_EQ(S.openCount(), Open.size());
+    for (const auto &[Id, Want] : Open) {
+      const obs::Span *Got = S.findOpen(Id);
+      ASSERT_NE(Got, nullptr) << Id;
+      expectSameSpan(*Got, Want);
+    }
+    EXPECT_EQ(S.findOpen(0), nullptr);
+    EXPECT_EQ(S.findOpen(LastId + 1), nullptr);
+    EXPECT_EQ(S.started(), LastId);
+    EXPECT_EQ(S.finished(), Ended);
+    ASSERT_EQ(S.recent().size(), Finished.size());
+    EXPECT_LE(S.recent().size(), Retain);
+    for (size_t I = 0; I < Finished.size(); ++I)
+      expectSameSpan(S.recent()[I], Finished[I]);
+    for (const obs::Span &Done : Finished)
+      EXPECT_EQ(S.findOpen(Done.Id), nullptr);
+  };
+
+  // Grow past a thousand open spans, then churn, then drain.
+  while (Open.size() < 1200)
+    step(/*BeginWeight=*/55);
+  check();
+  for (int I = 0; I < 20000; ++I) {
+    step(/*BeginWeight=*/35);
+    if (I % 1000 == 0)
+      check();
+  }
+  check();
+  while (!OpenIds.empty())
+    endAt(pick(OpenIds.size()));
+  check();
+  EXPECT_EQ(S.openCount(), 0u);
+
+  S.reset();
+  EXPECT_EQ(S.openCount(), 0u);
+  EXPECT_TRUE(S.recent().empty());
+  obs::SpanId After = S.begin("after-reset");
+  EXPECT_GT(After, LastId) << "ids keep increasing across reset";
+  EXPECT_NE(S.findOpen(After), nullptr);
 }
 
 TEST(Spans, IdPropagatesThroughAKernelHop) {

@@ -104,6 +104,34 @@ TEST(Suspender, ForcedSendMessageOnIe8NeverYields) {
   EXPECT_EQ(Env.channel().syncDispatchCount(), 1u);
 }
 
+TEST(Suspender, ForeignResumeMessagesAreIgnored) {
+  // The message channel is page-wide, so other scripts' messages reach the
+  // resumption handler. Only a suffix that is exactly a decimal id is
+  // ours: a malformed one must neither throw out of the loop nor resume
+  // the parked continuation early.
+  BrowserEnv Env(chromeProfile());
+  Suspender Susp(Env);
+  Susp.forceMechanism(ResumeMechanism::SendMessage);
+  int Fired = 0;
+  // The first resumption registers the channel handler.
+  Env.loop().enqueueTask([&] { Susp.scheduleResumption([&] { ++Fired; }); });
+  Env.loop().run();
+  ASSERT_EQ(Fired, 1);
+  // The foreign messages are delivered first, while resumption 2 waits.
+  Env.loop().enqueueTask([&] {
+    for (const char *Msg :
+         {"doppio-resume:x", "doppio-resume:", "doppio-resume:2abc",
+          "doppio-resume:1abc", "doppio-resume:18446744073709551616"})
+      Env.channel().post(js::fromAscii(Msg));
+    Susp.scheduleResumption([&] { ++Fired; });
+  });
+  EXPECT_NO_THROW(Env.loop().run());
+  EXPECT_EQ(Fired, 2);
+  EXPECT_EQ(Susp.resumptionCount(), 2u);
+  EXPECT_EQ(Susp.resumeMisses(), 0u);
+  EXPECT_EQ(Susp.pendingResumptions(), 0u);
+}
+
 TEST(Suspender, AdaptiveCounterConvergesTowardTimeSlice) {
   // §4.1: with checks costing ~1 us each and a 10 ms slice, the counter
   // should converge to ~10000 checks per slice.
