@@ -6,8 +6,11 @@
 ///
 /// \file
 /// The balancer <-> shard control-plane messages that ride
-/// Fabric::sendControl: one kind byte, then a kind-specific payload
-/// (browser/wire.h byte order, like every codec in the tree). Control mail
+/// Fabric::sendControl: one kind byte, then a kind-specific payload. Every
+/// payload is written with wire::Writer and read with the bounds-checked
+/// wire::Reader (browser/wire.h, DESIGN.md §20): a fixed-size payload is
+/// refused unless the reader ends exactly at its end (atEnd()), and a
+/// trailing blob or error text is the reader's rest(). Control mail
 /// shares the data plane's FIFO and stamping guarantees, which the drain
 /// protocol depends on: a Drain command sent *after* the balancer closed
 /// its links to a shard arrives after those closes, so the shard only ever
@@ -58,12 +61,12 @@ enum class Kind : uint8_t {
   MigrateDone = 7,
 };
 
-inline std::vector<uint8_t> encode(Kind K, std::vector<uint8_t> Payload) {
-  std::vector<uint8_t> Out;
-  Out.reserve(1 + Payload.size());
-  Out.push_back(static_cast<uint8_t>(K));
-  Out.insert(Out.end(), Payload.begin(), Payload.end());
-  return Out;
+inline std::vector<uint8_t> encode(Kind K,
+                                   const std::vector<uint8_t> &Payload) {
+  browser::wire::Writer W;
+  W.u8(static_cast<uint8_t>(K));
+  W.raw(Payload);
+  return W.take();
 }
 
 struct Message {
@@ -72,12 +75,11 @@ struct Message {
 };
 
 inline std::optional<Message> decode(const std::vector<uint8_t> &B) {
-  if (B.empty() || B[0] < 1 || B[0] > 7)
+  browser::wire::Reader R(B);
+  uint8_t K = R.u8();
+  if (!R.ok() || K < 1 || K > 7)
     return std::nullopt;
-  Message M;
-  M.K = static_cast<Kind>(B[0]);
-  M.Payload.assign(B.begin() + 1, B.end());
-  return M;
+  return Message{static_cast<Kind>(K), R.rest()};
 }
 
 //===----------------------------------------------------------------------===//
@@ -92,21 +94,22 @@ struct MigrateCmd {
   int64_t Pid = 0;
 
   std::vector<uint8_t> encode() const {
-    std::vector<uint8_t> Out;
-    browser::wire::putU64(Out, RequestId);
-    browser::wire::putU32(Out, DstShard);
-    browser::wire::putU32(Out, DstTab);
-    browser::wire::putU64(Out, static_cast<uint64_t>(Pid));
-    return Out;
+    browser::wire::Writer W;
+    W.u64(RequestId);
+    W.u32(DstShard);
+    W.u32(DstTab);
+    W.i64(Pid);
+    return W.take();
   }
   static std::optional<MigrateCmd> decode(const std::vector<uint8_t> &B) {
-    if (B.size() != 24)
-      return std::nullopt;
+    browser::wire::Reader R(B);
     MigrateCmd M;
-    M.RequestId = browser::wire::getU64(B.data());
-    M.DstShard = browser::wire::getU32(B.data() + 8);
-    M.DstTab = browser::wire::getU32(B.data() + 12);
-    M.Pid = static_cast<int64_t>(browser::wire::getU64(B.data() + 16));
+    M.RequestId = R.u64();
+    M.DstShard = R.u32();
+    M.DstTab = R.u32();
+    M.Pid = R.i64();
+    if (!R.atEnd())
+      return std::nullopt;
     return M;
   }
 };
@@ -120,24 +123,25 @@ struct MigrateBlobMsg {
   std::vector<uint8_t> Blob;
 
   std::vector<uint8_t> encode() const {
-    std::vector<uint8_t> Out;
-    browser::wire::putU64(Out, RequestId);
-    browser::wire::putU32(Out, SrcShard);
-    browser::wire::putU32(Out, DstShard);
-    browser::wire::putU64(Out, CaptureUs);
-    Out.insert(Out.end(), Blob.begin(), Blob.end());
-    return Out;
+    browser::wire::Writer W;
+    W.u64(RequestId);
+    W.u32(SrcShard);
+    W.u32(DstShard);
+    W.u64(CaptureUs);
+    W.raw(Blob);
+    return W.take();
   }
   static std::optional<MigrateBlobMsg>
   decode(const std::vector<uint8_t> &B) {
-    if (B.size() < 24)
-      return std::nullopt;
+    browser::wire::Reader R(B);
     MigrateBlobMsg M;
-    M.RequestId = browser::wire::getU64(B.data());
-    M.SrcShard = browser::wire::getU32(B.data() + 8);
-    M.DstShard = browser::wire::getU32(B.data() + 12);
-    M.CaptureUs = browser::wire::getU64(B.data() + 16);
-    M.Blob.assign(B.begin() + 24, B.end());
+    M.RequestId = R.u64();
+    M.SrcShard = R.u32();
+    M.DstShard = R.u32();
+    M.CaptureUs = R.u64();
+    M.Blob = R.rest();
+    if (!R.ok())
+      return std::nullopt;
     return M;
   }
 };
@@ -155,32 +159,33 @@ struct MigrateDoneMsg {
   std::string Error;
 
   std::vector<uint8_t> encode() const {
-    std::vector<uint8_t> Out;
-    browser::wire::putU64(Out, RequestId);
-    browser::wire::putU32(Out, SrcShard);
-    browser::wire::putU32(Out, DstShard);
-    Out.push_back(Ok ? 1 : 0);
-    browser::wire::putU64(Out, static_cast<uint64_t>(NewPid));
-    browser::wire::putU64(Out, CaptureUs);
-    browser::wire::putU64(Out, RestoreUs);
-    browser::wire::putU64(Out, BlobBytes);
-    Out.insert(Out.end(), Error.begin(), Error.end());
-    return Out;
+    browser::wire::Writer W;
+    W.u64(RequestId);
+    W.u32(SrcShard);
+    W.u32(DstShard);
+    W.u8(Ok ? 1 : 0);
+    W.i64(NewPid);
+    W.u64(CaptureUs);
+    W.u64(RestoreUs);
+    W.u64(BlobBytes);
+    W.raw(Error);
+    return W.take();
   }
   static std::optional<MigrateDoneMsg>
   decode(const std::vector<uint8_t> &B) {
-    if (B.size() < 49)
-      return std::nullopt;
+    browser::wire::Reader R(B);
     MigrateDoneMsg M;
-    M.RequestId = browser::wire::getU64(B.data());
-    M.SrcShard = browser::wire::getU32(B.data() + 8);
-    M.DstShard = browser::wire::getU32(B.data() + 12);
-    M.Ok = B[16] == 1;
-    M.NewPid = static_cast<int64_t>(browser::wire::getU64(B.data() + 17));
-    M.CaptureUs = browser::wire::getU64(B.data() + 25);
-    M.RestoreUs = browser::wire::getU64(B.data() + 33);
-    M.BlobBytes = browser::wire::getU64(B.data() + 41);
-    M.Error.assign(B.begin() + 49, B.end());
+    M.RequestId = R.u64();
+    M.SrcShard = R.u32();
+    M.DstShard = R.u32();
+    M.Ok = R.u8() == 1;
+    M.NewPid = R.i64();
+    M.CaptureUs = R.u64();
+    M.RestoreUs = R.u64();
+    M.BlobBytes = R.u64();
+    M.Error = R.str(R.remaining());
+    if (!R.ok())
+      return std::nullopt;
     return M;
   }
 };

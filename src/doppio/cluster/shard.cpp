@@ -20,39 +20,22 @@ namespace wire = doppio::browser::wire;
 //===----------------------------------------------------------------------===//
 
 std::vector<uint8_t> ShardSnapshot::encode() const {
-  std::vector<uint8_t> Out;
-  wire::putU32(Out, ShardId);
-  wire::putU64(Out, Accepted);
-  wire::putU64(Out, Refused);
-  wire::putU64(Out, Active);
-  wire::putU64(Out, RequestsServed);
-  wire::putU64(Out, RequestErrors);
-  wire::putU64(Out, BytesIn);
-  wire::putU64(Out, BytesOut);
-  wire::putU64(Out, ServiceP50Ns);
-  wire::putU64(Out, ServiceP99Ns);
-  wire::putU64(Out, ProcsSpawned);
-  wire::putU64(Out, Zombies);
-  wire::putU64(Out, VirtualNowNs);
-  return Out;
+  wire::Writer W;
+  W.u32(ShardId);
+  for (const uint64_t *F : counters(*this))
+    W.u64(*F);
+  return W.take();
 }
 
 std::optional<ShardSnapshot>
 ShardSnapshot::decode(const std::vector<uint8_t> &B) {
-  if (B.size() != 4 + 12 * 8)
-    return std::nullopt;
+  wire::Reader R(B);
   ShardSnapshot S;
-  const uint8_t *P = B.data();
-  S.ShardId = wire::getU32(P);
-  P += 4;
-  uint64_t *Fields[] = {&S.Accepted,       &S.Refused,      &S.Active,
-                        &S.RequestsServed, &S.RequestErrors, &S.BytesIn,
-                        &S.BytesOut,       &S.ServiceP50Ns, &S.ServiceP99Ns,
-                        &S.ProcsSpawned,   &S.Zombies,      &S.VirtualNowNs};
-  for (uint64_t *F : Fields) {
-    *F = wire::getU64(P);
-    P += 8;
-  }
+  S.ShardId = R.u32();
+  for (uint64_t *F : counters(S))
+    *F = R.u64();
+  if (!R.atEnd())
+    return std::nullopt;
   return S;
 }
 

@@ -18,10 +18,10 @@
 /// spreading "work" requests over N shard clocks is what buys the cluster
 /// its near-linear throughput, exactly like adding cores to a real fleet.
 ///
-/// The shard also snapshots its stats over the fabric control plane
-/// (encodeStatsSnapshot / a wire.h-encoded record) so the balancer can
-/// aggregate per-shard metrics under claimed "shard" prefixes in its own
-/// registry.
+/// The shard also pushes its stats over the fabric control plane (a
+/// ShardSnapshot, encoded with the browser/wire.h codec) so the balancer
+/// can aggregate per-shard metrics under claimed "shard" prefixes in its
+/// own registry.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +36,9 @@
 #include "doppio/proc/programs.h"
 #include "doppio/server/server.h"
 
+#include <array>
 #include <memory>
+#include <optional>
 
 namespace doppio {
 namespace cluster {
@@ -58,9 +60,19 @@ struct ShardSnapshot {
   uint64_t Zombies = 0;
   uint64_t VirtualNowNs = 0;
 
-  /// wire.h big-endian encoding (13 u64-sized fields after a u32 id).
+  /// [u32 id][12 x u64 counters], 100 bytes, through the wire.h codec;
+  /// decode refuses any other length.
   std::vector<uint8_t> encode() const;
   static std::optional<ShardSnapshot> decode(const std::vector<uint8_t> &B);
+
+private:
+  /// The u64 fields in wire order, shared by encode and decode.
+  template <typename Self> static auto counters(Self &S) {
+    return std::array{&S.Accepted,       &S.Refused,      &S.Active,
+                      &S.RequestsServed, &S.RequestErrors, &S.BytesIn,
+                      &S.BytesOut,       &S.ServiceP50Ns, &S.ServiceP99Ns,
+                      &S.ProcsSpawned,   &S.Zombies,      &S.VirtualNowNs};
+  }
 };
 
 /// One shard tab: env + fs + procs + doppiod server.

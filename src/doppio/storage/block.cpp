@@ -150,18 +150,42 @@ bool Directory::adjacent(const std::string &A, const std::string &B) const {
   return It != Entries.end() && It->first == B;
 }
 
+void storage::writeManifestEntry(browser::wire::Writer &W,
+                                 const std::string &Key, const Manifest &M) {
+  W.str(Key);
+  W.u64(M.SizeBytes);
+  W.u32(static_cast<uint32_t>(M.Blocks.size()));
+  for (const BlockId &Id : M.Blocks) {
+    W.u64(Id.Hash);
+    W.u32(Id.Size);
+  }
+}
+
+bool storage::readManifestEntry(browser::wire::Reader &R, std::string &Key,
+                                Manifest &M) {
+  constexpr size_t BlockIdBytes = 8 + 4;
+  Key = R.str();
+  M.SizeBytes = R.u64();
+  uint32_t N = R.u32();
+  if (N > R.remaining() / BlockIdBytes)
+    R.fail();
+  if (!R.ok())
+    return false;
+  M.Blocks.resize(N);
+  for (BlockId &Id : M.Blocks) {
+    Id.Hash = R.u64();
+    Id.Size = R.u32();
+  }
+  if (!M.sizeMatchesBlocks())
+    R.fail();
+  return R.ok();
+}
+
 std::vector<uint8_t> Directory::serialize() const {
   snap::Writer W(DirMagic, DirVersion);
   W.u32(static_cast<uint32_t>(Entries.size()));
-  for (const auto &[Key, M] : Entries) {
-    W.str(Key);
-    W.u64(M.SizeBytes);
-    W.u32(static_cast<uint32_t>(M.Blocks.size()));
-    for (const BlockId &Id : M.Blocks) {
-      W.u64(Id.Hash);
-      W.u32(Id.Size);
-    }
-  }
+  for (const auto &[Key, M] : Entries)
+    writeManifestEntry(W, Key, M);
   return W.take();
 }
 
@@ -170,23 +194,13 @@ Directory Directory::deserialize(const std::vector<uint8_t> &Bytes,
   Directory D;
   snap::Reader R(Bytes, DirMagic, DirVersion);
   uint32_t N = R.u32();
-  bool SizesOk = true;
-  for (uint32_t I = 0; I != N && R.ok() && SizesOk; ++I) {
-    std::string Key = R.str();
+  for (uint32_t I = 0; I != N && R.ok(); ++I) {
+    std::string Key;
     Manifest M;
-    M.SizeBytes = R.u64();
-    uint32_t Blocks = R.u32();
-    for (uint32_t B = 0; B != Blocks && R.ok(); ++B) {
-      BlockId Id;
-      Id.Hash = R.u64();
-      Id.Size = R.u32();
-      M.Blocks.push_back(Id);
-    }
-    SizesOk = M.sizeMatchesBlocks();
-    if (R.ok() && SizesOk)
+    if (readManifestEntry(R, Key, M))
       D.Entries[Key] = std::move(M);
   }
-  Ok = R.ok() && R.atEnd() && SizesOk;
+  Ok = R.atEnd();
   if (!Ok)
     D.Entries.clear();
   return D;

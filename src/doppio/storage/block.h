@@ -20,7 +20,8 @@
 ///
 /// A Manifest is the ordered block list for one logical value; the
 /// Directory maps logical keys to manifests and serializes to the
-/// snapshot wire form (snap::Writer framing) persisted by checkpoints.
+/// snapshot wire form (a snap:: header, then writeManifestEntry per key)
+/// persisted by checkpoints.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +34,11 @@
 #include <vector>
 
 namespace doppio {
+namespace browser::wire {
+class Reader;
+class Writer;
+} // namespace browser::wire
+
 namespace rt {
 namespace storage {
 
@@ -77,6 +83,17 @@ struct Manifest {
   /// any other: assembling a value reserves SizeBytes up front.
   bool sizeMatchesBlocks() const;
 };
+
+/// One keyed manifest in the layout the journal's Put record and the
+/// `dir` snapshot entry share: [u32 key length][key][u64 size][u32 n]
+/// [n x (u64 hash, u32 size)].
+void writeManifestEntry(browser::wire::Writer &W, const std::string &Key,
+                        const Manifest &M);
+/// Reads one entry written by writeManifestEntry. Fails \p R, and returns
+/// false, on short input, on a block count the unread bytes cannot hold,
+/// and on a manifest that is not sizeMatchesBlocks().
+bool readManifestEntry(browser::wire::Reader &R, std::string &Key,
+                       Manifest &M);
 
 /// Splits \p Value into BlockBytes-sized chunks and returns the manifest
 /// (the caller pairs it with the chunk payloads via splitChunks).

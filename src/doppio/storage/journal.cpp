@@ -3,6 +3,7 @@
 #include "doppio/storage/journal.h"
 
 #include "browser/wire.h"
+#include "doppio/cont/snapshot.h"
 
 #include <cstddef>
 
@@ -12,9 +13,10 @@ using namespace doppio::rt::storage;
 
 namespace {
 
+namespace wire = browser::wire;
+
 constexpr uint32_t JournalMagic = 0x444a4e4c; // 'DJNL'
 constexpr uint32_t JournalVersion = 1;
-constexpr size_t HeaderBytes = 8;
 
 /// FNV-1a 32-bit over a record body — detects a torn or bit-flipped tail.
 uint32_t checksum(const uint8_t *Data, size_t Size) {
@@ -26,113 +28,63 @@ uint32_t checksum(const uint8_t *Data, size_t Size) {
   return H;
 }
 
-void writeHeader(std::vector<uint8_t> &Out) {
-  browser::wire::putU32(Out, JournalMagic);
-  browser::wire::putU32(Out, JournalVersion);
+/// Restarts \p Log as a bare header, keeping its capacity.
+void writeHeader(std::vector<uint8_t> &Log) {
+  Log.clear();
+  wire::Writer W(std::move(Log));
+  W.u32(JournalMagic);
+  W.u32(JournalVersion);
+  Log = W.take();
 }
 
-/// Bounds-checked record parse starting at \p Pos. Returns true and
-/// advances \p Pos past the record (including its checksum) only for a
+/// [u8 kind][body][u32 checksum of kind and body]. A Put's body is its
+/// manifest entry (block.h), a Del's its u32-prefixed key, a Commit's its
+/// u64 sequence number.
+void encodeRecord(wire::Writer &W, const Journal::Record &R) {
+  size_t Start = W.size();
+  W.u8(static_cast<uint8_t>(R.K));
+  switch (R.K) {
+  case Journal::Record::Kind::Put:
+    writeManifestEntry(W, R.Key, R.M);
+    break;
+  case Journal::Record::Kind::Del:
+    W.str(R.Key);
+    break;
+  case Journal::Record::Kind::Commit:
+    W.u64(R.Seq);
+    break;
+  }
+  W.u32(checksum(W.data() + Start, W.size() - Start));
+}
+
+/// Reads the record at \p R's position out of \p B. True only for a
 /// complete record with an intact checksum whose manifest, for a Put, is
-/// as long as its blocks.
-bool parseRecord(const std::vector<uint8_t> &B, size_t &Pos,
-                 Journal::Record &R) {
-  size_t P = Pos;
-  auto need = [&](size_t N) { return B.size() - P >= N; };
-  if (!need(1))
-    return false;
-  uint8_t Kind = B[P++];
+/// as long as its blocks; \p R then stands just past the checksum.
+bool parseRecord(wire::Reader &R, const std::vector<uint8_t> &B,
+                 Journal::Record &Rec) {
+  size_t Start = R.position();
+  uint8_t Kind = R.u8();
   if (Kind < 1 || Kind > 3)
     return false;
-  R = Journal::Record();
-  R.K = static_cast<Journal::Record::Kind>(Kind);
-  switch (R.K) {
-  case Journal::Record::Kind::Put: {
-    if (!need(4))
-      return false;
-    uint32_t KeyLen = browser::wire::getU32(B.data() + P);
-    P += 4;
-    if (!need(KeyLen))
-      return false;
-    R.Key.assign(B.begin() + static_cast<ptrdiff_t>(P),
-                 B.begin() + static_cast<ptrdiff_t>(P + KeyLen));
-    P += KeyLen;
-    if (!need(12))
-      return false;
-    R.M.SizeBytes = browser::wire::getU64(B.data() + P);
-    P += 8;
-    uint32_t NBlocks = browser::wire::getU32(B.data() + P);
-    P += 4;
-    if (!need(static_cast<size_t>(NBlocks) * 12))
-      return false;
-    for (uint32_t I = 0; I != NBlocks; ++I) {
-      BlockId Id;
-      Id.Hash = browser::wire::getU64(B.data() + P);
-      P += 8;
-      Id.Size = browser::wire::getU32(B.data() + P);
-      P += 4;
-      R.M.Blocks.push_back(Id);
-    }
-    if (!R.M.sizeMatchesBlocks())
-      return false;
+  Rec = Journal::Record();
+  Rec.K = static_cast<Journal::Record::Kind>(Kind);
+  switch (Rec.K) {
+  case Journal::Record::Kind::Put:
+    readManifestEntry(R, Rec.Key, Rec.M);
+    break;
+  case Journal::Record::Kind::Del:
+    Rec.Key = R.str();
+    break;
+  case Journal::Record::Kind::Commit:
+    Rec.Seq = R.u64();
     break;
   }
-  case Journal::Record::Kind::Del: {
-    if (!need(4))
-      return false;
-    uint32_t KeyLen = browser::wire::getU32(B.data() + P);
-    P += 4;
-    if (!need(KeyLen))
-      return false;
-    R.Key.assign(B.begin() + static_cast<ptrdiff_t>(P),
-                 B.begin() + static_cast<ptrdiff_t>(P + KeyLen));
-    P += KeyLen;
-    break;
-  }
-  case Journal::Record::Kind::Commit: {
-    if (!need(8))
-      return false;
-    R.Seq = browser::wire::getU64(B.data() + P);
-    P += 8;
-    break;
-  }
-  }
-  if (!need(4))
-    return false;
-  uint32_t Want = browser::wire::getU32(B.data() + P);
-  if (checksum(B.data() + Pos, P - Pos) != Want)
-    return false;
-  Pos = P + 4;
-  return true;
+  size_t End = R.position();
+  uint32_t Want = R.u32();
+  return R.ok() && checksum(B.data() + Start, End - Start) == Want;
 }
 
 } // namespace
-
-void Journal::encodeRecord(std::vector<uint8_t> &Out, const Record &R) {
-  size_t Start = Out.size();
-  Out.push_back(static_cast<uint8_t>(R.K));
-  switch (R.K) {
-  case Record::Kind::Put:
-    browser::wire::putU32(Out, static_cast<uint32_t>(R.Key.size()));
-    Out.insert(Out.end(), R.Key.begin(), R.Key.end());
-    browser::wire::putU64(Out, R.M.SizeBytes);
-    browser::wire::putU32(Out, static_cast<uint32_t>(R.M.Blocks.size()));
-    for (const BlockId &Id : R.M.Blocks) {
-      browser::wire::putU64(Out, Id.Hash);
-      browser::wire::putU32(Out, Id.Size);
-    }
-    break;
-  case Record::Kind::Del:
-    browser::wire::putU32(Out, static_cast<uint32_t>(R.Key.size()));
-    Out.insert(Out.end(), R.Key.begin(), R.Key.end());
-    break;
-  case Record::Kind::Commit:
-    browser::wire::putU64(Out, R.Seq);
-    break;
-  }
-  browser::wire::putU32(Out,
-                        checksum(Out.data() + Start, Out.size() - Start));
-}
 
 void Journal::stagePut(const std::string &Key, const Manifest &M) {
   Record R;
@@ -161,44 +113,40 @@ void Journal::appendGroup(const std::vector<Record> &Rs) {
     writeHeader(Log);
   if (Rs.empty())
     return;
+  wire::Writer W(std::move(Log));
   for (const Record &R : Rs)
-    encodeRecord(Log, R);
+    encodeRecord(W, R);
   Record Commit;
   Commit.K = Record::Kind::Commit;
   Commit.Seq = NextSeq++;
-  encodeRecord(Log, Commit);
+  encodeRecord(W, Commit);
+  Log = W.take();
 }
 
-void Journal::truncate() {
-  Log.clear();
-  writeHeader(Log);
-}
+void Journal::truncate() { writeHeader(Log); }
 
 Journal::Recovery Journal::recover(const std::vector<uint8_t> &Bytes,
                                    Directory &Dir) {
   Recovery Out;
   Staged.clear();
-  Log.clear();
   writeHeader(Log);
   if (Bytes.empty()) { // Never journaled: a valid empty log.
     Out.HeaderOk = true;
     return Out;
   }
-  if (Bytes.size() < HeaderBytes ||
-      browser::wire::getU32(Bytes.data()) != JournalMagic ||
-      browser::wire::getU32(Bytes.data() + 4) != JournalVersion) {
+  snap::Reader R(Bytes, JournalMagic, JournalVersion);
+  if (!R.ok()) {
     Out.TornTailBytes = Bytes.size();
     return Out;
   }
   Out.HeaderOk = true;
 
-  size_t Pos = HeaderBytes;
-  size_t LastGoodEnd = HeaderBytes;
+  size_t LastGoodEnd = R.position();
   std::vector<Record> Pending;
-  Record R;
-  while (parseRecord(Bytes, Pos, R)) {
-    if (R.K != Record::Kind::Commit) {
-      Pending.push_back(R);
+  Record Rec;
+  while (parseRecord(R, Bytes, Rec)) {
+    if (Rec.K != Record::Kind::Commit) {
+      Pending.push_back(Rec);
       continue;
     }
     // An intact Commit seals the pending group: apply it.
@@ -211,8 +159,8 @@ Journal::Recovery Journal::recover(const std::vector<uint8_t> &Bytes,
     }
     Pending.clear();
     ++Out.Commits;
-    NextSeq = R.Seq + 1;
-    LastGoodEnd = Pos;
+    NextSeq = Rec.Seq + 1;
+    LastGoodEnd = R.position();
   }
   Out.RecordsDiscarded = Pending.size();
   Out.TornTailBytes = Bytes.size() - LastGoodEnd;

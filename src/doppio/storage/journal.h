@@ -99,8 +99,6 @@ public:
   Recovery recover(const std::vector<uint8_t> &Bytes, Directory &Dir);
 
 private:
-  static void encodeRecord(std::vector<uint8_t> &Out, const Record &R);
-
   std::vector<Record> Staged;
   std::vector<uint8_t> Log;
   uint64_t NextSeq = 0;

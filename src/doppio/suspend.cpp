@@ -121,7 +121,9 @@ void Suspender::dispatchViaMechanism(uint64_t Id) {
     // demultiplexed by one global handler (§4.4).
     if (!HandlerRegistered) {
       // The channel is page-wide: any script may post to it, so a
-      // message is ours only if its whole suffix is a decimal uint64_t.
+      // message is ours only if its whole suffix is a decimal uint64_t
+      // naming a parked resumption. Anything else is foreign: ignored,
+      // and not a resume miss.
       Env.channel().setOnMessage([this](const js::String &Msg) {
         std::string Text = js::toAscii(Msg);
         constexpr std::string_view Prefix = "doppio-resume:";
@@ -131,7 +133,8 @@ void Suspender::dispatchViaMechanism(uint64_t Id) {
         const char *Last = Text.data() + Text.size();
         uint64_t Id = 0;
         auto [End, Ec] = std::from_chars(First, Last, Id);
-        if (Ec != std::errc() || End != Last)
+        if (Ec != std::errc() || End != Last ||
+            !PendingResumptions.contains(Id))
           return;
         fire(Id);
       });

@@ -4,6 +4,7 @@
 
 #include "jvm/classfile/dataflow.h"
 
+#include "browser/wire.h"
 #include "doppio/path.h"
 
 #include <bit>
@@ -71,15 +72,9 @@ void MethodBuilder::emit(Op Opcode) {
   Code.push_back(static_cast<uint8_t>(Opcode));
 }
 
-void MethodBuilder::emitU2(uint16_t V) {
-  Code.push_back(static_cast<uint8_t>(V >> 8));
-  Code.push_back(static_cast<uint8_t>(V));
-}
+void MethodBuilder::emitU2(uint16_t V) { browser::wire::putU16(Code, V); }
 
-void MethodBuilder::emitU4(uint32_t V) {
-  emitU2(static_cast<uint16_t>(V >> 16));
-  emitU2(static_cast<uint16_t>(V));
-}
+void MethodBuilder::emitU4(uint32_t V) { browser::wire::putU32(Code, V); }
 
 MethodBuilder &MethodBuilder::iconst(int32_t V) {
   if (V >= -1 && V <= 5) {

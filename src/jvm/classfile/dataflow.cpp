@@ -155,16 +155,6 @@ private:
   // Code decoding
   //===------------------------------------------------------------------===//
 
-  uint16_t rdU2(uint32_t At) const {
-    return static_cast<uint16_t>((Code[At] << 8) | Code[At + 1]);
-  }
-  int32_t rdS4(uint32_t At) const {
-    return static_cast<int32_t>((static_cast<uint32_t>(Code[At]) << 24) |
-                                (static_cast<uint32_t>(Code[At + 1]) << 16) |
-                                (static_cast<uint32_t>(Code[At + 2]) << 8) |
-                                static_cast<uint32_t>(Code[At + 3]));
-  }
-
   bool decode() {
     uint32_t Pc = 0;
     while (Pc < Code.size()) {
@@ -583,7 +573,8 @@ private:
       break;
     case Op::Ldc:
     case Op::LdcW: {
-      uint16_t Idx = O == Op::Ldc ? Code[CurPc + 1] : rdU2(CurPc + 1);
+      uint16_t Idx =
+          O == Op::Ldc ? Code[CurPc + 1] : rdU2(Code, CurPc + 1);
       switch (Cf.Pool.at(Idx).Tag) {
       case CpTag::Integer:
         pushSlot(VType::Int);
@@ -598,7 +589,7 @@ private:
       break;
     }
     case Op::Ldc2W:
-      pushCat2(Cf.Pool.at(rdU2(CurPc + 1)).Tag == CpTag::Long
+      pushCat2(Cf.Pool.at(rdU2(Code, CurPc + 1)).Tag == CpTag::Long
                    ? VType::Long
                    : VType::Double);
       break;
@@ -1069,7 +1060,8 @@ private:
     case Op::Putstatic:
     case Op::Getfield:
     case Op::Putfield: {
-      ConstantPool::MemberRef Ref = Cf.Pool.memberRef(rdU2(CurPc + 1));
+      ConstantPool::MemberRef Ref =
+          Cf.Pool.memberRef(rdU2(Code, CurPc + 1));
       if (!isValidFieldDesc(Ref.Descriptor)) {
         fail("malformed field descriptor " + Ref.Descriptor);
         break;
@@ -1093,7 +1085,8 @@ private:
     case Op::Invokespecial:
     case Op::Invokestatic:
     case Op::Invokeinterface: {
-      ConstantPool::MemberRef Ref = Cf.Pool.memberRef(rdU2(CurPc + 1));
+      ConstantPool::MemberRef Ref =
+          Cf.Pool.memberRef(rdU2(Code, CurPc + 1));
       auto Callee = desc::parseMethod(Ref.Descriptor);
       if (!Callee) {
         fail("malformed method descriptor " + Ref.Descriptor);
@@ -1212,7 +1205,7 @@ private:
   /// Returns false when the wide instruction has no fall-through (ret).
   bool transferWide() {
     Op Inner = static_cast<Op>(Code[CurPc + 1]);
-    uint32_t Slot = rdU2(CurPc + 2);
+    uint32_t Slot = rdU2(Code, CurPc + 2);
     switch (Inner) {
     case Op::Iload:
       loadLocal(Slot, VType::Int, "iload");
@@ -1260,10 +1253,8 @@ private:
     }
   }
 
-  uint32_t target16() const {
-    return CurPc + static_cast<int16_t>(rdU2(CurPc + 1));
-  }
-  uint32_t target32() const { return CurPc + rdS4(CurPc + 1); }
+  uint32_t target16() const { return CurPc + rdS2(Code, CurPc + 1); }
+  uint32_t target32() const { return CurPc + rdS4(Code, CurPc + 1); }
 
   void branchAndFallThrough(uint32_t Target) {
     flowTo(Target);

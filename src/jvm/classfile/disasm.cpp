@@ -25,12 +25,6 @@ uint32_t jvm::instructionLength(const std::vector<uint8_t> &Code,
     return Pc + Len <= Code.size() ? Len : 0;
   }
   Op O = static_cast<Op>(OpByte);
-  auto rdS4 = [&Code](uint32_t At) {
-    return static_cast<int32_t>((static_cast<uint32_t>(Code[At]) << 24) |
-                                (static_cast<uint32_t>(Code[At + 1]) << 16) |
-                                (static_cast<uint32_t>(Code[At + 2]) << 8) |
-                                static_cast<uint32_t>(Code[At + 3]));
-  };
   if (O == Op::Wide) {
     if (Pc + 1 >= Code.size())
       return 0;
@@ -42,8 +36,8 @@ uint32_t jvm::instructionLength(const std::vector<uint8_t> &Code,
   if (O == Op::Tableswitch) {
     if (Operand + 12 > Code.size())
       return 0;
-    int32_t Low = rdS4(Operand + 4);
-    int32_t High = rdS4(Operand + 8);
+    int32_t Low = rdS4(Code, Operand + 4);
+    int32_t High = rdS4(Code, Operand + 8);
     if (High < Low)
       return 0;
     uint32_t Len = Operand + 12 +
@@ -53,7 +47,7 @@ uint32_t jvm::instructionLength(const std::vector<uint8_t> &Code,
   if (O == Op::Lookupswitch) {
     if (Operand + 8 > Code.size())
       return 0;
-    int32_t NPairs = rdS4(Operand + 4);
+    int32_t NPairs = rdS4(Code, Operand + 4);
     if (NPairs < 0)
       return 0;
     uint32_t Len = Operand + 8 + 8 * static_cast<uint32_t>(NPairs) - Pc;
@@ -113,23 +107,20 @@ std::string jvm::disassembleMethod(const ClassFile &Cf,
       break;
     }
     Op O = static_cast<Op>(Code[Pc]);
-    auto rdU2 = [&Code](uint32_t At) {
-      return static_cast<uint16_t>((Code[At] << 8) | Code[At + 1]);
-    };
     // Operand rendering is driven by the OpKind column of opcodes.def.
     switch (opcodeKind(Code[Pc])) {
     case OpKind::Imm8:
       Line << " " << static_cast<int>(static_cast<int8_t>(Code[Pc + 1]));
       break;
     case OpKind::Imm16:
-      Line << " " << static_cast<int16_t>(rdU2(Pc + 1));
+      Line << " " << rdS2(Code, Pc + 1);
       break;
     case OpKind::LdcU1:
       Line << " " << describeConstant(Cf, Code[Pc + 1]);
       break;
     case OpKind::CpU2:
     case OpKind::Invoke:
-      Line << " " << describeConstant(Cf, rdU2(Pc + 1));
+      Line << " " << describeConstant(Cf, rdU2(Code, Pc + 1));
       break;
     case OpKind::LocalU1:
     case OpKind::RetOp:
@@ -143,7 +134,7 @@ std::string jvm::disassembleMethod(const ClassFile &Cf,
     case OpKind::GotoOp:
     case OpKind::JsrOp:
       Line << " -> "
-          << (Pc + static_cast<int16_t>(rdU2(Pc + 1)));
+          << (Pc + rdS2(Code, Pc + 1));
       break;
     default:
       break;

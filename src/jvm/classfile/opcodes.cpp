@@ -57,21 +57,6 @@ struct OpTable {
 
 constexpr OpTable Table;
 
-uint16_t rdU2(const std::vector<uint8_t> &Code, uint32_t At) {
-  return static_cast<uint16_t>((Code[At] << 8) | Code[At + 1]);
-}
-
-int32_t rdS2(const std::vector<uint8_t> &Code, uint32_t At) {
-  return static_cast<int16_t>(rdU2(Code, At));
-}
-
-int32_t rdS4(const std::vector<uint8_t> &Code, uint32_t At) {
-  return static_cast<int32_t>((static_cast<uint32_t>(Code[At]) << 24) |
-                              (static_cast<uint32_t>(Code[At + 1]) << 16) |
-                              (static_cast<uint32_t>(Code[At + 2]) << 8) |
-                              static_cast<uint32_t>(Code[At + 3]));
-}
-
 } // namespace
 
 const char *jvm::opcodeName(uint8_t Opcode) {

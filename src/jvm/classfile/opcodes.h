@@ -101,6 +101,25 @@ bool isCallBoundaryOp(Op O);
 /// specification); excludes the _quick forms.
 int opcodeCount();
 
+/// Big-endian operand reads at \p At in a code array, for the passes that
+/// decode bytecode after instructionLength has bounds-checked it (the
+/// verifier, dataflow, disassembler and decodeBranch). The interpreter
+/// keeps its own inline readers on its hot path.
+inline uint16_t rdU2(const std::vector<uint8_t> &Code, uint32_t At) {
+  return static_cast<uint16_t>((Code[At] << 8) | Code[At + 1]);
+}
+
+inline int32_t rdS2(const std::vector<uint8_t> &Code, uint32_t At) {
+  return static_cast<int16_t>(rdU2(Code, At));
+}
+
+inline int32_t rdS4(const std::vector<uint8_t> &Code, uint32_t At) {
+  return static_cast<int32_t>((static_cast<uint32_t>(Code[At]) << 24) |
+                              (static_cast<uint32_t>(Code[At + 1]) << 16) |
+                              (static_cast<uint32_t>(Code[At + 2]) << 8) |
+                              static_cast<uint32_t>(Code[At + 3]));
+}
+
 /// Control-flow decode of one instruction, driven by its OpKind — the
 /// shared successor decoding used by the dataflow verifier and the
 /// placement analysis.

@@ -4,11 +4,16 @@
 // the paper this work happens in JavaScript over Buffer (§6.4): "decoding
 // these class file definitions requires functionality that can convert the
 // binary representations of various numeric formats and a standard string
-// format" — functionality browsers lack and Doppio supplies.
+// format" — functionality browsers lack and Doppio supplies. Here that is
+// browser/wire.h's bounds-checked Reader (DESIGN.md §20): a truncated file
+// fails it, and the parser turns that into an EINVAL naming the structure
+// it was reading.
 //
 //===----------------------------------------------------------------------===//
 
 #include "jvm/classfile/classfile.h"
+
+#include "browser/wire.h"
 
 #include <bit>
 
@@ -17,61 +22,9 @@ using namespace doppio::jvm;
 using rt::ApiError;
 using rt::Errno;
 using rt::ErrorOr;
+namespace wire = browser::wire;
 
 namespace {
-
-/// Bounds-checked big-endian cursor over the class file bytes.
-class Cursor {
-public:
-  explicit Cursor(const std::vector<uint8_t> &Bytes) : Bytes(Bytes) {}
-
-  bool failed() const { return Failed; }
-  size_t position() const { return Pos; }
-
-  uint8_t u1() {
-    if (Pos + 1 > Bytes.size())
-      return fail();
-    return Bytes[Pos++];
-  }
-
-  uint16_t u2() {
-    uint16_t Hi = u1();
-    return static_cast<uint16_t>((Hi << 8) | u1());
-  }
-
-  uint32_t u4() {
-    uint32_t Hi = u2();
-    return (Hi << 16) | u2();
-  }
-
-  std::string bytes(size_t N) {
-    if (Pos + N > Bytes.size()) {
-      fail();
-      return std::string();
-    }
-    std::string Out(Bytes.begin() + Pos, Bytes.begin() + Pos + N);
-    Pos += N;
-    return Out;
-  }
-
-  void skip(size_t N) {
-    if (Pos + N > Bytes.size()) {
-      fail();
-      return;
-    }
-    Pos += N;
-  }
-
-private:
-  uint8_t fail() {
-    Failed = true;
-    return 0;
-  }
-
-  const std::vector<uint8_t> &Bytes;
-  size_t Pos = 0;
-  bool Failed = false;
-};
 
 /// True if \p Idx names a pool entry tagged \p Tag. Every index the
 /// reader resolves goes through this first: the pool accessors assert the
@@ -110,41 +63,38 @@ bool poolRefsWellTyped(const ConstantPool &Pool) {
   return true;
 }
 
-ErrorOr<ConstantPool> readPool(Cursor &In) {
+ErrorOr<ConstantPool> readPool(wire::Reader &In) {
   ConstantPool Pool;
-  uint16_t Count = In.u2();
-  for (uint16_t I = 1; I < Count && !In.failed(); ++I) {
+  uint16_t Count = In.u16();
+  for (uint16_t I = 1; I < Count && In.ok(); ++I) {
     CpEntry E;
-    E.Tag = static_cast<CpTag>(In.u1());
+    E.Tag = static_cast<CpTag>(In.u8());
     switch (E.Tag) {
     case CpTag::Utf8: {
-      uint16_t Len = In.u2();
-      E.Utf8 = In.bytes(Len);
+      uint16_t Len = In.u16();
+      E.Utf8 = In.str(Len);
       break;
     }
     case CpTag::Integer:
-      E.Int = static_cast<int32_t>(In.u4());
+      E.Int = static_cast<int32_t>(In.u32());
       break;
     case CpTag::Float:
-      E.F = std::bit_cast<float>(In.u4());
+      E.F = std::bit_cast<float>(In.u32());
       break;
     case CpTag::Long:
-    case CpTag::Double: {
-      uint64_t Hi = In.u4();
-      uint64_t Lo = In.u4();
-      E.LongBits = static_cast<int64_t>((Hi << 32) | Lo);
+    case CpTag::Double:
+      E.LongBits = In.i64();
       break;
-    }
     case CpTag::Class:
     case CpTag::String:
-      E.Ref1 = In.u2();
+      E.Ref1 = In.u16();
       break;
     case CpTag::Fieldref:
     case CpTag::Methodref:
     case CpTag::InterfaceMethodref:
     case CpTag::NameAndType:
-      E.Ref1 = In.u2();
-      E.Ref2 = In.u2();
+      E.Ref1 = In.u16();
+      E.Ref2 = In.u16();
       break;
     default:
       return ApiError(Errno::Invalid,
@@ -160,64 +110,63 @@ ErrorOr<ConstantPool> readPool(Cursor &In) {
       ++I;
     }
   }
-  if (In.failed())
+  if (!In.ok())
     return ApiError(Errno::Invalid, "truncated constant pool");
   if (!poolRefsWellTyped(Pool))
     return ApiError(Errno::Invalid, "constant pool reference to a wrong kind");
   return Pool;
 }
 
-ErrorOr<CodeAttr> readCode(Cursor &In, const ConstantPool &Pool) {
+ErrorOr<CodeAttr> readCode(wire::Reader &In, const ConstantPool &Pool) {
   CodeAttr Code;
-  Code.MaxStack = In.u2();
-  Code.MaxLocals = In.u2();
-  uint32_t CodeLen = In.u4();
-  std::string Bytecode = In.bytes(CodeLen);
-  Code.Bytecode.assign(Bytecode.begin(), Bytecode.end());
-  uint16_t HandlerCount = In.u2();
-  for (uint16_t I = 0; I != HandlerCount && !In.failed(); ++I) {
+  Code.MaxStack = In.u16();
+  Code.MaxLocals = In.u16();
+  uint32_t CodeLen = In.u32();
+  Code.Bytecode = In.bytes(CodeLen);
+  uint16_t HandlerCount = In.u16();
+  for (uint16_t I = 0; I != HandlerCount && In.ok(); ++I) {
     ExceptionHandler H;
-    H.StartPc = In.u2();
-    H.EndPc = In.u2();
-    H.HandlerPc = In.u2();
-    H.CatchType = In.u2();
-    if (!In.failed() && H.CatchType != 0 &&
+    H.StartPc = In.u16();
+    H.EndPc = In.u16();
+    H.HandlerPc = In.u16();
+    H.CatchType = In.u16();
+    if (In.ok() && H.CatchType != 0 &&
         !hasTag(Pool, H.CatchType, CpTag::Class))
       return ApiError(Errno::Invalid, "bad catch type index");
     Code.Handlers.push_back(H);
   }
   // Sub-attributes (LineNumberTable, ...) are ignored.
-  uint16_t AttrCount = In.u2();
-  for (uint16_t I = 0; I != AttrCount && !In.failed(); ++I) {
-    uint16_t AttrName = In.u2();
-    uint32_t Len = In.u4();
-    if (!In.failed() && !hasTag(Pool, AttrName, CpTag::Utf8))
+  uint16_t AttrCount = In.u16();
+  for (uint16_t I = 0; I != AttrCount && In.ok(); ++I) {
+    uint16_t AttrName = In.u16();
+    uint32_t Len = In.u32();
+    if (In.ok() && !hasTag(Pool, AttrName, CpTag::Utf8))
       return ApiError(Errno::Invalid, "bad attribute name index");
     In.skip(Len);
   }
-  if (In.failed())
+  if (!In.ok())
     return ApiError(Errno::Invalid, "truncated Code attribute");
   return Code;
 }
 
-ErrorOr<MemberInfo> readMember(Cursor &In, const ConstantPool &Pool,
+ErrorOr<MemberInfo> readMember(wire::Reader &In, const ConstantPool &Pool,
                                bool IsMethod) {
   MemberInfo M;
-  M.AccessFlags = In.u2();
-  uint16_t NameIdx = In.u2();
-  uint16_t DescIdx = In.u2();
-  if (In.failed())
+  M.AccessFlags = In.u16();
+  uint16_t NameIdx = In.u16();
+  uint16_t DescIdx = In.u16();
+  if (!In.ok())
     return ApiError(Errno::Invalid, "truncated member info");
   if (!hasTag(Pool, NameIdx, CpTag::Utf8) ||
       !hasTag(Pool, DescIdx, CpTag::Utf8))
     return ApiError(Errno::Invalid, "bad member name or descriptor index");
   M.Name = Pool.utf8(NameIdx);
   M.Descriptor = Pool.utf8(DescIdx);
-  uint16_t AttrCount = In.u2();
-  for (uint16_t I = 0; I != AttrCount && !In.failed(); ++I) {
-    uint16_t AttrName = In.u2();
-    uint32_t Len = In.u4();
-    if (In.failed())
+  uint16_t AttrCount = In.u16();
+  for (uint16_t I = 0; I != AttrCount && In.ok(); ++I) {
+    uint16_t AttrName = In.u16();
+    uint32_t Len = In.u32();
+    if (!In.ok())
       break;
     if (!hasTag(Pool, AttrName, CpTag::Utf8))
       return ApiError(Errno::Invalid, "bad attribute name index");
@@ -230,12 +179,12 @@ ErrorOr<MemberInfo> readMember(Cursor &In, const ConstantPool &Pool,
       continue;
     }
     if (!IsMethod && Name == "ConstantValue" && Len == 2) {
-      M.ConstantValueIndex = In.u2();
+      M.ConstantValueIndex = In.u16();
       continue;
     }
     In.skip(Len);
   }
-  if (In.failed())
+  if (!In.ok())
     return ApiError(Errno::Invalid, "truncated member attributes");
   return M;
 }
@@ -243,20 +192,20 @@ ErrorOr<MemberInfo> readMember(Cursor &In, const ConstantPool &Pool,
 } // namespace
 
 ErrorOr<ClassFile> jvm::readClassFile(const std::vector<uint8_t> &Bytes) {
-  Cursor In(Bytes);
-  if (In.u4() != 0xCAFEBABE)
+  wire::Reader In(Bytes);
+  if (In.u32() != 0xCAFEBABE)
     return ApiError(Errno::Invalid, "bad magic (not a class file)");
   ClassFile Cf;
-  Cf.MinorVersion = In.u2();
-  Cf.MajorVersion = In.u2();
+  Cf.MinorVersion = In.u16();
+  Cf.MajorVersion = In.u16();
   ErrorOr<ConstantPool> Pool = readPool(In);
   if (!Pool)
     return Pool.error();
   Cf.Pool = std::move(*Pool);
-  Cf.AccessFlags = In.u2();
-  uint16_t ThisIdx = In.u2();
-  uint16_t SuperIdx = In.u2();
-  if (In.failed())
+  Cf.AccessFlags = In.u16();
+  uint16_t ThisIdx = In.u16();
+  uint16_t SuperIdx = In.u16();
+  if (!In.ok())
     return ApiError(Errno::Invalid, "truncated class header");
   if (!hasTag(Cf.Pool, ThisIdx, CpTag::Class))
     return ApiError(Errno::Invalid, "bad this_class index");
@@ -266,40 +215,40 @@ ErrorOr<ClassFile> jvm::readClassFile(const std::vector<uint8_t> &Bytes) {
       return ApiError(Errno::Invalid, "bad superclass index");
     Cf.SuperClass = Cf.Pool.className(SuperIdx);
   }
-  uint16_t IfaceCount = In.u2();
-  for (uint16_t I = 0; I != IfaceCount && !In.failed(); ++I) {
-    uint16_t Idx = In.u2();
-    if (In.failed())
+  uint16_t IfaceCount = In.u16();
+  for (uint16_t I = 0; I != IfaceCount && In.ok(); ++I) {
+    uint16_t Idx = In.u16();
+    if (!In.ok())
       break;
     if (!hasTag(Cf.Pool, Idx, CpTag::Class))
       return ApiError(Errno::Invalid, "bad interface index");
     Cf.Interfaces.push_back(Cf.Pool.className(Idx));
   }
-  uint16_t FieldCount = In.u2();
-  for (uint16_t I = 0; I != FieldCount && !In.failed(); ++I) {
+  uint16_t FieldCount = In.u16();
+  for (uint16_t I = 0; I != FieldCount && In.ok(); ++I) {
     ErrorOr<MemberInfo> M = readMember(In, Cf.Pool, /*IsMethod=*/false);
     if (!M)
       return M.error();
     Cf.Fields.push_back(std::move(*M));
   }
-  uint16_t MethodCount = In.u2();
-  for (uint16_t I = 0; I != MethodCount && !In.failed(); ++I) {
+  uint16_t MethodCount = In.u16();
+  for (uint16_t I = 0; I != MethodCount && In.ok(); ++I) {
     ErrorOr<MemberInfo> M = readMember(In, Cf.Pool, /*IsMethod=*/true);
     if (!M)
       return M.error();
     Cf.Methods.push_back(std::move(*M));
   }
-  uint16_t AttrCount = In.u2();
-  for (uint16_t I = 0; I != AttrCount && !In.failed(); ++I) {
-    uint16_t AttrName = In.u2();
-    uint32_t Len = In.u4();
-    if (In.failed())
+  uint16_t AttrCount = In.u16();
+  for (uint16_t I = 0; I != AttrCount && In.ok(); ++I) {
+    uint16_t AttrName = In.u16();
+    uint32_t Len = In.u32();
+    if (!In.ok())
       break;
     if (!hasTag(Cf.Pool, AttrName, CpTag::Utf8))
       return ApiError(Errno::Invalid, "bad attribute name index");
     if (Cf.Pool.utf8(AttrName) == "SourceFile" && Len == 2) {
-      uint16_t SrcIdx = In.u2();
-      if (In.failed())
+      uint16_t SrcIdx = In.u16();
+      if (!In.ok())
         break;
       if (!hasTag(Cf.Pool, SrcIdx, CpTag::Utf8))
         return ApiError(Errno::Invalid, "bad SourceFile index");
@@ -308,7 +257,7 @@ ErrorOr<ClassFile> jvm::readClassFile(const std::vector<uint8_t> &Bytes) {
     }
     In.skip(Len);
   }
-  if (In.failed())
+  if (!In.ok())
     return ApiError(Errno::Invalid, "truncated class file");
   return Cf;
 }

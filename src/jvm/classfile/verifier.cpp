@@ -38,17 +38,6 @@ private:
     Errors.push_back({M.Name + M.Descriptor, Pc, Message});
   }
 
-  uint16_t rdU2(uint32_t At) const {
-    return static_cast<uint16_t>((Code[At] << 8) | Code[At + 1]);
-  }
-  int32_t rdS4(uint32_t At) const {
-    return static_cast<int32_t>(
-        (static_cast<uint32_t>(Code[At]) << 24) |
-        (static_cast<uint32_t>(Code[At + 1]) << 16) |
-        (static_cast<uint32_t>(Code[At + 2]) << 8) |
-        static_cast<uint32_t>(Code[At + 3]));
-  }
-
   /// Walks the code array once, recording instruction start offsets.
   /// Collects every boundary error rather than bailing at the first:
   /// illegal opcodes resynchronize one byte ahead so later defects still
@@ -77,6 +66,12 @@ private:
   }
 
   bool isStart(uint32_t Pc) const { return Starts.count(Pc) != 0; }
+
+  /// decodeBranch's target as the signed sum pc + offset: a branch before
+  /// pc 0 reads as negative, not as a wrapped u32.
+  static int64_t signedTarget(uint32_t Pc, uint32_t Target) {
+    return static_cast<int64_t>(Pc) + static_cast<int32_t>(Target - Pc);
+  }
 
   void checkBranch(uint32_t Pc, int64_t Target) {
     if (Target < 0 || Target >= static_cast<int64_t>(Code.size()) ||
@@ -147,26 +142,26 @@ private:
                  CpTag::Class});
       return;
     case Op::LdcW:
-      checkPool(Pc, rdU2(Pc + 1),
+      checkPool(Pc, rdU2(Code, Pc + 1),
                 {CpTag::Integer, CpTag::Float, CpTag::String,
                  CpTag::Class});
       return;
     case Op::Ldc2W:
-      checkPool(Pc, rdU2(Pc + 1), {CpTag::Long, CpTag::Double});
+      checkPool(Pc, rdU2(Code, Pc + 1), {CpTag::Long, CpTag::Double});
       return;
     case Op::Getstatic:
     case Op::Putstatic:
     case Op::Getfield:
     case Op::Putfield:
-      checkPool(Pc, rdU2(Pc + 1), {CpTag::Fieldref});
+      checkPool(Pc, rdU2(Code, Pc + 1), {CpTag::Fieldref});
       return;
     case Op::Invokevirtual:
     case Op::Invokespecial:
     case Op::Invokestatic:
-      checkPool(Pc, rdU2(Pc + 1), {CpTag::Methodref});
+      checkPool(Pc, rdU2(Code, Pc + 1), {CpTag::Methodref});
       return;
     case Op::Invokeinterface:
-      checkPool(Pc, rdU2(Pc + 1), {CpTag::InterfaceMethodref});
+      checkPool(Pc, rdU2(Code, Pc + 1), {CpTag::InterfaceMethodref});
       if (Code[Pc + 4] != 0)
         error(Pc, "invokeinterface fourth operand byte must be zero");
       return;
@@ -175,7 +170,7 @@ private:
     case Op::Checkcast:
     case Op::Instanceof:
     case Op::Multianewarray:
-      checkPool(Pc, rdU2(Pc + 1), {CpTag::Class});
+      checkPool(Pc, rdU2(Code, Pc + 1), {CpTag::Class});
       if (O == Op::Multianewarray && Code[Pc + 3] == 0)
         error(Pc, "multianewarray needs at least one dimension");
       return;
@@ -186,55 +181,19 @@ private:
                       " out of range");
       return;
     }
-    case Op::Ifeq:
-    case Op::Ifne:
-    case Op::Iflt:
-    case Op::Ifge:
-    case Op::Ifgt:
-    case Op::Ifle:
-    case Op::IfIcmpeq:
-    case Op::IfIcmpne:
-    case Op::IfIcmplt:
-    case Op::IfIcmpge:
-    case Op::IfIcmpgt:
-    case Op::IfIcmple:
-    case Op::IfAcmpeq:
-    case Op::IfAcmpne:
-    case Op::Goto:
-    case Op::Jsr:
-    case Op::Ifnull:
-    case Op::Ifnonnull:
-      checkBranch(Pc, static_cast<int64_t>(Pc) +
-                          static_cast<int16_t>(rdU2(Pc + 1)));
-      return;
-    case Op::GotoW:
-    case Op::JsrW:
-      checkBranch(Pc, static_cast<int64_t>(Pc) + rdS4(Pc + 1));
-      return;
-    case Op::Tableswitch: {
-      uint32_t Operand = (Pc + 4) & ~3u;
-      int32_t Default = rdS4(Operand);
-      int32_t Low = rdS4(Operand + 4);
-      int32_t High = rdS4(Operand + 8);
-      checkBranch(Pc, static_cast<int64_t>(Pc) + Default);
-      for (int32_t I = 0; I <= High - Low; ++I)
-        checkBranch(Pc, static_cast<int64_t>(Pc) +
-                            rdS4(Operand + 12 + 4 * I));
-      return;
-    }
     case Op::Lookupswitch: {
+      // decodeBranch lists the default, then one target per (match,
+      // offset) pair; match J sits at Operand + 8 + 8 * J.
+      std::vector<uint32_t> Targets = decodeBranch(Code, Pc).Targets;
       uint32_t Operand = (Pc + 4) & ~3u;
-      int32_t Default = rdS4(Operand);
-      int32_t NPairs = rdS4(Operand + 4);
-      checkBranch(Pc, static_cast<int64_t>(Pc) + Default);
+      checkBranch(Pc, signedTarget(Pc, Targets[0]));
       int32_t Prev = 0;
-      for (int32_t I = 0; I != NPairs; ++I) {
-        int32_t Match = rdS4(Operand + 8 + 8 * I);
-        if (I > 0 && Match <= Prev)
+      for (uint32_t J = 0; J + 1 != Targets.size(); ++J) {
+        int32_t Match = rdS4(Code, Operand + 8 + 8 * J);
+        if (J > 0 && Match <= Prev)
           error(Pc, "lookupswitch keys must be sorted and distinct");
         Prev = Match;
-        checkBranch(Pc, static_cast<int64_t>(Pc) +
-                            rdS4(Operand + 12 + 8 * I));
+        checkBranch(Pc, signedTarget(Pc, Targets[J + 1]));
       }
       return;
     }
@@ -248,16 +207,16 @@ private:
       case Op::Fstore:
       case Op::Astore:
       case Op::Ret:
-        checkLocal(Pc, rdU2(Pc + 2), 1);
+        checkLocal(Pc, rdU2(Code, Pc + 2), 1);
         return;
       case Op::Lload:
       case Op::Dload:
       case Op::Lstore:
       case Op::Dstore:
-        checkLocal(Pc, rdU2(Pc + 2), 2);
+        checkLocal(Pc, rdU2(Code, Pc + 2), 2);
         return;
       case Op::Iinc:
-        checkLocal(Pc, rdU2(Pc + 2), 1);
+        checkLocal(Pc, rdU2(Code, Pc + 2), 1);
         return;
       default:
         error(Pc, "wide prefix on a non-widenable instruction");
@@ -265,7 +224,11 @@ private:
       }
     }
     default:
-      return; // Zero-operand instructions have nothing structural.
+      // Every branch (if*, goto, jsr, tableswitch and the _w forms) lists
+      // its targets; any other instruction lists none.
+      for (uint32_t Target : decodeBranch(Code, Pc).Targets)
+        checkBranch(Pc, signedTarget(Pc, Target));
+      return;
     }
   }
 

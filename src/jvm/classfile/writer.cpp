@@ -10,73 +10,49 @@
 
 #include "jvm/classfile/classfile.h"
 
+#include "browser/wire.h"
+
 #include <bit>
 #include <cassert>
 
 using namespace doppio;
 using namespace doppio::jvm;
+namespace wire = doppio::browser::wire;
 
 namespace {
 
-/// Big-endian byte emitter.
-class Emitter {
-public:
-  void u1(uint8_t V) { Out.push_back(V); }
-  void u2(uint16_t V) {
-    Out.push_back(static_cast<uint8_t>(V >> 8));
-    Out.push_back(static_cast<uint8_t>(V));
-  }
-  void u4(uint32_t V) {
-    u2(static_cast<uint16_t>(V >> 16));
-    u2(static_cast<uint16_t>(V));
-  }
-  void raw(const std::string &Bytes) {
-    Out.insert(Out.end(), Bytes.begin(), Bytes.end());
-  }
-  void raw(const std::vector<uint8_t> &Bytes) {
-    Out.insert(Out.end(), Bytes.begin(), Bytes.end());
-  }
-
-  std::vector<uint8_t> take() { return std::move(Out); }
-
-private:
-  std::vector<uint8_t> Out;
-};
-
-void emitPool(Emitter &E, const ConstantPool &Pool) {
-  E.u2(Pool.size());
+void emitPool(wire::Writer &E, const ConstantPool &Pool) {
+  E.u16(Pool.size());
   for (uint16_t I = 1; I < Pool.size(); ++I) {
     const CpEntry &Entry = Pool.at(I);
     if (Entry.Tag == CpTag::Invalid)
       continue; // Second slot of a long/double.
-    E.u1(static_cast<uint8_t>(Entry.Tag));
+    E.u8(static_cast<uint8_t>(Entry.Tag));
     switch (Entry.Tag) {
     case CpTag::Utf8:
-      E.u2(static_cast<uint16_t>(Entry.Utf8.size()));
+      E.u16(static_cast<uint16_t>(Entry.Utf8.size()));
       E.raw(Entry.Utf8);
       break;
     case CpTag::Integer:
-      E.u4(static_cast<uint32_t>(Entry.Int));
+      E.u32(static_cast<uint32_t>(Entry.Int));
       break;
     case CpTag::Float:
-      E.u4(std::bit_cast<uint32_t>(Entry.F));
+      E.u32(std::bit_cast<uint32_t>(Entry.F));
       break;
     case CpTag::Long:
     case CpTag::Double:
-      E.u4(static_cast<uint32_t>(
-          static_cast<uint64_t>(Entry.LongBits) >> 32));
-      E.u4(static_cast<uint32_t>(Entry.LongBits));
+      E.i64(Entry.LongBits);
       break;
     case CpTag::Class:
     case CpTag::String:
-      E.u2(Entry.Ref1);
+      E.u16(Entry.Ref1);
       break;
     case CpTag::Fieldref:
     case CpTag::Methodref:
     case CpTag::InterfaceMethodref:
     case CpTag::NameAndType:
-      E.u2(Entry.Ref1);
-      E.u2(Entry.Ref2);
+      E.u16(Entry.Ref1);
+      E.u16(Entry.Ref2);
       break;
     case CpTag::Invalid:
       break;
@@ -84,38 +60,38 @@ void emitPool(Emitter &E, const ConstantPool &Pool) {
   }
 }
 
-void emitMember(Emitter &E, ConstantPool &Pool, const MemberInfo &M) {
-  E.u2(M.AccessFlags);
-  E.u2(Pool.addUtf8(M.Name));
-  E.u2(Pool.addUtf8(M.Descriptor));
+void emitMember(wire::Writer &E, ConstantPool &Pool, const MemberInfo &M) {
+  E.u16(M.AccessFlags);
+  E.u16(Pool.addUtf8(M.Name));
+  E.u16(Pool.addUtf8(M.Descriptor));
   uint16_t AttrCount = 0;
   if (M.Code)
     ++AttrCount;
   if (M.ConstantValueIndex)
     ++AttrCount;
-  E.u2(AttrCount);
+  E.u16(AttrCount);
   if (M.Code) {
-    E.u2(Pool.addUtf8("Code"));
+    E.u16(Pool.addUtf8("Code"));
     uint32_t Len = 2 + 2 + 4 + static_cast<uint32_t>(M.Code->Bytecode.size()) +
                    2 + 8 * static_cast<uint32_t>(M.Code->Handlers.size()) + 2;
-    E.u4(Len);
-    E.u2(M.Code->MaxStack);
-    E.u2(M.Code->MaxLocals);
-    E.u4(static_cast<uint32_t>(M.Code->Bytecode.size()));
+    E.u32(Len);
+    E.u16(M.Code->MaxStack);
+    E.u16(M.Code->MaxLocals);
+    E.u32(static_cast<uint32_t>(M.Code->Bytecode.size()));
     E.raw(M.Code->Bytecode);
-    E.u2(static_cast<uint16_t>(M.Code->Handlers.size()));
+    E.u16(static_cast<uint16_t>(M.Code->Handlers.size()));
     for (const ExceptionHandler &H : M.Code->Handlers) {
-      E.u2(H.StartPc);
-      E.u2(H.EndPc);
-      E.u2(H.HandlerPc);
-      E.u2(H.CatchType);
+      E.u16(H.StartPc);
+      E.u16(H.EndPc);
+      E.u16(H.HandlerPc);
+      E.u16(H.CatchType);
     }
-    E.u2(0); // No sub-attributes.
+    E.u16(0); // No sub-attributes.
   }
   if (M.ConstantValueIndex) {
-    E.u2(Pool.addUtf8("ConstantValue"));
-    E.u4(2);
-    E.u2(M.ConstantValueIndex);
+    E.u16(Pool.addUtf8("ConstantValue"));
+    E.u32(2);
+    E.u16(M.ConstantValueIndex);
   }
 }
 
@@ -135,32 +111,32 @@ std::vector<uint8_t> jvm::writeClassFile(const ClassFile &Cf) {
   for (const std::string &Iface : Copy.Interfaces)
     IfaceIdx.push_back(Pool.addClass(Iface));
 
-  Emitter Body;
-  Body.u2(Copy.AccessFlags);
-  Body.u2(ThisIdx);
-  Body.u2(SuperIdx);
-  Body.u2(static_cast<uint16_t>(IfaceIdx.size()));
+  wire::Writer Body;
+  Body.u16(Copy.AccessFlags);
+  Body.u16(ThisIdx);
+  Body.u16(SuperIdx);
+  Body.u16(static_cast<uint16_t>(IfaceIdx.size()));
   for (uint16_t Idx : IfaceIdx)
-    Body.u2(Idx);
-  Body.u2(static_cast<uint16_t>(Copy.Fields.size()));
+    Body.u16(Idx);
+  Body.u16(static_cast<uint16_t>(Copy.Fields.size()));
   for (const MemberInfo &F : Copy.Fields)
     emitMember(Body, Pool, F);
-  Body.u2(static_cast<uint16_t>(Copy.Methods.size()));
+  Body.u16(static_cast<uint16_t>(Copy.Methods.size()));
   for (const MemberInfo &M : Copy.Methods)
     emitMember(Body, Pool, M);
   if (!Copy.SourceFile.empty()) {
-    Body.u2(1);
-    Body.u2(Pool.addUtf8("SourceFile"));
-    Body.u4(2);
-    Body.u2(Pool.addUtf8(Copy.SourceFile));
+    Body.u16(1);
+    Body.u16(Pool.addUtf8("SourceFile"));
+    Body.u32(2);
+    Body.u16(Pool.addUtf8(Copy.SourceFile));
   } else {
-    Body.u2(0);
+    Body.u16(0);
   }
 
-  Emitter Out;
-  Out.u4(0xCAFEBABE);
-  Out.u2(Copy.MinorVersion);
-  Out.u2(Copy.MajorVersion);
+  wire::Writer Out;
+  Out.u32(0xCAFEBABE);
+  Out.u16(Copy.MinorVersion);
+  Out.u16(Copy.MajorVersion);
   emitPool(Out, Pool);
   Out.raw(Body.take());
   return Out.take();

@@ -670,9 +670,11 @@ JvmThread::returnFromFrame(std::optional<Value> Ret) {
 // The dispatch loop
 //===----------------------------------------------------------------------===//
 
+namespace doppio::jvm {
 namespace {
 
-/// Big-endian operand readers over a method's code.
+/// Big-endian operand readers over a method's code: the hot-path
+/// pointer overloads of opcodes.h's vector readers.
 inline uint8_t rdU1(const uint8_t *C, uint32_t At) { return C[At]; }
 inline int8_t rdS1(const uint8_t *C, uint32_t At) {
   return static_cast<int8_t>(C[At]);
@@ -691,6 +693,7 @@ inline int32_t rdS4(const uint8_t *C, uint32_t At) {
 }
 
 } // namespace
+} // namespace doppio::jvm
 
 /// Bounds-checks the next instruction of an untrusted frame: enough
 /// operand-stack slots to pop, room below max_stack for the pushes, and

@@ -225,6 +225,56 @@ TEST(Snapshot, WriterReaderRoundTripAndBoundsChecks) {
   }
 }
 
+TEST(Wire, FixedLengthSkipRestAndStickyFailure) {
+  browser::wire::Writer W;
+  W.u16(0xbeef);
+  W.raw(std::string("abc"));
+  W.u8(9);
+  W.raw(std::vector<uint8_t>{4, 5, 6, 7});
+  std::vector<uint8_t> B = W.take();
+  ASSERT_EQ(B.size(), 10u);
+
+  browser::wire::Reader R(B);
+  EXPECT_EQ(R.u16(), 0xbeef);
+  EXPECT_EQ(R.str(3), "abc");
+  R.skip(1);
+  EXPECT_EQ(R.position(), 6u);
+  EXPECT_EQ(R.remaining(), 4u);
+  EXPECT_EQ(R.bytes(2), (std::vector<uint8_t>{4, 5}));
+  EXPECT_EQ(R.rest(), (std::vector<uint8_t>{6, 7}));
+  EXPECT_TRUE(R.atEnd());
+  EXPECT_TRUE(R.rest().empty());
+  EXPECT_TRUE(R.atEnd());
+
+  // A short read consumes nothing and fails for good: later reads are
+  // zero values even though bytes remain.
+  browser::wire::Reader S(B);
+  S.skip(8);
+  EXPECT_EQ(S.u32(), 0u);
+  EXPECT_FALSE(S.ok());
+  EXPECT_EQ(S.position(), 8u);
+  EXPECT_EQ(S.remaining(), 0u);
+  EXPECT_EQ(S.u8(), 0);
+  EXPECT_TRUE(S.rest().empty());
+  EXPECT_FALSE(S.atEnd());
+
+  // A length prefix past the end is refused before anything is sized.
+  browser::wire::Writer L;
+  L.u32(0xffffffffu);
+  L.u8(1);
+  std::vector<uint8_t> Huge = L.take();
+  browser::wire::Reader H(Huge);
+  EXPECT_TRUE(H.bytes().empty());
+  EXPECT_FALSE(H.ok());
+
+  // fail() refuses a value that was read in full.
+  browser::wire::Reader F(B);
+  EXPECT_EQ(F.u16(), 0xbeef);
+  F.fail();
+  EXPECT_FALSE(F.ok());
+  EXPECT_EQ(F.u8(), 0);
+}
+
 //===----------------------------------------------------------------------===//
 // JVM checkpoint/restore
 //===----------------------------------------------------------------------===//
@@ -470,12 +520,11 @@ TEST(JvmCheckpoint, NotQuiescentAndCorruptImagesAreRefusedCleanly) {
   // Frame record: owner, name and descriptor strings, then pc u32,
   // monitor u32, <clinit> owner string, locals count and values, operand
   // count and values.
-  snap::Writer Key(0, 0);
+  browser::wire::Writer Key;
   Key.str("Ticker");
   Key.str("main");
   Key.str("([Ljava/lang/String;)V");
   std::vector<uint8_t> Needle = Key.take();
-  Needle.erase(Needle.begin(), Needle.begin() + 8); // Writer's header.
   const std::vector<uint8_t> &Image = Cap.Image;
   size_t PcAt = static_cast<size_t>(
       std::search(Image.begin(), Image.end(), Needle.begin(), Needle.end()) -
@@ -550,11 +599,11 @@ TEST(JvmCheckpoint, NotQuiescentAndCorruptImagesAreRefusedCleanly) {
   // The first array's element descriptor swapped for \p Desc.
   auto WithElem = [&](const char *Desc) {
     std::vector<uint8_t> Forged = Image;
-    snap::Writer Elem(0, 0);
+    browser::wire::Writer Elem;
     Elem.str(Desc);
     std::vector<uint8_t> ElemBytes = Elem.take();
     Forged.erase(Forged.begin() + ElemAt, Forged.begin() + LenAt);
-    Forged.insert(Forged.begin() + ElemAt, ElemBytes.begin() + 8,
+    Forged.insert(Forged.begin() + ElemAt, ElemBytes.begin(),
                   ElemBytes.end());
     return Forged;
   };

@@ -14,6 +14,7 @@
 
 #include "doppio/storage/cached_store.h"
 
+#include "browser/wire.h"
 #include "doppio/backends/kv_backend.h"
 #include "doppio/backends/kv_store.h"
 #include "doppio/fs.h"
@@ -349,6 +350,33 @@ TEST(StorageJournal, BitFlipInvalidatesOnlyTheTail) {
   EXPECT_NE(D.lookup("stable"), nullptr);
   EXPECT_EQ(D.lookup("flipped"), nullptr);
   EXPECT_EQ(Rec.TornTailBytes, Image.size() - GoodEnd);
+}
+
+TEST(StorageManifestEntry, ForgedBlockCountIsRefusedBeforeSizing) {
+  // One 12-byte block follows, but the entry claims 2^32 - 1 of them.
+  browser::wire::Writer W;
+  W.str("k");
+  W.u64(12);
+  W.u32(0xffffffffu);
+  W.u64(1);
+  W.u32(12);
+  Bytes Forged = W.take();
+  browser::wire::Reader R(Forged);
+  std::string Key;
+  Manifest M;
+  EXPECT_FALSE(readManifestEntry(R, Key, M));
+  EXPECT_FALSE(R.ok());
+  EXPECT_TRUE(M.Blocks.empty());
+
+  // The same bytes with the true count decode.
+  constexpr size_t CountAt = 4 + 1 + 8; // After the key and the size.
+  Forged[CountAt] = Forged[CountAt + 1] = Forged[CountAt + 2] = 0;
+  Forged[CountAt + 3] = 1;
+  browser::wire::Reader Good(Forged);
+  EXPECT_TRUE(readManifestEntry(Good, Key, M));
+  EXPECT_TRUE(Good.atEnd());
+  EXPECT_EQ(Key, "k");
+  EXPECT_EQ(M, (Manifest{{{1, 12}}, 12}));
 }
 
 //===----------------------------------------------------------------------===//

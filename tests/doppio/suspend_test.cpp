@@ -106,9 +106,11 @@ TEST(Suspender, ForcedSendMessageOnIe8NeverYields) {
 
 TEST(Suspender, ForeignResumeMessagesAreIgnored) {
   // The message channel is page-wide, so other scripts' messages reach the
-  // resumption handler. Only a suffix that is exactly a decimal id is
-  // ours: a malformed one must neither throw out of the loop nor resume
-  // the parked continuation early.
+  // resumption handler. Only a suffix that is exactly the decimal id of a
+  // parked resumption is ours: a malformed one, or one naming an id that
+  // already resumed or was never issued, must neither throw out of the
+  // loop, abort on the one-shot assert, nor resume the parked
+  // continuation early.
   BrowserEnv Env(chromeProfile());
   Suspender Susp(Env);
   Susp.forceMechanism(ResumeMechanism::SendMessage);
@@ -121,7 +123,8 @@ TEST(Suspender, ForeignResumeMessagesAreIgnored) {
   Env.loop().enqueueTask([&] {
     for (const char *Msg :
          {"doppio-resume:x", "doppio-resume:", "doppio-resume:2abc",
-          "doppio-resume:1abc", "doppio-resume:18446744073709551616"})
+          "doppio-resume:1abc", "doppio-resume:18446744073709551616",
+          "doppio-resume:99", "doppio-resume:1", "doppio-resume:3"})
       Env.channel().post(js::fromAscii(Msg));
     Susp.scheduleResumption([&] { ++Fired; });
   });
