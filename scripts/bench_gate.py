@@ -13,11 +13,21 @@ the top-level `host` block and the file's row-level host columns must
 equal `git show HEAD:<file>` (a drift gate on the virtual series). Host
 columns are schema-checked only: CI hosts are too noisy for a timing
 threshold. Prints one line per figure and exits 1 if any figure failed.
+
+    python3 scripts/bench_gate.py --perfbench
+
+is the perfbench correctness smoke instead: it builds perfbench and runs
+each of its four workloads for one traced second. A workload fails unless
+its result line reads `"correct": true` and `"failed": 0`. The traced
+JVM runs check their output and a seeded stream of full-range Long64
+divisions, remainders and products against hardware int64.
 """
 
 import json
 import subprocess
 import sys
+
+PERFBENCH_WORKLOADS = ["jvm_objects", "jvm_long", "fs_javac", "serve_files"]
 
 
 class GateFailure(Exception):
@@ -217,7 +227,36 @@ FIGURES = [
 ]
 
 
+def perfbench_smoke():
+    failed = False
+    for workload in PERFBENCH_WORKLOADS:
+        run = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload,
+             "--seconds", "1", "--trace", "1"],
+            stdout=subprocess.PIPE, text=True)
+        lines = run.stdout.strip().splitlines()
+        try:
+            check(run.returncode == 0 and lines,
+                  f"exit {run.returncode}, no result line")
+            result = json.loads(lines[-1])
+            check(result.get("correct") is True,
+                  f"correct is {result.get('correct')}")
+            check(result.get("failed") == 0,
+                  f"{result.get('failed')} operations failed")
+            print(f"perfbench {workload} ok: "
+                  f"{result['attempted']} operations")
+        except (GateFailure, ValueError) as e:
+            print(f"perfbench {workload} FAILED: {e}", file=sys.stderr)
+            failed = True
+    return 1 if failed else 0
+
+
 def main():
+    if sys.argv[1:] == ["--perfbench"]:
+        return perfbench_smoke()
+    if sys.argv[1:]:
+        print("usage: bench_gate.py [--perfbench]", file=sys.stderr)
+        return 2
     failed = False
     for tag, path, gate, host_columns in FIGURES:
         try:

@@ -42,7 +42,47 @@ uint16_t ConstantPool::appendRaw(CpEntry Entry) {
   return static_cast<uint16_t>(Entries.size() - 1);
 }
 
-uint16_t ConstantPool::intern(const std::string &Key, CpEntry Entry) {
+std::string ConstantPool::keyOf(const CpEntry &E) const {
+  switch (E.Tag) {
+  case CpTag::Utf8:
+    return "u:" + E.Utf8;
+  case CpTag::Integer:
+    return "i:" + std::to_string(E.Int);
+  case CpTag::Float:
+    return "f:" + std::to_string(std::bit_cast<uint32_t>(E.F));
+  case CpTag::Long:
+    return "j:" + std::to_string(E.LongBits);
+  case CpTag::Double:
+    return "d:" + std::to_string(E.LongBits);
+  case CpTag::Class:
+    return "c:" + utf8(E.Ref1);
+  case CpTag::String:
+    return "s:" + utf8(E.Ref1);
+  case CpTag::NameAndType:
+    return "nt:" + utf8(E.Ref1) + ":" + utf8(E.Ref2);
+  case CpTag::Fieldref:
+  case CpTag::Methodref:
+  case CpTag::InterfaceMethodref: {
+    const CpEntry &NT = at(E.Ref2);
+    std::string Prefix = E.Tag == CpTag::Fieldref    ? "fr:"
+                         : E.Tag == CpTag::Methodref ? "mr:"
+                                                     : "ir:";
+    return Prefix + className(E.Ref1) + "." + utf8(NT.Ref1) + ":" +
+           utf8(NT.Ref2);
+  }
+  default:
+    assert(false && "no interning key for this tag");
+    return std::string();
+  }
+}
+
+uint16_t ConstantPool::intern(CpEntry Entry) {
+  // Entries appended raw (a parsed pool) join the index first, so an
+  // existing entry wins over a new copy, the first of duplicates winning.
+  for (; Indexed < size(); ++Indexed)
+    if (Entries[Indexed].Tag != CpTag::Invalid)
+      InternTable.emplace(keyOf(Entries[Indexed]), Indexed);
+  std::string Key = keyOf(Entry);
   auto It = InternTable.find(Key);
   if (It != InternTable.end())
     return It->second;
@@ -50,7 +90,8 @@ uint16_t ConstantPool::intern(const std::string &Key, CpEntry Entry) {
   uint16_t Index = appendRaw(std::move(Entry));
   if (TwoSlots)
     appendRaw(CpEntry()); // Longs and doubles take two slots.
-  InternTable.emplace(Key, Index);
+  InternTable.emplace(std::move(Key), Index);
+  Indexed = size();
   return Index;
 }
 
@@ -58,79 +99,68 @@ uint16_t ConstantPool::addUtf8(const std::string &Text) {
   CpEntry E;
   E.Tag = CpTag::Utf8;
   E.Utf8 = Text;
-  return intern("u:" + Text, std::move(E));
+  return intern(std::move(E));
 }
 
 uint16_t ConstantPool::addInteger(int32_t V) {
   CpEntry E;
   E.Tag = CpTag::Integer;
   E.Int = V;
-  return intern("i:" + std::to_string(V), std::move(E));
+  return intern(std::move(E));
 }
 
 uint16_t ConstantPool::addFloat(float V) {
   CpEntry E;
   E.Tag = CpTag::Float;
   E.F = V;
-  return intern("f:" + std::to_string(std::bit_cast<uint32_t>(V)),
-                std::move(E));
+  return intern(std::move(E));
 }
 
 uint16_t ConstantPool::addLong(int64_t Bits) {
   CpEntry E;
   E.Tag = CpTag::Long;
   E.LongBits = Bits;
-  return intern("j:" + std::to_string(Bits), std::move(E));
+  return intern(std::move(E));
 }
 
 uint16_t ConstantPool::addDouble(double V) {
   CpEntry E;
   E.Tag = CpTag::Double;
   E.LongBits = std::bit_cast<int64_t>(V);
-  return intern("d:" + std::to_string(E.LongBits), std::move(E));
+  return intern(std::move(E));
 }
 
 uint16_t ConstantPool::addClass(const std::string &Name) {
-  uint16_t NameIdx = addUtf8(Name);
   CpEntry E;
   E.Tag = CpTag::Class;
-  E.Ref1 = NameIdx;
-  return intern("c:" + Name, std::move(E));
+  E.Ref1 = addUtf8(Name);
+  return intern(std::move(E));
 }
 
 uint16_t ConstantPool::addString(const std::string &Text) {
-  uint16_t TextIdx = addUtf8(Text);
   CpEntry E;
   E.Tag = CpTag::String;
-  E.Ref1 = TextIdx;
-  return intern("s:" + Text, std::move(E));
+  E.Ref1 = addUtf8(Text);
+  return intern(std::move(E));
 }
 
 uint16_t ConstantPool::addNameAndType(const std::string &Name,
                                       const std::string &Descriptor) {
-  uint16_t NameIdx = addUtf8(Name);
-  uint16_t DescIdx = addUtf8(Descriptor);
   CpEntry E;
   E.Tag = CpTag::NameAndType;
-  E.Ref1 = NameIdx;
-  E.Ref2 = DescIdx;
-  return intern("nt:" + Name + ":" + Descriptor, std::move(E));
+  E.Ref1 = addUtf8(Name);
+  E.Ref2 = addUtf8(Descriptor);
+  return intern(std::move(E));
 }
 
 uint16_t ConstantPool::addRef(CpTag Tag, const std::string &ClassName,
                               const std::string &Name,
                               const std::string &Descriptor) {
-  uint16_t ClassIdx = addClass(ClassName);
-  uint16_t NtIdx = addNameAndType(Name, Descriptor);
   CpEntry E;
   E.Tag = Tag;
-  E.Ref1 = ClassIdx;
-  E.Ref2 = NtIdx;
-  std::string Prefix = Tag == CpTag::Fieldref
-                           ? "fr:"
-                           : (Tag == CpTag::Methodref ? "mr:" : "ir:");
-  return intern(Prefix + ClassName + "." + Name + ":" + Descriptor,
-                std::move(E));
+  E.Ref1 = addClass(ClassName);
+  E.Ref2 = addNameAndType(Name, Descriptor);
+  return intern(std::move(E));
 }
 
 uint16_t ConstantPool::addFieldref(const std::string &ClassName,

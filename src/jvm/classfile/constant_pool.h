@@ -97,16 +97,24 @@ public:
                                  const std::string &Name,
                                  const std::string &Descriptor);
 
-  /// Raw append used by the reader (no interning).
+  /// Raw append used by the reader: no interning, and no index cost at
+  /// load. The next add* indexes the raw entries first (the first of
+  /// duplicate keys winning), so re-writing a parsed pool reuses its
+  /// entries; by then every reference must point at an entry of the
+  /// right kind, as the reader checks.
   uint16_t appendRaw(CpEntry Entry);
 
 private:
   uint16_t addRef(CpTag Tag, const std::string &ClassName,
                   const std::string &Name, const std::string &Descriptor);
-  uint16_t intern(const std::string &Key, CpEntry Entry);
+  /// The interning key of \p E; its references must be well-typed.
+  std::string keyOf(const CpEntry &E) const;
+  uint16_t intern(CpEntry Entry);
 
   std::vector<CpEntry> Entries;
   std::map<std::string, uint16_t> InternTable;
+  /// Entries below this index are in InternTable (slot 0 never is).
+  uint16_t Indexed = 1;
 };
 
 } // namespace jvm

@@ -65,42 +65,9 @@ int32_t JvmThread::modeMul(int32_t A, int32_t B) {
                               static_cast<int64_t>(B));
 }
 
-/// Long binary operation: software halves in DoppioJS mode (§8), hardware
-/// int64 in the baseline.
-Value JvmThread::modeLongBin(Op O, Value A, Value B) {
-  if (Vm.mode() == ExecutionMode::DoppioJS) {
-    // §8: software longs are "extremely slow when compared to normal
-    // numeric operations" — each op is tens of JS operations in the
-    // paper's gLong. The surcharges model that JS cost (DESIGN.md §8),
-    // not the host cost of long64.cpp. They accumulate separately from
-    // dispatch counts: quickened dispatch does not make the intrinsic
-    // Long64 work cheaper (DESIGN.md §18).
-    ExtraOpsSinceFlush += (O == Op::Ldiv || O == Op::Lrem) ? 24
-                          : O == Op::Lmul               ? 10
-                                                        : 3;
-    Long64 X = A.asLong64(), Y = B.asLong64();
-    switch (O) {
-    case Op::Ladd:
-      return Value::longVal(addLong(X, Y));
-    case Op::Lsub:
-      return Value::longVal(subLong(X, Y));
-    case Op::Lmul:
-      return Value::longVal(mulLong(X, Y));
-    case Op::Ldiv:
-      return Value::longVal(divLong(X, Y));
-    case Op::Lrem:
-      return Value::longVal(remLong(X, Y));
-    case Op::Land:
-      return Value::longVal(andLong(X, Y));
-    case Op::Lor:
-      return Value::longVal(orLong(X, Y));
-    case Op::Lxor:
-      return Value::longVal(xorLong(X, Y));
-    default:
-      assert(false && "not a long binop");
-      return Value();
-    }
-  }
+/// Long binary operation in the NativeHotspot baseline: hardware int64.
+/// DoppioJS mode runs Long64 inline in step()'s long handlers (§8).
+Value JvmThread::nativeLongBin(Op O, Value A, Value B) {
   int64_t X = A.J, Y = B.J;
   uint64_t UX = static_cast<uint64_t>(X), UY = static_cast<uint64_t>(Y);
   switch (O) {
@@ -1395,6 +1362,11 @@ Resync:
   }
 
   // Long arithmetic (§8's software longs in DoppioJS mode) ----------------
+  // §8: software longs are "extremely slow when compared to normal numeric
+  // operations" — each op is tens of JS operations in the paper's gLong.
+  // The surcharges model that JS cost (DESIGN.md §8), not the host cost of
+  // long64.h, and accumulate apart from dispatch counts: quickened dispatch
+  // does not make the intrinsic Long64 work cheaper (DESIGN.md §18).
   OPC(Ladd)
   OPC(Lsub)
   OPC(Lmul)
@@ -1402,7 +1374,34 @@ Resync:
   OPC(Lor)
   OPC(Lxor) {
     Value B = POP2(), A = POP2();
-    PUSH2(modeLongBin(O, A, B));
+    if (Vm.mode() == ExecutionMode::DoppioJS) {
+      Long64 X = A.asLong64(), Y = B.asLong64(), R;
+      switch (O) {
+      case Op::Ladd:
+        R = addLong(X, Y);
+        break;
+      case Op::Lsub:
+        R = subLong(X, Y);
+        break;
+      case Op::Lmul:
+        R = mulLong(X, Y);
+        break;
+      case Op::Land:
+        R = andLong(X, Y);
+        break;
+      case Op::Lor:
+        R = orLong(X, Y);
+        break;
+      default:
+        assert(O == Op::Lxor);
+        R = xorLong(X, Y);
+        break;
+      }
+      ExtraOpsSinceFlush += O == Op::Lmul ? 10 : 3;
+      PUSH2(Value::longVal(R));
+    } else {
+      PUSH2(nativeLongBin(O, A, B));
+    }
     ++Pc;
     DISPATCH();
   }
@@ -1412,7 +1411,13 @@ Resync:
     if (B.J == 0)
       SYNC_NEXT_IF_CONTINUE(
           throwJvm("java/lang/ArithmeticException", "/ by zero"));
-    PUSH2(modeLongBin(O, A, B));
+    if (Vm.mode() == ExecutionMode::DoppioJS) {
+      ExtraOpsSinceFlush += 24;
+      DivRem QR = divRemLong(A.asLong64(), B.asLong64());
+      PUSH2(Value::longVal(O == Op::Ldiv ? QR.Q : QR.R));
+    } else {
+      PUSH2(nativeLongBin(O, A, B));
+    }
     ++Pc;
     DISPATCH();
   }

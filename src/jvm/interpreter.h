@@ -190,7 +190,7 @@ private:
   int32_t modeAdd(int32_t A, int32_t B);
   int32_t modeSub(int32_t A, int32_t B);
   int32_t modeMul(int32_t A, int32_t B);
-  Value modeLongBin(Op O, Value A, Value B);
+  Value nativeLongBin(Op O, Value A, Value B);
 
   // Exception machinery (§6.6).
   StepResult throwJvm(const std::string &ClassName,

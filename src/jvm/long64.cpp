@@ -1,11 +1,12 @@
 //===- jvm/long64.cpp -----------------------------------------------------==//
 //
-// Software 64-bit arithmetic from 32-bit pieces. The structure mirrors what
-// a JavaScript implementation (like DoppioJVM's gLong) performs: additions
-// carry through 16-bit chunks, multiplication is the schoolbook product of
-// 16-bit digits, and division is schoolbook long division over 16-bit
-// digits (Knuth's Algorithm D) — all expressible with JS doubles, since no
-// intermediate reaches 2^32.
+// The out-of-line part of the software longs (see long64.h for what is
+// inline): the double conversions, the schoolbook product of 16-bit digits,
+// and signed division. Division works on magnitudes by schoolbook long
+// division over 16-bit digits (Knuth's Algorithm D), as DoppioJVM's gLong
+// performs it — every intermediate stays below 2^32, so a JS double computes
+// each one exactly. The one word path, for non-negative operands below
+// 2^32, is inline in long64.h's divRemLong.
 //
 //===----------------------------------------------------------------------===//
 
@@ -43,29 +44,7 @@ double Long64::toDouble() const {
   return static_cast<double>(Hi) * 4294967296.0 + static_cast<double>(Lo);
 }
 
-Long64 jvm::addLong(Long64 A, Long64 B) {
-  // 16-bit chunk addition with explicit carries (all values stay far below
-  // 2^53, so a JS double computes each chunk exactly).
-  uint32_t A0 = A.Lo & 0xFFFF, A1 = A.Lo >> 16;
-  uint32_t A2 = A.Hi & 0xFFFF, A3 = A.Hi >> 16;
-  uint32_t B0 = B.Lo & 0xFFFF, B1 = B.Lo >> 16;
-  uint32_t B2 = B.Hi & 0xFFFF, B3 = B.Hi >> 16;
-  uint32_t C0 = A0 + B0;
-  uint32_t C1 = A1 + B1 + (C0 >> 16);
-  uint32_t C2 = A2 + B2 + (C1 >> 16);
-  uint32_t C3 = A3 + B3 + (C2 >> 16);
-  return {(C0 & 0xFFFF) | ((C1 & 0xFFFF) << 16),
-          (C2 & 0xFFFF) | ((C3 & 0xFFFF) << 16)};
-}
-
-Long64 jvm::negLong(Long64 A) {
-  // Two's complement: ~A + 1.
-  return addLong({~A.Lo, ~A.Hi}, {1, 0});
-}
-
-Long64 jvm::subLong(Long64 A, Long64 B) { return addLong(A, negLong(B)); }
-
-Long64 jvm::mulLong(Long64 A, Long64 B) {
+Long64 jvm::mulLongDigits(Long64 A, Long64 B) {
   // Schoolbook product of 16-bit digits, keeping the low 64 bits.
   uint32_t AD[4] = {A.Lo & 0xFFFF, A.Lo >> 16, A.Hi & 0xFFFF, A.Hi >> 16};
   uint32_t BD[4] = {B.Lo & 0xFFFF, B.Lo >> 16, B.Hi & 0xFFFF, B.Hi >> 16};
@@ -85,11 +64,10 @@ Long64 jvm::mulLong(Long64 A, Long64 B) {
 
 /// Unsigned division of magnitudes: schoolbook long division over four
 /// base-2^16 digits (Knuth, TAOCP vol. 2, 4.3.1, Algorithm D). A one-digit
-/// divisor takes short division. Every intermediate — a two-digit
-/// numerator, q̂ times a digit, one step of the multiply-subtract — stays
-/// below 2^32, so a JS double computes each one exactly, as gLong's
-/// division must.
-static void udivmod(Long64 N, Long64 D, Long64 &Q, Long64 &R) {
+/// divisor takes short division. Every intermediate — a two-digit numerator, q̂ times a digit,
+/// one step of the multiply-subtract — stays below 2^32, so a JS double
+/// computes each one exactly, as gLong's division must.
+static DivRem udivmod(Long64 N, Long64 D) {
   uint32_t U[5] = {N.Lo & 0xFFFF, N.Lo >> 16, N.Hi & 0xFFFF, N.Hi >> 16, 0};
   uint32_t V[4] = {D.Lo & 0xFFFF, D.Lo >> 16, D.Hi & 0xFFFF, D.Hi >> 16};
   int M = 4, Nd = 4; // Significant digits of the dividend and divisor.
@@ -98,11 +76,8 @@ static void udivmod(Long64 N, Long64 D, Long64 &Q, Long64 &R) {
   while (Nd > 1 && V[Nd - 1] == 0)
     --Nd;
   uint32_t QD[4] = {0, 0, 0, 0};
-  if (M < Nd) { // Dividend below the divisor.
-    Q = {0, 0};
-    R = N;
-    return;
-  }
+  if (M < Nd) // Dividend below the divisor.
+    return {{0, 0}, N};
   if (Nd == 1) {
     uint32_t Rem = 0;
     for (int I = M - 1; I >= 0; --I) {
@@ -110,9 +85,7 @@ static void udivmod(Long64 N, Long64 D, Long64 &Q, Long64 &R) {
       QD[I] = Cur / V[0];
       Rem = Cur % V[0];
     }
-    Q = {QD[0] | (QD[1] << 16), QD[2] | (QD[3] << 16)};
-    R = {Rem, 0};
-    return;
+    return {{QD[0] | (QD[1] << 16), QD[2] | (QD[3] << 16)}, {Rem, 0}};
   }
   // D1: normalize so the divisor's top digit has its high bit set; the
   // dividend gains a digit U[M].
@@ -167,83 +140,15 @@ static void udivmod(Long64 N, Long64 D, Long64 &Q, Long64 &R) {
   uint32_t RD[4] = {0, 0, 0, 0};
   for (int I = 0; I != Nd; ++I)
     RD[I] = ((U[I] >> S) | (U[I + 1] << (16 - S))) & 0xFFFF;
-  Q = {QD[0] | (QD[1] << 16), QD[2] | (QD[3] << 16)};
-  R = {RD[0] | (RD[1] << 16), RD[2] | (RD[3] << 16)};
+  return {{QD[0] | (QD[1] << 16), QD[2] | (QD[3] << 16)},
+          {RD[0] | (RD[1] << 16), RD[2] | (RD[3] << 16)}};
 }
 
-Long64 jvm::divLong(Long64 A, Long64 B) {
+DivRem jvm::divRemSigned(Long64 A, Long64 B) {
   bool NegA = A.isNegative(), NegB = B.isNegative();
-  Long64 MagA = NegA ? negLong(A) : A;
-  Long64 MagB = NegB ? negLong(B) : B;
-  Long64 Q, R;
-  udivmod(MagA, MagB, Q, R);
-  // Note MIN_VALUE / -1: magnitudes overflow back to MIN_VALUE, and the
-  // sign fix-up below wraps correctly, matching JVM semantics.
-  return NegA != NegB ? negLong(Q) : Q;
-}
-
-Long64 jvm::remLong(Long64 A, Long64 B) {
-  bool NegA = A.isNegative(), NegB = B.isNegative();
-  Long64 MagA = NegA ? negLong(A) : A;
-  Long64 MagB = NegB ? negLong(B) : B;
-  Long64 Q, R;
-  udivmod(MagA, MagB, Q, R);
-  return NegA ? negLong(R) : R;
-}
-
-Long64 jvm::andLong(Long64 A, Long64 B) {
-  return {A.Lo & B.Lo, A.Hi & B.Hi};
-}
-
-Long64 jvm::orLong(Long64 A, Long64 B) {
-  return {A.Lo | B.Lo, A.Hi | B.Hi};
-}
-
-Long64 jvm::xorLong(Long64 A, Long64 B) {
-  return {A.Lo ^ B.Lo, A.Hi ^ B.Hi};
-}
-
-Long64 jvm::shlLong(Long64 A, int32_t Count) {
-  Count &= 63;
-  if (Count == 0)
-    return A;
-  if (Count >= 32)
-    return {0, A.Lo << (Count - 32)};
-  return {A.Lo << Count, (A.Hi << Count) | (A.Lo >> (32 - Count))};
-}
-
-Long64 jvm::shrLong(Long64 A, int32_t Count) {
-  Count &= 63;
-  if (Count == 0)
-    return A;
-  uint32_t SignFill = A.isNegative() ? 0xFFFFFFFFu : 0u;
-  if (Count >= 32) {
-    uint32_t Lo = Count == 32
-                      ? A.Hi
-                      : (A.Hi >> (Count - 32)) |
-                            (SignFill << (64 - Count));
-    return {Lo, SignFill};
-  }
-  return {(A.Lo >> Count) | (A.Hi << (32 - Count)),
-          (A.Hi >> Count) | (SignFill << (32 - Count))};
-}
-
-Long64 jvm::ushrLong(Long64 A, int32_t Count) {
-  Count &= 63;
-  if (Count == 0)
-    return A;
-  if (Count >= 32)
-    return {A.Hi >> (Count - 32), 0};
-  return {(A.Lo >> Count) | (A.Hi << (32 - Count)), A.Hi >> Count};
-}
-
-int32_t jvm::cmpLong(Long64 A, Long64 B) {
-  bool NegA = A.isNegative(), NegB = B.isNegative();
-  if (NegA != NegB)
-    return NegA ? -1 : 1;
-  if (A.Hi != B.Hi)
-    return A.Hi < B.Hi ? -1 : 1;
-  if (A.Lo != B.Lo)
-    return A.Lo < B.Lo ? -1 : 1;
-  return 0;
+  DivRem M = udivmod(NegA ? negLong(A) : A, NegB ? negLong(B) : B);
+  // MIN_VALUE / -1: the magnitude of MIN_VALUE is itself (2^63 unsigned),
+  // and the sign fix-up wraps the quotient back to MIN_VALUE, matching
+  // JVM semantics. The remainder takes the dividend's sign.
+  return {NegA != NegB ? negLong(M.Q) : M.Q, NegA ? negLong(M.R) : M.R};
 }

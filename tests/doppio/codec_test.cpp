@@ -396,6 +396,9 @@ TEST(CodecSweep, ClassFile) {
             "    16: Ldc2W #12 long -1\n"
             "    19: Lreturn\n"
             "    catch [0, 12) -> 12 : java/lang/ArithmeticException\n");
+  // Writing the parsed model back reuses its pool entries: the bytes are
+  // the builder's, entry for entry.
+  EXPECT_EQ(writeClassFile(*Cf), Wire);
   // Every prefix is refused with EINVAL. The tally of messages pins
   // which check refuses each one, so the messages stay as they were.
   std::map<std::string, int> Messages;

@@ -157,6 +157,92 @@ TEST_P(BothModes, LongArithmeticSoftwareVsHardware) {
                        "-1\n4611686018427387904\n-4\n9223372036854775804\n");
 }
 
+// Alternates ldiv and lrem on the same and on different pairs (word,
+// negative, multi-digit and MIN operands, one pair divided in a callee),
+// and throws one ArithmeticException between two divisions of the same
+// pair. Both modes must print exactly what hardware int64 computes.
+TEST(LongDivision, AlternatingDivRemMatchesHardwareInBothModes) {
+  const int64_t Min = INT64_MIN;
+  struct Step {
+    int64_t A, B;
+    Op O;
+  };
+  const Step Before[] = {
+      {1000000007, 97, Op::Ldiv},     {1000000007, 97, Op::Lrem},
+      {-1000000007, 97, Op::Lrem},    {-1000000007, 97, Op::Ldiv},
+      {1000000007, -97, Op::Ldiv},    {-1000000007, -97, Op::Lrem},
+      {Min, -1, Op::Ldiv},            {Min, -1, Op::Lrem},
+      {Min, 3, Op::Lrem},             {3, Min, Op::Lrem},
+      {Min, 3, Op::Ldiv},             {Min, Min, Op::Ldiv},
+      {0x100000005ll, 0xFFFFFFFFll, Op::Ldiv},
+      {0x100000005ll, 0xFFFFFFFEll, Op::Ldiv},
+      {0x100000005ll, 0xFFFFFFFFll, Op::Lrem},
+      {-0x7654321ll, 0x10000ll, Op::Ldiv}};
+  // After the zero divisor: the same pair again, its remainder first.
+  const Step After[] = {{-0x7654321ll, 0x10000ll, Op::Lrem},
+                        {-0x7654321ll, 0x10000ll, Op::Ldiv}};
+  auto Hardware = [](const Step &S) {
+    if (S.A == INT64_MIN && S.B == -1)
+      return S.O == Op::Ldiv ? S.A : 0;
+    return S.O == Op::Ldiv ? S.A / S.B : S.A % S.B;
+  };
+  std::string Want;
+  for (const Step &S : Before)
+    Want += std::to_string(Hardware(S)) + "\n";
+  Want += "/ by zero\n";
+  for (const Step &S : After)
+    Want += std::to_string(Hardware(S)) + "\n";
+  Want += std::to_string(Hardware({Min, 7, Op::Ldiv})) + "\n" +
+          std::to_string(Hardware({Min, 7, Op::Lrem})) + "\n";
+
+  std::string Outputs[2];
+  ExecutionMode Modes[2] = {ExecutionMode::DoppioJS,
+                            ExecutionMode::NativeHotspot};
+  for (int I = 0; I != 2; ++I) {
+    JvmRig Rig(Modes[I]);
+    ClassBuilder B("Main");
+    MethodBuilder &Rem = B.method(AccPublic | AccStatic, "rem", "(JJ)J");
+    Rem.lload(0).lload(2).op(Op::Lrem).op(Op::Lreturn);
+    MethodBuilder &M = mainOf(B);
+    auto Emit = [&M](const Step &S) {
+      M.lconst(S.A).lconst(S.B).op(S.O);
+      printlnLong(M);
+    };
+    for (const Step &S : Before)
+      Emit(S);
+    MethodBuilder::Label Start = M.newLabel(), End = M.newLabel(),
+                         Handler = M.newLabel(), Done = M.newLabel();
+    M.bind(Start)
+        .lconst(-0x7654321ll)
+        .lconst(0)
+        .op(Op::Ldiv)
+        .op(Op::Pop2)
+        .bind(End)
+        .branch(Op::Goto, Done)
+        .bind(Handler)
+        .invokevirtual("java/lang/Throwable", "getMessage",
+                       "()Ljava/lang/String;")
+        .getstatic("java/lang/System", "out", Out)
+        .op(Op::Swap)
+        .invokevirtual("java/io/PrintStream", "println",
+                       "(Ljava/lang/String;)V")
+        .bind(Done)
+        .handler(Start, End, Handler, "java/lang/ArithmeticException");
+    for (const Step &S : After)
+      Emit(S);
+    // A quotient here, its remainder in a callee's frame.
+    Emit({Min, 7, Op::Ldiv});
+    M.lconst(Min).lconst(7).invokestatic("Main", "rem", "(JJ)J");
+    printlnLong(M);
+    M.op(Op::Return);
+    Rig.addClass(B);
+    EXPECT_EQ(Rig.run("Main"), 0);
+    Outputs[I] = Rig.out();
+  }
+  EXPECT_EQ(Outputs[0], Want);
+  EXPECT_EQ(Outputs[1], Outputs[0]);
+}
+
 TEST_P(BothModes, LongComparisonDrivesControlFlow) {
   JvmRig Rig(GetParam());
   ClassBuilder B("Main");

@@ -124,6 +124,21 @@ void expectDivisionMatchesHardware(int64_t A, int64_t B) {
       Long64 LA = Long64::fromBits(SA), LB = Long64::fromBits(SB);
       EXPECT_EQ(divLong(LA, LB).bits(), SA / SB) << SA << "/" << SB;
       EXPECT_EQ(remLong(LA, LB).bits(), SA % SB) << SA << "%" << SB;
+      DivRem QR = divRemLong(LA, LB);
+      EXPECT_EQ(QR.Q.bits(), SA / SB) << SA << "/" << SB;
+      EXPECT_EQ(QR.R.bits(), SA % SB) << SA << "%" << SB;
+    }
+}
+
+/// Checks mulLong on \p A * \p B in all four sign combinations against
+/// hardware int64 (wrapping, as the JVM's lmul does).
+void expectProductMatchesHardware(int64_t A, int64_t B) {
+  for (int64_t SA : {A, -A})
+    for (int64_t SB : {B, -B}) {
+      uint64_t Want = static_cast<uint64_t>(SA) * static_cast<uint64_t>(SB);
+      EXPECT_EQ(mulLong(Long64::fromBits(SA), Long64::fromBits(SB)).bits(),
+                static_cast<int64_t>(Want))
+          << SA << "*" << SB;
     }
 }
 
@@ -231,6 +246,74 @@ TEST(Long64Division, MinValueOperands) {
   EXPECT_EQ(remLong(Long64::fromBits(-5), LMin).bits(), -5);
 }
 
+// Directed tests of the word fast paths (long64.h): division when both
+// magnitudes fit in 32 bits, multiplication when both operands are
+// non-negative single words and one is below 2^21. Each boundary is
+// checked from both sides, in all four sign combinations.
+
+TEST(Long64FastPath, DivisionAtTheWordBoundary) {
+  const int64_t Word = 0xFFFFFFFFll, Over = 0x100000000ll;
+  const int64_t Dividends[] = {Word, Over, Word - 1, Over + 1, Over * 3 + 7};
+  const int64_t Divisors[] = {1,        3,    0xFFFF, 0x10000,
+                              Word - 1, Word, Over,   Over + 1};
+  for (int64_t A : Dividends)
+    for (int64_t B : Divisors)
+      expectDivisionMatchesHardware(A, B);
+  // The dividend below the divisor on either side of the boundary.
+  expectDivisionMatchesHardware(5, Word);
+  expectDivisionMatchesHardware(5, Over);
+  expectDivisionMatchesHardware(Word, Over);
+}
+
+TEST(Long64FastPath, DivisionByMinAndOfMin) {
+  const int64_t Min = std::numeric_limits<int64_t>::min();
+  Long64 LMin = Long64::fromBits(Min);
+  // MIN's magnitude is 2^63, far past the word path; MIN / -1 wraps.
+  DivRem QR = divRemLong(LMin, Long64::fromBits(-1));
+  EXPECT_EQ(QR.Q.bits(), Min);
+  EXPECT_EQ(QR.R.bits(), 0);
+  QR = divRemLong(LMin, Long64::fromBits(1));
+  EXPECT_EQ(QR.Q.bits(), Min);
+  EXPECT_EQ(QR.R.bits(), 0);
+  const int64_t Divisors[] = {2, 7, 0xFFFFFFFFll, 0x100000000ll};
+  for (int64_t B : Divisors) {
+    for (int64_t SB : {B, -B}) {
+      QR = divRemLong(LMin, Long64::fromBits(SB));
+      EXPECT_EQ(QR.Q.bits(), Min / SB) << SB;
+      EXPECT_EQ(QR.R.bits(), Min % SB) << SB;
+      QR = divRemLong(Long64::fromBits(SB), LMin);
+      EXPECT_EQ(QR.Q.bits(), SB / Min) << SB;
+      EXPECT_EQ(QR.R.bits(), SB % Min) << SB;
+    }
+  }
+}
+
+TEST(Long64FastPath, MultiplyAtTheMultiplierBoundary) {
+  const int64_t Small = (1ll << 21) - 1, Big = 1ll << 21;
+  const int64_t Word = 0xFFFFFFFFll, Over = 0x100000000ll;
+  // Products either side of 2^53: (2^21 - 1)(2^32 - 1) and 2^21 (2^32 -
+  // 1) take the word path and stay below it; 2^21 (2^32) and (2^21 + 1)
+  // (2^32 - 1) pass it and take the digit path.
+  const int64_t Multipliers[] = {Small, Big, Big + 1};
+  const int64_t Multiplicands[] = {1, Small, Big, Word, Over, Over + 1};
+  for (int64_t A : Multipliers)
+    for (int64_t B : Multiplicands)
+      expectProductMatchesHardware(A, B);
+  // Products either side of 2^64, and one that wraps past it.
+  expectProductMatchesHardware(Word, Word);
+  expectProductMatchesHardware(Over, Over);
+  expectProductMatchesHardware(Word, Over + 1);
+  expectProductMatchesHardware(0x7FFFFFFFFFFFFFFFll, 2);
+  // MIN: its negation is itself, and MIN * -1 wraps to MIN.
+  const int64_t Min = std::numeric_limits<int64_t>::min();
+  const int64_t Factors[] = {0, 1, -1, 2, Small, Big};
+  for (int64_t B : Factors)
+    EXPECT_EQ(mulLong(Long64::fromBits(Min), Long64::fromBits(B)).bits(),
+              static_cast<int64_t>(static_cast<uint64_t>(Min) *
+                                   static_cast<uint64_t>(B)))
+        << B;
+}
+
 // Property sweep: random 64-bit operands.
 class Long64Property : public ::testing::TestWithParam<uint32_t> {};
 
@@ -254,6 +337,31 @@ TEST_P(Long64Property, RandomDifferentialSweep) {
       ASSERT_EQ(remLong(LA, LB).bits(), A % B);
     }
     ASSERT_EQ(cmpLong(LA, LB), A < B ? -1 : (A > B ? 1 : 0));
+  }
+}
+
+// Full-range pairs almost never reach the word paths, so this sweep
+// draws magnitudes below 2^33, half of them below 2^21, with random signs:
+// both sides of each fast-path guard come up often.
+TEST_P(Long64Property, SmallOperandSweep) {
+  std::mt19937_64 Rng(GetParam());
+  auto Draw = [&Rng]() {
+    uint64_t R = Rng();
+    int Bits = (R & 1) ? 21 : 33;
+    int64_t Mag = static_cast<int64_t>((R >> 8) & ((1ull << Bits) - 1));
+    return (R & 2) ? -Mag : Mag;
+  };
+  for (int I = 0; I != 4000; ++I) {
+    int64_t A = Draw(), B = Draw();
+    Long64 LA = Long64::fromBits(A), LB = Long64::fromBits(B);
+    uint64_t UA = static_cast<uint64_t>(A), UB = static_cast<uint64_t>(B);
+    ASSERT_EQ(mulLong(LA, LB).bits(), static_cast<int64_t>(UA * UB))
+        << A << "*" << B;
+    if (B != 0) {
+      DivRem QR = divRemLong(LA, LB);
+      ASSERT_EQ(QR.Q.bits(), A / B) << A << "/" << B;
+      ASSERT_EQ(QR.R.bits(), A % B) << A << "%" << B;
+    }
   }
 }
 
