@@ -20,7 +20,8 @@
 ///
 /// The free putU*/getU* helpers serve the stream framers that peek at a
 /// length prefix in a growing buffer before a whole frame has arrived
-/// (the doppiod frame codec and the RFC6455 WebSocket codec).
+/// (the doppiod frame codec and the RFC6455 WebSocket codec); setU*
+/// overwrite bytes in place.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,6 +69,18 @@ inline uint64_t getU64(const uint8_t *P) {
   for (int I = 0; I != 8; ++I)
     V = (V << 8) | P[I];
   return V;
+}
+
+/// In-place stores over bytes already written, for back-patching a field
+/// whose value is known only later (the assembler's branch offsets).
+inline void setU16(uint8_t *P, uint16_t V) {
+  P[0] = static_cast<uint8_t>(V >> 8);
+  P[1] = static_cast<uint8_t>(V);
+}
+
+inline void setU32(uint8_t *P, uint32_t V) {
+  for (int I = 0; I != 4; ++I)
+    P[I] = static_cast<uint8_t>(V >> (24 - 8 * I));
 }
 
 /// Appends big-endian fields to a byte vector.

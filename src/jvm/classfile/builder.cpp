@@ -518,17 +518,13 @@ MemberInfo MethodBuilder::finish() {
     assert(LabelPos[F.Target] != -1 && "branch to unbound label");
     int32_t Offset = LabelPos[F.Target] - static_cast<int32_t>(F.InsnPos);
     if (F.Wide) {
-      uint32_t U = static_cast<uint32_t>(Offset);
-      Code[F.OperandPos] = static_cast<uint8_t>(U >> 24);
-      Code[F.OperandPos + 1] = static_cast<uint8_t>(U >> 16);
-      Code[F.OperandPos + 2] = static_cast<uint8_t>(U >> 8);
-      Code[F.OperandPos + 3] = static_cast<uint8_t>(U);
+      browser::wire::setU32(&Code[F.OperandPos],
+                            static_cast<uint32_t>(Offset));
     } else {
       assert(Offset >= -32768 && Offset <= 32767 &&
              "branch offset exceeds 16 bits; use goto_w");
-      uint16_t U = static_cast<uint16_t>(static_cast<int16_t>(Offset));
-      Code[F.OperandPos] = static_cast<uint8_t>(U >> 8);
-      Code[F.OperandPos + 1] = static_cast<uint8_t>(U);
+      browser::wire::setU16(&Code[F.OperandPos],
+                            static_cast<uint16_t>(Offset));
     }
   }
   MemberInfo M;

@@ -14,6 +14,7 @@
 #include "jvm/classfile/disasm.h"
 #include "jvm/classfile/opcodes.h"
 
+#include <cctype>
 #include <set>
 #include <sstream>
 
@@ -73,6 +74,36 @@ char vtypeChar(VType T) {
     return '=';
   }
   return '?';
+}
+
+/// The verification type of a field descriptor, or of a method's
+/// non-void return descriptor.
+VType descType(const std::string &D) {
+  switch (D[0]) {
+  case 'J':
+    return VType::Long;
+  case 'D':
+    return VType::Double;
+  case 'F':
+    return VType::Float;
+  case 'L':
+  case '[':
+    return VType::Ref;
+  default:
+    return VType::Int;
+  }
+}
+
+/// The mnemonic a diagnostic names for a load or a return: the row's enum
+/// name in lower case, less the slot digit of a fixed-slot form ("iload"
+/// for iload_2, "ireturn").
+std::string familyName(Op O) {
+  std::string Name = opcodeName(static_cast<uint8_t>(O));
+  if (std::isdigit(static_cast<unsigned char>(Name.back())))
+    Name.pop_back();
+  for (char &C : Name)
+    C = static_cast<char>(std::tolower(static_cast<unsigned char>(C)));
+  return Name;
 }
 
 /// True for the field descriptors the lattice can type.
@@ -165,7 +196,6 @@ private:
         failAt(Pc, "dataflow requires a structurally valid method");
         return false;
       }
-      Lengths[Pc] = Len;
       Op O = static_cast<Op>(Code[Pc]);
       if (O == Op::Jsr || O == Op::JsrW)
         JsrFollowers.push_back(Pc + Len);
@@ -203,24 +233,8 @@ private:
     for (const std::string &P : Parsed->Params) {
       if (!Fits)
         break;
-      switch (P[0]) {
-      case 'J':
-        Fits = place(VType::Long, 2);
-        break;
-      case 'D':
-        Fits = place(VType::Double, 2);
-        break;
-      case 'F':
-        Fits = place(VType::Float, 1);
-        break;
-      case 'L':
-      case '[':
-        Fits = place(VType::Ref, 1);
-        break;
-      default:
-        Fits = place(VType::Int, 1);
-        break;
-      }
+      VType T = descType(P);
+      Fits = place(T, isBase2(T) ? 2 : 1);
     }
     if (!Fits) {
       failAt(0, "parameters exceed max_locals " + std::to_string(MaxLocals));
@@ -261,10 +275,6 @@ private:
          vtypeName(T));
   }
 
-  void popInt() { popExpect(VType::Int); }
-  void popFloat() { popExpect(VType::Float); }
-  void popRef() { popExpect(VType::Ref); }
-
   /// Pops a two-slot value: the Hi marker then its base.
   void popCat2(VType Base) {
     VType T = popSlot();
@@ -292,54 +302,19 @@ private:
     Cur.Stack.push_back(T);
   }
 
-  void pushCat2(VType Base) {
-    pushSlot(Base);
-    pushSlot(hiOf(Base));
+  /// Pushes or pops one value of type \p T: a long or double as two
+  /// slots, anything else as one.
+  void pushType(VType T) {
+    pushSlot(T);
+    if (isBase2(T))
+      pushSlot(hiOf(T));
   }
 
-  /// Push/pop by field descriptor (fields, invoke args and returns).
-  void pushDesc(const std::string &D) {
-    switch (D[0]) {
-    case 'V':
-      return;
-    case 'J':
-      pushCat2(VType::Long);
-      return;
-    case 'D':
-      pushCat2(VType::Double);
-      return;
-    case 'F':
-      pushSlot(VType::Float);
-      return;
-    case 'L':
-    case '[':
-      pushSlot(VType::Ref);
-      return;
-    default:
-      pushSlot(VType::Int);
-      return;
-    }
-  }
-
-  void popDesc(const std::string &D) {
-    switch (D[0]) {
-    case 'J':
-      popCat2(VType::Long);
-      return;
-    case 'D':
-      popCat2(VType::Double);
-      return;
-    case 'F':
-      popFloat();
-      return;
-    case 'L':
-    case '[':
-      popRef();
-      return;
-    default:
-      popInt();
-      return;
-    }
+  void popType(VType T) {
+    if (isBase2(T))
+      popCat2(T);
+    else
+      popExpect(T);
   }
 
   bool requireLocal(uint32_t Slot, uint32_t Width) {
@@ -350,28 +325,18 @@ private:
     return false;
   }
 
-  void loadLocal(uint32_t Slot, VType E, const char *Mnemonic) {
-    if (!requireLocal(Slot, 1))
+  /// A load of type \p T by \p O (any form of one load family).
+  void loadLocal(uint32_t Slot, VType T, Op O) {
+    bool Pair = isBase2(T);
+    if (!requireLocal(Slot, Pair ? 2 : 1))
       return;
-    if (Cur.Locals[Slot] != E) {
+    if (Cur.Locals[Slot] != T || (Pair && Cur.Locals[Slot + 1] != hiOf(T))) {
       fail("local " + std::to_string(Slot) + " holds " +
-           vtypeName(Cur.Locals[Slot]) + " but " + Mnemonic + " needs " +
-           vtypeName(E));
+           vtypeName(Cur.Locals[Slot]) + " but " + familyName(O) +
+           " needs " + vtypeName(T));
       return;
     }
-    pushSlot(E);
-  }
-
-  void loadLocal2(uint32_t Slot, VType Base, const char *Mnemonic) {
-    if (!requireLocal(Slot, 2))
-      return;
-    if (Cur.Locals[Slot] != Base || Cur.Locals[Slot + 1] != hiOf(Base)) {
-      fail("local " + std::to_string(Slot) + " holds " +
-           vtypeName(Cur.Locals[Slot]) + " but " + Mnemonic + " needs " +
-           vtypeName(Base));
-      return;
-    }
-    pushCat2(Base);
+    pushType(T);
   }
 
   /// Invalidates whichever two-slot pair \p Slot participates in before it
@@ -384,19 +349,15 @@ private:
   }
 
   void storeLocal(uint32_t Slot, VType T) {
-    if (Failed || !requireLocal(Slot, 1))
+    bool Pair = isBase2(T);
+    if (Failed || !requireLocal(Slot, Pair ? 2 : 1))
       return;
     clobberLocal(Slot);
+    if (Pair)
+      clobberLocal(Slot + 1);
     Cur.Locals[Slot] = T;
-  }
-
-  void storeLocal2(uint32_t Slot, VType Base) {
-    if (Failed || !requireLocal(Slot, 2))
-      return;
-    clobberLocal(Slot);
-    clobberLocal(Slot + 1);
-    Cur.Locals[Slot] = Base;
-    Cur.Locals[Slot + 1] = hiOf(Base);
+    if (Pair)
+      Cur.Locals[Slot + 1] = hiOf(T);
   }
 
   //===------------------------------------------------------------------===//
@@ -487,11 +448,6 @@ private:
 
   void flowTo(uint32_t Target) { mergeInto(Target, Cur); }
 
-  void fallThrough() {
-    // The structural fall-off check guarantees a successor exists.
-    flowTo(CurPc + Lengths.at(CurPc));
-  }
-
   /// Exception edges: every handler covering this pc can be entered with
   /// the locals as they were before or after the instruction (stores and
   /// iinc mutate them mid-protection), a stack holding just the thrown
@@ -519,58 +475,24 @@ private:
   }
 
   //===------------------------------------------------------------------===//
-  // Returns and monitors
-  //===------------------------------------------------------------------===//
-
-  void checkReturn(const char *Mnemonic, bool Matches) {
-    if (!Matches) {
-      fail(std::string(Mnemonic) + " in a method returning " + RetDesc);
-      return;
-    }
-    if (Cur.MonitorDepth != 0)
-      monitorError(CurPc, "returns while " +
-                              std::to_string(Cur.MonitorDepth) +
-                              " monitor(s) still held");
-  }
-
-  //===------------------------------------------------------------------===//
   // The transfer function
   //===------------------------------------------------------------------===//
 
+  /// One instruction: its effect on Cur, then its successors from
+  /// decodeBranch. Every opcode with a typed signature takes the generic
+  /// path (transferFixed); the cases are the instructions whose effect
+  /// depends on the constant pool or the operands, the untyped shuffles,
+  /// and the ones with a side condition.
   void transfer() {
     Op O = static_cast<Op>(Code[CurPc]);
+    LocalAccess L = decodeLocal(Code, CurPc);
+    if (L.Error) {
+      fail(L.Error);
+      return;
+    }
+    if (O == Op::Wide)
+      O = static_cast<Op>(Code[CurPc + 1]);
     switch (O) {
-    case Op::Nop:
-      break;
-
-    // Constants.
-    case Op::AconstNull:
-      pushSlot(VType::Ref);
-      break;
-    case Op::IconstM1:
-    case Op::Iconst0:
-    case Op::Iconst1:
-    case Op::Iconst2:
-    case Op::Iconst3:
-    case Op::Iconst4:
-    case Op::Iconst5:
-    case Op::Bipush:
-    case Op::Sipush:
-      pushSlot(VType::Int);
-      break;
-    case Op::Lconst0:
-    case Op::Lconst1:
-      pushCat2(VType::Long);
-      break;
-    case Op::Fconst0:
-    case Op::Fconst1:
-    case Op::Fconst2:
-      pushSlot(VType::Float);
-      break;
-    case Op::Dconst0:
-    case Op::Dconst1:
-      pushCat2(VType::Double);
-      break;
     case Op::Ldc:
     case Op::LdcW: {
       uint16_t Idx =
@@ -589,188 +511,29 @@ private:
       break;
     }
     case Op::Ldc2W:
-      pushCat2(Cf.Pool.at(rdU2(Code, CurPc + 1)).Tag == CpTag::Long
+      pushType(Cf.Pool.at(rdU2(Code, CurPc + 1)).Tag == CpTag::Long
                    ? VType::Long
                    : VType::Double);
       break;
 
-    // Loads.
-    case Op::Iload:
-      loadLocal(Code[CurPc + 1], VType::Int, "iload");
-      break;
-    case Op::Fload:
-      loadLocal(Code[CurPc + 1], VType::Float, "fload");
-      break;
-    case Op::Aload:
-      loadLocal(Code[CurPc + 1], VType::Ref, "aload");
-      break;
-    case Op::Lload:
-      loadLocal2(Code[CurPc + 1], VType::Long, "lload");
-      break;
-    case Op::Dload:
-      loadLocal2(Code[CurPc + 1], VType::Double, "dload");
-      break;
-    case Op::Iload0:
-    case Op::Iload1:
-    case Op::Iload2:
-    case Op::Iload3:
-      loadLocal(static_cast<uint32_t>(O) - static_cast<uint32_t>(Op::Iload0),
-                VType::Int, "iload");
-      break;
-    case Op::Lload0:
-    case Op::Lload1:
-    case Op::Lload2:
-    case Op::Lload3:
-      loadLocal2(static_cast<uint32_t>(O) -
-                     static_cast<uint32_t>(Op::Lload0),
-                 VType::Long, "lload");
-      break;
-    case Op::Fload0:
-    case Op::Fload1:
-    case Op::Fload2:
-    case Op::Fload3:
-      loadLocal(static_cast<uint32_t>(O) - static_cast<uint32_t>(Op::Fload0),
-                VType::Float, "fload");
-      break;
-    case Op::Dload0:
-    case Op::Dload1:
-    case Op::Dload2:
-    case Op::Dload3:
-      loadLocal2(static_cast<uint32_t>(O) -
-                     static_cast<uint32_t>(Op::Dload0),
-                 VType::Double, "dload");
-      break;
-    case Op::Aload0:
-    case Op::Aload1:
-    case Op::Aload2:
-    case Op::Aload3:
-      loadLocal(static_cast<uint32_t>(O) - static_cast<uint32_t>(Op::Aload0),
-                VType::Ref, "aload");
-      break;
-
-    // Array loads.
-    case Op::Iaload:
-    case Op::Baload:
-    case Op::Caload:
-    case Op::Saload:
-      popInt();
-      popRef();
-      pushSlot(VType::Int);
-      break;
-    case Op::Faload:
-      popInt();
-      popRef();
-      pushSlot(VType::Float);
-      break;
-    case Op::Aaload:
-      popInt();
-      popRef();
-      pushSlot(VType::Ref);
-      break;
-    case Op::Laload:
-      popInt();
-      popRef();
-      pushCat2(VType::Long);
-      break;
-    case Op::Daload:
-      popInt();
-      popRef();
-      pushCat2(VType::Double);
-      break;
-
-    // Stores.
-    case Op::Istore:
-      popInt();
-      storeLocal(Code[CurPc + 1], VType::Int);
-      break;
-    case Op::Fstore:
-      popFloat();
-      storeLocal(Code[CurPc + 1], VType::Float);
-      break;
+    // astore is the one store that accepts a returnAddress (the jsr idiom
+    // stores the address for ret).
     case Op::Astore:
-      transferAstore(Code[CurPc + 1]);
-      break;
-    case Op::Lstore:
-      popCat2(VType::Long);
-      storeLocal2(Code[CurPc + 1], VType::Long);
-      break;
-    case Op::Dstore:
-      popCat2(VType::Double);
-      storeLocal2(Code[CurPc + 1], VType::Double);
-      break;
-    case Op::Istore0:
-    case Op::Istore1:
-    case Op::Istore2:
-    case Op::Istore3:
-      popInt();
-      storeLocal(static_cast<uint32_t>(O) -
-                     static_cast<uint32_t>(Op::Istore0),
-                 VType::Int);
-      break;
-    case Op::Lstore0:
-    case Op::Lstore1:
-    case Op::Lstore2:
-    case Op::Lstore3:
-      popCat2(VType::Long);
-      storeLocal2(static_cast<uint32_t>(O) -
-                      static_cast<uint32_t>(Op::Lstore0),
-                  VType::Long);
-      break;
-    case Op::Fstore0:
-    case Op::Fstore1:
-    case Op::Fstore2:
-    case Op::Fstore3:
-      popFloat();
-      storeLocal(static_cast<uint32_t>(O) -
-                     static_cast<uint32_t>(Op::Fstore0),
-                 VType::Float);
-      break;
-    case Op::Dstore0:
-    case Op::Dstore1:
-    case Op::Dstore2:
-    case Op::Dstore3:
-      popCat2(VType::Double);
-      storeLocal2(static_cast<uint32_t>(O) -
-                      static_cast<uint32_t>(Op::Dstore0),
-                  VType::Double);
-      break;
     case Op::Astore0:
     case Op::Astore1:
     case Op::Astore2:
-    case Op::Astore3:
-      transferAstore(static_cast<uint32_t>(O) -
-                     static_cast<uint32_t>(Op::Astore0));
+    case Op::Astore3: {
+      VType T = popSlot();
+      if (Failed)
+        return;
+      if (T != VType::Ref && T != VType::RetAddr) {
+        fail(std::string("expected reference on stack, found ") +
+             (isHi(T) ? vtypeName(baseOf(T)) : vtypeName(T)));
+        return;
+      }
+      storeLocal(L.Slot, T);
       break;
-
-    // Array stores.
-    case Op::Iastore:
-    case Op::Bastore:
-    case Op::Castore:
-    case Op::Sastore:
-      popInt();
-      popInt();
-      popRef();
-      break;
-    case Op::Fastore:
-      popFloat();
-      popInt();
-      popRef();
-      break;
-    case Op::Aastore:
-      popRef();
-      popInt();
-      popRef();
-      break;
-    case Op::Lastore:
-      popCat2(VType::Long);
-      popInt();
-      popRef();
-      break;
-    case Op::Dastore:
-      popCat2(VType::Double);
-      popInt();
-      popRef();
-      break;
+    }
 
     // Stack shuffles.
     case Op::Pop:
@@ -811,248 +574,51 @@ private:
       break;
     }
 
-    // Int arithmetic.
-    case Op::Iadd:
-    case Op::Isub:
-    case Op::Imul:
-    case Op::Idiv:
-    case Op::Irem:
-    case Op::Ishl:
-    case Op::Ishr:
-    case Op::Iushr:
-    case Op::Iand:
-    case Op::Ior:
-    case Op::Ixor:
-      popInt();
-      popInt();
-      pushSlot(VType::Int);
-      break;
-    case Op::Ineg:
-    case Op::I2b:
-    case Op::I2c:
-    case Op::I2s:
-      popInt();
-      pushSlot(VType::Int);
-      break;
-
-    // Long arithmetic.
-    case Op::Ladd:
-    case Op::Lsub:
-    case Op::Lmul:
-    case Op::Ldiv:
-    case Op::Lrem:
-    case Op::Land:
-    case Op::Lor:
-    case Op::Lxor:
-      popCat2(VType::Long);
-      popCat2(VType::Long);
-      pushCat2(VType::Long);
-      break;
-    case Op::Lshl:
-    case Op::Lshr:
-    case Op::Lushr:
-      popInt();
-      popCat2(VType::Long);
-      pushCat2(VType::Long);
-      break;
-    case Op::Lneg:
-      popCat2(VType::Long);
-      pushCat2(VType::Long);
-      break;
-
-    // Float arithmetic.
-    case Op::Fadd:
-    case Op::Fsub:
-    case Op::Fmul:
-    case Op::Fdiv:
-    case Op::Frem:
-      popFloat();
-      popFloat();
-      pushSlot(VType::Float);
-      break;
-    case Op::Fneg:
-      popFloat();
-      pushSlot(VType::Float);
-      break;
-
-    // Double arithmetic.
-    case Op::Dadd:
-    case Op::Dsub:
-    case Op::Dmul:
-    case Op::Ddiv:
-    case Op::Drem:
-      popCat2(VType::Double);
-      popCat2(VType::Double);
-      pushCat2(VType::Double);
-      break;
-    case Op::Dneg:
-      popCat2(VType::Double);
-      pushCat2(VType::Double);
-      break;
-
+    // iinc on an untouched slot is accepted and types it int: the
+    // interpreter zero-fills locals, so the increment is well-defined even
+    // though javac never emits it (DESIGN.md §12 lists the divergence).
     case Op::Iinc:
-      transferIinc(Code[CurPc + 1]);
+      if (!requireLocal(L.Slot, 1))
+        return;
+      if (Cur.Locals[L.Slot] == VType::Top)
+        Cur.Locals[L.Slot] = VType::Int;
+      else if (Cur.Locals[L.Slot] != VType::Int)
+        fail("local " + std::to_string(L.Slot) + " holds " +
+             vtypeName(Cur.Locals[L.Slot]) + " but iinc needs int");
       break;
-
-    // Conversions.
-    case Op::I2l:
-      popInt();
-      pushCat2(VType::Long);
-      break;
-    case Op::I2f:
-      popInt();
-      pushSlot(VType::Float);
-      break;
-    case Op::I2d:
-      popInt();
-      pushCat2(VType::Double);
-      break;
-    case Op::L2i:
-      popCat2(VType::Long);
-      pushSlot(VType::Int);
-      break;
-    case Op::L2f:
-      popCat2(VType::Long);
-      pushSlot(VType::Float);
-      break;
-    case Op::L2d:
-      popCat2(VType::Long);
-      pushCat2(VType::Double);
-      break;
-    case Op::F2i:
-      popFloat();
-      pushSlot(VType::Int);
-      break;
-    case Op::F2l:
-      popFloat();
-      pushCat2(VType::Long);
-      break;
-    case Op::F2d:
-      popFloat();
-      pushCat2(VType::Double);
-      break;
-    case Op::D2i:
-      popCat2(VType::Double);
-      pushSlot(VType::Int);
-      break;
-    case Op::D2l:
-      popCat2(VType::Double);
-      pushCat2(VType::Long);
-      break;
-    case Op::D2f:
-      popCat2(VType::Double);
-      pushSlot(VType::Float);
-      break;
-
-    // Comparisons.
-    case Op::Lcmp:
-      popCat2(VType::Long);
-      popCat2(VType::Long);
-      pushSlot(VType::Int);
-      break;
-    case Op::Fcmpl:
-    case Op::Fcmpg:
-      popFloat();
-      popFloat();
-      pushSlot(VType::Int);
-      break;
-    case Op::Dcmpl:
-    case Op::Dcmpg:
-      popCat2(VType::Double);
-      popCat2(VType::Double);
-      pushSlot(VType::Int);
-      break;
-
-    // Conditional branches: both arms are successors.
-    case Op::Ifeq:
-    case Op::Ifne:
-    case Op::Iflt:
-    case Op::Ifge:
-    case Op::Ifgt:
-    case Op::Ifle:
-      popInt();
-      branchAndFallThrough(target16());
-      return;
-    case Op::IfIcmpeq:
-    case Op::IfIcmpne:
-    case Op::IfIcmplt:
-    case Op::IfIcmpge:
-    case Op::IfIcmpgt:
-    case Op::IfIcmple:
-      popInt();
-      popInt();
-      branchAndFallThrough(target16());
-      return;
-    case Op::IfAcmpeq:
-    case Op::IfAcmpne:
-      popRef();
-      popRef();
-      branchAndFallThrough(target16());
-      return;
-    case Op::Ifnull:
-    case Op::Ifnonnull:
-      popRef();
-      branchAndFallThrough(target16());
-      return;
-
-    case Op::Goto:
-      flowTo(target16());
-      return;
-    case Op::GotoW:
-      flowTo(target32());
-      return;
 
     // jsr pushes the return address for the subroutine to astore; the
     // instruction after the jsr is reached via ret, not by fall-through.
     case Op::Jsr:
-      pushSlot(VType::RetAddr);
-      flowTo(target16());
-      return;
     case Op::JsrW:
       pushSlot(VType::RetAddr);
-      flowTo(target32());
+      flowTo(decodeBranch(Code, CurPc).Targets[0]);
       return;
+
+    // Conservative subroutine return: ret may resume after any jsr in the
+    // method, so the current state merges into every jsr successor.
     case Op::Ret:
-      transferRet(Code[CurPc + 1]);
-      return;
-
-    case Op::Tableswitch:
-    case Op::Lookupswitch: {
-      popInt();
-      // Target arithmetic shared with analysis/disasm via opcodes.def.
-      for (uint32_t T : decodeBranch(Code, CurPc).Targets) {
-        if (Failed)
-          return;
-        flowTo(T);
+      if (!requireLocal(L.Slot, 1))
+        return;
+      if (Cur.Locals[L.Slot] != VType::RetAddr) {
+        fail("local " + std::to_string(L.Slot) + " holds " +
+             vtypeName(Cur.Locals[L.Slot]) +
+             " but ret needs returnAddress");
+        return;
       }
+      for (uint32_t Follower : JsrFollowers)
+        if (Follower < Code.size())
+          flowTo(Follower);
       return;
-    }
 
-    // Returns: no successors.
     case Op::Ireturn:
-      popInt();
-      checkReturn("ireturn", RetDesc.size() == 1 &&
-                                 std::string("IZBCS").find(RetDesc[0]) !=
-                                     std::string::npos);
-      return;
     case Op::Lreturn:
-      popCat2(VType::Long);
-      checkReturn("lreturn", RetDesc == "J");
-      return;
     case Op::Freturn:
-      popFloat();
-      checkReturn("freturn", RetDesc == "F");
-      return;
     case Op::Dreturn:
-      popCat2(VType::Double);
-      checkReturn("dreturn", RetDesc == "D");
-      return;
     case Op::Areturn:
-      popRef();
-      checkReturn("areturn", desc::isReference(RetDesc));
-      return;
     case Op::Return:
-      checkReturn("return", RetDesc == "V");
+      transferFixed(O, L.Slot);
+      checkReturn(O);
       return;
 
     // Fields.
@@ -1066,16 +632,17 @@ private:
         fail("malformed field descriptor " + Ref.Descriptor);
         break;
       }
+      VType T = descType(Ref.Descriptor);
       if (O == Op::Getstatic) {
-        pushDesc(Ref.Descriptor);
+        pushType(T);
       } else if (O == Op::Putstatic) {
-        popDesc(Ref.Descriptor);
+        popType(T);
       } else if (O == Op::Getfield) {
-        popRef();
-        pushDesc(Ref.Descriptor);
+        popExpect(VType::Ref);
+        pushType(T);
       } else {
-        popDesc(Ref.Descriptor);
-        popRef();
+        popType(T);
+        popExpect(VType::Ref);
       }
       break;
     }
@@ -1093,173 +660,80 @@ private:
         break;
       }
       for (size_t I = Callee->Params.size(); I-- > 0 && !Failed;)
-        popDesc(Callee->Params[I]);
+        popType(descType(Callee->Params[I]));
       if (O != Op::Invokestatic)
-        popRef(); // The receiver.
+        popExpect(VType::Ref); // The receiver.
       if (Callee->Ret != "V")
-        pushDesc(Callee->Ret);
+        pushType(descType(Callee->Ret));
       break;
     }
 
-    // Objects and arrays.
-    case Op::New:
-      pushSlot(VType::Ref);
-      break;
-    case Op::Newarray:
-    case Op::Anewarray:
-      popInt();
-      pushSlot(VType::Ref);
-      break;
     case Op::Multianewarray: {
       uint8_t Dims = Code[CurPc + 3];
       for (uint8_t I = 0; I != Dims && !Failed; ++I)
-        popInt();
+        popExpect(VType::Int);
       pushSlot(VType::Ref);
       break;
     }
-    case Op::Arraylength:
-      popRef();
-      pushSlot(VType::Int);
-      break;
-    case Op::Athrow:
-      popRef();
-      return; // Only the exception edges continue.
-    case Op::Checkcast:
-      popRef();
-      pushSlot(VType::Ref);
-      break;
-    case Op::Instanceof:
-      popRef();
-      pushSlot(VType::Int);
-      break;
 
     // Monitors.
     case Op::Monitorenter:
-      popRef();
+      popExpect(VType::Ref);
       ++Cur.MonitorDepth;
       break;
     case Op::Monitorexit:
-      popRef();
+      popExpect(VType::Ref);
       if (Cur.MonitorDepth == 0)
         monitorError(CurPc, "monitorexit with no monitor held");
       else
         --Cur.MonitorDepth;
       break;
 
-    case Op::Wide:
-      if (!transferWide())
-        return; // wide ret: successors already merged.
+    default:
+      transferFixed(O, L.Slot);
       break;
     }
-    if (!Failed)
-      fallThrough();
-  }
-
-  /// iinc on an untouched slot is accepted and types it int: the
-  /// interpreter zero-fills locals, so the increment is well-defined even
-  /// though javac never emits it (DESIGN.md §12 lists the divergence).
-  void transferIinc(uint32_t Slot) {
-    if (!requireLocal(Slot, 1))
-      return;
-    if (Cur.Locals[Slot] == VType::Top) {
-      Cur.Locals[Slot] = VType::Int;
-      return;
-    }
-    if (Cur.Locals[Slot] != VType::Int)
-      fail("local " + std::to_string(Slot) + " holds " +
-           vtypeName(Cur.Locals[Slot]) + " but iinc needs int");
-  }
-
-  /// astore is the one store that accepts a returnAddress (the jsr idiom
-  /// stores the address for ret).
-  void transferAstore(uint32_t Slot) {
-    VType T = popSlot();
     if (Failed)
       return;
-    if (T != VType::Ref && T != VType::RetAddr) {
-      fail(std::string("expected reference on stack, found ") +
-           (isHi(T) ? vtypeName(baseOf(T)) : vtypeName(T)));
-      return;
-    }
-    storeLocal(Slot, T);
+    BranchDecode B = decodeBranch(Code, CurPc);
+    for (uint32_t Target : B.Targets)
+      flowTo(Target);
+    if (B.FallsThrough) // The structural fall-off check ensures a successor.
+      flowTo(CurPc + instructionLength(Code, CurPc));
   }
 
-  /// Conservative subroutine return: ret may resume after any jsr in the
-  /// method, so the current state merges into every jsr successor.
-  void transferRet(uint32_t Slot) {
-    if (!requireLocal(Slot, 1))
-      return;
-    if (Cur.Locals[Slot] != VType::RetAddr) {
-      fail("local " + std::to_string(Slot) + " holds " +
-           vtypeName(Cur.Locals[Slot]) + " but ret needs returnAddress");
+  /// The generic transfer of a typed signature: pop its operands right to
+  /// left, move the value between the stack and local \p Slot when the
+  /// LOCAL column names one, and push its results.
+  void transferFixed(Op O, int Slot) {
+    const OpSignature &Sig = opcodeSignature(O);
+    for (int I = Sig.NumPops; I-- > 0;)
+      popType(Sig.Pops[I]);
+    if (Slot >= 0 && Sig.NumPushes) {
+      loadLocal(Slot, Sig.Pushes[0], O);
       return;
     }
-    for (uint32_t Follower : JsrFollowers) {
-      if (Failed)
-        return;
-      if (Follower < Code.size())
-        flowTo(Follower);
-    }
+    if (Slot >= 0)
+      storeLocal(Slot, Sig.Pops[0]);
+    for (int I = 0; I != Sig.NumPushes; ++I)
+      pushType(Sig.Pushes[I]);
   }
 
-  /// Returns false when the wide instruction has no fall-through (ret).
-  bool transferWide() {
-    Op Inner = static_cast<Op>(Code[CurPc + 1]);
-    uint32_t Slot = rdU2(Code, CurPc + 2);
-    switch (Inner) {
-    case Op::Iload:
-      loadLocal(Slot, VType::Int, "iload");
-      return true;
-    case Op::Fload:
-      loadLocal(Slot, VType::Float, "fload");
-      return true;
-    case Op::Aload:
-      loadLocal(Slot, VType::Ref, "aload");
-      return true;
-    case Op::Lload:
-      loadLocal2(Slot, VType::Long, "lload");
-      return true;
-    case Op::Dload:
-      loadLocal2(Slot, VType::Double, "dload");
-      return true;
-    case Op::Istore:
-      popInt();
-      storeLocal(Slot, VType::Int);
-      return true;
-    case Op::Fstore:
-      popFloat();
-      storeLocal(Slot, VType::Float);
-      return true;
-    case Op::Astore:
-      transferAstore(Slot);
-      return true;
-    case Op::Lstore:
-      popCat2(VType::Long);
-      storeLocal2(Slot, VType::Long);
-      return true;
-    case Op::Dstore:
-      popCat2(VType::Double);
-      storeLocal2(Slot, VType::Double);
-      return true;
-    case Op::Iinc:
-      transferIinc(Slot);
-      return true;
-    case Op::Ret:
-      transferRet(Slot);
-      return false;
-    default:
-      fail("wide prefix on a non-widenable instruction");
-      return true;
+  /// A typed return: its value (already popped) must match the method's
+  /// return descriptor, and no monitor may still be held.
+  void checkReturn(Op O) {
+    const OpSignature &Sig = opcodeSignature(O);
+    bool Matches = Sig.NumPops ? RetDesc != "V" &&
+                                     descType(RetDesc) == Sig.Pops[0]
+                               : RetDesc == "V";
+    if (!Matches) {
+      fail(familyName(O) + " in a method returning " + RetDesc);
+      return;
     }
-  }
-
-  uint32_t target16() const { return CurPc + rdS2(Code, CurPc + 1); }
-  uint32_t target32() const { return CurPc + rdS4(Code, CurPc + 1); }
-
-  void branchAndFallThrough(uint32_t Target) {
-    flowTo(Target);
-    if (!Failed)
-      fallThrough();
+    if (Cur.MonitorDepth != 0)
+      monitorError(CurPc, "returns while " +
+                              std::to_string(Cur.MonitorDepth) +
+                              " monitor(s) still held");
   }
 
   const ClassFile &Cf;
@@ -1269,7 +743,6 @@ private:
   const uint16_t MaxLocals;
   MethodDataflow &Out;
 
-  std::map<uint32_t, uint32_t> Lengths;
   std::vector<uint32_t> JsrFollowers;
   std::set<uint32_t> Worklist;
   std::string RetDesc;

@@ -34,6 +34,7 @@
 #define DOPPIO_JVM_CLASSFILE_DATAFLOW_H
 
 #include "jvm/classfile/classfile.h"
+#include "jvm/classfile/opcodes.h"
 #include "jvm/classfile/verifier.h"
 
 #include <map>
@@ -42,22 +43,6 @@
 
 namespace doppio {
 namespace jvm {
-
-/// Verification types. Category-2 values (long/double) occupy two slots:
-/// the base type plus a trailing Hi marker, mirroring the interpreter's
-/// two-slot convention, so that instructions that would split a pair are
-/// detected slot-exactly.
-enum class VType : uint8_t {
-  Top,      ///< Unusable (uninitialized local, or conflicting merge).
-  Int,      ///< int and its subword kin (boolean/byte/char/short).
-  Float,
-  Ref,      ///< All reference types, including null.
-  RetAddr,  ///< jsr return address.
-  Long,     ///< First slot of a long.
-  LongHi,   ///< Second slot of a long.
-  Double,   ///< First slot of a double.
-  DoubleHi, ///< Second slot of a double.
-};
 
 /// "int", "reference", "long-hi", ... for diagnostics.
 const char *vtypeName(VType T);

@@ -6,6 +6,7 @@
 #include "jvm/classfile/descriptor.h"
 
 #include <algorithm>
+#include <string_view>
 
 using namespace doppio;
 using namespace doppio::jvm;
@@ -19,15 +20,50 @@ struct OpInfo {
   uint8_t Quick; ///< quickened form, == opcode value when none
   uint8_t Base;  ///< base form for _quick opcodes, == opcode value else
   bool IsQuick;
-  int8_t Pops;   ///< Var when operand-dependent
-  int8_t Pushes; ///< Var when operand-dependent
-  int8_t Local;  ///< NoLocal, LocalIdx, or a fixed slot
+  OpSignature Sig;
+  int8_t Local; ///< NoLocal, LocalIdx, or a fixed slot
 };
 
-// The POPS, PUSHES and LOCAL tokens of opcodes.def that are not numbers.
-constexpr int8_t Var = -1;
+// The LOCAL tokens of opcodes.def that are not numbers.
 constexpr int8_t NoLocal = -1;
 constexpr int8_t LocalIdx = -2;
+
+/// Parses one SIG cell (see opcodes.def). Evaluated only at compile
+/// time: a malformed cell fails the build.
+constexpr OpSignature parseSignature(std::string_view Cell) {
+  OpSignature Sig;
+  if (Cell == "Var")
+    return Sig;
+  Sig.Fixed = true;
+  bool Pushing = false;
+  for (char C : Cell) {
+    int8_t &Slots = Pushing ? Sig.PushSlots : Sig.PopSlots;
+    if (C == '>') {
+      if (Pushing)
+        throw "a signature has one '>'";
+      Pushing = true;
+      continue;
+    }
+    if (C == '1' || C == '2') {
+      Slots += C - '0';
+      continue;
+    }
+    VType T = C == 'I'   ? VType::Int
+              : C == 'F' ? VType::Float
+              : C == 'A' ? VType::Ref
+              : C == 'J' ? VType::Long
+              : C == 'D' ? VType::Double
+                         : throw "unknown signature letter";
+    Slots += T == VType::Long || T == VType::Double ? 2 : 1;
+    if (Pushing)
+      Sig.Pushes[Sig.NumPushes++] = T;
+    else
+      Sig.Pops[Sig.NumPops++] = T;
+  }
+  if (!Pushing)
+    throw "a signature has one '>'";
+  return Sig;
+}
 
 /// Indexed by opcode value; gaps are null/-2.
 struct OpTable {
@@ -36,19 +72,18 @@ struct OpTable {
   constexpr OpTable() : Info() {
     for (int I = 0; I != 256; ++I)
       Info[I] = {nullptr, -2, OpKind::Plain, static_cast<uint8_t>(I),
-                 static_cast<uint8_t>(I), false, 0, 0, NoLocal};
-#define JVM_OPCODE(NAME, VALUE, OPERANDS, KIND, QUICK, POPS, PUSHES, LOCAL)    \
+                 static_cast<uint8_t>(I), false, {}, NoLocal};
+#define JVM_OPCODE(NAME, VALUE, OPERANDS, KIND, QUICK, SIG, LOCAL)             \
   Info[VALUE] = {#NAME,          OPERANDS,                                     \
                  OpKind::KIND,   static_cast<uint8_t>(Op::QUICK),              \
                  VALUE,          false,                                        \
-                 POPS,           PUSHES,                                       \
-                 LOCAL};
+                 parseSignature(#SIG), LOCAL};
 #define JVM_QUICK_OPCODE(NAME, VALUE, OPERANDS, KIND, BASE)                    \
   Info[VALUE] = {#NAME,          OPERANDS,                                     \
                  OpKind::KIND,   VALUE,                                        \
                  static_cast<uint8_t>(Op::BASE),                               \
-                 true,           0,                                            \
-                 0,              NoLocal};
+                 true,           {},                                           \
+                 NoLocal};
 #include "jvm/classfile/opcodes.def"
 #undef JVM_QUICK_OPCODE
 #undef JVM_OPCODE
@@ -184,6 +219,27 @@ BranchDecode jvm::decodeBranch(const std::vector<uint8_t> &Code, uint32_t Pc) {
   return D;
 }
 
+const OpSignature &jvm::opcodeSignature(Op O) {
+  return Table.Info[baseOpcode(static_cast<uint8_t>(O))].Sig;
+}
+
+LocalAccess jvm::decodeLocal(const std::vector<uint8_t> &Code, uint32_t Pc) {
+  bool Wide = static_cast<Op>(Code[Pc]) == Op::Wide;
+  const OpInfo &I = Table.Info[Wide ? Code[Pc + 1] : Code[Pc]];
+  LocalAccess L;
+  if (Wide && I.Local != LocalIdx) {
+    L.Error = "wide prefix on a non-widenable instruction";
+    return L;
+  }
+  if (I.Local == NoLocal)
+    return L;
+  L.Slot = I.Local != LocalIdx ? I.Local
+           : Wide              ? rdU2(Code, Pc + 2)
+                               : Code[Pc + 1];
+  L.Width = std::max(1, I.Sig.PopSlots + I.Sig.PushSlots);
+  return L;
+}
+
 StackEffect jvm::decodeStackEffect(const std::vector<uint8_t> &Code,
                                    uint32_t Pc, const ConstantPool &Pool) {
   Op O = static_cast<Op>(baseOpcode(Code[Pc]));
@@ -230,24 +286,21 @@ StackEffect jvm::decodeStackEffect(const std::vector<uint8_t> &Code,
   }
   // Every other opcode reads its row; wide reads its inner instruction's
   // row with a u2 local index.
-  bool Wide = O == Op::Wide;
-  const OpInfo &I = Table.Info[Wide ? Code[Pc + 1] : static_cast<uint8_t>(O)];
-  if (Wide && I.Local != LocalIdx)
-    return Failed("wide prefix on a non-widenable instruction");
-  E.Pops = I.Pops;
-  E.Pushes = I.Pushes;
-  if (I.Local != NoLocal) {
-    int Slot = I.Local != LocalIdx ? I.Local
-               : Wide              ? rdU2(Code, Pc + 2)
-                                   : Code[Pc + 1];
-    E.LocalTop = Slot + std::max(1, E.Pops + E.Pushes) - 1;
-  }
+  LocalAccess L = decodeLocal(Code, Pc);
+  if (L.Error)
+    return Failed(L.Error);
+  const OpSignature &Sig =
+      opcodeSignature(O == Op::Wide ? static_cast<Op>(Code[Pc + 1]) : O);
+  E.Pops = Sig.PopSlots;
+  E.Pushes = Sig.PushSlots;
+  if (L.Slot >= 0)
+    E.LocalTop = L.Slot + L.Width - 1;
   return E;
 }
 
 std::optional<int> jvm::fixedStackDelta(Op O) {
-  const OpInfo &I = Table.Info[baseOpcode(static_cast<uint8_t>(O))];
-  if (I.Pops == Var)
+  const OpSignature &Sig = opcodeSignature(O);
+  if (!Sig.Fixed)
     return std::nullopt;
-  return I.Pushes - I.Pops;
+  return Sig.PushSlots - Sig.PopSlots;
 }

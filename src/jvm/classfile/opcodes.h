@@ -9,7 +9,8 @@
 /// implements (§6), plus the interpreter-private _quick forms, with the
 /// metadata used by the assembler, disassembler, verifier, placement
 /// analysis, and interpreter: names, operand widths, control flow
-/// (decodeBranch) and stack effects (decodeStackEffect). All of it is
+/// (decodeBranch), typed signatures (opcodeSignature), local accesses
+/// (decodeLocal) and stack effects (decodeStackEffect). All of it is
 /// generated from opcodes.def — the single opcode-metadata surface.
 ///
 //===----------------------------------------------------------------------===//
@@ -61,7 +62,8 @@ enum class OpKind : uint8_t {
   WideOp,   ///< wide prefix.
 };
 
-/// The mnemonic ("iload_0") for \p Opcode; "<illegal>" for gaps.
+/// The enum name of \p Opcode ("Iload0" for iload_0), which is what the
+/// disassembler prints; "<illegal>" for gaps.
 const char *opcodeName(uint8_t Opcode);
 
 /// Fixed operand byte count, -1 for variable-length instructions
@@ -120,6 +122,42 @@ inline int32_t rdS4(const std::vector<uint8_t> &Code, uint32_t At) {
                               static_cast<uint32_t>(Code[At + 3]));
 }
 
+/// Verification types, the element type of opcode signatures and of the
+/// dataflow verifier's frame states (dataflow.h). Category-2 values
+/// (long/double) occupy two slots: the base type plus a trailing Hi
+/// marker, mirroring the interpreter's two-slot convention, so that
+/// instructions that would split a pair are detected slot-exactly.
+enum class VType : uint8_t {
+  Top,      ///< Unusable (uninitialized local, or conflicting merge).
+  Int,      ///< int and its subword kin (boolean/byte/char/short).
+  Float,
+  Ref,      ///< All reference types, including null.
+  RetAddr,  ///< jsr return address.
+  Long,     ///< First slot of a long.
+  LongHi,   ///< Second slot of a long.
+  Double,   ///< First slot of a double.
+  DoubleHi, ///< Second slot of a double.
+};
+
+/// The SIG column of one opcodes.def row.
+struct OpSignature {
+  /// False in the Var rows, whose effect depends on the operands.
+  bool Fixed = false;
+  /// Operand-stack slots popped and pushed; a long or double counts two.
+  int8_t PopSlots = 0;
+  int8_t PushSlots = 0;
+  /// The typed values popped and pushed, bottom of the stack first (Int,
+  /// Float, Ref, Long or Double). Empty in the rows written in untyped
+  /// slot runs (the pop/dup/swap family, ldc*, jsr).
+  uint8_t NumPops = 0;
+  uint8_t NumPushes = 0;
+  VType Pops[3] = {};
+  VType Pushes[1] = {};
+};
+
+/// The signature of \p O; a _quick form has its base form's.
+const OpSignature &opcodeSignature(Op O);
+
 /// Control-flow decode of one instruction, driven by its OpKind — the
 /// shared successor decoding used by the dataflow verifier and the
 /// placement analysis.
@@ -136,8 +174,25 @@ struct BranchDecode {
 /// instruction must have been length-checked first (instructionLength).
 BranchDecode decodeBranch(const std::vector<uint8_t> &Code, uint32_t Pc);
 
+/// The local variable one instruction names, from the LOCAL column of
+/// opcodes.def.
+struct LocalAccess {
+  /// The slot: fixed by the row, or read from the operand (u1, or u2
+  /// after wide); -1 when the instruction names none.
+  int Slot = -1;
+  /// Slots touched from Slot up: two for a long or double load or
+  /// store, one for every other load, store, iinc and ret.
+  int Width = 0;
+  /// "wide prefix on a non-widenable instruction"; null otherwise.
+  const char *Error = nullptr;
+};
+
+/// Decodes the local access of the instruction at \p Pc; for wide, that
+/// of the instruction it widens. Reads no constant pool.
+LocalAccess decodeLocal(const std::vector<uint8_t> &Code, uint32_t Pc);
+
 /// Operand-stack and local-variable effect of one instruction, from the
-/// POPS, PUSHES and LOCAL columns of opcodes.def.
+/// SIG and LOCAL columns of opcodes.def.
 struct StackEffect {
   int Pops = 0;
   int Pushes = 0;

@@ -80,12 +80,6 @@ private:
                     " is not an instruction boundary");
   }
 
-  void checkLocal(uint32_t Pc, uint32_t Slot, int Width) {
-    if (Slot + Width > M.Code->MaxLocals)
-      error(Pc, "local " + std::to_string(Slot) + " exceeds max_locals " +
-                    std::to_string(M.Code->MaxLocals));
-  }
-
   void checkPool(uint32_t Pc, uint16_t Idx,
                  std::initializer_list<CpTag> Allowed) {
     if (!Cf.Pool.valid(Idx)) {
@@ -102,40 +96,16 @@ private:
   }
 
   void checkInstruction(uint32_t Pc) {
+    // Every local index is bounded statically, reachable or not
+    // (JVMS §4.8.1): one check over the LOCAL column of opcodes.def.
+    LocalAccess L = decodeLocal(Code, Pc);
+    if (L.Error)
+      error(Pc, L.Error);
+    else if (L.Slot + L.Width > M.Code->MaxLocals)
+      error(Pc, "local " + std::to_string(L.Slot) + " exceeds max_locals " +
+                    std::to_string(M.Code->MaxLocals));
     Op O = static_cast<Op>(Code[Pc]);
     switch (O) {
-    case Op::Iload:
-    case Op::Fload:
-    case Op::Aload:
-    case Op::Istore:
-    case Op::Fstore:
-    case Op::Astore:
-    case Op::Ret:
-      checkLocal(Pc, Code[Pc + 1], 1);
-      return;
-    case Op::Lload:
-    case Op::Dload:
-    case Op::Lstore:
-    case Op::Dstore:
-      checkLocal(Pc, Code[Pc + 1], 2);
-      return;
-    case Op::Iinc:
-      checkLocal(Pc, Code[Pc + 1], 1);
-      return;
-    case Op::Iload0:
-    case Op::Iload1:
-    case Op::Iload2:
-    case Op::Iload3:
-      checkLocal(Pc, static_cast<int>(O) - static_cast<int>(Op::Iload0),
-                 1);
-      return;
-    case Op::Astore0:
-    case Op::Astore1:
-    case Op::Astore2:
-    case Op::Astore3:
-      checkLocal(Pc, static_cast<int>(O) - static_cast<int>(Op::Astore0),
-                 1);
-      return;
     case Op::Ldc:
       checkPool(Pc, Code[Pc + 1],
                 {CpTag::Integer, CpTag::Float, CpTag::String,
@@ -197,32 +167,6 @@ private:
       }
       return;
     }
-    case Op::Wide: {
-      Op Inner = static_cast<Op>(Code[Pc + 1]);
-      switch (Inner) {
-      case Op::Iload:
-      case Op::Fload:
-      case Op::Aload:
-      case Op::Istore:
-      case Op::Fstore:
-      case Op::Astore:
-      case Op::Ret:
-        checkLocal(Pc, rdU2(Code, Pc + 2), 1);
-        return;
-      case Op::Lload:
-      case Op::Dload:
-      case Op::Lstore:
-      case Op::Dstore:
-        checkLocal(Pc, rdU2(Code, Pc + 2), 2);
-        return;
-      case Op::Iinc:
-        checkLocal(Pc, rdU2(Code, Pc + 2), 1);
-        return;
-      default:
-        error(Pc, "wide prefix on a non-widenable instruction");
-        return;
-      }
-    }
     default:
       // Every branch (if*, goto, jsr, tableswitch and the _w forms) lists
       // its targets; any other instruction lists none.
@@ -253,28 +197,8 @@ private:
   /// a return, throw, or unconditional transfer.
   void checkFallOff() {
     uint32_t Last = *Starts.rbegin();
-    switch (static_cast<Op>(Code[Last])) {
-    case Op::Ireturn:
-    case Op::Lreturn:
-    case Op::Freturn:
-    case Op::Dreturn:
-    case Op::Areturn:
-    case Op::Return:
-    case Op::Athrow:
-    case Op::Goto:
-    case Op::GotoW:
-    case Op::Ret:
-    case Op::Tableswitch:
-    case Op::Lookupswitch:
-      return;
-    case Op::Wide:
-      if (static_cast<Op>(Code[Last + 1]) == Op::Ret)
-        return;
-      break;
-    default:
-      break;
-    }
-    error(Last, "execution can fall off the end of the code array");
+    if (decodeBranch(Code, Last).FallsThrough)
+      error(Last, "execution can fall off the end of the code array");
   }
 
   const ClassFile &Cf;

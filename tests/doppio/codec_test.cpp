@@ -16,6 +16,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "browser/wire.h"
 #include "doppio/cluster/control.h"
 #include "doppio/cluster/shard.h"
 #include "doppio/storage/block.h"
@@ -221,6 +222,17 @@ TEST(CodecGolden, ClassFile) {
             "0d0000000100000001b1000000000009001a001b000100180000002800020001"
             "000000141a990007140007ad12098cad57120b5714000cad00010000000c000c"
             "000f00000001001c00000002001d");
+}
+
+TEST(CodecGolden, InPlaceStores) {
+  // The assembler back-patches branch offsets, negative ones too, with
+  // these over bytes it already wrote.
+  Bytes B(6, 0);
+  browser::wire::setU16(&B[0], static_cast<uint16_t>(-3));
+  browser::wire::setU32(&B[2], 0x01234567);
+  EXPECT_EQ(hex(B), "fffd01234567");
+  EXPECT_EQ(browser::wire::getU16(&B[0]), 0xfffd);
+  EXPECT_EQ(browser::wire::getU32(&B[2]), 0x01234567u);
 }
 
 //===----------------------------------------------------------------------===//

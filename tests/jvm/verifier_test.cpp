@@ -144,6 +144,40 @@ TEST(Verifier, RejectsOutOfRangeLocals) {
   EXPECT_TRUE(hasError(verifyClass(Cf), "max_locals"));
 }
 
+TEST(Verifier, ChecksEveryFixedSlotLocalInUnreachableCode) {
+  // JVMS §4.8.1 bounds every local index statically, reachable or not:
+  // `return; <op>_<n>; return` with max_locals 1 for all 32 fixed-slot
+  // loads and stores. A one-slot value fits only slot 0; a long or
+  // double fits no slot.
+  struct Family {
+    Op First;
+    int Width;
+  };
+  for (Family F : {Family{Op::Iload0, 1}, Family{Op::Lload0, 2},
+                   Family{Op::Fload0, 1}, Family{Op::Dload0, 2},
+                   Family{Op::Aload0, 1}, Family{Op::Istore0, 1},
+                   Family{Op::Lstore0, 2}, Family{Op::Fstore0, 1},
+                   Family{Op::Dstore0, 2}, Family{Op::Astore0, 1}}) {
+    for (int Slot = 0; Slot != 4; ++Slot) {
+      Op O = static_cast<Op>(static_cast<int>(F.First) + Slot);
+      SCOPED_TRACE(opcodeName(static_cast<uint8_t>(O)));
+      ClassBuilder B("v/DeadLocal");
+      B.method(AccPublic | AccStatic, "f", "()V")
+          .rawOp(Op::Return)
+          .rawOp(O)
+          .rawOp(Op::Return)
+          .overrideMaxLocals(1);
+      std::vector<std::string> Got, Want;
+      for (const VerifyError &E : verifyClass(B.build()))
+        Got.push_back(E.str());
+      if (Slot + F.Width > 1)
+        Want.push_back("f()V @1: local " + std::to_string(Slot) +
+                       " exceeds max_locals 1");
+      EXPECT_EQ(Got, Want);
+    }
+  }
+}
+
 TEST(Verifier, RejectsWrongConstantTag) {
   ClassBuilder B("v/BadLdc");
   MethodBuilder &M = B.method(AccPublic | AccStatic, "f", "()I");
