@@ -43,14 +43,30 @@ inline void putU16(std::vector<uint8_t> &Out, uint16_t V) {
   Out.push_back(static_cast<uint8_t>(V));
 }
 
+/// Appends \p V big-endian in one insert: one capacity check per field,
+/// not one per byte. The buffer grows to the capacities byte-wise
+/// push_backs reach: a range insert sizes its growth by the insert, and
+/// with that growth alone perfbench serve_files' peak_rss_mb read 3%
+/// higher.
+template <typename T> void putBigEndian(std::vector<uint8_t> &Out, T V) {
+  size_t Cap = Out.capacity();
+  if (Cap - Out.size() < sizeof(T)) {
+    while (Cap < Out.size() + sizeof(T))
+      Cap = Cap ? 2 * Cap : 1;
+    Out.reserve(Cap);
+  }
+  uint8_t B[sizeof(T)];
+  for (size_t I = 0; I != sizeof(T); ++I)
+    B[I] = static_cast<uint8_t>(V >> (8 * (sizeof(T) - 1 - I)));
+  Out.insert(Out.end(), B, B + sizeof(T));
+}
+
 inline void putU32(std::vector<uint8_t> &Out, uint32_t V) {
-  for (int Shift = 24; Shift >= 0; Shift -= 8)
-    Out.push_back(static_cast<uint8_t>(V >> Shift));
+  putBigEndian(Out, V);
 }
 
 inline void putU64(std::vector<uint8_t> &Out, uint64_t V) {
-  for (int Shift = 56; Shift >= 0; Shift -= 8)
-    Out.push_back(static_cast<uint8_t>(V >> Shift));
+  putBigEndian(Out, V);
 }
 
 inline uint16_t getU16(const uint8_t *P) {

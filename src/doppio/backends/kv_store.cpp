@@ -108,7 +108,7 @@ void CloudKv::put(const std::string &Key, const Bytes &Value, DoneCb Done) {
   uint64_t Latency =
       RoundTripNs + Env.profile().Costs.XhrPerByteNs * Value.size();
   Env.loop().scheduleAfter(
-      [this, Key, Value, Done = std::move(Done)] {
+      [this, Key, Value, Done = std::move(Done)]() mutable {
         uint64_t Old = 0;
         auto It = Remote.find(Key);
         if (It != Remote.end())
@@ -122,7 +122,7 @@ void CloudKv::put(const std::string &Key, const Bytes &Value, DoneCb Done) {
           return;
         }
         Used = Used - Old + New;
-        Remote[Key] = Value;
+        Remote[Key] = std::move(Value);
         Done(std::nullopt);
       },
       Latency);

@@ -28,9 +28,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace doppio {
@@ -152,7 +152,8 @@ private:
   uint64_t RoundTripNs;
   uint64_t Quota = 0;
   uint64_t Used = 0;
-  std::map<std::string, Bytes> Remote;
+  /// Hashed: only ever looked up by key and counted, never iterated.
+  std::unordered_map<std::string, Bytes> Remote;
 };
 
 } // namespace fs

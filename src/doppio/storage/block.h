@@ -58,6 +58,14 @@ struct BlockId {
   }
 };
 
+/// Hash-table functor for BlockId. The content hash is already uniform
+/// (XXH64, or FNV-1a through fmix64 for older ids), so it serves as is.
+struct BlockIdHash {
+  size_t operator()(const BlockId &B) const {
+    return static_cast<size_t>(B.Hash);
+  }
+};
+
 /// Hashes \p Size bytes at \p Data with XXH64 (seed 0): four independent
 /// 64-bit lanes over 32-byte stripes, then 8-, 4- and 1-byte tails, then
 /// XXH64's avalanche. Words load as little-endian, so an id is the same

@@ -273,12 +273,13 @@ void CachedKvStore::finishFill(const std::string &Key) {
     if (Bytes *Slot = refBlock(B))
       *Slot = std::move(F.Blocks[B]);
   Bytes Value = F.Waiters.empty() ? Bytes() : assemble(F.M);
-  Entry &E = Entries[Key];
+  EIt = Entries.try_emplace(Key).first;
+  Entry &E = EIt->second;
   E.M = F.M;
   E.Dirty = false;
   E.Tombstone = false;
   E.Prefetched = F.Prefetch;
-  LruList.push_front(Key);
+  LruList.push_front(&EIt->first);
   E.LruPos = LruList.begin();
   FillsC->inc();
   EntriesG->set(static_cast<int64_t>(Entries.size()));
@@ -361,13 +362,12 @@ void CachedKvStore::doPut(const std::string &Key, Bytes Value, DoneCb Done) {
 
   Env.chargeIo(100 + Value.size() / 8);
 
-  auto It = Entries.find(Key);
-  if (It != Entries.end()) {
-    dropEntryBlocks(It->second);
-  } else {
-    It = Entries.emplace(Key, Entry()).first;
-    LruList.push_front(Key);
+  auto [It, New] = Entries.try_emplace(Key);
+  if (New) {
+    LruList.push_front(&It->first);
     It->second.LruPos = LruList.begin();
+  } else {
+    dropEntryBlocks(It->second);
   }
   Entry &E = It->second;
   // A single-block value becomes its pool slot as is; only a value that
@@ -384,7 +384,7 @@ void CachedKvStore::doPut(const std::string &Key, Bytes Value, DoneCb Done) {
   touchLru(E);
 
   Dir.put(Key, M);
-  J.stagePut(Key, M);
+  J.stagePut(Key, std::move(M));
 
   EntriesG->set(static_cast<int64_t>(Entries.size()));
   BytesG->set(static_cast<int64_t>(CachedBytes));
@@ -413,8 +413,8 @@ void CachedKvStore::doDel(const std::string &Key, DoneCb Done) {
   }
   Dir.remove(Key);
   if (It == Entries.end()) {
-    It = Entries.emplace(Key, Entry()).first;
-    LruList.push_front(Key);
+    It = Entries.try_emplace(Key).first;
+    LruList.push_front(&It->first);
     It->second.LruPos = LruList.begin();
     EntriesG->set(static_cast<int64_t>(Entries.size()));
   } else {
@@ -489,13 +489,13 @@ void CachedKvStore::evictIfNeeded() {
   auto It = LruList.end();
   while (CachedBytes > Cfg.CapacityBytes && It != LruList.begin()) {
     --It;
-    auto EIt = Entries.find(*It);
+    auto EIt = Entries.find(**It);
     assert(EIt != Entries.end());
     if (EIt->second.Dirty)
       continue; // Pinned until flushed.
     dropEntryBlocks(EIt->second);
-    Entries.erase(EIt);
     It = LruList.erase(It);
+    Entries.erase(EIt);
     EvictionsC->inc();
   }
   EntriesG->set(static_cast<int64_t>(Entries.size()));
@@ -538,16 +538,16 @@ void CachedKvStore::runFlush() {
   // Seal the open group: the staged records join the log image, and are
   // remembered so Committed can absorb them once the image is durable.
   if (J.stagedRecords()) {
-    for (const Journal::Record &R : J.staged())
-      SealedUnapplied.push_back(R);
-    J.sealGroup();
+    J.sealGroup(&SealedUnapplied);
     SealEpoch = Epoch;
   }
 
   // Phase 1: persist dirty blocks, in parallel. Content-addressed keys
   // make this safe before the commit: a crash here leaves unreferenced
-  // garbage blocks, never a torn value.
+  // garbage blocks, never a torn value. They go out in BlockId order, so
+  // the slow store sees the same sequence whatever the table's order.
   std::vector<BlockId> ToWrite(DirtyBlocks.begin(), DirtyBlocks.end());
+  std::sort(ToWrite.begin(), ToWrite.end());
   if (ToWrite.empty()) {
     persistCommit(std::move(ToWrite));
     return;
@@ -594,9 +594,10 @@ void CachedKvStore::persistCommit(std::vector<BlockId> Written) {
                 flushFailed(*E);
                 return;
               }
-              for (const Journal::Record &R : SealedUnapplied) {
+              // commitDurable clears the records: their manifests move.
+              for (Journal::Record &R : SealedUnapplied) {
                 if (R.K == Journal::Record::Kind::Put)
-                  Committed.put(R.Key, R.M);
+                  Committed.put(R.Key, std::move(R.M));
                 else if (R.K == Journal::Record::Kind::Del)
                   Committed.remove(R.Key);
               }
@@ -622,18 +623,17 @@ void CachedKvStore::commitDurable(std::vector<BlockId> Written) {
 
   // Entries dirtied before the group was sealed are clean now; later
   // writers (higher epoch) stay pinned for the next group.
-  std::vector<std::string> DeadTombstones;
-  for (auto &[Key, E] : Entries) {
-    if (!E.Dirty || E.DirtyEpoch > SealEpoch)
-      continue;
-    E.Dirty = false;
-    if (E.Tombstone)
-      DeadTombstones.push_back(Key);
-  }
-  for (const std::string &Key : DeadTombstones) {
-    auto It = Entries.find(Key);
-    LruList.erase(It->second.LruPos);
-    Entries.erase(It);
+  for (auto It = Entries.begin(); It != Entries.end();) {
+    Entry &E = It->second;
+    bool Sealed = E.Dirty && E.DirtyEpoch <= SealEpoch;
+    if (Sealed)
+      E.Dirty = false;
+    if (Sealed && E.Tombstone) {
+      LruList.erase(E.LruPos);
+      It = Entries.erase(It);
+    } else {
+      ++It;
+    }
   }
   DirtyBytesG->set(static_cast<int64_t>(DirtyBytes));
   EntriesG->set(static_cast<int64_t>(Entries.size()));
@@ -709,7 +709,7 @@ void CachedKvStore::startCheckpoint(bool Rescue) {
 
 void CachedKvStore::collectGarbage() {
   // Blocks referenced by no durable state and no pending group are dead.
-  std::set<BlockId> Referenced;
+  BlockSet Referenced;
   for (const auto &[Key, M] : Committed.entries()) {
     (void)Key;
     for (const BlockId &B : M.Blocks)
@@ -724,10 +724,12 @@ void CachedKvStore::collectGarbage() {
   for (const BlockId &B : DirtyBlocks)
     Referenced.insert(B);
 
+  // Deleted in BlockId order, like the blocks runFlush writes.
   std::vector<BlockId> Dead;
   for (const BlockId &B : Persisted)
     if (!Referenced.count(B))
       Dead.push_back(B);
+  std::sort(Dead.begin(), Dead.end());
   for (const BlockId &B : Dead) {
     Persisted.erase(B);
     GcBlocksC->inc();

@@ -50,10 +50,10 @@
 
 #include <cstdint>
 #include <list>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace doppio {
@@ -149,13 +149,20 @@ private:
     uint32_t Refs = 0;
   };
 
+  /// Keys of Entries, front = most recently used. Each points at its
+  /// entry's key in the table, which stays put until the entry is erased.
+  using LruOrder = std::list<const std::string *>;
+  using BlockSet = std::unordered_set<BlockId, BlockIdHash>;
+  template <typename V>
+  using BlockMap = std::unordered_map<BlockId, V, BlockIdHash>;
+
   struct Entry {
     Manifest M;
     bool Dirty = false;
     bool Tombstone = false;
     bool Prefetched = false;
     uint64_t DirtyEpoch = 0;
-    std::list<std::string>::iterator LruPos;
+    LruOrder::iterator LruPos;
   };
 
   /// One queued pre-ready operation. (Wrapped in a struct: the cont
@@ -168,7 +175,7 @@ private:
   struct Fill {
     std::vector<GetCb> Waiters;
     Manifest M;
-    std::map<BlockId, std::vector<uint8_t>> Blocks;
+    BlockMap<std::vector<uint8_t>> Blocks;
     size_t Outstanding = 0;
     bool Prefetch = false;
     bool Failed = false;
@@ -227,14 +234,16 @@ private:
   /// to Committed when the log image reaches the slow store.
   std::vector<Journal::Record> SealedUnapplied;
 
-  std::map<std::string, Entry> Entries;
-  std::map<BlockId, Block> Pool;
-  /// Front = most recently used.
-  std::list<std::string> LruList;
+  // Hash tables throughout: nothing reaches the slow store in their
+  // iteration order. runFlush and collectGarbage sort the blocks they
+  // hand it by BlockId (DESIGN.md §19).
+  std::unordered_map<std::string, Entry> Entries;
+  BlockMap<Block> Pool;
+  LruOrder LruList;
   /// Blocks known durable in the slow store.
-  std::set<BlockId> Persisted;
+  BlockSet Persisted;
   /// Blocks referenced by dirty entries, awaiting flush.
-  std::set<BlockId> DirtyBlocks;
+  BlockSet DirtyBlocks;
   uint64_t CachedBytes = 0;
   uint64_t DirtyBytes = 0;
   /// Projected slow-store quota consumption of everything dirty.
@@ -246,7 +255,7 @@ private:
 
   bool Ready = false;
   std::vector<PendingOp> PendingOps;
-  std::map<std::string, Fill> Fills;
+  std::unordered_map<std::string, Fill> Fills;
   std::string LastMissKey;
 
   browser::TimerHandle FlushTimer;

@@ -6,6 +6,7 @@
 #include "doppio/cont/snapshot.h"
 
 #include <cstddef>
+#include <iterator>
 
 using namespace doppio;
 using namespace doppio::rt;
@@ -86,11 +87,11 @@ bool parseRecord(wire::Reader &R, const std::vector<uint8_t> &B,
 
 } // namespace
 
-void Journal::stagePut(const std::string &Key, const Manifest &M) {
+void Journal::stagePut(const std::string &Key, Manifest M) {
   Record R;
   R.K = Record::Kind::Put;
   R.Key = Key;
-  R.M = M;
+  R.M = std::move(M);
   Staged.push_back(std::move(R));
 }
 
@@ -101,10 +102,13 @@ void Journal::stageDel(const std::string &Key) {
   Staged.push_back(std::move(R));
 }
 
-const std::vector<uint8_t> &Journal::sealGroup() {
+const std::vector<uint8_t> &Journal::sealGroup(std::vector<Record> *Sealed) {
   std::vector<Record> Group;
   Group.swap(Staged);
   appendGroup(Group);
+  if (Sealed)
+    Sealed->insert(Sealed->end(), std::make_move_iterator(Group.begin()),
+                   std::make_move_iterator(Group.end()));
   return Log;
 }
 

@@ -54,16 +54,17 @@ public:
 
   /// Stages an intent record into the open group (in-memory; not yet part
   /// of the persisted image).
-  void stagePut(const std::string &Key, const Manifest &M);
+  void stagePut(const std::string &Key, Manifest M);
   void stageDel(const std::string &Key);
 
   size_t stagedRecords() const { return Staged.size(); }
   const std::vector<Record> &staged() const { return Staged; }
 
   /// Seals the open group: appends the staged records plus a Commit
-  /// marker to the log image. The returned bytes are what must reach the
-  /// slow store for the group to become durable.
-  const std::vector<uint8_t> &sealGroup();
+  /// marker to the log image, then moves the records onto the end of
+  /// \p Sealed when one is given. The returned bytes are what must reach
+  /// the slow store for the group to become durable.
+  const std::vector<uint8_t> &sealGroup(std::vector<Record> *Sealed = nullptr);
 
   /// Re-seals an already-sealed-elsewhere group into the log image (after
   /// a rescue truncation dropped it); a no-op for an empty \p Rs.

@@ -106,29 +106,6 @@ std::string familyName(Op O) {
   return Name;
 }
 
-/// True for the field descriptors the lattice can type.
-bool isValidFieldDesc(const std::string &D) {
-  if (D.empty())
-    return false;
-  switch (D[0]) {
-  case 'B':
-  case 'C':
-  case 'D':
-  case 'F':
-  case 'I':
-  case 'J':
-  case 'S':
-  case 'Z':
-    return D.size() == 1;
-  case 'L':
-    return D.back() == ';' && D.size() > 2;
-  case '[':
-    return D.size() > 1;
-  default:
-    return false;
-  }
-}
-
 class DataflowAnalyzer {
 public:
   DataflowAnalyzer(const ClassFile &Cf, const MemberInfo &M,
@@ -628,7 +605,7 @@ private:
     case Op::Putfield: {
       ConstantPool::MemberRef Ref =
           Cf.Pool.memberRef(rdU2(Code, CurPc + 1));
-      if (!isValidFieldDesc(Ref.Descriptor)) {
+      if (!desc::isField(Ref.Descriptor)) {
         fail("malformed field descriptor " + Ref.Descriptor);
         break;
       }

@@ -26,8 +26,8 @@ static std::string consumeField(const std::string &S, size_t &Pos) {
     return S.substr(Start, Pos - Start);
   case 'L': {
     size_t Semi = S.find(';', Pos);
-    if (Semi == std::string::npos)
-      return "";
+    if (Semi == std::string::npos || Semi == Pos + 1)
+      return ""; // No ';', or an empty class name.
     Pos = Semi + 1;
     return S.substr(Start, Pos - Start);
   }

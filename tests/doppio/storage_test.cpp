@@ -1283,6 +1283,214 @@ TEST(CachedStoreWritePath, FnvEraImageReadsBackAndIsCollected) {
 }
 
 //===----------------------------------------------------------------------===//
+// Seeded model differential and the slow-store call order
+//===----------------------------------------------------------------------===//
+
+/// Issues a del and drains the loop; returns the completion error.
+std::optional<ApiError> delKv(BrowserEnv &Env, fs::AsyncKvStore &S,
+                              const std::string &K) {
+  std::optional<ApiError> Out = ApiError(Errno::Io, "never completed");
+  S.del(K, [&](std::optional<ApiError> E) { Out = E; });
+  drain(Env);
+  return Out;
+}
+
+/// Random put/get/del/sync/reload sequences against a std::map model.
+/// Values are cut from a handful of 1 KB block payloads, so different
+/// keys (and blocks of one value) share blocks; sizes run from 0 bytes
+/// through one partial block to several blocks; the capacity holds a few
+/// blocks, so entries are evicted and refilled; and a small checkpoint
+/// threshold makes checkpoints and GC run between the ops. A reload is a
+/// sync, then a fresh cache over the same IndexedDB.
+TEST(CachedStoreModel, SeededOpsMatchAMapModel) {
+  constexpr size_t BlockBytes = 1024;
+  std::vector<Bytes> Pieces;
+  for (uint8_t I = 0; I != 5; ++I)
+    Pieces.push_back(blob(BlockBytes, static_cast<uint8_t>(40 * I + 1)));
+  CacheConfig C = quiescentConfig();
+  C.BlockBytes = BlockBytes;
+  C.CapacityBytes = 6 * BlockBytes;
+  C.DirtyHighWaterBytes = 4 * BlockBytes;
+  C.CheckpointJournalBytes = 2048;
+  // Totals over every store instance of every seed: each mechanism the
+  // sequences are meant to reach must have run.
+  CacheStats Total;
+  auto Tally = [&Total](const CacheStats &S) {
+    Total.Evictions += S.Evictions;
+    Total.DedupHits += S.DedupHits;
+    Total.Fills += S.Fills;
+    Total.Checkpoints += S.Checkpoints;
+    Total.GcBlocks += S.GcBlocks;
+  };
+
+  for (uint32_t Seed = 1; Seed != 9; ++Seed) {
+    SCOPED_TRACE("seed=" + std::to_string(Seed));
+    std::mt19937 Rng(Seed);
+    auto Pick = [&Rng](uint32_t N) { return static_cast<uint32_t>(Rng() % N); };
+    auto Value = [&]() {
+      Bytes V;
+      uint32_t Whole = Pick(4); // 0-3 whole blocks ...
+      for (uint32_t I = 0; I != Whole; ++I) {
+        const Bytes &P = Pieces[Pick(Pieces.size())];
+        V.insert(V.end(), P.begin(), P.end());
+      }
+      if (Pick(2)) { // ... then maybe a partial tail.
+        const Bytes &P = Pieces[Pick(Pieces.size())];
+        V.insert(V.end(), P.begin(), P.begin() + 1 + Pick(BlockBytes - 1));
+      }
+      return V;
+    };
+
+    BrowserEnv Env(chromeProfile());
+    auto Store = std::make_unique<CachedKvStore>(
+        Env, std::make_unique<fs::IndexedDbKv>(Env), C);
+    drain(Env);
+    std::map<std::string, Bytes> Model;
+    auto Check = [&](const std::string &K) {
+      std::optional<Bytes> Got = getKv(Env, *Store, K);
+      auto It = Model.find(K);
+      ASSERT_EQ(Got.has_value(), It != Model.end()) << K;
+      if (Got) {
+        ASSERT_EQ(*Got, It->second) << K;
+      }
+    };
+
+    for (int Op = 0; Op != 250; ++Op) {
+      SCOPED_TRACE("op=" + std::to_string(Op));
+      std::string K = "k" + std::to_string(Pick(10));
+      uint32_t Kind = Pick(20);
+      if (Kind < 8) {
+        Bytes V = Value();
+        ASSERT_FALSE(putKv(Env, *Store, K, V).has_value());
+        Model[K] = std::move(V);
+      } else if (Kind < 15) {
+        Check(K);
+      } else if (Kind < 18) {
+        ASSERT_FALSE(delKv(Env, *Store, K).has_value());
+        Model.erase(K);
+      } else if (Kind < 19) {
+        ASSERT_FALSE(syncKv(Env, *Store).has_value());
+      } else {
+        ASSERT_FALSE(syncKv(Env, *Store).has_value());
+        Tally(Store->stats());
+        Store.reset();
+        Store = std::make_unique<CachedKvStore>(
+            Env, std::make_unique<fs::IndexedDbKv>(Env), C);
+        drain(Env);
+        ASSERT_TRUE(Store->ready());
+      }
+    }
+    ASSERT_FALSE(syncKv(Env, *Store).has_value());
+    Tally(Store->stats());
+    Store.reset();
+    Store = std::make_unique<CachedKvStore>(
+        Env, std::make_unique<fs::IndexedDbKv>(Env), C);
+    drain(Env);
+    ASSERT_TRUE(Store->ready());
+    EXPECT_EQ(Store->directory().size(), Model.size());
+    for (int I = 0; I != 10; ++I)
+      Check("k" + std::to_string(I));
+  }
+  EXPECT_GE(Total.Evictions, 1u);
+  EXPECT_GE(Total.DedupHits, 1u);
+  EXPECT_GE(Total.Fills, 1u);
+  EXPECT_GE(Total.Checkpoints, 1u);
+  EXPECT_GE(Total.GcBlocks, 1u);
+}
+
+/// Forwards to an owned slow store and logs every call as
+/// "<op> <key> <value bytes>" (the bytes only for a put).
+class RecordingKv : public fs::AsyncKvStore {
+public:
+  RecordingKv(std::unique_ptr<fs::AsyncKvStore> Inner,
+              std::vector<std::string> &Log)
+      : Inner(std::move(Inner)), Log(Log) {}
+
+  std::string storeName() const override { return Inner->storeName(); }
+  void get(const std::string &Key, GetCb Done) override {
+    Log.push_back("get " + Key);
+    Inner->get(Key, std::move(Done));
+  }
+  void put(const std::string &Key, const Bytes &Value,
+           DoneCb Done) override {
+    Log.push_back("put " + Key + " " + std::to_string(Value.size()));
+    Inner->put(Key, Value, std::move(Done));
+  }
+  void del(const std::string &Key, DoneCb Done) override {
+    Log.push_back("del " + Key);
+    Inner->del(Key, std::move(Done));
+  }
+
+private:
+  std::unique_ptr<fs::AsyncKvStore> Inner;
+  std::vector<std::string> &Log;
+};
+
+/// The order in which the cache hands blocks to the slow store is part of
+/// what every slow-store trace (and every virtual-time series built on
+/// one) observes: a flush writes its dirty blocks, and GC deletes its
+/// dead ones, in BlockId order. This pins the whole call sequence of a
+/// put burst (with a dedup hit, an empty value and multi-block values),
+/// a sync, a rewrite with a delete, and the sync whose flush crosses the
+/// checkpoint threshold and collects the rewritten blocks.
+TEST(CachedStore, SlowStoreCallSequenceIsPinned) {
+  BrowserEnv Env(chromeProfile());
+  std::vector<std::string> Log;
+  CacheConfig C = quiescentConfig();
+  C.CheckpointJournalBytes = 300;
+  CachedKvStore Store(
+      Env,
+      std::make_unique<RecordingKv>(std::make_unique<fs::IndexedDbKv>(Env),
+                                    Log),
+      C);
+  drain(Env);
+
+  ASSERT_FALSE(putKv(Env, Store, "a", blob(100, 1)).has_value());
+  ASSERT_FALSE(putKv(Env, Store, "b", blob(40000, 2)).has_value());
+  ASSERT_FALSE(putKv(Env, Store, "c", blob(100, 1)).has_value());
+  ASSERT_FALSE(putKv(Env, Store, "d", Bytes()).has_value());
+  ASSERT_FALSE(putKv(Env, Store, "e", blob(20000, 3)).has_value());
+  ASSERT_FALSE(syncKv(Env, Store).has_value());
+  EXPECT_EQ(Store.stats().Checkpoints, 0u);
+  ASSERT_FALSE(putKv(Env, Store, "b", blob(40000, 4)).has_value());
+  ASSERT_FALSE(putKv(Env, Store, "e", blob(17000, 5)).has_value());
+  ASSERT_FALSE(delKv(Env, Store, "c").has_value());
+  ASSERT_FALSE(syncKv(Env, Store).has_value());
+  EXPECT_EQ(Store.stats().Checkpoints, 1u);
+
+  // Recovery reads; group 1's six distinct blocks ("c" dedups against
+  // "a", "d" has none) in BlockId order, then its journal image; group
+  // 2's blocks, its image, the checkpoint's directory snapshot, GC of the
+  // five blocks only the old "b" and "e" held, in BlockId order, and the
+  // truncated journal.
+  const std::vector<std::string> Want = {
+      "get dir",
+      "get journal",
+      "put b:5172d8a1d8a44efb.16384 16384",
+      "put b:6f9f25633e0b46e9.100 100",
+      "put b:c06a604433bf6443.3616 3616",
+      "put b:e804def72b4a602c.16384 16384",
+      "put b:fbd58e61e2f418a8.7232 7232",
+      "put b:fc21d63edb50936c.16384 16384",
+      "put journal 215",
+      "put b:1a3c9936ffe017bc.616 616",
+      "put b:3ef25c6e160e5713.16384 16384",
+      "put b:765d2340e0dde8f1.7232 7232",
+      "put b:814719e0b08dcd82.16384 16384",
+      "put b:9313798fc8c94140.16384 16384",
+      "put journal 342",
+      "put dir 152",
+      "del b:5172d8a1d8a44efb.16384",
+      "del b:c06a604433bf6443.3616",
+      "del b:e804def72b4a602c.16384",
+      "del b:fbd58e61e2f418a8.7232",
+      "del b:fc21d63edb50936c.16384",
+      "put journal 8",
+  };
+  EXPECT_EQ(Log, Want);
+}
+
+//===----------------------------------------------------------------------===//
 // Power-cut fuzz sweep
 //===----------------------------------------------------------------------===//
 

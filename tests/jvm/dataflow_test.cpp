@@ -192,6 +192,28 @@ TEST(Dataflow, HardErrorsRejectTheClass) {
   EXPECT_EQ(Errors.front().str(), "f()V @0: stack underflow");
 }
 
+TEST(Dataflow, MalformedFieldDescriptorsAreRejected) {
+  // Each descriptor opens like a valid one: an array of no element type,
+  // a class name running past its ';', an empty class name.
+  for (const char *Desc : {"[X", "La;b;", "L;", "[", "LFoo"}) {
+    SCOPED_TRACE(Desc);
+    ClassBuilder B("t/BadField");
+    MethodBuilder &M = B.method(AccPublic | AccStatic, "f", "()V");
+    M.rawOp(Op::Getstatic)
+        .rawU2(B.pool().addFieldref("t/BadField", "x", Desc))
+        .rawOp(Op::Pop)
+        .rawOp(Op::Return)
+        .overrideMaxStack(1);
+    ClassFile Cf = B.build();
+    MethodDataflow Flow = analyzeMethodDataflow(Cf, Cf.Methods.front());
+    EXPECT_FALSE(Flow.Ok);
+    ASSERT_FALSE(Flow.Errors.empty());
+    EXPECT_EQ(Flow.Errors.front().Pc, 0u);
+    EXPECT_EQ(Flow.Errors.front().Message,
+              std::string("malformed field descriptor ") + Desc);
+  }
+}
+
 //===--------------------------------------------------------------------===//
 // Positive cases
 //===--------------------------------------------------------------------===//
