@@ -156,11 +156,7 @@ void Suspender::dispatchViaMechanism(uint64_t Id) {
   }
 }
 
-bool Suspender::shouldSuspend() {
-  if (Counter > 1) {
-    --Counter;
-    return false;
-  }
+bool Suspender::countdownExpired() {
   // Counter hit zero: measure how long this countdown took and update the
   // cumulative moving average of per-check cost (§4.1).
   uint64_t Now = Env.clock().nowNs();

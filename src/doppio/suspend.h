@@ -89,8 +89,15 @@ public:
   /// The language implementation's periodic check (§4.1): decrements the
   /// counter; when it reaches zero, re-derives the counter from the
   /// cumulative moving average of check cost and returns true — the
-  /// program should suspend now.
-  bool shouldSuspend();
+  /// program should suspend now. Only the decrement is inline: it is the
+  /// whole check in all but one of every CounterTarget calls.
+  bool shouldSuspend() {
+    if (Counter > 1) {
+      --Counter;
+      return false;
+    }
+    return countdownExpired();
+  }
 
   /// Resets the countdown measurement window; called when a fresh slice
   /// begins (after resumption).
@@ -119,6 +126,9 @@ private:
     uint64_t SuspendedAtNs = 0;
   };
 
+  /// shouldSuspend's expiring check: measures the countdown, updates the
+  /// CMA, sizes the next countdown, and returns true.
+  bool countdownExpired();
   void dispatchViaMechanism(uint64_t Id);
   /// Dispatch tail shared by all three mechanisms: unparks \p Id, charges
   /// the suspension wait, and resumes the continuation.

@@ -17,7 +17,6 @@
 #include <cassert>
 #include <cmath>
 #include <initializer_list>
-#include <sstream>
 #include <utility>
 
 using namespace doppio;
@@ -155,13 +154,11 @@ void JvmThread::pushEntryFrame(Method *M, std::vector<Value> Args) {
 //===----------------------------------------------------------------------===//
 
 bool JvmThread::reserveFrame(size_t Base, const Method &M) {
-  // One slot of slack above max_stack: a caught exception is pushed even
-  // into a frame whose (unverified) max_stack is 0.
+  if (frameFits(Base, M))
+    return true;
   size_t Need = Base + M.Code.MaxLocals + M.Code.MaxStack + 1;
   if (CallStack.size() >= MaxCallDepth || Need > MaxStackSlots)
     return false;
-  if (Need <= Values.size())
-    return true;
   std::vector<Value> Grown(
       std::min(MaxStackSlots, std::max({Need, 2 * Values.size(),
                                         InitialStackSlots})));
@@ -204,12 +201,11 @@ Frame *JvmThread::placeFrame(Method *M, std::span<const Value> Locals,
   return &F;
 }
 
-std::string JvmThread::stackTrace() const {
-  std::ostringstream Out;
-  for (auto It = CallStack.rbegin(); It != CallStack.rend(); ++It)
-    Out << "\tat " << It->M->Owner->Name << "." << It->M->Name
-        << It->M->Descriptor << " (pc=" << It->Pc << ")\n";
-  return Out.str();
+void JvmThread::releaseFrame(Frame &F) {
+  if (F.Locked)
+    releaseMonitor(F.Locked);
+  if (F.ClinitOf)
+    F.ClinitOf->Init = Klass::InitState::Initialized;
 }
 
 RunOutcome JvmThread::resume() {
@@ -287,7 +283,7 @@ RunOutcome JvmThread::resume() {
   return RunOutcome::Terminated;
 }
 
-bool JvmThread::wantsSuspend() {
+inline bool JvmThread::wantsSuspend() {
   if (Vm.mode() != ExecutionMode::DoppioJS)
     return false;
   // Close the dynamic between-checks span (DESIGN.md §17): the counter
@@ -362,7 +358,10 @@ JvmThread::StepResult JvmThread::throwJvm(const std::string &ClassName,
 }
 
 JvmThread::StepResult JvmThread::dispatchException(Object *Ex) {
-  std::string Trace = stackTrace(); // §6.1: trivial stack introspection.
+  // §6.1's free stack introspection: a line per frame this dispatch
+  // unwinds, top first. Only an uncaught exception prints it, and by then
+  // it has unwound every frame.
+  std::string Trace;
   // "Iterating through its virtual stack representation until it finds a
   // stack frame with an applicable exception handler" (§6.6).
   while (!CallStack.empty()) {
@@ -392,12 +391,15 @@ JvmThread::StepResult JvmThread::dispatchException(Object *Ex) {
         return StepResult::Continue;
       }
     }
-    if (F.Locked)
-      releaseMonitor(F.Locked);
-    if (F.ClinitOf)
-      F.ClinitOf->Init = Klass::InitState::Initialized;
-    Sp = F.Locals;
-    CallStack.pop_back();
+    Trace.append("\tat ")
+        .append(F.M->Owner->Name)
+        .append(".")
+        .append(F.M->Name)
+        .append(F.M->Descriptor)
+        .append(" (pc=")
+        .append(std::to_string(F.Pc))
+        .append(")\n");
+    popFrame();
   }
   // Uncaught: report and terminate the thread ("exits with an error").
   Uncaught = true;
@@ -584,9 +586,7 @@ JvmThread::StepResult JvmThread::invokeMethod(Method *M, bool HasReceiver,
     return throwJvm("java/lang/AbstractMethodError", M->qualifiedName());
   }
 
-  // The callee's locals start on the first argument slot, as in HotSpot's
-  // interpreter: the arguments are already its first locals. The array
-  // may move here, so the window pointers are formed after.
+  // The array may move here, so the window pointers are formed after.
   if (!reserveFrame(ArgsAt, *M)) {
     // Pc still points at the invoke, so the handler search sees it.
     Sp = Values.data() + ArgsAt;
@@ -603,31 +603,7 @@ JvmThread::StepResult JvmThread::invokeMethod(Method *M, bool HasReceiver,
     (void)R;
     F.Locked = Lock;
   }
-  // "DoppioJVM checks at each function call boundary whether it should
-  // suspend" (§6.1).
-  if (wantsSuspend())
-    return StepResult::Yield;
-  return StepResult::Continue;
-}
-
-JvmThread::StepResult
-JvmThread::returnFromFrame(std::optional<Value> Ret) {
-  Frame &F = CallStack.back();
-  if (F.Locked)
-    releaseMonitor(F.Locked);
-  Klass *InitDone = F.ClinitOf;
-  // The caller's stack top drops to this frame's base, where the
-  // arguments were: the return value lands in their place.
-  Sp = F.Locals;
-  CallStack.pop_back();
-  if (InitDone)
-    InitDone->Init = Klass::InitState::Initialized;
-  if (CallStack.empty()) {
-    Finished = true;
-    return StepResult::Done;
-  }
-  if (Ret)
-    pushSlotted(*Ret);
+  // §6.1's call-boundary check, as at the end of step()'s call tail.
   if (wantsSuspend())
     return StepResult::Yield;
   return StepResult::Continue;
@@ -879,6 +855,14 @@ struct DispatchTables {
   uint64_t Ops = 0;
   Op O = Op::Nop;
   (void)CodeLen;
+  // Set by an invoke handler for the call tail, and by a return handler
+  // for the return tail.
+  struct {
+    Method *M;
+    bool HasReceiver;
+    uint32_t InsnLen;
+  } Call = {};
+  std::optional<Value> Ret;
 
 Next:
   // Memory is in sync here, and Ops is zero.
@@ -1810,15 +1794,53 @@ Resync:
   }
 
   // Returns ----------------------------------------------------------------
+  // The whole return runs here: only a synchronized or <clinit> frame
+  // leaves step(), for popFrame's releaseFrame.
   OPC(Ireturn)
   OPC(Freturn)
   OPC(Areturn)
-    NEXT_IF_CONTINUE(returnFromFrame(pop()));
+    Ret = pop();
+    goto ReturnTail;
   OPC(Lreturn)
   OPC(Dreturn)
-    NEXT_IF_CONTINUE(returnFromFrame(pop2()));
+    Ret = pop2();
+    goto ReturnTail;
   OPC(Return)
-    NEXT_IF_CONTINUE(returnFromFrame(std::nullopt));
+    Ret.reset();
+  ReturnTail:
+    popFrame();
+    if (CallStack.empty()) {
+      Finished = true;
+      return StepResult::Done;
+    }
+    if (Ret)
+      pushSlotted(*Ret);
+  BoundaryCheck:
+    // "DoppioJVM checks at each function call boundary whether it should
+    // suspend" (§6.1): after every return, and on entry to every callee.
+    if (wantsSuspend())
+      return StepResult::Yield;
+    NEXT();
+
+  // The call tail, shared by every invoke handler: memory is in sync, pc
+  // still points at the invoke, and the resolved callee's receiver and
+  // arguments sit on the operand stack. A bytecode callee that needs no
+  // monitor and whose frame fits the value array is entered here;
+  // invokeMethod takes every other call.
+  CallTail: {
+    Method *M = Call.M;
+    size_t ArgSlots = M->ParamSlots + (Call.HasReceiver ? 1 : 0);
+    // The callee's locals start on the first argument slot, as in
+    // HotSpot's interpreter: the arguments are already its first locals.
+    size_t Base = top() - ArgSlots;
+    if (!M->HasCode || M->isNative() || M->isSynchronized() ||
+        !frameFits(Base, *M)) [[unlikely]]
+      NEXT_IF_CONTINUE(invokeMethod(M, Call.HasReceiver, Call.InsnLen));
+    ++Vm.stats().MethodInvocations;
+    F.Pc += Call.InsnLen; // Return lands after the invoke.
+    pushFrame(M, Base, ArgSlots);
+    goto BoundaryCheck;
+  }
 
   // Fields -----------------------------------------------------------------
   OPC(Getstatic)
@@ -1917,7 +1939,8 @@ Resync:
     NEXT();
   }
 
-  // Invocations (§6.1 call-boundary suspend checks live in the helpers) ---
+  // Invocations ------------------------------------------------------------
+  // Each handler resolves its callee and ends in the call tail.
   OPC(Invokestatic) {
     uint16_t Idx = rdU2(C, F.Pc + 1);
     ConstantPool::MemberRef Ref = F.M->Owner->Cf.Pool.memberRef(Idx);
@@ -1945,7 +1968,8 @@ Resync:
       if (Mon.OwnerTid != -1 && Mon.OwnerTid != Tid)
         NEXT_IF_CONTINUE(monitorEnter(Lock));
     }
-    NEXT_IF_CONTINUE(invokeMethod(M, /*HasReceiver=*/false, /*InsnLen=*/3));
+    Call = {M, /*HasReceiver=*/false, /*InsnLen=*/3};
+    goto CallTail;
   }
   OPC(Invokespecial)
   OPC(Invokevirtual)
@@ -1998,7 +2022,8 @@ Resync:
       if (Mon.OwnerTid != -1 && Mon.OwnerTid != Tid)
         NEXT_IF_CONTINUE(monitorEnter(Receiver.R));
     }
-    NEXT_IF_CONTINUE(invokeMethod(M, /*HasReceiver=*/true, InsnLen));
+    Call = {M, /*HasReceiver=*/true, InsnLen};
+    goto CallTail;
   }
 
   // Allocation -------------------------------------------------------------
@@ -2297,7 +2322,8 @@ Resync:
       if (Mon.OwnerTid != -1 && Mon.OwnerTid != Tid)
         NEXT_IF_CONTINUE(monitorEnter(Lock));
     }
-    NEXT_IF_CONTINUE(invokeMethod(M, /*HasReceiver=*/false, /*InsnLen=*/3));
+    Call = {M, /*HasReceiver=*/false, /*InsnLen=*/3};
+    goto CallTail;
   }
   OPC(InvokespecialQuick) {
     QuickEntry &Q = F.M->Owner->quickEntry(rdU2(C, F.Pc + 1));
@@ -2311,7 +2337,8 @@ Resync:
       if (Mon.OwnerTid != -1 && Mon.OwnerTid != Tid)
         NEXT_IF_CONTINUE(monitorEnter(Receiver.R));
     }
-    NEXT_IF_CONTINUE(invokeMethod(M, /*HasReceiver=*/true, /*InsnLen=*/3));
+    Call = {M, /*HasReceiver=*/true, /*InsnLen=*/3};
+    goto CallTail;
   }
   OPC(InvokevirtualQuick)
   OPC(InvokeinterfaceQuick) {
@@ -2355,7 +2382,8 @@ Resync:
       if (Mon.OwnerTid != -1 && Mon.OwnerTid != Tid)
         NEXT_IF_CONTINUE(monitorEnter(Receiver.R));
     }
-    NEXT_IF_CONTINUE(invokeMethod(M, /*HasReceiver=*/true, InsnLen));
+    Call = {M, /*HasReceiver=*/true, InsnLen};
+    goto CallTail;
   }
   OPC(NewQuick) {
     QuickEntry &Q = F.M->Owner->quickEntry(rdU2(C, Pc + 1));

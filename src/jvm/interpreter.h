@@ -135,10 +135,6 @@ public:
   /// Generation counter distinguishing timed-wait timeouts.
   uint64_t WaitGeneration = 0;
 
-  /// Formats the virtual stack as a Java-style trace (§6.1's free stack
-  /// introspection).
-  std::string stackTrace() const;
-
   /// Tears the call stack down (System.exit): the invoking native returns
   /// into an empty stack and the thread terminates.
   void killForExit() {
@@ -206,6 +202,15 @@ private:
   // The value array (DESIGN.md §9).
   /// Slot index of the stack top.
   size_t top() const { return static_cast<size_t>(Sp - Values.data()); }
+  /// Whether a frame of \p M whose locals start at slot \p Base fits the
+  /// value array as it is and stays within MaxCallDepth. The array never
+  /// outgrows MaxStackSlots, so a fitting frame is within that bound too.
+  bool frameFits(size_t Base, const Method &M) const {
+    // One slot of slack above max_stack: a caught exception is pushed
+    // even into a frame whose (unverified) max_stack is 0.
+    return CallStack.size() < MaxCallDepth &&
+           Base + M.Code.MaxLocals + M.Code.MaxStack + 1 <= Values.size();
+  }
   /// The single growth point: makes room for a frame of \p M whose locals
   /// start at slot \p Base, reallocating the array and rebasing every
   /// frame's windows and Sp when it is too small. Returns false, changing
@@ -221,22 +226,42 @@ private:
   /// StackOverflowError bounds. For entry frames and checkpoint restore.
   Frame *placeFrame(Method *M, std::span<const Value> Locals,
                     std::span<const Value> Operands);
+  /// Pops the top frame, on a return or while unwinding past it: the
+  /// caller's stack top drops to the frame's base, where its arguments
+  /// were. A synchronized frame and a <clinit> frame take releaseFrame
+  /// first.
+  void popFrame() {
+    Frame &F = CallStack.back();
+    if (F.Locked || F.ClinitOf) [[unlikely]]
+      releaseFrame(F);
+    Sp = F.Locals;
+    CallStack.pop_back();
+  }
+  /// popFrame's out-of-line part: releases \p F's monitor and marks the
+  /// class whose <clinit> it ran initialized.
+  void releaseFrame(Frame &F);
 
-  // Invocation.
+  // Invocation. step() runs the common call itself (DESIGN.md §18);
+  // invokeMethod is the call's out-of-line tail.
+  /// Invokes \p M, whose receiver (when \p HasReceiver) and arguments
+  /// sit on the top frame's operand stack, from the \p InsnLen-byte
+  /// invoke at its pc: natives, abstract methods, synchronized callees,
+  /// and frames that need a larger value array or overflow the stack.
   StepResult invokeMethod(Method *M, bool HasReceiver,
                           uint32_t InsnLen);
   StepResult invokeNative(Method *M, std::vector<Value> Args,
                           uint32_t InsnLen);
-  StepResult returnFromFrame(std::optional<Value> Ret);
 
   // Monitors (§6.2).
   StepResult monitorEnter(Object *O);
   StepResult monitorExit(Object *O);
   void releaseMonitor(Object *O);
 
-  /// Call-boundary suspend check (§6.1); also counts context-switch
-  /// points.
-  bool wantsSuspend();
+  /// Call-boundary suspend check (§6.1): counts the check, charges the
+  /// ops dispatched since the last one, and runs the §4.1 countdown.
+  /// Inline (interpreter.cpp, ahead of step()): in the common case it is
+  /// a few increments and a decrement.
+  inline bool wantsSuspend();
   /// Stamps \p F's placement fields (Frame::SuspendKeep and the
   /// CheckEveryBit) from the VM mode and the method's analysis verdict.
   void configureSuspendChecks(Frame &F);

@@ -36,20 +36,6 @@ Jvm::Jvm(browser::BrowserEnv &Env, rt::fs::FileSystem &Fs, rt::Process &Proc,
   installCoreClasses(*this);
 }
 
-void Jvm::noteSuspendCheckExecuted(uint64_t Span) {
-  SuspendChecksExecutedC->inc();
-  if (Span > Stats.MaxOpsBetweenChecks)
-    Stats.MaxOpsBetweenChecks = Span;
-  // The placement proof's dynamic half: in Placed mode no span of
-  // dispatched bytecodes between two checks may exceed the largest
-  // statically proven bound K (DESIGN.md §17). Unproven frames check
-  // every instruction, so only proven methods can grow a span.
-  assert((Options.Exec.SuspendChecks != SuspendCheckMode::Placed ||
-          Loader.provenBoundMax() == 0 ||
-          Span <= Loader.provenBoundMax()) &&
-         "suspend-check span exceeded the statically proven bound K");
-}
-
 Jvm::~Jvm() = default;
 
 void Jvm::registerNative(const std::string &ClassName,
@@ -228,17 +214,6 @@ void Jvm::noteThreadFinished(JvmThread &T) {
       Done(ExitCode);
     }
   }
-}
-
-void Jvm::flushOpCharges(uint64_t DispatchOps, uint64_t ExtraOps) {
-  if ((DispatchOps == 0 && ExtraOps == 0) ||
-      Options.Mode != ExecutionMode::DoppioJS)
-    return;
-  // One charge per flush: under a non-quick profile DispatchCostNs ==
-  // OpCostNs and this totals exactly (DispatchOps + ExtraOps) *
-  // OpCostNs — the historical single-counter charge, bit for bit.
-  Env.chargeCompute(DispatchOps * DispatchCostNs +
-                    ExtraOps * Options.OpCostNs);
 }
 
 void Jvm::runMain(const std::string &MainClass,

@@ -30,6 +30,7 @@
 #include "jvm/exec_profile.h"
 #include "jvm/natives.h"
 
+#include <cassert>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -110,11 +111,23 @@ public:
 
   // Suspend-check accounting (obs cells jvm.suspend_checks_executed /
   // jvm.suspend_checks_elided, resolved once at construction). The
-  // interpreter calls these on its hot path.
+  // interpreter calls these on its hot path, so they are inline.
   /// Records one executed check that closed a span of \p Span dispatched
-  /// bytecodes; debug builds assert the span stays within the proven
-  /// bound in Placed mode.
-  void noteSuspendCheckExecuted(uint64_t Span);
+  /// bytecodes, asserting the span stays within the proven bound in
+  /// Placed mode.
+  void noteSuspendCheckExecuted(uint64_t Span) {
+    SuspendChecksExecutedC->inc();
+    if (Span > Stats.MaxOpsBetweenChecks)
+      Stats.MaxOpsBetweenChecks = Span;
+    // The placement proof's dynamic half: in Placed mode no span of
+    // dispatched bytecodes between two checks may exceed the largest
+    // statically proven bound K (DESIGN.md §17). Unproven frames check
+    // every instruction, so only proven methods can grow a span.
+    assert((Options.Exec.SuspendChecks != SuspendCheckMode::Placed ||
+            Loader.provenBoundMax() == 0 ||
+            Span <= Loader.provenBoundMax()) &&
+           "suspend-check span exceeded the statically proven bound K");
+  }
   void noteSuspendCheckElided() { SuspendChecksElidedC->inc(); }
   uint64_t suspendChecksExecuted() const {
     return SuspendChecksExecutedC->value();
@@ -200,7 +213,16 @@ public:
   /// OpCostNs otherwise). \p ExtraOps are surcharge units (software
   /// Long64 arithmetic, §8), always charged at OpCostNs — quickening
   /// does not speed up the intrinsic long emulation.
-  void flushOpCharges(uint64_t DispatchOps, uint64_t ExtraOps);
+  void flushOpCharges(uint64_t DispatchOps, uint64_t ExtraOps) {
+    if ((DispatchOps == 0 && ExtraOps == 0) ||
+        Options.Mode != ExecutionMode::DoppioJS)
+      return;
+    // One charge per flush: under a non-quick profile DispatchCostNs ==
+    // OpCostNs and this totals exactly (DispatchOps + ExtraOps) *
+    // OpCostNs — the historical single-counter charge, bit for bit.
+    Env.chargeCompute(DispatchOps * DispatchCostNs +
+                      ExtraOps * Options.OpCostNs);
+  }
 
   /// Exit code recorded by the main thread (-1 while running).
   int exitCode() const { return ExitCode; }

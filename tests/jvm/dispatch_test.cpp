@@ -36,6 +36,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <string_view>
 
 using namespace doppio;
 using namespace doppio::jvm;
@@ -186,6 +187,52 @@ TEST(DispatchSyncPoints, CountsMatchTheMemoryResidentInterpreter) {
   EXPECT_EQ(Checked, 24u);
 }
 
+/// FNV-1a over \p Bytes: pins a whole output or image in one number.
+uint64_t fnv1a(std::string_view Bytes) {
+  uint64_t H = 0xcbf29ce484222325ull;
+  for (unsigned char B : Bytes) {
+    H ^= B;
+    H *= 0x100000001b3ull;
+  }
+  return H;
+}
+
+TEST(DispatchSyncPoints, CallBoundaryYieldsUnderAFixedCountdown) {
+  // A countdown of 7 makes every seventh executed check a yield, so
+  // thousands of yields land on invokes and returns (deltablue checks at
+  // nothing else). Each run must reproduce its output, resumptions,
+  // executed checks, invocations and final virtual time exactly.
+  struct Want {
+    const char *Workload;
+    size_t OutSize;
+    uint64_t OutHash;
+    uint64_t Resumptions;
+    uint64_t ChecksExecuted;
+    uint64_t Invocations;
+    uint64_t VirtualNs;
+  };
+  const Want Pins[] = {
+      {"deltablue", 2, 575367870842481759ull, 6937, 48545, 24273, 429469302},
+      {"pidigits", 101, 7962751543078417632ull, 16, 106, 104, 184289750},
+  };
+  for (const Want &P : Pins) {
+    SCOPED_TRACE(P.Workload);
+    workloads::Workload W = workloadNamed(P.Workload);
+    JvmRig Rig(JS);
+    workloads::publish(W, Rig.Env.server());
+    ASSERT_TRUE(ExecProfile::parse("quick", Rig.Options.Exec));
+    Rig.vm().suspender().forceFixedCounter(7);
+    ASSERT_EQ(Rig.run(W.MainClass, W.Args), 0);
+    Jvm &Vm = Rig.vm();
+    EXPECT_EQ(Rig.out().size(), P.OutSize);
+    EXPECT_EQ(fnv1a(Rig.out()), P.OutHash);
+    EXPECT_EQ(Vm.suspender().resumptionCount(), P.Resumptions);
+    EXPECT_EQ(Vm.suspendChecksExecuted(), P.ChecksExecuted);
+    EXPECT_EQ(Vm.stats().MethodInvocations, P.Invocations);
+    EXPECT_EQ(Rig.Env.clock().nowNs(), P.VirtualNs);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Checkpoint images at sync points
 //===----------------------------------------------------------------------===//
@@ -250,12 +297,8 @@ struct TabRig {
 };
 
 uint64_t fnv1a(const std::vector<uint8_t> &Bytes) {
-  uint64_t H = 0xcbf29ce484222325ull;
-  for (uint8_t B : Bytes) {
-    H ^= B;
-    H *= 0x100000001b3ull;
-  }
-  return H;
+  return fnv1a(std::string_view(reinterpret_cast<const char *>(Bytes.data()),
+                                Bytes.size()));
 }
 
 /// The top frame of the VM's first live thread, or null.

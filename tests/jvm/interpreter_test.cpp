@@ -46,6 +46,17 @@ void printlnLong(MethodBuilder &M) {
 
 class BothModes : public ::testing::TestWithParam<ExecutionMode> {};
 
+/// The profiles the call-path edge cases run under: the default, whose
+/// invokes keep their base forms, and `quick`, whose invokes quicken on
+/// first execution and reach the same fallbacks (natives, monitors,
+/// array growth, StackOverflowError, <clinit>, AbstractMethodError) from
+/// the quickened handlers.
+constexpr const char *CallPathProfiles[] = {"verified", "quick"};
+
+void useProfile(JvmRig &Rig, const char *Spec) {
+  ASSERT_TRUE(ExecProfile::parse(Spec, Rig.Options.Exec)) << Spec;
+}
+
 TEST_P(BothModes, ArithmeticAndPrintln) {
   JvmRig Rig(GetParam());
   ClassBuilder B("Main");
@@ -429,71 +440,79 @@ TEST_P(BothModes, InstanceFieldsAndCounters) {
 }
 
 TEST_P(BothModes, InterfacesAndInvokeinterface) {
-  JvmRig Rig(GetParam());
-  ClassBuilder Shape("Shape");
-  Shape.setAccess(AccPublic | AccInterface | AccAbstract);
-  Shape.abstractMethod(AccPublic, "area", "()I");
-  ClassBuilder Square("Square");
-  Square.addInterface("Shape");
-  Square.addField(AccPrivate, "side", "I");
-  Square.addDefaultConstructor();
-  MethodBuilder &SetSide = Square.method(AccPublic, "setSide", "(I)V");
-  SetSide.aload(0).iload(1).putfield("Square", "side", "I").op(Op::Return);
-  MethodBuilder &Area = Square.method(AccPublic, "area", "()I");
-  Area.aload(0)
-      .getfield("Square", "side", "I")
-      .aload(0)
-      .getfield("Square", "side", "I")
-      .op(Op::Imul)
-      .op(Op::Ireturn);
-  ClassBuilder B("Main");
-  MethodBuilder &M = mainOf(B);
-  M.anew("Square")
-      .op(Op::Dup)
-      .invokespecial("Square", "<init>", "()V")
-      .astore(1)
-      .aload(1)
-      .iconst(9)
-      .invokevirtual("Square", "setSide", "(I)V")
-      .aload(1)
-      .invokeinterface("Shape", "area", "()I");
-  printlnInt(M);
-  // instanceof through the interface.
-  M.aload(1).instanceOf("Shape");
-  printlnInt(M);
-  M.op(Op::Return);
-  Rig.addClass(Shape);
-  Rig.addClass(Square);
-  Rig.addClass(B);
-  EXPECT_EQ(Rig.run("Main"), 0);
-  EXPECT_EQ(Rig.out(), "81\n1\n");
+  for (const char *Profile : CallPathProfiles) {
+    SCOPED_TRACE(Profile);
+    JvmRig Rig(GetParam());
+    useProfile(Rig, Profile);
+    ClassBuilder Shape("Shape");
+    Shape.setAccess(AccPublic | AccInterface | AccAbstract);
+    Shape.abstractMethod(AccPublic, "area", "()I");
+    ClassBuilder Square("Square");
+    Square.addInterface("Shape");
+    Square.addField(AccPrivate, "side", "I");
+    Square.addDefaultConstructor();
+    MethodBuilder &SetSide = Square.method(AccPublic, "setSide", "(I)V");
+    SetSide.aload(0).iload(1).putfield("Square", "side", "I").op(Op::Return);
+    MethodBuilder &Area = Square.method(AccPublic, "area", "()I");
+    Area.aload(0)
+        .getfield("Square", "side", "I")
+        .aload(0)
+        .getfield("Square", "side", "I")
+        .op(Op::Imul)
+        .op(Op::Ireturn);
+    ClassBuilder B("Main");
+    MethodBuilder &M = mainOf(B);
+    M.anew("Square")
+        .op(Op::Dup)
+        .invokespecial("Square", "<init>", "()V")
+        .astore(1)
+        .aload(1)
+        .iconst(9)
+        .invokevirtual("Square", "setSide", "(I)V")
+        .aload(1)
+        .invokeinterface("Shape", "area", "()I");
+    printlnInt(M);
+    // instanceof through the interface.
+    M.aload(1).instanceOf("Shape");
+    printlnInt(M);
+    M.op(Op::Return);
+    Rig.addClass(Shape);
+    Rig.addClass(Square);
+    Rig.addClass(B);
+    EXPECT_EQ(Rig.run("Main"), 0);
+    EXPECT_EQ(Rig.out(), "81\n1\n");
+  }
 }
 
 TEST_P(BothModes, StaticFieldsAndClinit) {
-  JvmRig Rig(GetParam());
-  ClassBuilder Config("Config");
-  Config.addField(AccPublic | AccStatic, "magic", "I");
-  MethodBuilder &Clinit =
-      Config.method(AccStatic, "<clinit>", "()V");
-  Clinit.iconst(1234)
-      .putstatic("Config", "magic", "I")
-      .getstatic("java/lang/System", "out", Out)
-      .ldcString("clinit ran")
-      .invokevirtual("java/io/PrintStream", "println",
-                     "(Ljava/lang/String;)V")
-      .op(Op::Return);
-  ClassBuilder B("Main");
-  MethodBuilder &M = mainOf(B);
-  // Two reads: <clinit> must run exactly once.
-  M.getstatic("Config", "magic", "I");
-  printlnInt(M);
-  M.getstatic("Config", "magic", "I");
-  printlnInt(M);
-  M.op(Op::Return);
-  Rig.addClass(Config);
-  Rig.addClass(B);
-  EXPECT_EQ(Rig.run("Main"), 0);
-  EXPECT_EQ(Rig.out(), "clinit ran\n1234\n1234\n");
+  for (const char *Profile : CallPathProfiles) {
+    SCOPED_TRACE(Profile);
+    JvmRig Rig(GetParam());
+    useProfile(Rig, Profile);
+    ClassBuilder Config("Config");
+    Config.addField(AccPublic | AccStatic, "magic", "I");
+    MethodBuilder &Clinit =
+        Config.method(AccStatic, "<clinit>", "()V");
+    Clinit.iconst(1234)
+        .putstatic("Config", "magic", "I")
+        .getstatic("java/lang/System", "out", Out)
+        .ldcString("clinit ran")
+        .invokevirtual("java/io/PrintStream", "println",
+                       "(Ljava/lang/String;)V")
+        .op(Op::Return);
+    ClassBuilder B("Main");
+    MethodBuilder &M = mainOf(B);
+    // Two reads: <clinit> must run exactly once.
+    M.getstatic("Config", "magic", "I");
+    printlnInt(M);
+    M.getstatic("Config", "magic", "I");
+    printlnInt(M);
+    M.op(Op::Return);
+    Rig.addClass(Config);
+    Rig.addClass(B);
+    EXPECT_EQ(Rig.run("Main"), 0);
+    EXPECT_EQ(Rig.out(), "clinit ran\n1234\n1234\n");
+  }
 }
 
 TEST_P(BothModes, StringsAndStringBuilder) {
@@ -647,6 +666,54 @@ TEST_P(BothModes, UncaughtExceptionExitsWithError) {
             std::string::npos);
   EXPECT_NE(Rig.err().find("Main.main"), std::string::npos)
       << "stack trace should name the frame (§6.1)";
+}
+
+TEST_P(BothModes, UncaughtTraceListsEveryFrameItUnwound) {
+  // static void c() { throw new IllegalStateException("deep"); }
+  // static void b() { c(); }  static void a() { b(); }
+  // main: try { a(); } catch (IllegalStateException e) {}  a();
+  // The first throw is caught in main after unwinding three frames; the
+  // second is uncaught, and its trace lists its own four frames, top
+  // first, each at the pc it stopped at.
+  for (const char *Profile : CallPathProfiles) {
+    SCOPED_TRACE(Profile);
+    JvmRig Rig(GetParam());
+    useProfile(Rig, Profile);
+    ClassBuilder B("Main");
+    B.method(AccPublic | AccStatic, "c", "()V")
+        .anew("java/lang/IllegalStateException")
+        .op(Op::Dup)
+        .ldcString("deep")
+        .invokespecial("java/lang/IllegalStateException", "<init>",
+                       "(Ljava/lang/String;)V")
+        .op(Op::Athrow);
+    B.method(AccPublic | AccStatic, "b", "()V")
+        .invokestatic("Main", "c", "()V")
+        .op(Op::Return);
+    B.method(AccPublic | AccStatic, "a", "()V")
+        .invokestatic("Main", "b", "()V")
+        .op(Op::Return);
+    MethodBuilder &M = mainOf(B);
+    MethodBuilder::Label Start = M.newLabel(), End = M.newLabel(),
+                         Handler = M.newLabel(), After = M.newLabel();
+    M.bind(Start)
+        .invokestatic("Main", "a", "()V")
+        .branch(Op::Goto, After)
+        .bind(End);
+    M.bind(Handler).op(Op::Pop);
+    M.bind(After).invokestatic("Main", "a", "()V").op(Op::Return);
+    M.handler(Start, End, Handler, "java/lang/IllegalStateException");
+    Rig.addClass(B);
+    EXPECT_EQ(Rig.run("Main"), 1);
+    EXPECT_EQ(Rig.out(), "");
+    EXPECT_EQ(Rig.err(),
+              "Exception in thread \"jvm-thread-0\" "
+              "java/lang/IllegalStateException: deep\n"
+              "\tat Main.c()V (pc=9)\n"
+              "\tat Main.b()V (pc=3)\n"
+              "\tat Main.a()V (pc=3)\n"
+              "\tat Main.main([Ljava/lang/String;)V (pc=10)\n");
+  }
 }
 
 TEST_P(BothModes, CheckcastAndClassCastException) {
@@ -963,16 +1030,20 @@ TEST_P(BothModes, DeepRecursionGrowsTheValueArray) {
   // survive each move.
   constexpr int Depth = 2000;
   static_assert(Depth * 5 > 4 * JvmThread::InitialStackSlots);
-  JvmRig Rig(GetParam());
-  ClassBuilder B("Main");
-  addDown(B);
-  MethodBuilder &M = mainOf(B);
-  M.iconst(Depth).lconst(0).invokestatic("Main", "down", "(IJ)J");
-  printlnLong(M);
-  M.op(Op::Return);
-  Rig.addClass(B);
-  EXPECT_EQ(Rig.run("Main"), 0);
-  EXPECT_EQ(Rig.out(), std::to_string(int64_t{Depth} * (Depth + 1)) + "\n");
+  for (const char *Profile : CallPathProfiles) {
+    SCOPED_TRACE(Profile);
+    JvmRig Rig(GetParam());
+    useProfile(Rig, Profile);
+    ClassBuilder B("Main");
+    addDown(B);
+    MethodBuilder &M = mainOf(B);
+    M.iconst(Depth).lconst(0).invokestatic("Main", "down", "(IJ)J");
+    printlnLong(M);
+    M.op(Op::Return);
+    Rig.addClass(B);
+    EXPECT_EQ(Rig.run("Main"), 0);
+    EXPECT_EQ(Rig.out(), std::to_string(int64_t{Depth} * (Depth + 1)) + "\n");
+  }
 }
 
 TEST_P(BothModes, CategoryTwoArgumentsAndParameterStores) {
@@ -1027,35 +1098,39 @@ TEST_P(BothModes, SynchronizedCalleeAndNativeCallAtDepth) {
   //   return s(n - 1) + 1; }
   // Each level re-enters the class monitor; the natives run with 64
   // frames below them and return into the deepest window.
-  JvmRig Rig(GetParam());
-  ClassBuilder B("Main");
-  MethodBuilder &S =
-      B.method(AccPublic | AccStatic | AccSynchronized, "s", "(I)I");
-  MethodBuilder::Label Recurse = S.newLabel();
-  S.iload(0).branch(Op::Ifne, Recurse).iload(0);
-  printlnInt(S);
-  S.dconst(144.0)
-      .invokestatic("java/lang/Math", "sqrt", "(D)D")
-      .op(Op::D2i)
-      .op(Op::Ireturn);
-  S.bind(Recurse)
-      .iload(0)
-      .iconst(1)
-      .op(Op::Isub)
-      .invokestatic("Main", "s", "(I)I")
-      .iconst(1)
-      .op(Op::Iadd)
-      .op(Op::Ireturn);
-  MethodBuilder &M = mainOf(B);
-  M.iconst(64).invokestatic("Main", "s", "(I)I");
-  printlnInt(M);
-  M.op(Op::Return);
-  Rig.addClass(B);
-  EXPECT_EQ(Rig.run("Main"), 0);
-  EXPECT_EQ(Rig.out(), "0\n76\n");
-  Object *Mirror = Rig.vm().mirrorOf(Rig.vm().loader().lookup("Main"));
-  EXPECT_EQ(Mirror->monitor().OwnerTid, -1) << "every level released it";
-  EXPECT_EQ(Mirror->monitor().EntryCount, 0);
+  for (const char *Profile : CallPathProfiles) {
+    SCOPED_TRACE(Profile);
+    JvmRig Rig(GetParam());
+    useProfile(Rig, Profile);
+    ClassBuilder B("Main");
+    MethodBuilder &S =
+        B.method(AccPublic | AccStatic | AccSynchronized, "s", "(I)I");
+    MethodBuilder::Label Recurse = S.newLabel();
+    S.iload(0).branch(Op::Ifne, Recurse).iload(0);
+    printlnInt(S);
+    S.dconst(144.0)
+        .invokestatic("java/lang/Math", "sqrt", "(D)D")
+        .op(Op::D2i)
+        .op(Op::Ireturn);
+    S.bind(Recurse)
+        .iload(0)
+        .iconst(1)
+        .op(Op::Isub)
+        .invokestatic("Main", "s", "(I)I")
+        .iconst(1)
+        .op(Op::Iadd)
+        .op(Op::Ireturn);
+    MethodBuilder &M = mainOf(B);
+    M.iconst(64).invokestatic("Main", "s", "(I)I");
+    printlnInt(M);
+    M.op(Op::Return);
+    Rig.addClass(B);
+    EXPECT_EQ(Rig.run("Main"), 0);
+    EXPECT_EQ(Rig.out(), "0\n76\n");
+    Object *Mirror = Rig.vm().mirrorOf(Rig.vm().loader().lookup("Main"));
+    EXPECT_EQ(Mirror->monitor().OwnerTid, -1) << "every level released it";
+    EXPECT_EQ(Mirror->monitor().EntryCount, 0);
+  }
 }
 
 TEST_P(BothModes, ExceptionAtDepthResetsTheCatchingFrame) {
@@ -1066,61 +1141,64 @@ TEST_P(BothModes, ExceptionAtDepthResetsTheCatchingFrame) {
   // The handler starts with the exception alone on c's stack and then
   // fills the stack to exactly max_stack. Run guarded, a stale slot left
   // below the exception would be a VerifyError, not a wrong answer.
-  for (bool Trusted : {true, false}) {
-    SCOPED_TRACE(Trusted ? "trusted" : "guarded");
-    JvmRig Rig(GetParam());
-    Rig.Options.Exec.TrustVerifier = Trusted;
-    ClassBuilder B("Main");
-    MethodBuilder &T = B.method(AccPublic | AccStatic, "t", "(I)I");
-    MethodBuilder::Label Recurse = T.newLabel();
-    T.iload(0).branch(Op::Ifne, Recurse);
-    T.anew("java/lang/IllegalStateException")
-        .op(Op::Dup)
-        .ldcString("deep")
-        .invokespecial("java/lang/IllegalStateException", "<init>",
-                       "(Ljava/lang/String;)V")
-        .op(Op::Athrow);
-    T.bind(Recurse)
-        .iload(0)
-        .iconst(1)
-        .op(Op::Isub)
-        .invokestatic("Main", "t", "(I)I")
-        .op(Op::Ireturn);
-    MethodBuilder &C = B.method(AccPublic | AccStatic, "c", "()I");
-    MethodBuilder::Label Start = C.newLabel(), End = C.newLabel(),
-                         Handler = C.newLabel();
-    C.bind(Start)
-        .iconst(5)
-        .lconst(9)
-        .iconst(40)
-        .invokestatic("Main", "t", "(I)I")
-        .op(Op::I2l)
-        .op(Op::Ladd)
-        .op(Op::L2i)
-        .op(Op::Iadd)
-        .op(Op::Ireturn)
-        .bind(End);
-    C.bind(Handler)
-        .invokevirtual("java/lang/Throwable", "getMessage",
-                       "()Ljava/lang/String;")
-        .invokevirtual("java/lang/String", "length", "()I") // 4
-        .iconst(10)
-        .iconst(20)
-        .iconst(30)
-        .iconst(40)
-        .op(Op::Iadd)
-        .op(Op::Iadd)
-        .op(Op::Iadd)
-        .op(Op::Iadd) // 104
-        .op(Op::Ireturn)
-        .handler(Start, End, Handler, "java/lang/IllegalStateException");
-    MethodBuilder &M = mainOf(B);
-    M.invokestatic("Main", "c", "()I");
-    printlnInt(M);
-    M.op(Op::Return);
-    Rig.addClass(B);
-    EXPECT_EQ(Rig.run("Main"), 0) << Rig.err();
-    EXPECT_EQ(Rig.out(), "104\n");
+  for (const char *Profile : CallPathProfiles) {
+    for (bool Trusted : {true, false}) {
+      SCOPED_TRACE(std::string(Profile) + (Trusted ? "/trusted" : "/guarded"));
+      JvmRig Rig(GetParam());
+      useProfile(Rig, Profile);
+      Rig.Options.Exec.TrustVerifier = Trusted;
+      ClassBuilder B("Main");
+      MethodBuilder &T = B.method(AccPublic | AccStatic, "t", "(I)I");
+      MethodBuilder::Label Recurse = T.newLabel();
+      T.iload(0).branch(Op::Ifne, Recurse);
+      T.anew("java/lang/IllegalStateException")
+          .op(Op::Dup)
+          .ldcString("deep")
+          .invokespecial("java/lang/IllegalStateException", "<init>",
+                         "(Ljava/lang/String;)V")
+          .op(Op::Athrow);
+      T.bind(Recurse)
+          .iload(0)
+          .iconst(1)
+          .op(Op::Isub)
+          .invokestatic("Main", "t", "(I)I")
+          .op(Op::Ireturn);
+      MethodBuilder &C = B.method(AccPublic | AccStatic, "c", "()I");
+      MethodBuilder::Label Start = C.newLabel(), End = C.newLabel(),
+                           Handler = C.newLabel();
+      C.bind(Start)
+          .iconst(5)
+          .lconst(9)
+          .iconst(40)
+          .invokestatic("Main", "t", "(I)I")
+          .op(Op::I2l)
+          .op(Op::Ladd)
+          .op(Op::L2i)
+          .op(Op::Iadd)
+          .op(Op::Ireturn)
+          .bind(End);
+      C.bind(Handler)
+          .invokevirtual("java/lang/Throwable", "getMessage",
+                         "()Ljava/lang/String;")
+          .invokevirtual("java/lang/String", "length", "()I") // 4
+          .iconst(10)
+          .iconst(20)
+          .iconst(30)
+          .iconst(40)
+          .op(Op::Iadd)
+          .op(Op::Iadd)
+          .op(Op::Iadd)
+          .op(Op::Iadd) // 104
+          .op(Op::Ireturn)
+          .handler(Start, End, Handler, "java/lang/IllegalStateException");
+      MethodBuilder &M = mainOf(B);
+      M.invokestatic("Main", "c", "()I");
+      printlnInt(M);
+      M.op(Op::Return);
+      Rig.addClass(B);
+      EXPECT_EQ(Rig.run("Main"), 0) << Rig.err();
+      EXPECT_EQ(Rig.out(), "104\n");
+    }
   }
 }
 
@@ -1129,36 +1207,101 @@ TEST_P(BothModes, StackOverflowErrorIsCatchable) {
   //                     catch (StackOverflowError e) { caught = 1; } }
   // The handler covers the invoke alone, so it matches only while the
   // overflowing frame's pc still points at that invoke.
-  JvmRig Rig(GetParam());
-  ClassBuilder B("Main");
-  B.addField(AccPublic | AccStatic, "depth", "I");
-  B.addField(AccPublic | AccStatic, "caught", "I");
-  MethodBuilder &R = B.method(AccPublic | AccStatic, "rec", "()V");
-  MethodBuilder::Label Start = R.newLabel(), End = R.newLabel(),
-                       Handler = R.newLabel();
-  R.getstatic("Main", "depth", "I")
-      .iconst(1)
-      .op(Op::Iadd)
-      .putstatic("Main", "depth", "I");
-  R.bind(Start).invokestatic("Main", "rec", "()V").bind(End).op(Op::Return);
-  R.bind(Handler)
-      .op(Op::Pop)
-      .iconst(1)
-      .putstatic("Main", "caught", "I")
-      .op(Op::Return)
-      .handler(Start, End, Handler, "java/lang/StackOverflowError");
-  MethodBuilder &M = mainOf(B);
-  M.invokestatic("Main", "rec", "()V");
-  M.getstatic("Main", "caught", "I");
-  printlnInt(M);
-  M.getstatic("Main", "depth", "I");
-  printlnInt(M);
-  M.op(Op::Return);
-  Rig.addClass(B);
-  EXPECT_EQ(Rig.run("Main"), 0) << Rig.err();
-  // main is the first frame; rec fills the rest.
-  EXPECT_EQ(Rig.out(),
-            "1\n" + std::to_string(JvmThread::MaxCallDepth - 1) + "\n");
+  for (const char *Profile : CallPathProfiles) {
+    SCOPED_TRACE(Profile);
+    JvmRig Rig(GetParam());
+    useProfile(Rig, Profile);
+    ClassBuilder B("Main");
+    B.addField(AccPublic | AccStatic, "depth", "I");
+    B.addField(AccPublic | AccStatic, "caught", "I");
+    MethodBuilder &R = B.method(AccPublic | AccStatic, "rec", "()V");
+    MethodBuilder::Label Start = R.newLabel(), End = R.newLabel(),
+                         Handler = R.newLabel();
+    R.getstatic("Main", "depth", "I")
+        .iconst(1)
+        .op(Op::Iadd)
+        .putstatic("Main", "depth", "I");
+    R.bind(Start).invokestatic("Main", "rec", "()V").bind(End).op(Op::Return);
+    R.bind(Handler)
+        .op(Op::Pop)
+        .iconst(1)
+        .putstatic("Main", "caught", "I")
+        .op(Op::Return)
+        .handler(Start, End, Handler, "java/lang/StackOverflowError");
+    MethodBuilder &M = mainOf(B);
+    M.invokestatic("Main", "rec", "()V");
+    M.getstatic("Main", "caught", "I");
+    printlnInt(M);
+    M.getstatic("Main", "depth", "I");
+    printlnInt(M);
+    M.op(Op::Return);
+    Rig.addClass(B);
+    EXPECT_EQ(Rig.run("Main"), 0) << Rig.err();
+    // main is the first frame; rec fills the rest.
+    EXPECT_EQ(Rig.out(),
+              "1\n" + std::to_string(JvmThread::MaxCallDepth - 1) + "\n");
+  }
+}
+
+TEST_P(BothModes, QuickenedInvokevirtualReachesAnAbstractMethod) {
+  // abstract class Base { abstract int f(); }
+  // class Impl extends Base { int f() { return 7; } }
+  // class Hollow extends Base {}  // Never implements f.
+  // static int call(Base b) { return b.f(); }
+  // main: println(call(new Impl()));
+  //       try { println(call(new Hollow())); }
+  //       catch (AbstractMethodError e) { println(e.getMessage()); }
+  // The first call quickens call's one invokevirtual site; the second
+  // misses its inline cache and dispatches to Base.f, which has no body.
+  for (const char *Profile : CallPathProfiles) {
+    SCOPED_TRACE(Profile);
+    JvmRig Rig(GetParam());
+    useProfile(Rig, Profile);
+    ClassBuilder Base("Base");
+    Base.setAccess(AccPublic | AccAbstract);
+    Base.addDefaultConstructor();
+    Base.abstractMethod(AccPublic | AccAbstract, "f", "()I");
+    ClassBuilder Impl("Impl", "Base");
+    Impl.addDefaultConstructor();
+    Impl.method(AccPublic, "f", "()I").iconst(7).op(Op::Ireturn);
+    ClassBuilder Hollow("Hollow", "Base");
+    Hollow.addDefaultConstructor();
+    ClassBuilder B("Main");
+    B.method(AccPublic | AccStatic, "call", "(LBase;)I")
+        .aload(0)
+        .invokevirtual("Base", "f", "()I")
+        .op(Op::Ireturn);
+    MethodBuilder &M = mainOf(B);
+    MethodBuilder::Label Start = M.newLabel(), End = M.newLabel(),
+                         Handler = M.newLabel(), After = M.newLabel();
+    M.anew("Impl")
+        .op(Op::Dup)
+        .invokespecial("Impl", "<init>", "()V")
+        .invokestatic("Main", "call", "(LBase;)I");
+    printlnInt(M);
+    M.bind(Start)
+        .anew("Hollow")
+        .op(Op::Dup)
+        .invokespecial("Hollow", "<init>", "()V")
+        .invokestatic("Main", "call", "(LBase;)I");
+    printlnInt(M);
+    M.bind(End).branch(Op::Goto, After);
+    M.bind(Handler)
+        .invokevirtual("java/lang/Throwable", "getMessage",
+                       "()Ljava/lang/String;")
+        .getstatic("java/lang/System", "out", Out)
+        .op(Op::Swap)
+        .invokevirtual("java/io/PrintStream", "println",
+                       "(Ljava/lang/String;)V");
+    M.bind(After).op(Op::Return).handler(Start, End, Handler,
+                                         "java/lang/AbstractMethodError");
+    Rig.addClass(Base);
+    Rig.addClass(Impl);
+    Rig.addClass(Hollow);
+    Rig.addClass(B);
+    EXPECT_EQ(Rig.run("Main"), 0) << Rig.err();
+    EXPECT_EQ(Rig.out(), "7\nBase.f()I\n");
+  }
 }
 
 /// Main: println(down(200, 0)), where the deepest level runs
