@@ -4,21 +4,19 @@
 # A JVM workload that moves with no JVM change usually moved with one of
 # these; compare the output of two builds before reading a timing.
 #
-#   scripts/jvm_layout.sh .bench_build/perfbench/perfbench [symbol...]
+#   scripts/jvm_layout.sh .bench_build/perfbench/perfbench
 #
-# Extra arguments name more functions to report, matched like the
-# defaults (for example `JvmThread::dispatchException`).
-# A symbol the binary does not define, inlined everywhere or removed,
-# prints as absent. Informational: the exit code is nonzero only when the
-# binary cannot be read.
+# To report another function, add it to Symbols below. A symbol the
+# binary does not define, inlined everywhere or removed, prints as
+# absent. Informational: the exit code is nonzero only when the binary
+# cannot be read.
 set -euo pipefail
 
-if [[ $# -lt 1 ]]; then
-  echo "usage: $0 <binary> [symbol...]" >&2
+if [[ $# -ne 1 ]]; then
+  echo "usage: $0 <binary>" >&2
   exit 2
 fi
 Binary=$1
-shift
 
 Symbols=(
   'JvmThread::step'
@@ -27,7 +25,6 @@ Symbols=(
   'JvmThread::releaseFrame'
   'divRemSigned'
   'mulLongDigits'
-  "$@"
 )
 
 Table=$(nm -C --print-size --defined-only "$Binary")

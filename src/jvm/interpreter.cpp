@@ -567,46 +567,32 @@ static std::vector<Value> unpackArgs(const Value *Slots, const Method &M,
 
 JvmThread::StepResult JvmThread::invokeMethod(Method *M, bool HasReceiver,
                                               uint32_t InsnLen) {
-  // The caller resolved everything and handled synchronization
-  // contention; the argument slots sit on its operand stack and pc still
-  // points at the invoke instruction.
-  size_t TotalSlots = M->ParamSlots + (HasReceiver ? 1 : 0);
-  size_t ArgsAt = top() - TotalSlots;
-  ++Vm.stats().MethodInvocations;
+  // The call tail counted the call; the argument slots sit on the
+  // caller's operand stack and pc still points at the invoke instruction.
+  // Popping them leaves the slots intact for unpackArgs.
+  Sp -= M->ParamSlots + (HasReceiver ? 1 : 0);
+  if (M->isNative())
+    return invokeNative(M, unpackArgs(Sp, *M, HasReceiver), InsnLen);
+  return throwJvm("java/lang/AbstractMethodError", M->qualifiedName());
+}
 
-  if (M->isNative()) {
-    std::vector<Value> Args =
-        unpackArgs(Values.data() + ArgsAt, *M, HasReceiver);
-    Sp = Values.data() + ArgsAt;
-    return invokeNative(M, std::move(Args), InsnLen);
-  }
+bool JvmThread::growForCall(Method *M, size_t Base, StepResult &Out) {
+  if (reserveFrame(Base, *M))
+    return true;
+  // Pc still points at the invoke, so the handler search sees it.
+  Sp = Values.data() + Base;
+  Out = throwJvm("java/lang/StackOverflowError", M->qualifiedName());
+  return false;
+}
 
-  if (!M->HasCode) {
-    Sp = Values.data() + ArgsAt;
-    return throwJvm("java/lang/AbstractMethodError", M->qualifiedName());
-  }
-
-  // The array may move here, so the window pointers are formed after.
-  if (!reserveFrame(ArgsAt, *M)) {
-    // Pc still points at the invoke, so the handler search sees it.
-    Sp = Values.data() + ArgsAt;
-    return throwJvm("java/lang/StackOverflowError", M->qualifiedName());
-  }
-  CallStack.back().Pc += InsnLen; // Return lands after the invoke.
-  Frame &F = pushFrame(M, ArgsAt, TotalSlots);
-  if (M->isSynchronized()) {
-    Object *Lock = HasReceiver ? F.Locals[0].R : Vm.mirrorOf(M->Owner);
-    // Contention was checked by the caller before popping; entering here
-    // cannot block.
-    StepResult R = monitorEnter(Lock);
-    assert(R == StepResult::Continue && "lock vanished between checks");
-    (void)R;
-    F.Locked = Lock;
-  }
-  // §6.1's call-boundary check, as at the end of step()'s call tail.
-  if (wantsSuspend())
-    return StepResult::Yield;
-  return StepResult::Continue;
+void JvmThread::lockFrame(Frame &F, bool HasReceiver) {
+  Object *Lock = HasReceiver ? F.Locals[0].R : Vm.mirrorOf(F.M->Owner);
+  // The invoke handler checked contention before the call; entering here
+  // cannot block.
+  StepResult R = monitorEnter(Lock);
+  assert(R == StepResult::Continue && "lock vanished between checks");
+  (void)R;
+  F.Locked = Lock;
 }
 
 //===----------------------------------------------------------------------===//
@@ -1824,21 +1810,26 @@ Resync:
 
   // The call tail, shared by every invoke handler: memory is in sync, pc
   // still points at the invoke, and the resolved callee's receiver and
-  // arguments sit on the operand stack. A bytecode callee that needs no
-  // monitor and whose frame fits the value array is entered here;
-  // invokeMethod takes every other call.
+  // arguments sit on the operand stack. Every bytecode callee is entered
+  // here; invokeMethod takes natives and abstract methods.
   CallTail: {
     Method *M = Call.M;
+    ++Vm.stats().MethodInvocations;
+    if (!M->HasCode || M->isNative()) [[unlikely]]
+      NEXT_IF_CONTINUE(invokeMethod(M, Call.HasReceiver, Call.InsnLen));
     size_t ArgSlots = M->ParamSlots + (Call.HasReceiver ? 1 : 0);
     // The callee's locals start on the first argument slot, as in
     // HotSpot's interpreter: the arguments are already its first locals.
     size_t Base = top() - ArgSlots;
-    if (!M->HasCode || M->isNative() || M->isSynchronized() ||
-        !frameFits(Base, *M)) [[unlikely]]
-      NEXT_IF_CONTINUE(invokeMethod(M, Call.HasReceiver, Call.InsnLen));
-    ++Vm.stats().MethodInvocations;
+    if (!frameFits(Base, *M)) [[unlikely]] {
+      StepResult Overflow;
+      if (!growForCall(M, Base, Overflow))
+        NEXT_IF_CONTINUE(Overflow);
+    }
     F.Pc += Call.InsnLen; // Return lands after the invoke.
-    pushFrame(M, Base, ArgSlots);
+    Frame &Callee = pushFrame(M, Base, ArgSlots);
+    if (M->isSynchronized()) [[unlikely]]
+      lockFrame(Callee, Call.HasReceiver);
     goto BoundaryCheck;
   }
 

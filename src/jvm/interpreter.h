@@ -241,14 +241,20 @@ private:
   /// class whose <clinit> it ran initialized.
   void releaseFrame(Frame &F);
 
-  // Invocation. step() runs the common call itself (DESIGN.md §18);
-  // invokeMethod is the call's out-of-line tail.
-  /// Invokes \p M, whose receiver (when \p HasReceiver) and arguments
-  /// sit on the top frame's operand stack, from the \p InsnLen-byte
-  /// invoke at its pc: natives, abstract methods, synchronized callees,
-  /// and frames that need a larger value array or overflow the stack.
+  // Invocation. step()'s call tail runs every call (DESIGN.md §18); these
+  // are its out-of-line cases.
+  /// Invokes \p M, a native or abstract method whose receiver (when
+  /// \p HasReceiver) and arguments sit on the top frame's operand stack,
+  /// from the \p InsnLen-byte invoke at its pc.
   StepResult invokeMethod(Method *M, bool HasReceiver,
                           uint32_t InsnLen);
+  /// Grows the value array for a frame of \p M at slot \p Base that does
+  /// not fit it. Past the StackOverflowError bounds it throws that error
+  /// instead, with pc still at the invoke, into \p Out and returns false.
+  bool growForCall(Method *M, size_t Base, StepResult &Out);
+  /// Enters the monitor of \p F, a synchronized callee's new frame: its
+  /// receiver, or its class's mirror for a static method.
+  void lockFrame(Frame &F, bool HasReceiver);
   StepResult invokeNative(Method *M, std::vector<Value> Args,
                           uint32_t InsnLen);
 
