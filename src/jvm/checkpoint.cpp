@@ -335,10 +335,15 @@ rt::ErrorOr<std::vector<uint8_t>> doppio::jvm::serializeJvm(Jvm &Vm) {
       for (const Value &V : A->elems())
         writeValue(W, V, Ids);
     } else if (Vm.mode() == ExecutionMode::DoppioJS) {
-      // The §6.7 dictionary, sorted by field name for a canonical wire
-      // form (the map itself is unordered).
-      std::vector<std::pair<std::string, Value>> Fields(
-          O->fieldDict().begin(), O->fieldDict().end());
+      // The §6.7 dictionary's wire form: the written fields, sorted by
+      // name. A redeclared name's superclass slot is never written, so
+      // each name appears once.
+      std::vector<std::pair<std::string, Value>> Fields;
+      for (const Klass *K = O->klass(); K; K = K->Super)
+        for (const FieldInfo &F : K->Fields)
+          if (!F.isStatic() &&
+              O->getSlot(F.SlotIndex).K != Value::Kind::Empty)
+            Fields.emplace_back(F.Name, O->getSlot(F.SlotIndex));
       std::sort(Fields.begin(), Fields.end(),
                 [](const auto &A, const auto &B) { return A.first < B.first; });
       W.u32(static_cast<uint32_t>(Fields.size()));
@@ -522,7 +527,7 @@ void finishRestore(const std::shared_ptr<RestoreState> &St) {
         return;
       }
       Objects.push_back(
-          Vm.allocArray(AK, ElemDesc, static_cast<int32_t>(Len)));
+          Vm.allocArray(AK, static_cast<int32_t>(Len)));
     } else {
       std::string Name = R.str();
       Klass *K = Vm.loader().lookup(Name);
@@ -551,7 +556,12 @@ void finishRestore(const std::shared_ptr<RestoreState> &St) {
       uint32_t N = R.u32();
       for (uint32_t F = 0; F != N && R.ok(); ++F) {
         std::string Name = R.str();
-        O->setFieldByName(Name, readValue(R, Objects, ValuesOk));
+        if (!O->setField(Name, readValue(R, Objects, ValuesOk)) && R.ok()) {
+          St->fail(rt::Errno::Io, "field record " + Name +
+                                      " names no instance field of " +
+                                      O->klass()->Name);
+          return;
+        }
       }
     } else {
       uint32_t N = R.u32();

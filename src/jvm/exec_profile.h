@@ -60,9 +60,10 @@ struct ExecProfile {
   /// When true, trusted frames rewrite resolved constant-pool ops to
   /// their _quick forms in place on first execution (DESIGN.md §18).
   bool Quicken = false;
-  /// When true, quickened field accesses keep a monomorphic (klass,
-  /// field) inline cache over the DoppioJS field dictionary; misses fall
-  /// back to the dictionary (DESIGN.md §18). Requires Quicken.
+  /// When true, quickened invokevirtual/invokeinterface sites keep a
+  /// monomorphic (class, callee) inline cache, and quickened field sites,
+  /// which always cache their receiver class and slot, count that
+  /// cache's hits and misses (DESIGN.md §18). Requires Quicken.
   bool InlineCaches = false;
 
   // Named presets. `verified` is the construction default (the exact

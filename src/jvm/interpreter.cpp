@@ -3,8 +3,10 @@
 // The DoppioJVM interpreter core. Execution-mode differences (§7.1's
 // comparison) are concentrated in a handful of helpers: int arithmetic
 // (double+ToInt32 vs hardware int32), long arithmetic (software Long64 vs
-// hardware int64), field access (name-keyed dictionary vs slot index), and
-// the suspend checks at call boundaries that only DoppioJS mode performs.
+// hardware int64), and the suspend checks at call boundaries that only
+// DoppioJS mode performs. Field access is the same in both modes: a name
+// resolves to a slot through the receiver's class (object.h), and the
+// §6.7 dictionary's price stays in DoppioJS mode's per-op virtual cost.
 //
 //===----------------------------------------------------------------------===//
 
@@ -363,12 +365,19 @@ JvmThread::StepResult JvmThread::dispatchException(Object *Ex) {
   // it has unwound every frame.
   std::string Trace;
   // "Iterating through its virtual stack representation until it finds a
-  // stack frame with an applicable exception handler" (§6.6).
+  // stack frame with an applicable exception handler" (§6.6). The frame
+  // that threw is at its throwing instruction. A frame below a popped
+  // callee is at the return address, one past its invoke, so it matches
+  // at the invoke's last byte: handler ranges are instruction-aligned.
+  // A frame below a popped <clinit> is still at the instruction that
+  // triggered it.
+  uint32_t Back = 0;
   while (!CallStack.empty()) {
     Frame &F = CallStack.back();
+    uint32_t At = F.Pc - Back;
     if (F.M->HasCode) {
       for (const ExceptionHandler &H : F.M->Code.Handlers) {
-        if (F.Pc < H.StartPc || F.Pc >= H.EndPc)
+        if (At < H.StartPc || At >= H.EndPc)
           continue;
         if (H.CatchType != 0) {
           const std::string &CatchName =
@@ -399,6 +408,7 @@ JvmThread::StepResult JvmThread::dispatchException(Object *Ex) {
         .append(" (pc=")
         .append(std::to_string(F.Pc))
         .append(")\n");
+    Back = F.ClinitOf ? 0 : 1;
     popFrame();
   }
   // Uncaught: report and terminate the thread ("exits with an error").
@@ -406,9 +416,7 @@ JvmThread::StepResult JvmThread::dispatchException(Object *Ex) {
   Finished = true;
   std::string Msg = "Exception in thread \"" + name() + "\" " +
                     Ex->klass()->Name;
-  Value Detail = Ex->mode() == ExecutionMode::DoppioJS
-                     ? Ex->getFieldByName("detailMessage")
-                     : Ex->getSlot(0);
+  Value Detail = Ex->field("detailMessage");
   if (Detail.K == Value::Kind::Ref && Detail.R)
     Msg += ": " + Vm.stringValue(Detail.R);
   Vm.process().writeStderr(Msg + "\n" + Trace);
@@ -619,6 +627,31 @@ inline int32_t rdS4(const uint8_t *C, uint32_t At) {
                               (static_cast<uint32_t>(C[At + 1]) << 16) |
                               (static_cast<uint32_t>(C[At + 2]) << 8) |
                               static_cast<uint32_t>(C[At + 3]));
+}
+
+/// The monomorphic cache of a quickened getfield/putfield site: true when
+/// \p Receiver is the class whose slot the site cached. Sites cache in
+/// every profile; InlineCaches decides whether they count.
+inline bool fieldSiteHits(Jvm &Vm, const QuickEntry &Q, Klass *Receiver) {
+  if (Receiver != Q.IcKlass)
+    return false;
+  if (Vm.profile().InlineCaches)
+    Vm.noteIcHit();
+  return true;
+}
+
+/// A field site's cache miss: resolves \p Receiver's slot for the field by
+/// name and caches it. False when the class declares no such field.
+[[gnu::noinline]] bool cacheFieldSite(Jvm &Vm, QuickEntry &Q,
+                                      Klass *Receiver) {
+  if (Vm.profile().InlineCaches)
+    Vm.noteIcMiss();
+  FieldInfo *FI = Receiver->findField(Q.Name);
+  if (!FI)
+    return false;
+  Q.IcKlass = Receiver;
+  Q.IcSlot = static_cast<uint32_t>(FI->SlotIndex);
+  return true;
 }
 
 } // namespace
@@ -1879,20 +1912,13 @@ Resync:
     if (!Obj)
       NEXT_IF_CONTINUE(throwJvm("java/lang/NullPointerException",
                                 "getfield " + Ref.Name));
-    Value V;
-    if (Vm.mode() == ExecutionMode::DoppioJS) {
-      // §6.7: dictionary keyed on the field name.
-      V = Obj->getFieldByName(Ref.Name);
-      if (V.K == Value::Kind::Empty)
-        V = ArrayObject::defaultElement(Ref.Descriptor);
-    } else {
-      FieldInfo *FI = Obj->klass()->findField(Ref.Name);
-      if (!FI)
-        NEXT_IF_CONTINUE(throwJvm("java/lang/NoSuchFieldError", Ref.Name));
-      V = Obj->getSlot(FI->SlotIndex);
-      if (V.K == Value::Kind::Empty)
-        V = ArrayObject::defaultElement(Ref.Descriptor);
-    }
+    // §6.7's name lookup, through the receiver's class.
+    FieldInfo *FI = Obj->klass()->findField(Ref.Name);
+    if (!FI)
+      NEXT_IF_CONTINUE(throwJvm("java/lang/NoSuchFieldError", Ref.Name));
+    Value V = Obj->getSlot(FI->SlotIndex);
+    if (V.K == Value::Kind::Empty)
+      V = ArrayObject::defaultElement(Ref.Descriptor);
     if (QuickEntry *Q = quicken(F, Idx)) {
       Q->Name = Ref.Name;
       Q->Descriptor = Ref.Descriptor;
@@ -1913,14 +1939,10 @@ Resync:
     if (!Obj)
       NEXT_IF_CONTINUE(throwJvm("java/lang/NullPointerException",
                                 "putfield " + Ref.Name));
-    if (Vm.mode() == ExecutionMode::DoppioJS) {
-      Obj->setFieldByName(Ref.Name, V);
-    } else {
-      FieldInfo *FI = Obj->klass()->findField(Ref.Name);
-      if (!FI)
-        NEXT_IF_CONTINUE(throwJvm("java/lang/NoSuchFieldError", Ref.Name));
-      Obj->setSlot(FI->SlotIndex, V);
-    }
+    FieldInfo *FI = Obj->klass()->findField(Ref.Name);
+    if (!FI)
+      NEXT_IF_CONTINUE(throwJvm("java/lang/NoSuchFieldError", Ref.Name));
+    Obj->setSlot(FI->SlotIndex, V);
     if (QuickEntry *Q = quicken(F, Idx)) {
       Q->Name = Ref.Name;
       Q->Descriptor = Ref.Descriptor;
@@ -2222,46 +2244,12 @@ Resync:
     if (!Obj)
       SYNC_NEXT_IF_CONTINUE(throwJvm("java/lang/NullPointerException",
                                      "getfield " + Q.Name));
-    Value V;
-    if (Vm.mode() == ExecutionMode::DoppioJS) {
-      // Monomorphic inline cache over the §6.7 field dictionary: on a
-      // receiver-class match, read straight through the cached Dict-node
-      // pointer instead of hashing the field name.
-      Value *Cell = nullptr;
-      if (Vm.profile().InlineCaches && Obj->klass() == Q.IcKlass)
-        Cell = Obj->fastCell(Q.IcFieldId);
-      if (Cell) {
-        Vm.noteIcHit();
-        V = *Cell;
-      } else {
-        if (Vm.profile().InlineCaches) {
-          Vm.noteIcMiss();
-          Q.IcKlass = Obj->klass();
-          Q.IcFieldId = Q.IcKlass->fastFieldId(Q.Name);
-          // A read miss must not insert into the dictionary (default
-          // values stay virtual), so a cell installs only if the field
-          // has been written; until then every read re-misses.
-          if (Value *Node = Obj->dictNode(Q.Name))
-            Obj->setFastCell(Q.IcFieldId, Node);
-        }
-        V = Obj->getFieldByName(Q.Name);
-        if (V.K == Value::Kind::Empty)
-          V = ArrayObject::defaultElement(Q.Descriptor);
-      }
-    } else {
-      // NativeHotspot mode: cache the FieldInfo per receiver class (a
-      // subclass may shadow the field, so the klass check stays).
-      if (Obj->klass() != Q.IcKlass || !Q.Field) {
-        Q.Field = Obj->klass()->findField(Q.Name);
-        if (!Q.Field)
-          SYNC_NEXT_IF_CONTINUE(
-              throwJvm("java/lang/NoSuchFieldError", Q.Name));
-        Q.IcKlass = Obj->klass();
-      }
-      V = Obj->getSlot(Q.Field->SlotIndex);
-      if (V.K == Value::Kind::Empty)
-        V = ArrayObject::defaultElement(Q.Descriptor);
-    }
+    if (!fieldSiteHits(Vm, Q, Obj->klass()) &&
+        !cacheFieldSite(Vm, Q, Obj->klass())) [[unlikely]]
+      SYNC_NEXT_IF_CONTINUE(throwJvm("java/lang/NoSuchFieldError", Q.Name));
+    Value V = Obj->getSlot(Q.IcSlot);
+    if (V.K == Value::Kind::Empty)
+      V = ArrayObject::defaultElement(Q.Descriptor);
     if (Q.Wide)
       PUSH2(V);
     else
@@ -2276,32 +2264,10 @@ Resync:
     if (!Obj)
       SYNC_NEXT_IF_CONTINUE(throwJvm("java/lang/NullPointerException",
                                      "putfield " + Q.Name));
-    if (Vm.mode() == ExecutionMode::DoppioJS) {
-      Value *Cell = nullptr;
-      if (Vm.profile().InlineCaches && Obj->klass() == Q.IcKlass)
-        Cell = Obj->fastCell(Q.IcFieldId);
-      if (Cell) {
-        Vm.noteIcHit();
-        *Cell = V;
-      } else {
-        Obj->setFieldByName(Q.Name, V);
-        if (Vm.profile().InlineCaches) {
-          Vm.noteIcMiss();
-          Q.IcKlass = Obj->klass();
-          Q.IcFieldId = Q.IcKlass->fastFieldId(Q.Name);
-          Obj->setFastCell(Q.IcFieldId, Obj->dictNode(Q.Name));
-        }
-      }
-    } else {
-      if (Obj->klass() != Q.IcKlass || !Q.Field) {
-        Q.Field = Obj->klass()->findField(Q.Name);
-        if (!Q.Field)
-          SYNC_NEXT_IF_CONTINUE(
-              throwJvm("java/lang/NoSuchFieldError", Q.Name));
-        Q.IcKlass = Obj->klass();
-      }
-      Obj->setSlot(Q.Field->SlotIndex, V);
-    }
+    if (!fieldSiteHits(Vm, Q, Obj->klass()) &&
+        !cacheFieldSite(Vm, Q, Obj->klass())) [[unlikely]]
+      SYNC_NEXT_IF_CONTINUE(throwJvm("java/lang/NoSuchFieldError", Q.Name));
+    Obj->setSlot(Q.IcSlot, V);
     Pc += 3;
     DISPATCH();
   }

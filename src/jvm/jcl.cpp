@@ -27,27 +27,6 @@ using rt::ErrorOr;
 
 namespace {
 
-//===----------------------------------------------------------------------===//
-// Field access helpers (mode-aware)
-//===----------------------------------------------------------------------===//
-
-Value getField(Jvm &Vm, Object *O, const std::string &Name) {
-  if (Vm.mode() == ExecutionMode::DoppioJS)
-    return O->getFieldByName(Name);
-  FieldInfo *FI = O->klass()->findField(Name);
-  return FI ? O->getSlot(FI->SlotIndex) : Value();
-}
-
-void setField(Jvm &Vm, Object *O, const std::string &Name, Value V) {
-  if (Vm.mode() == ExecutionMode::DoppioJS) {
-    O->setFieldByName(Name, V);
-    return;
-  }
-  FieldInfo *FI = O->klass()->findField(Name);
-  if (FI)
-    O->setSlot(FI->SlotIndex, V);
-}
-
 /// Long argument as a host int64 (both modes store the same bit pattern).
 int64_t longArg(const Value &V) { return V.J; }
 
@@ -276,8 +255,8 @@ void defineSystemIo(Jvm &Vm) {
     Klass *Ps = Vm.loader().lookup("java/io/PrintStream");
     Object *Out = Vm.allocObject(Ps);
     Object *Err = Vm.allocObject(Ps);
-    setField(Vm, Err, "isErr", Value::intVal(1));
-    setField(Vm, Out, "isErr", Value::intVal(0));
+    Err->setField("isErr", Value::intVal(1));
+    Out->setField("isErr", Value::intVal(0));
     K->Statics["out"] = Value::ref(Out);
     K->Statics["err"] = Value::ref(Err);
     K->Init = Klass::InitState::Initialized;
@@ -739,10 +718,9 @@ void registerStringNatives(Jvm &Vm) {
   // StringBuilder over its "str" field.
   auto SbAppend = [](NativeContext &Ctx, const std::string &Suffix) {
     Object *Sb = Ctx.Args[0].R;
-    Value Cur = getField(Ctx.Vm, Sb, "str");
+    Value Cur = Sb->field("str");
     std::string Text = Cur.R ? Ctx.Vm.stringValue(Cur.R) : "";
-    setField(Ctx.Vm, Sb, "str",
-             Value::ref(Ctx.Vm.newString(Text + Suffix)));
+    Sb->setField("str", Value::ref(Ctx.Vm.newString(Text + Suffix)));
     Ctx.setReturn(Ctx.Args[0]);
   };
   Vm.registerNative("java/lang/StringBuilder", "append",
@@ -796,13 +774,13 @@ void registerStringNatives(Jvm &Vm) {
                     });
   Vm.registerNative("java/lang/StringBuilder", "toString",
                     "()Ljava/lang/String;", [](NativeContext &Ctx) {
-                      Value Cur = getField(Ctx.Vm, Ctx.Args[0].R, "str");
+                      Value Cur = Ctx.Args[0].R->field("str");
                       Ctx.setReturn(Cur.R ? Cur
                                           : Value::ref(Ctx.Vm.newString("")));
                     });
   Vm.registerNative("java/lang/StringBuilder", "length", "()I",
                     [](NativeContext &Ctx) {
-                      Value Cur = getField(Ctx.Vm, Ctx.Args[0].R, "str");
+                      Value Cur = Ctx.Args[0].R->field("str");
                       std::string S =
                           Cur.R ? Ctx.Vm.stringValue(Cur.R) : "";
                       Ctx.setReturn(Value::intVal(
@@ -813,7 +791,7 @@ void registerStringNatives(Jvm &Vm) {
 void registerSystemNatives(Jvm &Vm) {
   auto PrintTo = [](NativeContext &Ctx, const std::string &Text,
                     bool Newline) {
-    bool IsErr = getField(Ctx.Vm, Ctx.Args[0].R, "isErr").I != 0;
+    bool IsErr = Ctx.Args[0].R->field("isErr").I != 0;
     std::string Out = Newline ? Text + "\n" : Text;
     // Process-subsystem routing: when the owning proc::Process installed
     // an fd-table write hook, the write is asynchronous and may park on a
@@ -1098,12 +1076,12 @@ void registerThreadNatives(Jvm &Vm) {
   Vm.registerNative(
       "java/lang/Thread", "start", "()V", [](NativeContext &Ctx) {
         Object *ThreadObj = Ctx.Args[0].R;
-        if (getField(Ctx.Vm, ThreadObj, "started").I != 0) {
+        if (ThreadObj->field("started").I != 0) {
           Ctx.throwEx("java/lang/IllegalThreadStateException",
                       "already started");
           return;
         }
-        setField(Ctx.Vm, ThreadObj, "started", Value::intVal(1));
+        ThreadObj->setField("started", Value::intVal(1));
         Method *Run = ThreadObj->klass()->findMethod("run", "()V");
         if (!Run || !Run->HasCode) {
           Ctx.throwEx("java/lang/IllegalStateException", "no run()");
@@ -1155,7 +1133,7 @@ void registerThreadNatives(Jvm &Vm) {
         if (!Ctx.Thread.ThreadObj) {
           Klass *ThreadK = Ctx.Vm.loader().lookup("java/lang/Thread");
           Object *O = Ctx.Vm.allocObject(ThreadK);
-          setField(Ctx.Vm, O, "started", Value::intVal(1));
+          O->setField("started", Value::intVal(1));
           Ctx.Thread.ThreadObj = O;
         }
         Ctx.setReturn(Value::ref(Ctx.Thread.ThreadObj));

@@ -56,25 +56,22 @@ Object *Jvm::allocObject(Klass *K) {
   // A JS engine boxes every object; charge a small allocation cost.
   if (Options.Mode == ExecutionMode::DoppioJS)
     Env.chargeCompute(Options.OpCostNs);
-  Arena.push_back(
-      std::make_unique<Object>(K, Options.Mode, K->InstanceSlotCount));
+  Arena.push_back(std::make_unique<Object>(K, K->InstanceSlotCount));
   return Arena.back().get();
 }
 
-ArrayObject *Jvm::allocArray(Klass *ArrayKlass, const std::string &ElemDesc,
-                             int32_t Length) {
+ArrayObject *Jvm::allocArray(Klass *ArrayKlass, int32_t Length) {
   ++Stats.ObjectsAllocated;
   if (Options.Mode == ExecutionMode::DoppioJS)
     Env.chargeCompute(Options.OpCostNs + Length / 8);
-  Arena.push_back(std::make_unique<ArrayObject>(ArrayKlass, Options.Mode,
-                                                ElemDesc, Length));
+  Arena.push_back(std::make_unique<ArrayObject>(ArrayKlass, Length));
   return static_cast<ArrayObject *>(Arena.back().get());
 }
 
 ArrayObject *Jvm::allocArrayOf(const std::string &ElemDesc, int32_t Length) {
   Klass *AK = Loader.lookup("[" + ElemDesc);
   assert(AK && "array class could not be synthesized");
-  return allocArray(AK, ElemDesc, Length);
+  return allocArray(AK, Length);
 }
 
 Object *Jvm::newString(const std::string &Utf8) {
@@ -85,13 +82,9 @@ Object *Jvm::newString(const std::string &Utf8) {
   for (size_t I = 0; I != Utf8.size(); ++I)
     Chars->set(static_cast<int32_t>(I),
                Value::intVal(static_cast<uint8_t>(Utf8[I])));
-  if (Options.Mode == ExecutionMode::DoppioJS) {
-    S->setFieldByName("value", Value::ref(Chars));
-  } else {
-    FieldInfo *FI = StringK->findField("value");
-    assert(FI && "String.value missing");
-    S->setSlot(FI->SlotIndex, Value::ref(Chars));
-  }
+  bool Set = S->setField("value", Value::ref(Chars));
+  assert(Set && "String.value missing");
+  (void)Set;
   return S;
 }
 
@@ -107,16 +100,7 @@ Object *Jvm::internString(const std::string &Utf8) {
 std::string Jvm::stringValue(Object *Str) const {
   if (!Str)
     return "<null>";
-  Value V;
-  if (Options.Mode == ExecutionMode::DoppioJS) {
-    V = Str->getFieldByName("value");
-  } else {
-    Klass *K = Str->klass();
-    FieldInfo *FI = K->findField("value");
-    if (!FI)
-      return "<not-a-string>";
-    V = Str->getSlot(FI->SlotIndex);
-  }
+  Value V = Str->field("value");
   if (V.K != Value::Kind::Ref || !V.R || !V.R->isArray())
     return "<not-a-string>";
   auto *Chars = static_cast<ArrayObject *>(V.R);
@@ -165,11 +149,7 @@ Object *Jvm::makeThrowable(const std::string &ClassName,
   }
   Object *Ex = allocObject(K);
   Object *Msg = Message.empty() ? nullptr : newString(Message);
-  if (Options.Mode == ExecutionMode::DoppioJS) {
-    Ex->setFieldByName("detailMessage", Value::ref(Msg));
-  } else if (FieldInfo *FI = K->findField("detailMessage")) {
-    Ex->setSlot(FI->SlotIndex, Value::ref(Msg));
-  }
+  Ex->setField("detailMessage", Value::ref(Msg));
   return Ex;
 }
 

@@ -152,8 +152,7 @@ public:
   // (§6.7) — objects live until the Jvm dies. DESIGN.md records this
   // substitution.
   Object *allocObject(Klass *K);
-  ArrayObject *allocArray(Klass *ArrayKlass, const std::string &ElemDesc,
-                          int32_t Length);
+  ArrayObject *allocArray(Klass *ArrayKlass, int32_t Length);
   /// Allocates an array, synthesizing its array class ("[I", "[Lx;").
   ArrayObject *allocArrayOf(const std::string &ElemDesc, int32_t Length);
 

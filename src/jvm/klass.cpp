@@ -41,7 +41,7 @@ FieldInfo *Klass::findField(const std::string &FName) {
   for (Klass *K = this; K; K = K->Super)
     for (FieldInfo &F : K->Fields)
       if (F.Name == FName)
-        return &F;
+        return F.isStatic() ? nullptr : &F;
   return nullptr;
 }
 
@@ -52,12 +52,6 @@ QuickEntry &Klass::newQuickEntry(uint16_t CpIndex) {
   assert(!QuickPool[CpIndex] && "quick entry already exists");
   QuickPool[CpIndex] = std::make_unique<QuickEntry>();
   return *QuickPool[CpIndex];
-}
-
-int Klass::fastFieldId(const std::string &FName) {
-  auto [It, Inserted] =
-      FastFieldIds.try_emplace(FName, static_cast<int>(FastFieldIds.size()));
-  return It->second;
 }
 
 bool Klass::isSubclassOf(const Klass *Other) const {
@@ -102,6 +96,26 @@ Value ArrayObject::defaultElement(const std::string &Desc) {
 }
 
 Object::~Object() = default;
+
+Value Object::field(const std::string &Name) const {
+  FieldInfo *F = K->findField(Name);
+  if (!F)
+    return Value();
+  Value V = Slots[F->SlotIndex];
+  return V.K == Value::Kind::Empty ? ArrayObject::defaultElement(F->Descriptor)
+                                   : V;
+}
+
+bool Object::setField(const std::string &Name, Value V) {
+  FieldInfo *F = K->findField(Name);
+  if (F)
+    Slots[F->SlotIndex] = V;
+  return F;
+}
+
+ArrayObject::ArrayObject(Klass *ArrayKlass, int32_t Length)
+    : Object(ArrayKlass, 0),
+      Elems(Length, defaultElement(ArrayKlass->ElemDesc)) {}
 
 /// Zero/null of a field descriptor, for static and instance defaults.
 static Value defaultForDesc(const std::string &Desc) {

@@ -6,10 +6,10 @@
 ///
 /// \file
 /// The linked, runtime form of a loaded class: resolved superclass and
-/// interface pointers, the instance-field layout (slot offsets for the
-/// NativeHotspot mode; field names for the DoppioJS dictionary mode),
-/// method tables, static storage, and the initialization state machine
-/// driven by the interpreter's <clinit> handling (§6.4).
+/// interface pointers, the instance-field layout (one slot per declared
+/// instance field, in both execution modes), method tables, static
+/// storage, and the initialization state machine driven by the
+/// interpreter's <clinit> handling (§6.4).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +25,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace doppio {
@@ -48,8 +47,6 @@ struct QuickEntry {
   Klass *Holder = nullptr;
   /// Statically resolved callee (invokestatic/invokespecial).
   Method *Callee = nullptr;
-  /// NativeHotspot-mode field info for the last receiver class seen.
-  FieldInfo *Field = nullptr;
   /// Address of the static field's value node (&Holder->Statics[Name];
   /// std::map nodes are stable, so the pointer stays valid).
   Value *StaticCell = nullptr;
@@ -65,10 +62,10 @@ struct QuickEntry {
   /// cached by the VM, so replaying the value preserves identity).
   Value Constant;
   /// Monomorphic inline cache: the receiver class this site last saw,
-  /// with the field id (DoppioJS dictionary access) or devirtualized
-  /// callee (invokevirtual/invokeinterface) that class resolved to.
+  /// with the field slot (getfield/putfield) or devirtualized callee
+  /// (invokevirtual/invokeinterface) that class resolved to.
   Klass *IcKlass = nullptr;
-  int IcFieldId = -1;
+  uint32_t IcSlot = 0;
   Method *IcCallee = nullptr;
   /// invokevirtual: the resolved callee's vtable slot and root
   /// (Method::VSlot/VRoot), so an inline-cache miss on a receiver that
@@ -132,7 +129,7 @@ struct FieldInfo {
   uint16_t AccessFlags = 0;
   std::string Name;
   std::string Descriptor;
-  /// Instance slot index (NativeHotspot layout), -1 for statics.
+  /// Instance slot index, -1 for statics.
   int32_t SlotIndex = -1;
   uint16_t ConstantValueIndex = 0;
 
@@ -152,7 +149,7 @@ public:
 
   /// All declared fields (instance and static).
   std::vector<FieldInfo> Fields;
-  /// Instance slots including superclasses (NativeHotspot layout size).
+  /// Instance slots including superclasses: every object's slot count.
   uint32_t InstanceSlotCount = 0;
   /// Static values keyed by field name.
   std::map<std::string, Value> Statics;
@@ -189,7 +186,11 @@ public:
     return nullptr;
   }
 
-  /// Field lookup along the superclass chain.
+  /// The instance field \p Name names on an object of this class: the
+  /// nearest declaration along the superclass chain, so a subclass that
+  /// redeclares a name owns it for every reference to the object, as one
+  /// dictionary key would (§6.7). Null for no declaration or a static
+  /// one.
   FieldInfo *findField(const std::string &Name);
 
   bool isSubclassOf(const Klass *Other) const;
@@ -213,17 +214,13 @@ public:
         return *Q;
     return newQuickEntry(CpIndex);
   }
-  /// Interns \p Name into this class's dense field-id space, used to
-  /// index Object::fastCell inline-cache slots. Ids are consecutive from
-  /// zero per klass and never recycled.
-  int fastFieldId(const std::string &Name);
-
 private:
   QuickEntry &newQuickEntry(uint16_t CpIndex);
 
   std::vector<std::unique_ptr<QuickEntry>> QuickPool;
-  std::unordered_map<std::string, int> FastFieldIds;
 };
+
+const std::string &ArrayObject::elemDesc() const { return klass()->ElemDesc; }
 
 /// Links a parsed class file into a Klass. \p Super and \p Interfaces must
 /// already be linked. \p ResolveNative binds native methods (may return an

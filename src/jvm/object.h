@@ -9,9 +9,13 @@
 /// contains a reference to its class and a dictionary that contains all of
 /// its fields keyed on their names. JVM arrays ... are mapped to a
 /// JavaScript object that contains an array of values and a reference to
-/// the special array class" (§6.7). In DoppioJS mode fields live in exactly
-/// that dictionary; in NativeHotspot mode they live in slot-indexed
-/// storage, which is part of the baseline's speed advantage.
+/// the special array class" (§6.7). Here both execution modes keep an
+/// object's fields in slots laid out by its class, as V8's hidden classes
+/// did for DoppioJVM's objects: a name resolves to its slot through the
+/// object's class, so the dictionary's semantics hold (a redeclared name
+/// is one field, an unwritten field reads as its default and stays
+/// unwritten), and the virtual cost model still charges DoppioJS field
+/// access at the dictionary's price (DESIGN.md §2).
 ///
 /// Every object can lazily grow a monitor (owner, entry count, entry set,
 /// wait set) for synchronized blocks and Object.wait/notify (§6.2).
@@ -25,7 +29,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace doppio {
@@ -44,53 +47,27 @@ struct Monitor {
   std::vector<int32_t> WaitSet;
 };
 
-/// A JVM object instance.
+/// A JVM object instance: its class and one Value slot per instance field
+/// along the class chain, laid out by FieldInfo::SlotIndex.
 class Object {
 public:
-  Object(Klass *K, ExecutionMode Mode, uint32_t SlotCount)
-      : K(K), Mode(Mode) {
-    if (Mode == ExecutionMode::NativeHotspot)
-      Slots.resize(SlotCount);
-  }
+  Object(Klass *K, uint32_t SlotCount) : K(K), Slots(SlotCount) {}
   virtual ~Object();
 
   Klass *klass() const { return K; }
-  ExecutionMode mode() const { return Mode; }
 
-  // DoppioJS-mode access: the name-keyed dictionary of §6.7.
-  Value getFieldByName(const std::string &Name) const {
-    auto It = Dict.find(Name);
-    return It == Dict.end() ? Value() : It->second;
-  }
-  void setFieldByName(const std::string &Name, Value V) { Dict[Name] = V; }
-
-  // Inline-cache acceleration for the dictionary mode (DESIGN.md §18):
-  // per-object cells indexed by the klass's fastFieldId, each pointing at
-  // this object's Dict node for that field. Dict nodes are never erased,
-  // so an installed cell stays valid for the object's lifetime. The cell
-  // table is a derived cache — the checkpoint serializer ignores it and
-  // restored objects re-install cells on first miss.
-  Value *fastCell(int Id) const {
-    return Id >= 0 && static_cast<size_t>(Id) < FastCells.size()
-               ? FastCells[Id]
-               : nullptr;
-  }
-  void setFastCell(int Id, Value *Cell) {
-    if (static_cast<size_t>(Id) >= FastCells.size())
-      FastCells.resize(Id + 1, nullptr);
-    FastCells[Id] = Cell;
-  }
-  /// Address of the Dict node for \p Name, or null when the field has
-  /// never been written (a getfield miss must NOT insert: default-value
-  /// reads leave the dictionary — and checkpoint images — untouched).
-  Value *dictNode(const std::string &Name) {
-    auto It = Dict.find(Name);
-    return It == Dict.end() ? nullptr : &It->second;
-  }
-
-  // NativeHotspot-mode access: precomputed slot offsets.
+  /// Slot access. A slot whose Kind is Empty was never written; readers
+  /// substitute the field descriptor's default without writing it.
   Value getSlot(uint32_t Index) const { return Slots[Index]; }
   void setSlot(uint32_t Index, Value V) { Slots[Index] = V; }
+
+  /// Name-based access for natives, the VM and checkpoint restore: the
+  /// slot the object's class resolves \p Name to (Klass::findField).
+  /// field() reads an unwritten field as its descriptor's default and an
+  /// undeclared one as Empty; setField() writes nothing, and returns
+  /// false, when the class declares no instance field \p Name.
+  Value field(const std::string &Name) const;
+  bool setField(const std::string &Name, Value V);
 
   /// The object's monitor, created on first use.
   Monitor &monitor() {
@@ -101,10 +78,7 @@ public:
   bool hasMonitor() const { return Mon != nullptr; }
   const Monitor *monitorIfAny() const { return Mon.get(); }
 
-  // Whole-storage views for the checkpoint serializer (DESIGN.md §16).
-  const std::unordered_map<std::string, Value> &fieldDict() const {
-    return Dict;
-  }
+  /// The whole slot vector, for the checkpoint serializer (DESIGN.md §16).
   const std::vector<Value> &slotStorage() const { return Slots; }
   std::vector<Value> &slotStorage() { return Slots; }
 
@@ -112,34 +86,29 @@ public:
 
 private:
   Klass *K;
-  ExecutionMode Mode;
-  std::unordered_map<std::string, Value> Dict; // DoppioJS fields.
-  std::vector<Value> Slots;                    // NativeHotspot fields.
-  std::vector<Value *> FastCells; // Inline-cache cells into Dict (§18).
+  std::vector<Value> Slots;
   std::unique_ptr<Monitor> Mon;
 };
 
 /// A JVM array: element storage plus the array class reference (§6.7).
+/// The element descriptor is the array class's (Klass::ElemDesc).
 class ArrayObject : public Object {
 public:
-  ArrayObject(Klass *ArrayKlass, ExecutionMode Mode, std::string ElemDesc,
-              int32_t Length)
-      : Object(ArrayKlass, Mode, 0), ElemDesc(std::move(ElemDesc)),
-        Elems(Length, defaultElement(this->ElemDesc)) {}
+  ArrayObject(Klass *ArrayKlass, int32_t Length);
 
   bool isArray() const override { return true; }
 
   int32_t length() const { return static_cast<int32_t>(Elems.size()); }
   Value get(int32_t Index) const { return Elems[Index]; }
   void set(int32_t Index, Value V) { Elems[Index] = V; }
-  const std::string &elemDesc() const { return ElemDesc; }
+  /// Defined in klass.h, which completes Klass.
+  inline const std::string &elemDesc() const;
   std::vector<Value> &elems() { return Elems; }
 
   /// Zero/null of the element type.
   static Value defaultElement(const std::string &Desc);
 
 private:
-  std::string ElemDesc;
   std::vector<Value> Elems;
 };
 

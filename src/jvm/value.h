@@ -10,13 +10,16 @@
 ///
 ///  - DoppioJS: the paper's system. Values behave as they must on a
 ///    JavaScript engine — ints are doubles wrapped with ToInt32, longs go
-///    through the software Long64 implementation, objects are name-keyed
-///    dictionaries (§6.7), and execution is segmented with suspend checks
-///    at call boundaries (§6.1).
+///    through the software Long64 implementation, field access is priced
+///    as a name-keyed dictionary lookup (§6.7), and execution is segmented
+///    with suspend checks at call boundaries (§6.1).
 ///
 ///  - NativeHotspot: the baseline stand-in for "Oracle's HotSpot JVM
 ///    interpreter" (§7.1) — the same interpreter core with hardware int32/
-///    int64 arithmetic, slot-indexed object fields, and no browser.
+///    int64 arithmetic, native-speed costs, and no browser.
+///
+/// Both modes keep an object's fields in the same class-laid-out slots
+/// (object.h).
 ///
 //===----------------------------------------------------------------------===//
 

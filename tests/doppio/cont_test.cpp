@@ -612,6 +612,48 @@ TEST(JvmCheckpoint, NotQuiescentAndCorruptImagesAreRefusedCleanly) {
   std::vector<uint8_t> UnterminatedElem = WithElem("LFoo");
   std::vector<uint8_t> EmptyElem = WithElem("");
 
+  // Object contents (pass two): per object a u32 field-record count, then
+  // each record's name string and value, then a monitor flag u8. A
+  // DoppioJS record must name an instance field of the object's class
+  // chain. The two PrintStreams (System.out, then System.err) each hold an
+  // "isErr" record; the next object is the bootstrap Unsafe, with none.
+  browser::wire::Writer IsErrKey;
+  IsErrKey.str("isErr");
+  std::vector<uint8_t> IsErr = IsErrKey.take();
+  auto FindIsErr = [&](size_t From) {
+    return static_cast<size_t>(
+        std::search(Image.begin() + From, Image.end(), IsErr.begin(),
+                    IsErr.end()) -
+        Image.begin());
+  };
+  size_t OutRecAt = FindIsErr(0);
+  ASSERT_LT(OutRecAt, Image.size()) << "no isErr record in the image";
+  size_t ErrRecAt = FindIsErr(OutRecAt + 1);
+  ASSERT_LT(ErrRecAt, Image.size()) << "one isErr record in the image";
+  std::vector<uint8_t> UndeclaredField = Image;
+  {
+    browser::wire::Writer Name;
+    Name.str("noSuchField");
+    std::vector<uint8_t> Bytes = Name.take();
+    UndeclaredField.erase(UndeclaredField.begin() + OutRecAt,
+                          UndeclaredField.begin() + OutRecAt + IsErr.size());
+    UndeclaredField.insert(UndeclaredField.begin() + OutRecAt, Bytes.begin(),
+                           Bytes.end());
+  }
+  // After err's record: its Int value (kind u8, u32) and monitor flag.
+  size_t UnsafeAt = ErrRecAt + IsErr.size() + 1 + 4 + 1;
+  ASSERT_EQ(U32At(UnsafeAt), 0u) << "Unsafe does not follow System.err";
+  std::vector<uint8_t> StaticField = Image;
+  {
+    PutU32(StaticField, UnsafeAt, 1);
+    browser::wire::Writer Rec;
+    Rec.str("theUnsafe");
+    Rec.u8(static_cast<uint8_t>(jvm::Value::Kind::Empty));
+    std::vector<uint8_t> Bytes = Rec.take();
+    StaticField.insert(StaticField.begin() + UnsafeAt + 4, Bytes.begin(),
+                       Bytes.end());
+  }
+
   // Why: a substring of the refusal's message, or null for an image that
   // must restore.
   struct Forgery {
@@ -636,7 +678,13 @@ TEST(JvmCheckpoint, NotQuiescentAndCorruptImagesAreRefusedCleanly) {
         Forgery{"array of an unterminated class", &UnterminatedElem,
                 "malformed array element 'LFoo'"},
         Forgery{"array of an empty element", &EmptyElem,
-                "malformed array element ''"}}) {
+                "malformed array element ''"},
+        Forgery{"field no class declares", &UndeclaredField,
+                "field record noSuchField names no instance field of "
+                "java/io/PrintStream"},
+        Forgery{"static field", &StaticField,
+                "field record theUnsafe names no instance field of "
+                "sun/misc/Unsafe"}}) {
     SCOPED_TRACE(Fg.Name);
     JvmRig Dst(browser::chromeProfile());
     ASSERT_TRUE(

@@ -716,6 +716,225 @@ TEST_P(BothModes, UncaughtTraceListsEveryFrameItUnwound) {
   }
 }
 
+/// Emits: System.out.println(\p Text), with the stack left as it was.
+void printlnText(MethodBuilder &M, const char *Text) {
+  M.getstatic("java/lang/System", "out", Out)
+      .ldcString(Text)
+      .invokevirtual("java/io/PrintStream", "println",
+                     "(Ljava/lang/String;)V");
+}
+
+/// Emits: throw new IllegalStateException(\p Text).
+void throwIllegalState(MethodBuilder &M, const char *Text) {
+  M.anew("java/lang/IllegalStateException")
+      .op(Op::Dup)
+      .ldcString(Text)
+      .invokespecial("java/lang/IllegalStateException", "<init>",
+                     "(Ljava/lang/String;)V")
+      .op(Op::Athrow);
+}
+
+/// Runs a program whose exception handlers sit next to a call that throws
+/// IllegalStateException, once per invoke kind (invokestatic,
+/// invokevirtual, invokeinterface), and returns what it printed. A
+/// caller's pc during a call is the return address, so the handler search
+/// must test a caller frame one byte back, inside its invoke. javac's
+/// try { f(); } covers exactly [invoke, invoke + length).
+///  - \p Cover: a range over only the invoke, whose handler prints
+///    "caught";
+///  - otherwise: a range starting right after the invoke, whose handler
+///    prints "wrong", inside a range over the whole method, whose handler
+///    prints "escaped".
+std::string runHandlerNextToAThrowingCall(ExecutionMode Mode,
+                                          const char *Profile, bool Cover) {
+  JvmRig Rig(Mode);
+  useProfile(Rig, Profile);
+  ClassBuilder Boom("Boom");
+  Boom.setAccess(AccPublic | AccInterface | AccAbstract);
+  Boom.abstractMethod(AccPublic, "i", "()V");
+  ClassBuilder Thrower("Thrower");
+  Thrower.addInterface("Boom");
+  Thrower.addDefaultConstructor();
+  throwIllegalState(Thrower.method(AccPublic | AccStatic, "s", "()V"), "s");
+  throwIllegalState(Thrower.method(AccPublic, "v", "()V"), "v");
+  throwIllegalState(Thrower.method(AccPublic, "i", "()V"), "i");
+
+  const char *Ise = "java/lang/IllegalStateException";
+  ClassBuilder B("Main");
+  MethodBuilder &Main = mainOf(B);
+  for (char Kind : {'s', 'v', 'i'}) {
+    std::string Name = std::string("call") + Kind;
+    MethodBuilder &M = B.method(AccPublic | AccStatic, Name, "()V");
+    MethodBuilder::Label All = M.newLabel(), Start = M.newLabel(),
+                         End = M.newLabel(), Next = M.newLabel(),
+                         NextEnd = M.newLabel(), Caught = M.newLabel(),
+                         Wrong = M.newLabel(), Escaped = M.newLabel();
+    M.bind(All);
+    if (Kind != 's')
+      M.anew("Thrower").op(Op::Dup).invokespecial("Thrower", "<init>",
+                                                  "()V");
+    M.bind(Start);
+    if (Kind == 's')
+      M.invokestatic("Thrower", "s", "()V");
+    else if (Kind == 'v')
+      M.invokevirtual("Thrower", "v", "()V");
+    else
+      M.invokeinterface("Boom", "i", "()V");
+    M.bind(End).bind(Next).op(Op::Nop).bind(NextEnd).op(Op::Return);
+    for (auto [Handler, Text] : {std::pair{Caught, "caught"},
+                                 std::pair{Wrong, "wrong"},
+                                 std::pair{Escaped, "escaped"}}) {
+      M.bind(Handler).op(Op::Pop);
+      printlnText(M, Text);
+      M.op(Op::Return);
+    }
+    if (Cover)
+      M.handler(Start, End, Caught, Ise);
+    else
+      M.handler(Next, NextEnd, Wrong, Ise).handler(All, NextEnd, Escaped, Ise);
+    Main.invokestatic("Main", Name, "()V");
+  }
+  Main.op(Op::Return);
+  Rig.addClass(Boom);
+  Rig.addClass(Thrower);
+  Rig.addClass(B);
+  EXPECT_EQ(Rig.run("Main"), 0) << Rig.err();
+  return Rig.out();
+}
+
+TEST_P(BothModes, HandlerRangeOverTheInvokeCatchesTheCallee) {
+  for (const char *Profile : CallPathProfiles) {
+    SCOPED_TRACE(Profile);
+    EXPECT_EQ(runHandlerNextToAThrowingCall(GetParam(), Profile, true),
+              "caught\ncaught\ncaught\n");
+  }
+}
+
+TEST_P(BothModes, HandlerRangeAfterTheInvokeMissesTheCallee) {
+  for (const char *Profile : CallPathProfiles) {
+    SCOPED_TRACE(Profile);
+    EXPECT_EQ(runHandlerNextToAThrowingCall(GetParam(), Profile, false),
+              "escaped\nescaped\nescaped\n");
+  }
+}
+
+TEST_P(BothModes, ClinitExceptionMatchesItsTriggeringInstruction) {
+  // A frame below a popped <clinit> is still at the getstatic that
+  // triggered it, so a range covering only that getstatic catches what
+  // <clinit> throws.
+  for (const char *Profile : CallPathProfiles) {
+    SCOPED_TRACE(Profile);
+    JvmRig Rig(GetParam());
+    useProfile(Rig, Profile);
+    ClassBuilder Bad("Bad");
+    Bad.addField(AccPublic | AccStatic, "x", "I");
+    throwIllegalState(Bad.method(AccStatic, "<clinit>", "()V"), "clinit");
+    ClassBuilder B("Main");
+    MethodBuilder &M = mainOf(B);
+    MethodBuilder::Label Start = M.newLabel(), End = M.newLabel(),
+                         Handler = M.newLabel();
+    M.bind(Start).getstatic("Bad", "x", "I").bind(End).op(Op::Pop).op(
+        Op::Return);
+    M.bind(Handler).invokevirtual("java/lang/Throwable", "getMessage",
+                                  "()Ljava/lang/String;");
+    M.getstatic("java/lang/System", "out", Out)
+        .op(Op::Swap)
+        .invokevirtual("java/io/PrintStream", "println",
+                       "(Ljava/lang/String;)V")
+        .op(Op::Return)
+        .handler(Start, End, Handler, "java/lang/IllegalStateException");
+    Rig.addClass(Bad);
+    Rig.addClass(B);
+    EXPECT_EQ(Rig.run("Main"), 0) << Rig.err();
+    EXPECT_EQ(Rig.out(), "clinit\n");
+  }
+}
+
+TEST_P(BothModes, FieldsResolveByNameThroughTheReceiversClass) {
+  // class Base { int shadowed; }  class Derived extends Base { int shadowed; }
+  // A Derived object has one field of that name, whichever class a
+  // reference names; a field no class in the chain declares is a
+  // NoSuchFieldError for getfield and putfield alike.
+  for (const char *Profile : CallPathProfiles) {
+    SCOPED_TRACE(Profile);
+    JvmRig Rig(GetParam());
+    useProfile(Rig, Profile);
+    ClassBuilder Base("Base");
+    Base.addField(AccPublic, "shadowed", "I");
+    Base.addDefaultConstructor();
+    ClassBuilder Derived("Derived", "Base");
+    Derived.addField(AccPublic, "shadowed", "I");
+    Derived.addDefaultConstructor();
+    ClassBuilder B("Main");
+    MethodBuilder &M = mainOf(B);
+    M.anew("Derived")
+        .op(Op::Dup)
+        .invokespecial("Derived", "<init>", "()V")
+        .astore(1);
+    // An unwritten field reads as its default.
+    M.aload(1).getfield("Base", "shadowed", "I");
+    printlnInt(M);
+    M.aload(1).iconst(5).putfield("Base", "shadowed", "I");
+    M.aload(1).getfield("Derived", "shadowed", "I");
+    printlnInt(M);
+    M.aload(1).iconst(7).putfield("Derived", "shadowed", "I");
+    M.aload(1).getfield("Base", "shadowed", "I");
+    printlnInt(M);
+    const char *Nsfe = "java/lang/NoSuchFieldError";
+    MethodBuilder::Label GetStart = M.newLabel(), GetEnd = M.newLabel(),
+                         GetCaught = M.newLabel(), PutStart = M.newLabel(),
+                         PutEnd = M.newLabel(), PutCaught = M.newLabel(),
+                         Put = M.newLabel(), Done = M.newLabel();
+    M.aload(1)
+        .bind(GetStart)
+        .getfield("Base", "missing", "I")
+        .bind(GetEnd)
+        .op(Op::Pop)
+        .branch(Op::Goto, Put)
+        .bind(GetCaught)
+        .invokevirtual("java/lang/Throwable", "getMessage",
+                       "()Ljava/lang/String;")
+        .getstatic("java/lang/System", "out", Out)
+        .op(Op::Swap)
+        .invokevirtual("java/io/PrintStream", "println",
+                       "(Ljava/lang/String;)V");
+    M.bind(Put)
+        .aload(1)
+        .iconst(1)
+        .bind(PutStart)
+        .putfield("Base", "missing", "I")
+        .bind(PutEnd)
+        .branch(Op::Goto, Done)
+        .bind(PutCaught)
+        .invokevirtual("java/lang/Throwable", "getMessage",
+                       "()Ljava/lang/String;")
+        .getstatic("java/lang/System", "out", Out)
+        .op(Op::Swap)
+        .invokevirtual("java/io/PrintStream", "println",
+                       "(Ljava/lang/String;)V");
+    M.bind(Done).op(Op::Return);
+    M.handler(GetStart, GetEnd, GetCaught, Nsfe)
+        .handler(PutStart, PutEnd, PutCaught, Nsfe);
+    Rig.addClass(Base);
+    Rig.addClass(Derived);
+    Rig.addClass(B);
+    EXPECT_EQ(Rig.run("Main"), 0) << Rig.err();
+    EXPECT_EQ(Rig.out(), "0\n5\n7\nmissing\nmissing\n");
+
+    // DoppioJS images list an object's written fields by name: the
+    // redeclared name once.
+    if (GetParam() != ExecutionMode::DoppioJS)
+      continue;
+    rt::ErrorOr<std::vector<uint8_t>> Image = serializeJvm(Rig.vm());
+    ASSERT_TRUE(Image.ok()) << Image.error().message();
+    const std::string Record = std::string("\0\0\0\x08shadowed", 12);
+    std::string Bytes(Image->begin(), Image->end());
+    size_t First = Bytes.find(Record);
+    ASSERT_NE(First, std::string::npos);
+    EXPECT_EQ(Bytes.find(Record, First + 1), std::string::npos);
+  }
+}
+
 TEST_P(BothModes, CheckcastAndClassCastException) {
   JvmRig Rig(GetParam());
   ClassBuilder A("A");
