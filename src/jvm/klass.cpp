@@ -99,11 +99,7 @@ Object::~Object() = default;
 
 Value Object::field(const std::string &Name) const {
   FieldInfo *F = K->findField(Name);
-  if (!F)
-    return Value();
-  Value V = Slots[F->SlotIndex];
-  return V.K == Value::Kind::Empty ? ArrayObject::defaultElement(F->Descriptor)
-                                   : V;
+  return F ? Slots[F->SlotIndex] : Value();
 }
 
 bool Object::setField(const std::string &Name, Value V) {

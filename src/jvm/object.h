@@ -63,8 +63,8 @@ public:
 
   /// Name-based access for natives, the VM and checkpoint restore: the
   /// slot the object's class resolves \p Name to (Klass::findField).
-  /// field() reads an unwritten field as its descriptor's default and an
-  /// undeclared one as Empty; setField() writes nothing, and returns
+  /// field() reads an unwritten or undeclared field as Empty, whose
+  /// payload is zero and null; setField() writes nothing, and returns
   /// false, when the class declares no instance field \p Name.
   Value field(const std::string &Name) const;
   bool setField(const std::string &Name, Value V);
