@@ -34,7 +34,7 @@ void TcpConnection::setOnData(DataHandler H) {
   while (OnData && !Undelivered.empty()) {
     std::vector<uint8_t> Data = std::move(Undelivered.front());
     Undelivered.pop_front();
-    OnData(Data);
+    OnData(std::move(Data));
   }
 }
 
@@ -45,7 +45,7 @@ void TcpConnection::deliver(std::vector<uint8_t> Data) {
     Undelivered.push_back(std::move(Data));
     return;
   }
-  OnData(Data);
+  OnData(std::move(Data));
 }
 
 void TcpConnection::close() {

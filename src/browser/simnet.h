@@ -44,7 +44,10 @@ class SimNet;
 /// One side of an established duplex byte-stream connection.
 class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
 public:
-  using DataHandler = std::function<void(const std::vector<uint8_t> &)>;
+  /// Receives each delivered chunk as an rvalue, so a receiver may adopt
+  /// its storage; a handler taking `const std::vector<uint8_t> &` works
+  /// unchanged.
+  using DataHandler = std::function<void(std::vector<uint8_t> &&)>;
   using CloseHandler = std::function<void()>;
 
   /// Sends bytes to the peer; they arrive as a later event.

@@ -190,11 +190,16 @@ void KeyValueBackend::open(const std::string &Path, OpenFlags Flags,
     Done(ApiError(Errno::NoEnt, Path));
     return;
   }
-  std::string_view ParentPath = path::parentOf(Path);
-  const FileIndex::Meta *Parent = Index.lookup(ParentPath);
-  if (!Parent || Parent->Type != FileType::Directory) {
-    Done(ApiError(Errno::NoEnt, std::string(ParentPath)));
-    return;
+  // Only a create needs its parent looked up: an existing file's parent
+  // is a directory, because FileIndex::add creates missing parents and
+  // refuses a child under a file.
+  if (!Meta) {
+    std::string_view ParentPath = path::parentOf(Path);
+    const FileIndex::Meta *Parent = Index.lookup(ParentPath);
+    if (!Parent || Parent->Type != FileType::Directory) {
+      Done(ApiError(Errno::NoEnt, std::string(ParentPath)));
+      return;
+    }
   }
 
   // The descriptor writes the whole file back through the store and

@@ -134,9 +134,13 @@ public:
   /// and paging accounting are the same as if the bytes had been copied.
   std::vector<uint8_t> release() { return std::move(Bytes); }
 
-private:
+  /// Charges an access to \p NumBytes of this buffer at its backing
+  /// store's per-byte cost, as a read, write or copyTo of them does
+  /// (simulation glue: lets a caller that moves the bytes out instead of
+  /// copying them still pay the copy).
   void chargeAccess(size_t NumBytes) const;
 
+private:
   browser::BrowserEnv *Env;
   std::vector<uint8_t> Bytes;
   /// Bytes passed to noteTypedArrayAlloc (0 for a number array).

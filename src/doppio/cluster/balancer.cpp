@@ -164,8 +164,8 @@ void Balancer::onAccept(TcpConnection &T) {
   C->Client = &T;
   C->AcceptedNs = nowNs();
   ConnsAcceptedC->inc();
-  T.setOnData([this, Id](const std::vector<uint8_t> &D) {
-    onClientData(Id, D);
+  T.setOnData([this, Id](std::vector<uint8_t> &&D) {
+    onClientData(Id, std::move(D));
   });
   T.setOnClose([this, Id] { onClientClosed(Id); });
   Conn &Ref = *C;
@@ -173,11 +173,11 @@ void Balancer::onAccept(TcpConnection &T) {
   beginWalk(Ref);
 }
 
-void Balancer::onClientData(uint64_t Id, const std::vector<uint8_t> &Data) {
+void Balancer::onClientData(uint64_t Id, std::vector<uint8_t> &&Data) {
   auto It = Conns.find(Id);
   if (It == Conns.end())
     return;
-  It->second->FromClient.feed(Data);
+  It->second->FromClient.feed(std::move(Data));
   pumpClient(*It->second);
 }
 
@@ -309,19 +309,19 @@ void Balancer::bindUpstream(Conn &C, Fabric::Endpoint *Ep) {
   RoutedC->inc();
   RouteNsH->record(nowNs() - C.AcceptedNs);
   uint64_t Id = C.Id;
-  Ep->setOnData([this, Id](const std::vector<uint8_t> &D) {
-    onUpstreamData(Id, D);
+  Ep->setOnData([this, Id](std::vector<uint8_t> &&D) {
+    onUpstreamData(Id, std::move(D));
   });
   Ep->setOnClose([this, Id] { onUpstreamClosed(Id); });
   forwardPending(C);
 }
 
-void Balancer::onUpstreamData(uint64_t Id, const std::vector<uint8_t> &Data) {
+void Balancer::onUpstreamData(uint64_t Id, std::vector<uint8_t> &&Data) {
   auto It = Conns.find(Id);
   if (It == Conns.end())
     return;
   Conn &C = *It->second;
-  C.FromShard.feed(Data);
+  C.FromShard.feed(std::move(Data));
   while (true) {
     auto Payload = C.FromShard.nextView();
     if (!Payload)

@@ -208,9 +208,9 @@ private:
   uint64_t nowNs() const;
   void bindCells();
   void onAccept(browser::TcpConnection &T);
-  void onClientData(uint64_t Id, const std::vector<uint8_t> &Data);
+  void onClientData(uint64_t Id, std::vector<uint8_t> &&Data);
   void onClientClosed(uint64_t Id);
-  void onUpstreamData(uint64_t Id, const std::vector<uint8_t> &Data);
+  void onUpstreamData(uint64_t Id, std::vector<uint8_t> &&Data);
   void onUpstreamClosed(uint64_t Id);
   /// Starts a fresh candidate walk for \p C from a new ring snapshot.
   void beginWalk(Conn &C);

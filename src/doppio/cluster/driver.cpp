@@ -87,12 +87,29 @@ void ThreadedDriver::join() {
 }
 
 uint64_t ThreadedDriver::safeHorizon(TabId T) const {
-  uint64_t Min = kIdleFrontier;
-  for (size_t I = 0; I < Frontiers.size(); ++I)
-    if (I != T)
-      Min = std::min(Min, Frontiers[I]->load(std::memory_order_acquire));
   uint64_t Hop = Fab.costs().HopLatencyNs;
-  return Min >= kIdleFrontier - Hop ? kIdleFrontier : Min + Hop;
+  while (true) {
+    uint64_t Epoch = Fab.crossings();
+    // Mail not yet covered by its tab's frontier bounds that tab's next
+    // work as well. Each floor is read before its frontier: a tab raises
+    // its floor only after publishing a frontier that covers the mail.
+    uint64_t Own = kIdleFrontier, Min = kIdleFrontier;
+    for (size_t I = 0; I < Frontiers.size(); ++I) {
+      uint64_t Floor = Fab.mailFloorNs(static_cast<TabId>(I));
+      if (I == T) {
+        Own = Floor;
+        continue;
+      }
+      Min = std::min(
+          {Min, Floor, Frontiers[I]->load(std::memory_order_acquire)});
+    }
+    // A send during the scan may hide behind a frontier its sender raised
+    // afterwards; the send moved the epoch, so scan again.
+    if (Fab.crossings() != Epoch)
+      continue;
+    return std::min(Own, Min >= kIdleFrontier - Hop ? kIdleFrontier
+                                                    : Min + Hop);
+  }
 }
 
 void ThreadedDriver::tabMain(TabId T) {
@@ -100,6 +117,11 @@ void ThreadedDriver::tabMain(TabId T) {
   std::atomic<uint64_t> &Frontier = *Frontiers[T];
   while (!Stop.load(std::memory_order_relaxed)) {
     Fab.pump(T);
+    // The pumped mail is the loop's work now: publish a frontier that
+    // covers it before the mail floor stops counting it.
+    std::optional<uint64_t> First = Loop.nextEligibleNs();
+    Frontier.store(First ? *First : kIdleFrontier, std::memory_order_release);
+    Fab.settleMailFloor(T);
     size_t Ran = 0;
     // Dispatch in small slices so the published frontier stays fresh for
     // peers computing their own horizons.

@@ -22,10 +22,15 @@
 /// publishes the virtual time of its earliest runnable work (its frontier)
 /// in an atomic; a tab may dispatch work up to min(other frontiers) + hop,
 /// because no peer can deliver mail below its own frontier plus one hop.
-/// Idle tabs park in Fabric::waitForMail with a short timed wait, so a
-/// missed wake costs microseconds, never a deadlock. Timelines are
-/// causally consistent but not bit-identical across runs — throughput
-/// hardware noise, exactly what a real multi-core bench row wants.
+/// Mail that sits in a mailbox is in no frontier yet, so the horizon also
+/// takes every tab's mail floor (Fabric::mailFloorNs), and a scan that a
+/// send overlapped is repeated (Fabric::crossings is its epoch). Without
+/// both, a tab could jump its clock to a far timer (a shard's idle sweep)
+/// while a request for it was still in host-side flight. Idle tabs park
+/// in Fabric::waitForMail with a short timed wait, so a missed wake costs
+/// microseconds, never a deadlock. Timelines are causally consistent but
+/// not bit-identical across runs — throughput hardware noise, exactly what
+/// a real multi-core bench row wants.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -2,6 +2,7 @@
 
 #include "doppio/cluster/fabric.h"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 
@@ -39,17 +40,17 @@ void Fabric::Endpoint::setOnData(DataHandler H) {
   while (OnData && !Undelivered.empty()) {
     std::vector<uint8_t> D = std::move(Undelivered.front());
     Undelivered.pop_front();
-    OnData(D);
+    OnData(std::move(D));
   }
 }
 
-void Fabric::Endpoint::deliver(const std::vector<uint8_t> &Data) {
+void Fabric::Endpoint::deliver(std::vector<uint8_t> Data) {
   if (!Open)
     return;
   if (OnData)
-    OnData(Data);
+    OnData(std::move(Data));
   else
-    Undelivered.push_back(Data);
+    Undelivered.push_back(std::move(Data));
 }
 
 void Fabric::Endpoint::close() {
@@ -105,13 +106,17 @@ void Fabric::post(TabId Dst, Mail M) {
   // order and FIN-after-data across the crossing.
   M.StampNs =
       Tabs[M.From]->Env->clock().nowNs() + Cost.HopLatencyNs;
-  Crossings.fetch_add(1);
   MailInFlight.fetch_add(1);
   Tab &D = *Tabs[Dst];
   {
     std::lock_guard<std::mutex> Lock(D.MailMu);
+    if (M.StampNs < D.MailFloorNs.load())
+      D.MailFloorNs.store(M.StampNs);
     D.Mailbox.push_back(std::move(M));
   }
+  // Counted after the floor covers the record: a horizon scan that saw
+  // the sender's frontier rise past this send also sees the count move.
+  Crossings.fetch_add(1);
   D.MailCv.notify_all();
 }
 
@@ -146,6 +151,15 @@ bool Fabric::mailboxEmpty(TabId T) {
   Tab &D = *Tabs[T];
   std::lock_guard<std::mutex> Lock(D.MailMu);
   return D.Mailbox.empty();
+}
+
+void Fabric::settleMailFloor(TabId T) {
+  Tab &D = *Tabs[T];
+  std::lock_guard<std::mutex> Lock(D.MailMu);
+  uint64_t Floor = UINT64_MAX;
+  for (const Mail &M : D.Mailbox)
+    Floor = std::min(Floor, M.StampNs);
+  D.MailFloorNs.store(Floor);
 }
 
 bool Fabric::waitForMail(TabId T, uint64_t TimeoutUs) {
@@ -207,7 +221,7 @@ void Fabric::dispatch(TabId T, Mail M) {
 
   case Mail::Kind::Data: {
     if (auto It = D.Links.find(M.Link); It != D.Links.end()) {
-      It->second->deliver(M.Data);
+      It->second->deliver(std::move(M.Data));
       break;
     }
     if (auto It = D.Gateways.find(M.Link); It != D.Gateways.end()) {
@@ -262,12 +276,12 @@ void Fabric::openGateway(TabId T, TabId From, uint64_t Link, uint16_t Port) {
     G.PeerTab = From;
     G.Link = Link;
     D.Gateways.emplace(Link, G);
-    Tcp->setOnData([this, T, From, Link](const std::vector<uint8_t> &Data) {
+    Tcp->setOnData([this, T, From, Link](std::vector<uint8_t> &&Data) {
       Mail M;
       M.K = Mail::Kind::Data;
       M.From = T;
       M.Link = Link;
-      M.Data = Data;
+      M.Data = std::move(Data);
       post(From, std::move(M));
     });
     Tcp->setOnClose([this, T, From, Link] {

@@ -80,7 +80,8 @@ public:
   /// closes (locally or via the close handler).
   class Endpoint {
   public:
-    using DataHandler = std::function<void(const std::vector<uint8_t> &)>;
+    /// Receives each chunk as an rvalue, like browser::TcpConnection.
+    using DataHandler = std::function<void(std::vector<uint8_t> &&)>;
     using CloseHandler = std::function<void()>;
 
     /// Sends bytes toward the peer tab; they arrive there as a later
@@ -107,7 +108,7 @@ public:
     Endpoint(Fabric &Fab, TabId Tab, TabId Peer, uint64_t Link)
         : Fab(Fab), Tab(Tab), Peer(Peer), Link(Link) {}
 
-    void deliver(const std::vector<uint8_t> &Data);
+    void deliver(std::vector<uint8_t> Data);
 
     Fabric &Fab;
     TabId Tab;
@@ -155,6 +156,19 @@ public:
 
   bool mailboxEmpty(TabId T);
 
+  /// Earliest stamp among mail posted to tab \p T that its threaded driver
+  /// has not yet covered with a published frontier; UINT64_MAX when there
+  /// is none. pump() leaves it as it is: mail moved into the loop stays
+  /// counted until settleMailFloor().
+  uint64_t mailFloorNs(TabId T) const {
+    return Tabs[T]->MailFloorNs.load();
+  }
+
+  /// Resets tab \p T's mail floor to the earliest stamp still in its
+  /// mailbox. Call on T's thread, after publishing a frontier that covers
+  /// everything pump() moved.
+  void settleMailFloor(TabId T);
+
   /// Blocks until tab \p T has mail or \p TimeoutUs host-microseconds
   /// elapse (threaded driver's idle wait). Returns true if mail arrived.
   bool waitForMail(TabId T, uint64_t TimeoutUs);
@@ -163,7 +177,8 @@ public:
   void wakeAll();
 
   /// Mail records ever sent across the fabric (data + control + link
-  /// management).
+  /// management). It counts a record once the record is in its mailbox, so
+  /// the threaded driver uses it as the epoch of a horizon scan.
   uint64_t crossings() const { return Crossings.load(); }
 
   const Costs &costs() const { return Cost; }
@@ -197,6 +212,8 @@ private:
     std::mutex MailMu;
     std::condition_variable MailCv;
     std::deque<Mail> Mailbox;
+    /// See mailFloorNs(); written under MailMu.
+    std::atomic<uint64_t> MailFloorNs{UINT64_MAX};
     // Everything below is touched only on this tab's thread.
     std::map<uint64_t, std::unique_ptr<Endpoint>> Links;
     std::map<uint64_t, Gateway> Gateways;

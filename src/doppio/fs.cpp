@@ -167,43 +167,21 @@ void FileSystem::readFile(const std::string &P,
     endOp(Op, StartNs);
     Done(std::move(R));
   };
-  // Simulated over the core API: open -> stat -> read -> close. Each hop
-  // runs once, so Done moves along the chain instead of being copied.
+  // open, then one descriptor call for stat -> read -> close: the
+  // preloaded contents move out instead of being copied again.
   open(P, "r", [this, Done = std::move(Finish)](ErrorOr<FdPtr> R) mutable {
     if (!R) {
       Done(R.error());
       return;
     }
-    FdPtr Fd = *R;
-    Fd->stat([this, Fd, Done = std::move(Done)](ErrorOr<Stats> SR) mutable {
-      if (!SR) {
-        Done(SR.error());
-        return;
-      }
-      size_t Size = static_cast<size_t>(SR->SizeBytes);
-      auto Dst = std::make_shared<Buffer>(Env, Size);
-      Fd->read(*Dst, 0, Size, 0,
-               [this, Fd, Dst, Size,
-                Done = std::move(Done)](ErrorOr<size_t> RR) mutable {
-                 if (!RR) {
-                   Done(RR.error());
-                   return;
-                 }
-                 BytesReadC->inc(*RR);
-                 // The charged copy was the read itself; Dst's bytes move
-                 // out, and Dst still frees its typed array when it dies.
-                 std::vector<uint8_t> Out = Dst->release();
-                 Out.resize(std::min(*RR, Size));
-                 Fd->close([Done = std::move(Done), Out = std::move(Out)](
-                               std::optional<ApiError> CE) mutable {
-                   if (CE) {
-                     Done(*CE);
-                     return;
-                   }
-                   Done(std::move(Out));
-                 });
-               });
-    });
+    // Fd outlives the call: the descriptor frees its contents after Done.
+    FdPtr Fd = std::move(*R);
+    Fd->readAllAndClose(
+        [this, Done = std::move(Done)](ErrorOr<std::vector<uint8_t>> Out) {
+          if (Out)
+            BytesReadC->inc(Out->size());
+          Done(std::move(Out));
+        });
   });
 }
 

@@ -314,6 +314,50 @@ void PreloadFile::close(CompletionCb Done) {
   });
 }
 
+void PreloadFile::readAllAndClose(ResultCb<std::vector<uint8_t>> Done) {
+  // The contents are already in memory, so they move out instead of being
+  // copied into a fresh buffer. The memory model and the clock still see
+  // that buffer: noted before the copy is charged, freed once the read's
+  // continuation returns (after Done, unless sync-on-close completes
+  // later), so Safari's leak and paging fall where they did. Done may
+  // drop the last reference to this descriptor, so the free goes through
+  // a local reference to the environment.
+  browser::BrowserEnv &E = Env;
+  size_t Len = Size;
+  size_t Noted = E.profile().HasTypedArrays ? Len : 0;
+  if (Noted)
+    E.noteTypedArrayAlloc(Noted);
+  if (Closed) {
+    Done(ApiError(Errno::BadFd, FilePath));
+  } else if (!Flags.Read) {
+    Done(ApiError(Errno::Access, FilePath));
+  } else {
+    if (Len)
+      Contents.chargeAccess(Len);
+    if (Dirty) {
+      // Sync-on-close writes the contents back first; they move out once
+      // it has finished with them.
+      close([Self = shared_from_this(), Len, Done = std::move(Done)](
+                std::optional<ApiError> Err) {
+        if (Err) {
+          Done(*Err);
+          return;
+        }
+        std::vector<uint8_t> Out = Self->Contents.release();
+        Out.resize(Len);
+        Done(std::move(Out));
+      });
+    } else {
+      Closed = true;
+      std::vector<uint8_t> Out = Contents.release();
+      Out.resize(Len);
+      Done(std::move(Out));
+    }
+  }
+  if (Noted)
+    E.noteTypedArrayFree(Noted);
+}
+
 void PreloadFile::truncate(uint64_t NewSize, CompletionCb Done) {
   if (Closed) {
     Done(ApiError(Errno::BadFd, FilePath));

@@ -155,6 +155,7 @@ public:
   void stat(ResultCb<Stats> Done) override;
   void sync(CompletionCb Done) override;
   void close(CompletionCb Done) override;
+  void readAllAndClose(ResultCb<std::vector<uint8_t>> Done) override;
   void truncate(uint64_t Size, CompletionCb Done) override;
   const std::string &path() const override { return FilePath; }
 

@@ -91,6 +91,13 @@ public:
   /// Syncs (NFS-style sync-on-close, §5.1) and invalidates the descriptor.
   virtual void close(CompletionCb Done) = 0;
 
+  /// stat, a read of the whole file into a fresh buffer, then close, as
+  /// one call: yields the contents, or the error the first failing step
+  /// yields (a failed read leaves the descriptor open, as it does there).
+  /// The virtual cost is that of the three steps, the destination buffer
+  /// included.
+  virtual void readAllAndClose(ResultCb<std::vector<uint8_t>> Done) = 0;
+
   /// Truncates or extends to \p Size. Default: ENOTSUP.
   virtual void truncate(uint64_t Size, CompletionCb Done);
 

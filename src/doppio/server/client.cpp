@@ -16,7 +16,8 @@ void FrameClient::connect(uint16_t Port, std::function<void(bool)> Done) {
       return;
     }
     Conn = C;
-    Conn->setOnData([this](const std::vector<uint8_t> &D) { onData(D); });
+    Conn->setOnData(
+        [this](std::vector<uint8_t> &&D) { onData(std::move(D)); });
     Conn->setOnClose([this] {
       // Drop the pointer first: the pair may be reaped once both sides
       // are closed.
@@ -47,9 +48,9 @@ void FrameClient::request(const std::string &Handler,
   Pending.push_back(std::move(Done));
 }
 
-void FrameClient::onData(const std::vector<uint8_t> &Data) {
+void FrameClient::onData(std::vector<uint8_t> &&Data) {
   BytesReceived += Data.size();
-  Decode.feed(Data);
+  Decode.feed(std::move(Data));
   while (auto Payload = Decode.nextView()) {
     auto Resp = frame::decodeResponse(*Payload);
     if (!Resp || Pending.empty()) {

@@ -56,7 +56,7 @@ public:
   uint64_t bytesReceived() const { return BytesReceived; }
 
 private:
-  void onData(const std::vector<uint8_t> &Data);
+  void onData(std::vector<uint8_t> &&Data);
   void failPending(const char *Why);
 
   browser::SimNet &Net;

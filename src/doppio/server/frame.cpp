@@ -30,6 +30,17 @@ void frame::Decoder::feed(const std::vector<uint8_t> &Data) {
   Buffer.insert(Buffer.end(), Data.begin(), Data.end());
 }
 
+void frame::Decoder::feed(std::vector<uint8_t> &&Data) {
+  if (Corrupted)
+    return;
+  if (Cursor != Buffer.size()) {
+    feed(Data);
+    return;
+  }
+  Buffer = std::move(Data);
+  Cursor = 0;
+}
+
 std::optional<frame::ByteView> frame::Decoder::nextView() {
   size_t Avail = Buffer.size() - Cursor;
   if (Corrupted || Avail < HeaderBytes)

@@ -21,8 +21,9 @@
 ///
 /// A payload is copied once per hop that has to own it: the sender builds
 /// the whole frame in one allocation (encodeResponseFrame), the receiving
-/// Decoder buffers the stream, and the request/response decoders parse
-/// straight out of a view of that buffer (Decoder::nextView).
+/// Decoder adopts the delivered chunk as its buffer when nothing else is
+/// buffered (and appends it otherwise), and the request/response decoders
+/// parse straight out of a view of that buffer (Decoder::nextView).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,7 +59,13 @@ std::vector<uint8_t> encode(ByteView Payload);
 /// next feed(), so popping a frame never shifts the bytes behind it.
 class Decoder {
 public:
+  /// Appends \p Data to the buffered stream.
   void feed(const std::vector<uint8_t> &Data);
+
+  /// Same, but a chunk that arrives while nothing is buffered becomes the
+  /// buffer itself instead of being copied into it. Receivers that own
+  /// the delivered chunk (SimNet hands it over) feed through this.
+  void feed(std::vector<uint8_t> &&Data);
 
   /// Extracts the next complete frame payload as a view into the
   /// decoder's buffer, valid until the next feed(); nullopt if more bytes

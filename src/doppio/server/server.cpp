@@ -86,12 +86,13 @@ void Server::onAccepted(TcpConnection &T) {
   Conns.emplace(Id, std::move(C));
   AcceptedC->inc();
   ActiveG->add(1);
-  T.setOnData([this, Id](const std::vector<uint8_t> &D) { onData(Id, D); });
+  T.setOnData(
+      [this, Id](std::vector<uint8_t> &&D) { onData(Id, std::move(D)); });
   T.setOnClose([this, Id] { closeConn(Id, CloseReason::PeerClosed); });
   armIdleSweep();
 }
 
-void Server::onData(uint64_t Id, const std::vector<uint8_t> &Data) {
+void Server::onData(uint64_t Id, std::vector<uint8_t> &&Data) {
   {
     auto It = Conns.find(Id);
     if (It == Conns.end())
@@ -99,7 +100,7 @@ void Server::onData(uint64_t Id, const std::vector<uint8_t> &Data) {
     Conn &C = *It->second;
     BytesInC->inc(Data.size());
     C.LastActiveNs = nowNs();
-    C.Decode.feed(Data);
+    C.Decode.feed(std::move(Data));
   }
   // Re-find each round: an inline respond may close and erase the
   // connection mid-drain (e.g. the last response of a draining conn).

@@ -116,7 +116,7 @@ private:
   void bindCells();
   void acceptNext();
   void onAccepted(browser::TcpConnection &T);
-  void onData(uint64_t Id, const std::vector<uint8_t> &Data);
+  void onData(uint64_t Id, std::vector<uint8_t> &&Data);
   void serveRequest(uint64_t Id, Conn &C, frame::ByteView Payload);
   void finishRequest(uint64_t Id, uint64_t Seq, uint64_t StartNs,
                      obs::SpanId Span, frame::Status St,

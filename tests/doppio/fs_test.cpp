@@ -241,6 +241,31 @@ TEST_P(BackendSemantics, OpenDirectoryIsEisdir) {
   EXPECT_EQ(Out.error().Code, Errno::IsDir);
 }
 
+TEST_P(BackendSemantics, OpenErrorsNameTheirCause) {
+  run([&](CompletionCb D) { Fs.mkdir("/d", D); });
+  writeFile("/d/f", "here");
+  auto openError = [&](const std::string &P, const std::string &Mode) {
+    ErrorOr<FdPtr> Out(ApiError(Errno::Io, "pending"));
+    Fs.open(P, Mode, [&](ErrorOr<FdPtr> R) { Out = R; });
+    Env.loop().run();
+    return Out.ok() ? std::string("ok") : Out.error().message();
+  };
+  // An existing file opens in every mode but the exclusive create.
+  for (const char *Mode : {"r", "r+", "w", "a", "a+"})
+    EXPECT_EQ(openError("/d/f", Mode), "ok") << Mode;
+  EXPECT_EQ(openError("/d/f", "wx"), "EEXIST: /d/f");
+  EXPECT_EQ(openError("/d", "r"), "EISDIR: /d");
+  EXPECT_EQ(openError("/d", "w"), "EISDIR: /d");
+  // A missing file: reading names the file, creating names its parent
+  // when that is missing or is not a directory.
+  EXPECT_EQ(openError("/d/missing", "r"), "ENOENT: /d/missing");
+  EXPECT_EQ(openError("/no/such/f", "r"), "ENOENT: /no/such/f");
+  EXPECT_EQ(openError("/no/such/f", "w"), "ENOENT: /no/such");
+  EXPECT_EQ(openError("/d/f/g", "w"), "ENOENT: /d/f");
+  EXPECT_EQ(openError("/d/new", "wx"), "ok");
+  EXPECT_EQ(openError("/new", "a"), "ok");
+}
+
 TEST_P(BackendSemantics, AppendFileExtends) {
   writeFile("/log", "one\n");
   std::optional<ApiError> E(ApiError(Errno::Io, "pending"));
@@ -790,38 +815,56 @@ std::ostream &operator<<(std::ostream &OS, const ReadMark &M) {
 
 constexpr size_t PinnedReadSizes[] = {0, 1, 4096, 16385};
 
+/// \p Size bytes that differ from their neighbours.
+std::vector<uint8_t> patterned(size_t Size) {
+  std::vector<uint8_t> Bytes(Size);
+  for (size_t I = 0; I != Size; ++I)
+    Bytes[I] = static_cast<uint8_t>(I * 131 + 7);
+  return Bytes;
+}
+
+/// A file system over the cached cloud store, the stack doppiod serves
+/// from.
+struct CachedCloudFs {
+  explicit CachedCloudFs(const Profile &P)
+      : Env(P), Fs(Env, Proc, backend(Env)) {}
+
+  static std::unique_ptr<FileSystemBackend> backend(BrowserEnv &Env) {
+    auto Backend = std::make_unique<KeyValueBackend>(
+        Env, std::make_unique<storage::CachedKvStore>(
+                 Env, std::make_unique<CloudKv>(Env)));
+    Backend->initialize([](std::optional<ApiError> E) { ASSERT_FALSE(E); });
+    Env.loop().run();
+    return Backend;
+  }
+
+  ReadMark mark() {
+    return {Env.liveTypedArrayBytes(), Env.cumulativeTypedArrayBytes(),
+            Env.leakedTypedArrayBytes(), Env.clock().nowNs()};
+  }
+
+  BrowserEnv Env;
+  Process Proc;
+  FileSystem Fs;
+};
+
 /// Seeds a cached-cloud fs under \p P with one file per pinned size, then
 /// reads each back, marking the accounting after every readFile.
 std::vector<ReadMark> readFileMarks(const Profile &P) {
-  BrowserEnv Env(P);
-  auto Backend = std::make_unique<KeyValueBackend>(
-      Env, std::make_unique<storage::CachedKvStore>(
-               Env, std::make_unique<CloudKv>(Env)));
-  Backend->initialize([](std::optional<ApiError> E) { ASSERT_FALSE(E); });
-  Env.loop().run();
-  Process Proc;
-  FileSystem Fs(Env, Proc, std::move(Backend));
-  auto contents = [](size_t Size) {
-    std::vector<uint8_t> Bytes(Size);
-    for (size_t I = 0; I != Size; ++I)
-      Bytes[I] = static_cast<uint8_t>(I * 131 + 7);
-    return Bytes;
-  };
+  CachedCloudFs C(P);
   for (size_t Size : PinnedReadSizes)
-    Fs.writeFile("/f" + std::to_string(Size), contents(Size),
-                 [](std::optional<ApiError> E) { ASSERT_FALSE(E); });
-  Env.loop().run();
+    C.Fs.writeFile("/f" + std::to_string(Size), patterned(Size),
+                   [](std::optional<ApiError> E) { ASSERT_FALSE(E); });
+  C.Env.loop().run();
   std::vector<ReadMark> Marks;
   for (size_t Size : PinnedReadSizes) {
-    Fs.readFile("/f" + std::to_string(Size),
-                [&](ErrorOr<std::vector<uint8_t>> R) {
-                  ASSERT_TRUE(R.ok());
-                  EXPECT_EQ(*R, contents(Size));
-                });
-    Env.loop().run();
-    Marks.push_back({Env.liveTypedArrayBytes(),
-                     Env.cumulativeTypedArrayBytes(),
-                     Env.leakedTypedArrayBytes(), Env.clock().nowNs()});
+    C.Fs.readFile("/f" + std::to_string(Size),
+                  [&](ErrorOr<std::vector<uint8_t>> R) {
+                    ASSERT_TRUE(R.ok());
+                    EXPECT_EQ(*R, patterned(Size));
+                  });
+    C.Env.loop().run();
+    Marks.push_back(C.mark());
   }
   return Marks;
 }
@@ -843,6 +886,253 @@ TEST(ReadFileAccounting, SafariLeaksMatchCopyingReads) {
                                 {0, 49173, 49173, 188077395},
                                 {0, 81943, 81943, 188107900}};
   EXPECT_EQ(readFileMarks(safariProfile()), Want);
+}
+
+/// One readFile on a paging Safari: what its callback saw, and the state
+/// once the loop drained.
+struct PagedReadMark {
+  uint64_t LeakedInDone = 0, ClockInDone = 0, Leaked = 0, ClockNs = 0;
+  bool operator==(const PagedReadMark &) const = default;
+};
+
+std::ostream &operator<<(std::ostream &OS, const PagedReadMark &M) {
+  return OS << "{" << M.LeakedInDone << ", " << M.ClockInDone << ", "
+            << M.Leaked << ", " << M.ClockNs << "}";
+}
+
+// Safari leaks every typed array it frees (§7.1), and leaked bytes past
+// MemoryPressureBytes scale every later charge. Each read's callback
+// charges compute, so the clock pins whether the read's destination
+// buffer was freed (and leaked) before or after the callback ran: the
+// copying code freed it after. Pinned against the copying code.
+TEST(ReadFileAccounting, SafariPagingSeesTheReadBufferFreedAfterDone) {
+  CachedCloudFs C(safariProfile());
+  constexpr size_t Size = 64u << 10;
+  C.Fs.writeFile("/big", patterned(Size),
+                 [](std::optional<ApiError> E) { ASSERT_FALSE(E); });
+  C.Env.loop().run();
+  std::vector<PagedReadMark> Marks;
+  for (int I = 0; I != 10; ++I) {
+    PagedReadMark M;
+    C.Fs.readFile("/big", [&](ErrorOr<std::vector<uint8_t>> R) {
+      ASSERT_TRUE(R.ok());
+      EXPECT_EQ(R->size(), Size);
+      M.LeakedInDone = C.Env.leakedTypedArrayBytes();
+      C.Env.chargeCompute(10000);
+      M.ClockInDone = C.Env.clock().nowNs();
+    });
+    C.Env.loop().run();
+    M.Leaked = C.Env.leakedTypedArrayBytes();
+    M.ClockNs = C.Env.clock().nowNs();
+    Marks.push_back(M);
+  }
+  EXPECT_GT(C.Env.pagingMultiplier(), 1.0);
+  std::vector<PagedReadMark> Want = {
+      {131072, 188204118, 262144, 188204118},
+      {262144, 188341324, 393216, 188341324},
+      {393216, 188478530, 524288, 188478530},
+      {524288, 188615736, 655360, 188615736},
+      {655360, 188752942, 786432, 188752942},
+      {786432, 188890148, 917504, 188890148},
+      {917504, 189130259, 1048576, 189130259},
+      {1048576, 189473275, 1179648, 189473275},
+      {1179648, 189919196, 1310720, 189919196},
+      {1310720, 190468022, 1441792, 190468022}};
+  EXPECT_EQ(Marks, Want);
+}
+
+//===--------------------------------------------------------------------===//
+// readAllAndClose against stat -> read -> close
+//===--------------------------------------------------------------------===//
+
+/// stat -> read into a fresh buffer -> close, the chain readFile ran
+/// before readAllAndClose replaced it.
+void chainRead(BrowserEnv &Env, FdPtr Fd,
+               ResultCb<std::vector<uint8_t>> Done) {
+  Fd->stat([&Env, Fd, Done](ErrorOr<Stats> S) {
+    if (!S) {
+      Done(S.error());
+      return;
+    }
+    size_t Size = static_cast<size_t>(S->SizeBytes);
+    auto Dst = std::make_shared<Buffer>(Env, Size);
+    Fd->read(*Dst, 0, Size, 0, [Fd, Dst, Size, Done](ErrorOr<size_t> N) {
+      if (!N) {
+        Done(N.error());
+        return;
+      }
+      std::vector<uint8_t> Out = Dst->release();
+      Out.resize(std::min(*N, Size));
+      Fd->close([Done, Out](std::optional<ApiError> E) {
+        if (E)
+          Done(*E);
+        else
+          Done(Out);
+      });
+    });
+  });
+}
+
+/// Everything a whole-file read through a descriptor can be seen to do.
+struct WholeRead {
+  std::optional<Errno> Error;
+  std::vector<uint8_t> Bytes;
+  uint64_t LeakedInDone = 0;
+  bool Closed = false, Dirty = false;
+  ReadMark After;
+  std::vector<uint8_t> Stored;
+  bool operator==(const WholeRead &) const = default;
+};
+
+std::ostream &operator<<(std::ostream &OS, const WholeRead &W) {
+  return OS << "{error " << (W.Error ? static_cast<int>(*W.Error) : -1)
+            << ", " << W.Bytes.size() << " bytes, leaked in Done "
+            << W.LeakedInDone << ", closed " << W.Closed << ", dirty "
+            << W.Dirty << ", after " << W.After << ", stored "
+            << W.Stored.size() << " bytes}";
+}
+
+/// Seeds /f with \p Size patterned bytes on a cached-cloud fs under \p P,
+/// lets \p Prepare open (and use) a descriptor on it, then reads it whole
+/// with \p Chain's way, charging compute inside Done. On Safari the run
+/// starts past MemoryPressureBytes, so where a typed array is freed or
+/// leaked relative to a charge shows on the clock.
+using PrepareFn = std::function<FdPtr(CachedCloudFs &)>;
+WholeRead wholeRead(const Profile &P, size_t Size, const PrepareFn &Prepare,
+                    bool Chain) {
+  CachedCloudFs C(P);
+  C.Env.noteTypedArrayAlloc(1u << 20);
+  C.Env.noteTypedArrayFree(1u << 20);
+  C.Fs.writeFile("/f", patterned(Size),
+                 [](std::optional<ApiError> E) { ASSERT_FALSE(E); });
+  C.Env.loop().run();
+  FdPtr Fd = Prepare(C);
+  WholeRead W;
+  auto Done = [&](ErrorOr<std::vector<uint8_t>> R) {
+    if (R)
+      W.Bytes = *R;
+    else
+      W.Error = R.error().Code;
+    W.LeakedInDone = C.Env.leakedTypedArrayBytes();
+    C.Env.chargeCompute(10000);
+  };
+  if (Chain)
+    chainRead(C.Env, Fd, Done);
+  else
+    Fd->readAllAndClose(Done);
+  C.Env.loop().run();
+  auto *Preload = dynamic_cast<PreloadFile *>(Fd.get());
+  EXPECT_NE(Preload, nullptr);
+  W.Closed = Preload->isClosed();
+  W.Dirty = Preload->isDirty();
+  Fd.reset();
+  W.After = C.mark();
+  C.Fs.readFile("/f", [&](ErrorOr<std::vector<uint8_t>> R) {
+    ASSERT_TRUE(R.ok());
+    W.Stored = *R;
+  });
+  C.Env.loop().run();
+  return W;
+}
+
+FdPtr openF(CachedCloudFs &C, const std::string &Mode) {
+  FdPtr Fd;
+  C.Fs.open("/f", Mode, [&](ErrorOr<FdPtr> R) {
+    ASSERT_TRUE(R.ok());
+    Fd = *R;
+  });
+  C.Env.loop().run();
+  return Fd;
+}
+
+/// Runs both ways under Safari (typed arrays that leak, paging) and IE8
+/// (number arrays, six times the per-byte charge); they must agree.
+void expectChainEquivalent(size_t Size, const PrepareFn &Prepare) {
+  for (const Profile *P : {&safariProfile(), &ie8Profile()}) {
+    SCOPED_TRACE(P->Name);
+    WholeRead Want = wholeRead(*P, Size, Prepare, /*Chain=*/true);
+    EXPECT_EQ(wholeRead(*P, Size, Prepare, /*Chain=*/false), Want);
+  }
+}
+
+TEST(ReadAllAndClose, ClosedDescriptorIsEbadfLikeTheChain) {
+  expectChainEquivalent(4096, [](CachedCloudFs &C) {
+    FdPtr Fd = openF(C, "r");
+    Fd->close([](std::optional<ApiError> E) { ASSERT_FALSE(E); });
+    C.Env.loop().run();
+    return Fd;
+  });
+  WholeRead W = wholeRead(chromeProfile(), 4096,
+                          [](CachedCloudFs &C) {
+                            FdPtr Fd = openF(C, "r");
+                            Fd->close([](std::optional<ApiError>) {});
+                            return Fd;
+                          },
+                          /*Chain=*/false);
+  EXPECT_EQ(W.Error, Errno::BadFd);
+}
+
+TEST(ReadAllAndClose, WriteOnlyDescriptorIsEaccesLikeTheChain) {
+  // Append mode keeps the file's size, so the chain still allocates a
+  // destination buffer of that size before the read fails.
+  expectChainEquivalent(4096, [](CachedCloudFs &C) { return openF(C, "a"); });
+  WholeRead W = wholeRead(chromeProfile(), 4096,
+                          [](CachedCloudFs &C) { return openF(C, "a"); },
+                          /*Chain=*/false);
+  EXPECT_EQ(W.Error, Errno::Access);
+  EXPECT_FALSE(W.Closed);
+}
+
+TEST(ReadAllAndClose, ZeroLengthFileLikeTheChain) {
+  expectChainEquivalent(0, [](CachedCloudFs &C) { return openF(C, "r"); });
+  WholeRead W = wholeRead(chromeProfile(), 0,
+                          [](CachedCloudFs &C) { return openF(C, "r"); },
+                          /*Chain=*/false);
+  EXPECT_FALSE(W.Error);
+  EXPECT_TRUE(W.Bytes.empty());
+  EXPECT_TRUE(W.Closed);
+}
+
+TEST(ReadAllAndClose, DirtyDescriptorSyncsOnCloseLikeTheChain) {
+  // A write past the end grows the descriptor's buffer beyond the file's
+  // size; the read yields the size, and close writes it back.
+  auto Prepare = [](CachedCloudFs &C) {
+    FdPtr Fd = openF(C, "r+");
+    Buffer Src(C.Env, patterned(100));
+    Fd->write(Src, 0, Src.size(), 4090, [](ErrorOr<size_t> N) {
+      ASSERT_TRUE(N.ok());
+      EXPECT_EQ(*N, 100u);
+    });
+    C.Env.loop().run();
+    return Fd;
+  };
+  expectChainEquivalent(4096, Prepare);
+  WholeRead W = wholeRead(chromeProfile(), 4096, Prepare, /*Chain=*/false);
+  EXPECT_FALSE(W.Error);
+  EXPECT_EQ(W.Bytes.size(), 4190u);
+  EXPECT_EQ(W.Stored, W.Bytes);
+  EXPECT_TRUE(W.Closed);
+  EXPECT_FALSE(W.Dirty);
+}
+
+TEST(ReadAllAndClose, DoneMayDropTheLastReference) {
+  // The descriptor is owned only by what Done clears; the call must not
+  // touch it afterwards (the ASan build checks this).
+  CachedCloudFs C(safariProfile());
+  C.Fs.writeFile("/f", patterned(4096),
+                 [](std::optional<ApiError> E) { ASSERT_FALSE(E); });
+  C.Env.loop().run();
+  FdPtr Owner = openF(C, "r");
+  FileDescriptor *Fd = Owner.get();
+  size_t Got = 0;
+  Fd->readAllAndClose([&](ErrorOr<std::vector<uint8_t>> R) {
+    ASSERT_TRUE(R.ok());
+    Got = R->size();
+    Owner.reset();
+  });
+  C.Env.loop().run();
+  EXPECT_EQ(Got, 4096u);
+  EXPECT_EQ(C.Env.liveTypedArrayBytes(), 0u);
 }
 
 } // namespace

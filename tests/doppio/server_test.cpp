@@ -222,6 +222,77 @@ TEST(Frame, DecodersRejectMalformedPayloadsInPlace) {
   EXPECT_TRUE(viewed({static_cast<uint8_t>(frame::Status::Error)}, response));
 }
 
+// The receivers (FrameClient, Server, the balancer) own each chunk SimNet
+// delivers and feed it as an rvalue.
+TEST(Frame, EmptyDecoderAdoptsTheDeliveredChunk) {
+  frame::Decoder D;
+  std::vector<uint8_t> Chunk = frame::encode(bytesOf("payload"));
+  const uint8_t *Storage = Chunk.data();
+  D.feed(std::move(Chunk));
+  auto A = D.nextView();
+  ASSERT_TRUE(A.has_value());
+  EXPECT_EQ(A->data(), Storage + frame::HeaderBytes);
+  EXPECT_EQ(bytesOf(*A), bytesOf("payload"));
+  // Every frame consumed: the next chunk is adopted too.
+  std::vector<uint8_t> Next = frame::encode(bytesOf("next"));
+  Storage = Next.data();
+  D.feed(std::move(Next));
+  auto B = D.nextView();
+  ASSERT_TRUE(B.has_value());
+  EXPECT_EQ(B->data(), Storage + frame::HeaderBytes);
+  EXPECT_EQ(bytesOf(*B), bytesOf("next"));
+  EXPECT_EQ(D.bufferedBytes(), 0u);
+}
+
+TEST(Frame, ChunkBehindABufferedPartialFrameIsAppended) {
+  std::vector<uint8_t> Two = frame::encode(bytesOf("second"));
+  frame::Decoder D;
+  // A whole frame plus the start of the next: the first is consumed, the
+  // partial one stays buffered.
+  D.feed(concat({frame::encode(bytesOf("first")), slice(Two, 0, 6)}));
+  auto A = D.nextView();
+  ASSERT_TRUE(A.has_value());
+  EXPECT_EQ(bytesOf(*A), bytesOf("first"));
+  EXPECT_FALSE(D.nextView().has_value());
+  EXPECT_EQ(D.bufferedBytes(), 6u);
+  // Adopting the rest would drop the buffered header and payload start.
+  D.feed(slice(Two, 6, Two.size()));
+  auto B = D.nextView();
+  ASSERT_TRUE(B.has_value());
+  EXPECT_EQ(bytesOf(*B), bytesOf("second"));
+  EXPECT_EQ(D.bufferedBytes(), 0u);
+}
+
+TEST(Frame, FrameSplitOverTwoOwnedChunksDecodes) {
+  std::vector<uint8_t> Wire = frame::encode(bytesOf("split payload"));
+  // Split inside the header and inside the payload.
+  for (size_t Cut : {size_t(2), size_t(9)}) {
+    frame::Decoder D;
+    D.feed(slice(Wire, 0, Cut));
+    EXPECT_FALSE(D.nextView().has_value());
+    EXPECT_EQ(D.bufferedBytes(), Cut);
+    D.feed(slice(Wire, Cut, Wire.size()));
+    auto A = D.nextView();
+    ASSERT_TRUE(A.has_value()) << "cut " << Cut;
+    EXPECT_EQ(bytesOf(*A), bytesOf("split payload"));
+    EXPECT_EQ(D.bufferedBytes(), 0u);
+  }
+}
+
+TEST(Frame, CorruptPrefixInAnAdoptedChunkFailsTheStream) {
+  frame::Decoder D;
+  std::vector<uint8_t> Bad =
+      concat({{0xff, 0xff, 0xff, 0xff}, frame::encode(bytesOf("x"))});
+  D.feed(std::move(Bad));
+  EXPECT_FALSE(D.nextView().has_value());
+  EXPECT_TRUE(D.corrupted());
+  EXPECT_EQ(D.bufferedBytes(), 0u);
+  // Terminal: a valid owned chunk afterwards is dropped as well.
+  D.feed(frame::encode(bytesOf("y")));
+  EXPECT_FALSE(D.nextView().has_value());
+  EXPECT_EQ(D.bufferedBytes(), 0u);
+}
+
 TEST(Stats, PercentileNearestRank) {
   // The one percentile implementation, shared via obs (satellite fold).
   EXPECT_EQ(obs::percentileNs({}, 50.0), 0u);
