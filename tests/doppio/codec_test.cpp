@@ -16,6 +16,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "browser/websocket.h"
 #include "browser/wire.h"
 #include "doppio/cluster/control.h"
 #include "doppio/cluster/shard.h"
@@ -431,6 +432,62 @@ TEST(CodecSweep, ClassFile) {
                    "EINVAL: truncated member attributes x34\n"
                    "EINVAL: truncated member info x24\n"
                    "EINVAL: unknown constant pool tag 0 x27\n");
+}
+
+TEST(CodecSweep, WebSocketFrame) {
+  // A masked frame with the two-byte extended length: what a browser sends
+  // for a 126..65535-byte message.
+  browser::wsframe::Frame F;
+  F.Op = browser::wsframe::Opcode::Binary;
+  for (int I = 0; I != 200; ++I)
+    F.Payload.push_back(static_cast<uint8_t>(I * 7));
+  Bytes Wire = browser::wsframe::encode(F, 0x01020304u);
+  ASSERT_EQ(Wire.size(), 2u + 2 + 4 + 200);
+  // Every strict prefix waits for more bytes, and the rest completes it.
+  for (size_t N = 0; N != Wire.size(); ++N) {
+    SCOPED_TRACE(N);
+    browser::wsframe::Decoder D;
+    D.feed(prefix(Wire, N));
+    EXPECT_FALSE(D.next().has_value());
+    D.feed(Bytes(Wire.begin() + static_cast<ptrdiff_t>(N), Wire.end()));
+    std::optional<browser::wsframe::Frame> Back = D.next();
+    ASSERT_TRUE(Back.has_value());
+    EXPECT_EQ(Back->Op, F.Op);
+    EXPECT_EQ(Back->Payload, F.Payload);
+    EXPECT_FALSE(D.next().has_value());
+  }
+}
+
+TEST(CodecSweep, WebSocketFrameMalformedStreamsStayFailed) {
+  Bytes Valid = browser::wsframe::encode(
+      browser::wsframe::Frame{browser::wsframe::Opcode::Text, {'o', 'k'}},
+      std::nullopt);
+  struct Case {
+    const char *Name;
+    Bytes Wire;
+  };
+  for (const Case &C : {
+           // A 64-bit length whose sum with the header wraps around.
+           Case{"length that wraps the header sum",
+                {0x82, 0x7f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xf7,
+                 0xaa, 0xbb}},
+           Case{"length one past the cap",
+                {0x82, 0x7f, 0, 0, 0, 0, 0x01, 0, 0, 0x01}},
+           Case{"reserved opcode 3", {0x83, 0x00}},
+           Case{"continuation opcode 0", {0x80, 0x01, 0x00}},
+       }) {
+    SCOPED_TRACE(C.Name);
+    browser::wsframe::Decoder D;
+    D.feed(C.Wire);
+    EXPECT_FALSE(D.next().has_value());
+    // Nothing after a malformed header is trusted, not even a valid frame.
+    D.feed(Valid);
+    EXPECT_FALSE(D.next().has_value());
+  }
+  // A frame exactly at the cap is well-formed; it waits for its payload.
+  browser::wsframe::Decoder AtCap;
+  AtCap.feed({0x82, 0x7f, 0, 0, 0, 0, 0x01, 0, 0, 0x00});
+  EXPECT_FALSE(AtCap.next().has_value());
 }
 
 } // namespace
