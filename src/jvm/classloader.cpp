@@ -86,12 +86,8 @@ Klass *ClassLoader::link(ClassFile Cf,
     Interfaces.push_back(Iface);
   }
   std::string Name = Cf.ThisClass;
-  Jvm &TheVm = Vm;
-  std::unique_ptr<Klass> K = linkClass(
-      std::move(Cf), Super, std::move(Interfaces),
-      [&TheVm](const Klass &InKlass, const Method &M) {
-        return TheVm.resolveNative(InKlass, M);
-      });
+  std::unique_ptr<Klass> K =
+      linkClass(std::move(Cf), Super, std::move(Interfaces));
   markVerified(*K, *Known);
   analyzePlacement(*K);
   Klass *Raw = K.get();
@@ -118,9 +114,16 @@ void ClassLoader::analyzePlacement(Klass &K) {
   }
 }
 
-Klass *ClassLoader::defineBuiltin(ClassFile Cf) {
+Klass *ClassLoader::defineBuiltin(ClassFile Cf,
+                                  std::vector<NativeBinding> Natives) {
   assert(!Classes.count(Cf.ThisClass) && "built-in class defined twice");
-  return link(std::move(Cf));
+  Klass *K = link(std::move(Cf));
+  for (NativeBinding &N : Natives) {
+    Method *M = K->findDeclaredMethod(N.Name, N.Descriptor);
+    assert(M && M->isNative() && "native body for an undeclared method");
+    M->Native = std::move(N.Fn);
+  }
+  return K;
 }
 
 ErrorOr<Klass *>

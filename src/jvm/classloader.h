@@ -33,6 +33,14 @@ namespace jvm {
 
 class Jvm;
 
+/// The body of one native method of a built-in class, with the name and
+/// descriptor that declare it (jcl.cpp declares both in one place).
+struct NativeBinding {
+  std::string Name;
+  std::string Descriptor;
+  NativeFn Fn;
+};
+
 /// Loads, links, and owns Klass objects.
 class ClassLoader {
 public:
@@ -55,9 +63,13 @@ public:
   void loadAsync(const std::string &Name,
                  std::function<void(rt::ErrorOr<Klass *>)> Done);
 
-  /// Defines a built-in class from an in-memory class file. Superclasses
-  /// must already be defined. Asserts on failure (programming error).
-  Klass *defineBuiltin(ClassFile Cf);
+  /// Defines a built-in class from an in-memory class file and binds each
+  /// of \p Natives to the native method of its name and descriptor.
+  /// Superclasses must already be defined. Asserts on failure, and on a
+  /// body for a method the class does not declare native (programming
+  /// errors).
+  Klass *defineBuiltin(ClassFile Cf,
+                       std::vector<NativeBinding> Natives = {});
 
   /// Parses and links class bytes that arrived by other means (§6.8's
   /// embedding API). Supers must already be loaded.

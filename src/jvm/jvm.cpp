@@ -38,19 +38,6 @@ Jvm::Jvm(browser::BrowserEnv &Env, rt::fs::FileSystem &Fs, rt::Process &Proc,
 
 Jvm::~Jvm() = default;
 
-void Jvm::registerNative(const std::string &ClassName,
-                         const std::string &Name, const std::string &Desc,
-                         NativeFn Fn) {
-  NativeRegistry[ClassName + "." + Name + Desc] = std::move(Fn);
-}
-
-NativeFn Jvm::resolveNative(const Klass &K, const Method &M) const {
-  auto It = NativeRegistry.find(K.Name + "." + M.Name + M.Descriptor);
-  if (It == NativeRegistry.end())
-    return nullptr; // UnsatisfiedLinkError when called (§6.3).
-  return It->second;
-}
-
 Object *Jvm::allocObject(Klass *K) {
   ++Stats.ObjectsAllocated;
   // A JS engine boxes every object; charge a small allocation cost.

@@ -12,9 +12,8 @@
 /// standard input and output" (§6.8). It owns every subsystem the JVM sits
 /// on: the Doppio execution environment (suspender + thread pool + async
 /// bridge), the file system, the unmanaged heap (for sun.misc.Unsafe,
-/// §6.5), the class loader, the native-method registry, the object arena
-/// (standing in for the JavaScript garbage collector of §6.7), and the
-/// string intern table.
+/// §6.5), the class loader, the object arena (standing in for the
+/// JavaScript garbage collector of §6.7), and the string intern table.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -143,11 +142,6 @@ public:
   uint64_t icHits() const { return IcHitsC->value(); }
   uint64_t icMisses() const { return IcMissesC->value(); }
 
-  // Native registry (§6.3). Key: "pkg/Cls.name(desc)".
-  void registerNative(const std::string &ClassName, const std::string &Name,
-                      const std::string &Desc, NativeFn Fn);
-  NativeFn resolveNative(const Klass &K, const Method &M) const;
-
   // Object allocation: the arena stands in for the JS garbage collector
   // (§6.7) — objects live until the Jvm dies. DESIGN.md records this
   // substitution.
@@ -253,7 +247,6 @@ private:
   /// quickens, OpCostNs otherwise.
   uint64_t DispatchCostNs = 0;
 
-  std::map<std::string, NativeFn> NativeRegistry;
   std::vector<std::unique_ptr<Object>> Arena;
   std::unordered_map<std::string, Object *> InternedStrings;
   std::unordered_map<Klass *, Object *> Mirrors;

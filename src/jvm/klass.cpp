@@ -138,10 +138,8 @@ static void addToVTable(Klass &K, Method &M) {
   K.VTable.push_back(&M);
 }
 
-std::unique_ptr<Klass>
-jvm::linkClass(ClassFile Cf, Klass *Super, std::vector<Klass *> Interfaces,
-               const std::function<NativeFn(const Klass &, const Method &)>
-                   &ResolveNative) {
+std::unique_ptr<Klass> jvm::linkClass(ClassFile Cf, Klass *Super,
+                                      std::vector<Klass *> Interfaces) {
   auto K = std::make_unique<Klass>();
   K->Name = Cf.ThisClass;
   K->Super = Super;
@@ -205,8 +203,6 @@ jvm::linkClass(ClassFile Cf, Klass *Super, std::vector<Klass *> Interfaces,
       Method_->Code = *M.Code;
       Method_->HasCode = true;
     }
-    if (Method_->isNative() && ResolveNative)
-      Method_->Native = ResolveNative(*K, *Method_);
     addToVTable(*K, *Method_);
     K->Methods.push_back(std::move(Method_));
   }

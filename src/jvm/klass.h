@@ -113,7 +113,10 @@ struct Method {
   /// superclass chain, whose root it then shares.
   uint32_t VSlot = 0;
   Method *VRoot = nullptr;
-  NativeFn Native; // Bound at link time from the native registry (§6.3).
+  /// The host body of a native method (§6.3), bound when its built-in
+  /// class is defined (ClassLoader::defineBuiltin). Empty for every other
+  /// class's natives: calling one throws UnsatisfiedLinkError.
+  NativeFn Native;
 
   bool isStatic() const { return AccessFlags & AccStatic; }
   bool isNative() const { return AccessFlags & AccNative; }
@@ -223,13 +226,10 @@ private:
 const std::string &ArrayObject::elemDesc() const { return klass()->ElemDesc; }
 
 /// Links a parsed class file into a Klass. \p Super and \p Interfaces must
-/// already be linked. \p ResolveNative binds native methods (may return an
-/// empty function for unknown natives — calling one throws
-/// UnsatisfiedLinkError at run time).
-std::unique_ptr<Klass>
-linkClass(ClassFile Cf, Klass *Super, std::vector<Klass *> Interfaces,
-          const std::function<NativeFn(const Klass &, const Method &)>
-              &ResolveNative);
+/// already be linked. Native methods come out unbound; the class loader
+/// binds a built-in class's natives as it defines the class.
+std::unique_ptr<Klass> linkClass(ClassFile Cf, Klass *Super,
+                                 std::vector<Klass *> Interfaces);
 
 } // namespace jvm
 } // namespace doppio
