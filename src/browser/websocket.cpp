@@ -38,40 +38,39 @@ std::vector<uint8_t> wsframe::encode(const Frame &F,
   return Out;
 }
 
+static bool isOpcode(uint8_t Op) {
+  return Op == static_cast<uint8_t>(Opcode::Text) ||
+         Op == static_cast<uint8_t>(Opcode::Binary) ||
+         Op == static_cast<uint8_t>(Opcode::Close);
+}
+
 std::optional<Frame> Decoder::next() {
-  if (Buffer.size() < 2)
+  if (Failed)
     return std::nullopt;
-  uint8_t Op = Buffer[0] & 0x0F;
-  bool Masked = (Buffer[1] & 0x80) != 0;
-  uint64_t Len = Buffer[1] & 0x7F;
-  size_t HeaderSize = 2;
-  if (Len == 126) {
-    if (Buffer.size() < 4)
-      return std::nullopt;
-    Len = wire::getU16(&Buffer[2]);
-    HeaderSize = 4;
-  } else if (Len == 127) {
-    if (Buffer.size() < 10)
-      return std::nullopt;
-    Len = wire::getU64(&Buffer[2]);
-    HeaderSize = 10;
-  }
-  size_t MaskOffset = HeaderSize;
-  if (Masked)
-    HeaderSize += 4;
-  if (Buffer.size() < HeaderSize + Len)
+  // A short read leaves R failed: the frame is incomplete, so wait.
+  wire::Reader R(Buffer);
+  uint8_t Op = R.u8() & 0x0F;
+  uint8_t LenByte = R.u8();
+  uint64_t Len = LenByte & 0x7F;
+  if (Len == 126)
+    Len = R.u16();
+  else if (Len == 127)
+    Len = R.u64();
+  if (R.ok() && (!isOpcode(Op) || Len > MaxPayloadBytes)) {
+    Failed = true;
+    Buffer = {};
     return std::nullopt;
-  Frame F;
-  F.Op = static_cast<Opcode>(Op);
-  F.Payload.reserve(Len);
-  for (uint64_t I = 0; I != Len; ++I) {
-    uint8_t Byte = Buffer[HeaderSize + I];
-    if (Masked)
-      Byte ^= Buffer[MaskOffset + I % 4];
-    F.Payload.push_back(Byte);
   }
-  Buffer.erase(Buffer.begin(), Buffer.begin() + HeaderSize + Len);
-  return F;
+  std::vector<uint8_t> Key = R.bytes((LenByte & 0x80) ? 4 : 0);
+  std::vector<uint8_t> Payload = R.bytes(Len); // Allocates once complete.
+  if (!R.ok())
+    return std::nullopt;
+  if (!Key.empty())
+    for (size_t I = 0; I != Payload.size(); ++I)
+      Payload[I] ^= Key[I % 4];
+  Buffer.erase(Buffer.begin(),
+               Buffer.begin() + static_cast<std::ptrdiff_t>(R.position()));
+  return Frame{static_cast<Opcode>(Op), std::move(Payload)};
 }
 
 static std::vector<uint8_t> toBytes(const std::string &Text) {
@@ -147,6 +146,12 @@ void WebSocketClient::handleData(const std::vector<uint8_t> &Data) {
     if (OnMessage)
       OnMessage(std::move(F->Payload));
   }
+  // A malformed stream fails the connection (RFC 6455 §7.1.7).
+  if (Decode.failed()) {
+    close();
+    if (OnClose)
+      OnClose();
+  }
 }
 
 void WebSocketClient::sendBinary(std::vector<uint8_t> Payload) {
@@ -217,6 +222,8 @@ void WebSocketServerConn::handleData(const std::vector<uint8_t> &Data) {
     if (OnMessage)
       OnMessage(std::move(F->Payload));
   }
+  if (Decode.failed())
+    close();
 }
 
 void WebSocketServerConn::sendBinary(std::vector<uint8_t> Payload) {

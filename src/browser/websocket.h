@@ -48,18 +48,30 @@ struct Frame {
 std::vector<uint8_t> encode(const Frame &F,
                             std::optional<uint32_t> MaskKey);
 
-/// Incremental decoder: feed bytes, pop complete frames.
+/// Frames advertising a longer payload are treated as stream corruption,
+/// as doppiod's frame codec does.
+constexpr uint64_t MaxPayloadBytes = 16u << 20;
+
+/// Incremental decoder: feed bytes, pop complete frames. Total over any
+/// input: a frame with an opcode outside Opcode or a length past
+/// MaxPayloadBytes fails the stream, and a failed stream decodes nothing
+/// more.
 class Decoder {
 public:
   void feed(const std::vector<uint8_t> &Data) {
-    Buffer.insert(Buffer.end(), Data.begin(), Data.end());
+    if (!Failed)
+      Buffer.insert(Buffer.end(), Data.begin(), Data.end());
   }
 
-  /// Extracts the next complete frame, or nullopt if more bytes are needed.
+  /// Extracts the next complete frame, or nullopt if more bytes are needed
+  /// or the stream failed.
   std::optional<Frame> next();
+
+  bool failed() const { return Failed; }
 
 private:
   std::vector<uint8_t> Buffer;
+  bool Failed = false;
 };
 
 } // namespace wsframe

@@ -495,7 +495,7 @@ void finishRestore(const std::shared_ptr<RestoreState> &St) {
   for (const auto &[Name, Init] : St->Classes) {
     Klass *K = Vm.loader().lookup(Name);
     assert(K && "image class vanished after load");
-    K->Init = static_cast<Klass::InitState>(Init);
+    K->Init = static_cast<Klass::InitState>(Init); // Checked when read.
   }
 
   // Objects, pass one: allocate shapes in arena order so ids resolve.
@@ -768,6 +768,11 @@ void doppio::jvm::restoreJvm(Jvm &Vm, std::vector<uint8_t> Image,
   for (uint32_t N = St->R.u32(); N != 0 && St->R.ok(); --N) {
     std::string Name = St->R.str();
     uint8_t Init = St->R.u8();
+    if (Init > static_cast<uint8_t>(Klass::InitState::Erroneous)) {
+      St->fail(rt::Errno::Io, "class " + Name + " has init state " +
+                                  std::to_string(Init));
+      return;
+    }
     St->Classes.emplace_back(std::move(Name), Init);
   }
   if (!St->R.ok()) {

@@ -23,7 +23,12 @@ Klass *ClassLoader::lookup(const std::string &Name) {
     return It->second.get();
   if (!Name.empty() && Name[0] == '[')
     return makeArrayClass(Name);
-  return nullptr;
+  auto Later = Deferred.find(Name);
+  if (Later == Deferred.end())
+    return nullptr;
+  ClassFile Cf = std::move(Later->second);
+  Deferred.erase(Later);
+  return defineBuiltin(std::move(Cf));
 }
 
 Klass *ClassLoader::makeArrayClass(const std::string &Name) {

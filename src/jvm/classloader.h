@@ -71,6 +71,14 @@ public:
   Klass *defineBuiltin(ClassFile Cf,
                        std::vector<NativeBinding> Natives = {});
 
+  /// Holds a built-in class back until its first lookup, which defines
+  /// it. For a class few programs touch: until then it is absent from
+  /// loadedClasses(), and so from checkpoint images.
+  void deferBuiltin(ClassFile Cf) {
+    std::string Name = Cf.ThisClass;
+    Deferred.emplace(std::move(Name), std::move(Cf));
+  }
+
   /// Parses and links class bytes that arrived by other means (§6.8's
   /// embedding API). Supers must already be loaded.
   rt::ErrorOr<Klass *> defineFromBytes(const std::vector<uint8_t> &Bytes);
@@ -116,6 +124,8 @@ private:
   Jvm &Vm;
   std::vector<std::string> Classpath;
   std::map<std::string, std::unique_ptr<Klass>> Classes;
+  /// Built-in classes not yet defined (deferBuiltin).
+  std::map<std::string, ClassFile> Deferred;
   /// In-flight loads: completions waiting on the same class.
   std::map<std::string,
            std::vector<std::function<void(rt::ErrorOr<Klass *>)>>>

@@ -409,18 +409,32 @@ JvmThread::StepResult JvmThread::dispatchException(Object *Ex) {
         .append(std::to_string(F.Pc))
         .append(")\n");
     Back = F.ClinitOf ? 0 : 1;
+    if (Klass *Failed = F.ClinitOf) {
+      // JVMS §5.5: a <clinit> that completes abruptly leaves its class
+      // erroneous for good, and anything but an Error reaches the
+      // triggering instruction wrapped in ExceptionInInitializerError.
+      F.ClinitOf = nullptr; // Not initialized after all.
+      Failed->Init = Klass::InitState::Erroneous;
+      if (!isInstanceOfKlass(Vm, Ex, Vm.loader().lookup("java/lang/Error")))
+        Ex = Vm.makeThrowable("java/lang/ExceptionInInitializerError",
+                              throwableText(Ex));
+    }
     popFrame();
   }
   // Uncaught: report and terminate the thread ("exits with an error").
   Uncaught = true;
   Finished = true;
-  std::string Msg = "Exception in thread \"" + name() + "\" " +
-                    Ex->klass()->Name;
+  Vm.process().writeStderr("Exception in thread \"" + name() + "\" " +
+                           throwableText(Ex) + "\n" + Trace);
+  return StepResult::Done;
+}
+
+std::string JvmThread::throwableText(Object *Ex) {
+  std::string Text = Ex->klass()->Name;
   Value Detail = Ex->field("detailMessage");
   if (Detail.K == Value::Kind::Ref && Detail.R)
-    Msg += ": " + Vm.stringValue(Detail.R);
-  Vm.process().writeStderr(Msg + "\n" + Trace);
-  return StepResult::Done;
+    Text += ": " + Vm.stringValue(Detail.R);
+  return Text;
 }
 
 //===----------------------------------------------------------------------===//
@@ -450,9 +464,15 @@ Klass *JvmThread::resolveClass(const std::string &Name, StepResult &Out) {
 bool JvmThread::ensureInitialized(Klass *K, StepResult &Out) {
   // Find the topmost uninitialized ancestor: supers initialize first.
   Klass *Top = nullptr;
-  for (Klass *C = K; C; C = C->Super)
+  for (Klass *C = K; C; C = C->Super) {
     if (C->Init == Klass::InitState::Uninitialized)
       Top = C;
+    if (C->Init == Klass::InitState::Erroneous) {
+      // JVMS §5.5: an initializer that failed once is not run again.
+      Out = throwJvm("java/lang/NoClassDefFoundError", K->Name);
+      return false;
+    }
+  }
   if (!Top) {
     Out = StepResult::Continue;
     return true;

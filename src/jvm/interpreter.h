@@ -192,11 +192,14 @@ private:
   StepResult throwJvm(const std::string &ClassName,
                       const std::string &Message);
   StepResult dispatchException(Object *Exception);
+  /// "<class>: <message>", or the class alone when there is no message.
+  std::string throwableText(Object *Ex);
 
   // Class resolution that may block on the Doppio fs (§6.4).
   Klass *resolveClass(const std::string &Name, StepResult &Out);
   /// Ensures static initialization; pushes a <clinit> frame and asks the
-  /// caller to re-execute when initialization is pending.
+  /// caller to re-execute when initialization is pending. Throws
+  /// NoClassDefFoundError for a class whose initialization failed.
   bool ensureInitialized(Klass *K, StepResult &Out);
 
   // The value array (DESIGN.md §9).

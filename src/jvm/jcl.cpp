@@ -52,7 +52,6 @@ std::vector<uint8_t> arrayToBytes(ArrayObject *A) {
   return Out;
 }
 
-
 /// One built-in class under construction: a ClassBuilder whose natives
 /// are each declared once, together with their bodies. define() hands
 /// both to the class loader, which binds every body to its method.
@@ -459,7 +458,8 @@ void defineThrowables(Jvm &Vm) {
         .op(Op::Areturn);
     Vm.loader().defineBuiltin(B.build());
   }
-  auto DefEx = [&Vm](const char *Name, const char *Super) {
+  // Each throwable takes () and (String) constructors.
+  auto ExClass = [](const char *Name, const char *Super) {
     ClassBuilder B(Name, Super);
     B.addDefaultConstructor();
     MethodBuilder &Init =
@@ -468,7 +468,10 @@ void defineThrowables(Jvm &Vm) {
         .aload(1)
         .invokespecial(Super, "<init>", "(Ljava/lang/String;)V")
         .op(Op::Return);
-    Vm.loader().defineBuiltin(B.build());
+    return B.build();
+  };
+  auto DefEx = [&Vm, &ExClass](const char *Name, const char *Super) {
+    Vm.loader().defineBuiltin(ExClass(Name, Super));
   };
   DefEx("java/lang/Error", "java/lang/Throwable");
   DefEx("java/lang/Exception", "java/lang/Throwable");
@@ -507,6 +510,11 @@ void defineThrowables(Jvm &Vm) {
   DefEx("java/lang/InstantiationError", "java/lang/LinkageError");
   DefEx("java/lang/ClassFormatError", "java/lang/LinkageError");
   DefEx("java/lang/VerifyError", "java/lang/LinkageError");
+  // Thrown only when a <clinit> fails (JVMS §5.5), so it is defined on
+  // first use: a program whose initializers all succeed never loads it,
+  // and its checkpoint images list the same classes as before.
+  Vm.loader().deferBuiltin(ExClass("java/lang/ExceptionInInitializerError",
+                                   "java/lang/LinkageError"));
   DefEx("java/lang/StackOverflowError", "java/lang/Error");
   DefEx("java/lang/OutOfMemoryError", "java/lang/Error");
   DefEx("java/io/IOException", "java/lang/Exception");
@@ -614,9 +622,11 @@ void defineSystem(Jvm &Vm) {
              }
              auto *Src = static_cast<ArrayObject *>(SrcO);
              auto *Dst = static_cast<ArrayObject *>(DstO);
+             // Subtracting from a length cannot overflow, as adding a
+             // guest position to a guest length can.
              if (Len < 0 || SrcPos < 0 || DstPos < 0 ||
-                 SrcPos + Len > Src->length() ||
-                 DstPos + Len > Dst->length()) {
+                 Len > Src->length() - SrcPos ||
+                 Len > Dst->length() - DstPos) {
                Ctx.throwEx("java/lang/ArrayIndexOutOfBoundsException",
                            "arraycopy");
                return;

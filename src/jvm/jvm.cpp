@@ -19,7 +19,7 @@ Jvm::Jvm(browser::BrowserEnv &Env, rt::fs::FileSystem &Fs, rt::Process &Proc,
       Susp(Env), Pool(Env, Susp), Heap(Env, Options.HeapBytes),
       Loader(*this) {
   // The one env override point for execution knobs (exec_profile.h):
-  // DOPPIO_JVM_PROFILE plus the legacy single-knob variables.
+  // DOPPIO_JVM_PROFILE.
   Options.Exec.applyEnv();
   DispatchCostNs =
       Options.Exec.Quicken ? Options.QuickOpCostNs : Options.OpCostNs;

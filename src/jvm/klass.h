@@ -142,7 +142,10 @@ struct FieldInfo {
 /// A loaded, linked class.
 class Klass {
 public:
-  enum class InitState { Uninitialized, Initializing, Initialized };
+  /// JVMS §5.5. A class whose <clinit> completed abruptly is Erroneous
+  /// and never initializes. Checkpoint images store the state as its
+  /// value, so the order is part of the image format.
+  enum class InitState { Uninitialized, Initializing, Initialized, Erroneous };
 
   std::string Name;
   Klass *Super = nullptr;

@@ -8,10 +8,12 @@
 /// "The Java Class Library exposes JVM interfaces to a wide variety of
 /// native functionality ... DoppioJVM implements a wide variety of these
 /// native methods directly in JavaScript" (§6.3). Here, native methods are
-/// host functions receiving a NativeContext. When a native needs an
-/// asynchronous browser API it calls blockWithResult: the calling green
-/// thread blocks (only that thread — the event loop stays free), and the
-/// asynchronous completion delivers the return value, so the method
+/// host functions receiving a NativeContext. The class library (jcl.cpp)
+/// declares each native next to its body, and the class loader binds the
+/// body to its Method when it defines the owning class. When a native
+/// needs an asynchronous browser API it calls blockWithResult: the calling
+/// green thread blocks (only that thread — the event loop stays free), and
+/// the asynchronous completion delivers the return value, so the method
 /// "retains its JVM-level synchronous semantics".
 ///
 //===----------------------------------------------------------------------===//

@@ -10,6 +10,8 @@
 
 #include "gtest/gtest.h"
 
+#include <memory>
+
 using namespace doppio;
 using namespace doppio::browser;
 
@@ -163,6 +165,33 @@ TEST(WebSocket, Ie8UsesFlashShim) {
   Env.loop().run();
   EXPECT_EQ(Got, (std::vector<uint8_t>{1, 2}));
   EXPECT_TRUE(Ws.usedFlashShim());
+}
+
+TEST(WebSocket, MalformedFrameFailsTheServerConnection) {
+  // A reserved opcode fails the stream: the server closes the connection
+  // and delivers nothing, not even the valid frame behind it.
+  BrowserEnv Env(chromeProfile());
+  std::unique_ptr<WebSocketServerConn> Server;
+  int Messages = 0;
+  bool Closed = false;
+  Env.net().listen(1000, [&](TcpConnection &C) {
+    Server = std::make_unique<WebSocketServerConn>(C);
+    Server->setOnMessage([&](std::vector<uint8_t>) { ++Messages; });
+    Server->setOnClose([&] { Closed = true; });
+  });
+  Env.net().connect(1000, [&](TcpConnection *C) {
+    ASSERT_NE(C, nullptr);
+    std::vector<uint8_t> Wire =
+        bytesOf("GET / HTTP/1.1\r\nUpgrade: websocket\r\n\r\n");
+    Wire.insert(Wire.end(), {0x83, 0x00});
+    std::vector<uint8_t> Valid = wsframe::encode(
+        wsframe::Frame{wsframe::Opcode::Binary, {1, 2}}, 0x01020304u);
+    Wire.insert(Wire.end(), Valid.begin(), Valid.end());
+    C->send(Wire);
+  });
+  Env.loop().run();
+  EXPECT_TRUE(Closed);
+  EXPECT_EQ(Messages, 0);
 }
 
 TEST(WebSocket, LargeMessageSurvivesBridge) {

@@ -449,6 +449,7 @@ TEST(CodecSweep, WebSocketFrame) {
     browser::wsframe::Decoder D;
     D.feed(prefix(Wire, N));
     EXPECT_FALSE(D.next().has_value());
+    EXPECT_FALSE(D.failed());
     D.feed(Bytes(Wire.begin() + static_cast<ptrdiff_t>(N), Wire.end()));
     std::optional<browser::wsframe::Frame> Back = D.next();
     ASSERT_TRUE(Back.has_value());
@@ -480,6 +481,7 @@ TEST(CodecSweep, WebSocketFrameMalformedStreamsStayFailed) {
     browser::wsframe::Decoder D;
     D.feed(C.Wire);
     EXPECT_FALSE(D.next().has_value());
+    EXPECT_TRUE(D.failed());
     // Nothing after a malformed header is trusted, not even a valid frame.
     D.feed(Valid);
     EXPECT_FALSE(D.next().has_value());
@@ -488,6 +490,7 @@ TEST(CodecSweep, WebSocketFrameMalformedStreamsStayFailed) {
   browser::wsframe::Decoder AtCap;
   AtCap.feed({0x82, 0x7f, 0, 0, 0, 0, 0x01, 0, 0, 0x00});
   EXPECT_FALSE(AtCap.next().has_value());
+  EXPECT_FALSE(AtCap.failed());
 }
 
 } // namespace

@@ -821,7 +821,7 @@ TEST_P(BothModes, HandlerRangeAfterTheInvokeMissesTheCallee) {
 TEST_P(BothModes, ClinitExceptionMatchesItsTriggeringInstruction) {
   // A frame below a popped <clinit> is still at the getstatic that
   // triggered it, so a range covering only that getstatic catches what
-  // <clinit> throws.
+  // <clinit> throws, wrapped in ExceptionInInitializerError (JVMS §5.5).
   for (const char *Profile : CallPathProfiles) {
     SCOPED_TRACE(Profile);
     JvmRig Rig(GetParam());
@@ -842,11 +842,12 @@ TEST_P(BothModes, ClinitExceptionMatchesItsTriggeringInstruction) {
         .invokevirtual("java/io/PrintStream", "println",
                        "(Ljava/lang/String;)V")
         .op(Op::Return)
-        .handler(Start, End, Handler, "java/lang/IllegalStateException");
+        .handler(Start, End, Handler,
+                 "java/lang/ExceptionInInitializerError");
     Rig.addClass(Bad);
     Rig.addClass(B);
     EXPECT_EQ(Rig.run("Main"), 0) << Rig.err();
-    EXPECT_EQ(Rig.out(), "clinit\n");
+    EXPECT_EQ(Rig.out(), "java/lang/IllegalStateException: clinit\n");
   }
 }
 

@@ -86,7 +86,8 @@ void tryPrint(MethodBuilder &M, const std::string &Catch, BodyFn Body,
 /// FNV-1a of writeClassFile() for every non-array class a fresh VM holds,
 /// in the loader's (name) order. The class files carry every member in
 /// declaration order, so a builtin whose methods, natives or fields move
-/// fails here.
+/// fails here. ExceptionInInitializerError, defined on first use, is not
+/// among them.
 const std::pair<const char *, uint64_t> BuiltinClassPin[] = {
     {"doppio/JS", 6063573834468039789ull},
     {"doppio/Stdin", 3705457946785310889ull},
@@ -309,11 +310,12 @@ TEST_P(Jcl, ClinitExceptionLeavesTheClassErroneous) {
     Rig.addClassBytes("Bad", Bad);
     Rig.addClassBytes("Main", Main);
     EXPECT_EQ(Rig.run("Main"), 0) << Rig.err();
-    EXPECT_EQ(Rig.out(), std::string("java.lang.ExceptionInInitializerError\n"
-                                     "java/lang/IllegalStateException: boom\n") +
-                             NoDefLines);
-    EXPECT_EQ(static_cast<int>(Rig.vm().loader().lookup("Bad")->Init), 3)
-        << "Erroneous";
+    EXPECT_EQ(Rig.out(),
+              std::string("java.lang.ExceptionInInitializerError\n"
+                          "java/lang/IllegalStateException: boom\n") +
+                  NoDefLines);
+    EXPECT_EQ(Rig.vm().loader().lookup("Bad")->Init,
+              Klass::InitState::Erroneous);
   }
 }
 
@@ -361,8 +363,8 @@ TEST_P(Jcl, ErroneousStateCrossesACheckpointAndForgedStatesAreRefused) {
     ASSERT_TRUE(Result.has_value());
     if (Init == 3) {
       EXPECT_TRUE(Result->ok());
-      EXPECT_EQ(static_cast<int>(Dst.vm().loader().lookup("Bad")->Init), 3)
-          << "Erroneous";
+      EXPECT_EQ(Dst.vm().loader().lookup("Bad")->Init,
+                Klass::InitState::Erroneous);
       continue;
     }
     ASSERT_FALSE(Result->ok());
